@@ -12,14 +12,16 @@ from .families import (CHAIN_FAMILIES, FAMILY_NAMES, FamilyGraph, FamilySpec,
 from .formats import (dump_graph, emit_edge_list, emit_graph_json,
                       parse_edge_list, parse_graph, parse_graph_json)
 from .formulas import (BOUND_KINDS, BoundsReport, FormulaCheck, MonomerStats,
-                       check_bound, check_family, formula_value, has_formula,
-                       lower_bound_link2, lower_bound_link_chain,
-                       monomer_stats, superadditive_bound, upper_bound_bouquet,
+                       check_bound, check_bounds, check_family,
+                       formula_value, has_formula, lower_bound_link2,
+                       lower_bound_link_chain, monomer_stats,
+                       superadditive_bound, upper_bound_bouquet,
                        upper_bound_chain, upper_bound_circuit,
                        upper_bound_link)
 from .graphs import (UNREACHABLE, DistanceRow, Graph, all_pairs_distances,
                      bfs_distances, complete_graph, cycle_graph,
-                     from_edge_list, is_connected, path_graph)
+                     distance_blocks, from_edge_list, is_connected,
+                     path_graph)
 from .indices import (EDGE_MOSTAR, INDEX_NAMES, MOSTAR, WIENER,
                       EdgeOrientationCounts, IndexReport, OrientationCounts,
                       PerEdgeContribution, edge_mostar_index,

@@ -20,8 +20,8 @@ from pathlib import Path
 from .errors import GraphError, NotConnected
 from .families import CHAIN_FAMILIES, FAMILY_NAMES, FamilySpec, family_counts, generate
 from .formats import dump_graph, parse_graph
-from .formulas import BOUND_KINDS, check_bound, formula_value, has_formula
-from .indices import EDGE_MOSTAR, MOSTAR, edge_mostar_index, index_report, mostar_index
+from .formulas import BOUND_KINDS, check_bounds, formula_value, has_formula
+from .indices import EDGE_MOSTAR, MOSTAR, index_report
 from .polymer import compose, spec_from_json
 
 SCHEMA_VERSION = "1"
@@ -51,7 +51,10 @@ def _record(command: str, inputs: dict, results) -> str:
 
 def _parse_range(text: str) -> range:
     lo, _, hi = text.partition("..")
-    return range(int(lo), int(hi or lo) + 1)
+    try:
+        return range(int(lo), int(hi or lo) + 1)
+    except ValueError:
+        raise GraphError(f"invalid range {text!r}, expected 'lo..hi' or 'n'") from None
 
 
 def _family_spec(args) -> FamilySpec:
@@ -162,13 +165,12 @@ def cmd_verify(args) -> int:
         return 2
 
     rows = []
-    graphs: dict[FamilySpec, object] = {}
+    oracles: dict[FamilySpec, dict[str, int]] = {}
     for spec, index in cells:
-        if spec not in graphs:
-            graphs[spec] = generate(spec).graph
-        graph = graphs[spec]
-        oracle = mostar_index(graph) if index == MOSTAR else edge_mostar_index(graph)
-        rows.append((spec, index, formula_value(spec, index), oracle))
+        if spec not in oracles:
+            report = index_report(generate(spec).graph)
+            oracles[spec] = {MOSTAR: report.mostar, EDGE_MOSTAR: report.edge_mostar}
+        rows.append((spec, index, formula_value(spec, index), oracles[spec][index]))
 
     all_agree = all(formula == oracle for _, _, formula, oracle in rows)
     if args.format == "csv":
@@ -201,10 +203,10 @@ def cmd_bounds(args) -> int:
     try:
         spec = spec_from_json(Path(args.spec).read_text())
         composite = compose(spec).graph
-        indices = ([MOSTAR, EDGE_MOSTAR] if args.index == "both"
-                   else [_CLI_INDEX[args.index]])
-        reports = {_INDEX_CLI[ix]: check_bound(composite, spec, args.which, ix)
-                   for ix in indices}
+        indices = ((MOSTAR, EDGE_MOSTAR) if args.index == "both"
+                   else (_CLI_INDEX[args.index],))
+        reports = {_INDEX_CLI[ix]: r for ix, r in
+                   check_bounds(composite, spec, args.which, indices).items()}
     except (OSError, GraphError, ValueError) as exc:
         _err(str(exc))
         return 2

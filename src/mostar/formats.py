@@ -47,7 +47,11 @@ def parse_graph_json(source: str | dict) -> Graph:
     obj = json.loads(source) if isinstance(source, str) else source
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError("graph JSON must be an object with 'n' and 'edges'")
-    return from_edge_list(int(obj["n"]), obj["edges"])
+    edges = obj["edges"]
+    if not isinstance(edges, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in edges):
+        raise GraphError("graph JSON 'edges' must be an array of [u, v] pairs")
+    return from_edge_list(int(obj["n"]), edges)
 
 
 def graph_to_dict(g: Graph) -> dict:

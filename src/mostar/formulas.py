@@ -218,6 +218,16 @@ class BoundsReport:
 BOUND_KINDS = ("link-upper", "chain-upper", "bouquet-upper", "circuit-upper",
                "link2-lower", "polymer-lower", "superadditive")
 
+_BOUNDS = {
+    "link-upper": upper_bound_link,
+    "chain-upper": upper_bound_chain,
+    "bouquet-upper": upper_bound_bouquet,
+    "circuit-upper": upper_bound_circuit,
+    "link2-lower": lambda stats, index: lower_bound_link2(stats[0], stats[1], index),
+    "polymer-lower": lower_bound_link_chain,
+    "superadditive": superadditive_bound,
+}
+
 _COMPATIBLE = {
     "link-upper": {"link"},
     "chain-upper": {"chain"},
@@ -229,11 +239,17 @@ _COMPATIBLE = {
 }
 
 
-def check_bound(composite: Graph, spec: PolymerSpec, which: str, index: str) -> BoundsReport:
-    """Compare the brute-force index of a composite against one bound."""
-    if index not in (MOSTAR, EDGE_MOSTAR):
-        raise UnsupportedCombination(
-            f"bounds are defined for mostar and edge_mostar, not {index!r}")
+def check_bounds(composite: Graph, spec: PolymerSpec, which: str,
+                 indices: tuple[str, ...]) -> dict[str, BoundsReport]:
+    """Compare the brute-force indices of a composite against one bound.
+
+    Each monomer and the composite are evaluated once, whatever the number
+    of indices; the result maps each requested index to its report.
+    """
+    for index in indices:
+        if index not in (MOSTAR, EDGE_MOSTAR):
+            raise UnsupportedCombination(
+                f"bounds are defined for mostar and edge_mostar, not {index!r}")
     if which not in _COMPATIBLE:
         raise MismatchedConstruction(f"unknown bound {which!r}")
     if spec.kind not in _COMPATIBLE[which]:
@@ -243,21 +259,18 @@ def check_bound(composite: Graph, spec: PolymerSpec, which: str, index: str) -> 
         raise MismatchedConstruction(
             f"link2-lower needs exactly 2 monomers, got {len(spec.monomers)}")
     stats = [monomer_stats(h.graph) for h in spec.monomers]
-    actual = mostar_index(composite) if index == MOSTAR else edge_mostar_index(composite)
-    if which == "link-upper":
-        bound = upper_bound_link(stats, index)
-    elif which == "chain-upper":
-        bound = upper_bound_chain(stats, index)
-    elif which == "bouquet-upper":
-        bound = upper_bound_bouquet(stats, index)
-    elif which == "circuit-upper":
-        bound = upper_bound_circuit(stats, index)
-    elif which == "link2-lower":
-        bound = lower_bound_link2(stats[0], stats[1], index)
-    elif which == "polymer-lower":
-        bound = lower_bound_link_chain(stats, index)
-    else:
-        bound = superadditive_bound(stats, index)
-    if which.endswith("upper"):
-        return BoundsReport(actual, bound, "upper", False, actual <= bound)
-    return BoundsReport(actual, bound, "lower", True, actual > bound)
+    report = index_report(composite)
+    actuals = {MOSTAR: report.mostar, EDGE_MOSTAR: report.edge_mostar}
+    reports = {}
+    for index in indices:
+        actual, bound = actuals[index], _BOUNDS[which](stats, index)
+        if which.endswith("upper"):
+            reports[index] = BoundsReport(actual, bound, "upper", False, actual <= bound)
+        else:
+            reports[index] = BoundsReport(actual, bound, "lower", True, actual > bound)
+    return reports
+
+
+def check_bound(composite: Graph, spec: PolymerSpec, which: str, index: str) -> BoundsReport:
+    """Compare the brute-force index of a composite against one bound."""
+    return check_bounds(composite, spec, which, (index,))[index]

@@ -9,14 +9,13 @@ quantities.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import reverse_cuthill_mckee, shortest_path
 
 from .errors import DuplicateEdge, SelfLoop, VertexOutOfRange
 
@@ -146,28 +145,35 @@ def _to_hops(raw: np.ndarray) -> np.ndarray:
     return out.astype(np.int32)
 
 
-def all_pairs_distances(g: Graph, parallel: bool = False, workers: int = 4,
-                        chunk: int = 256) -> np.ndarray:
+def all_pairs_distances(g: Graph) -> np.ndarray:
     """All-pairs hop counts as an ``(n, n)`` int32 array.
 
-    One BFS per source, executed in C via scipy's csgraph machinery.  With
-    ``parallel=True`` the sources are split into chunks handed to a thread
-    pool; rows are written back by source index, so the result is
-    bit-identical to the sequential order.
+    One BFS per source, executed in C via scipy's csgraph machinery.  This
+    is the dense reference table; the indices stream it with
+    ``distance_blocks`` instead.
+    """
+    raw = shortest_path(_csr(g), method="auto", directed=False, unweighted=True)
+    return _to_hops(np.atleast_2d(raw))
+
+
+def distance_blocks(g: Graph, rows: int) -> Iterator[np.ndarray]:
+    """Rows of the all-pairs table in source order, at most ``rows`` at a time.
+
+    Yields ``(k, n)`` int32 blocks, ``k <= rows``, whose concatenation is
+    ``all_pairs_distances(g)``; only the current block is held.  The BFS
+    runs on a copy relabelled in reverse Cuthill-McKee order, which keeps
+    neighbours close in memory, so graphs with scattered labels sweep as
+    fast as well-ordered ones; each block's columns are mapped back to the
+    original labels.
     """
     mat = _csr(g)
-    if not parallel or g.n <= chunk:
-        raw = shortest_path(mat, method="auto", directed=False, unweighted=True)
-        return _to_hops(np.atleast_2d(raw))
-    out = np.empty((g.n, g.n), dtype=np.int32)
-
-    def run(start: int) -> None:
-        idx = np.arange(start, min(start + chunk, g.n))
-        raw = shortest_path(mat, method="auto", directed=False,
-                            unweighted=True, indices=idx)
-        out[start:start + len(idx)] = _to_hops(np.atleast_2d(raw))
-
-    starts = range(0, g.n, chunk)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, starts))
-    return out
+    order = reverse_cuthill_mckee(mat, symmetric_mode=True)
+    relabel = np.empty(g.n, dtype=np.intp)
+    relabel[order] = np.arange(g.n)
+    mat = mat[order][:, order]
+    mat.sort_indices()
+    for start in range(0, g.n, rows):
+        sources = relabel[start:start + rows]
+        raw = shortest_path(mat, method="D", directed=False, unweighted=True,
+                            indices=sources)
+        yield _to_hops(raw)[:, relabel]

@@ -9,7 +9,15 @@ an edge is therefore equidistant from its own endpoints and always lands in
 ``m_0``.  The Wiener index is the sum of distances over unordered vertex
 pairs.
 
-All three indices are computed from one shared all-pairs table; totals are
+All three indices come from one pass over the distance rows, a bounded
+block of BFS sources at a time, so the ``n x n`` table is never held.  The
+pass needs only two sums per vertex ``x``: its transmission
+``T(x) = sum_w d(x, w)`` and its edge transmission
+``E(x) = sum_{ab} min(d(x, a), d(x, b))``, both read off the row of ``x``.
+Along an edge ``uv`` every distance ``d(w, .)`` and every edge distance
+``min(d(a, .), d(b, .))`` changes by at most one, so each sign in the
+orientation counts equals a difference, and summing gives
+``n_u - n_v = T(v) - T(u)`` and ``m_u - m_v = E(v) - E(u)``.  Totals are
 accumulated as Python integers, so sums are exact at any size.
 """
 
@@ -20,12 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EdgeNotInGraph, NotConnected
-from .graphs import Edge, Graph, all_pairs_distances, is_connected
+from .graphs import Edge, Graph, all_pairs_distances, distance_blocks, is_connected
 
 MOSTAR = "mostar"
 EDGE_MOSTAR = "edge_mostar"
 WIENER = "wiener"
 INDEX_NAMES = (MOSTAR, EDGE_MOSTAR, WIENER)
+
+#: Bytes of distance rows in flight.  A block takes
+#: ``_ROW_BUDGET_BYTES // (8 * max(n, m))`` sources (at least one), so its
+#: float64 rows from scipy and its gathers over the edge endpoints each fit
+#: the budget, and peak memory is a small multiple of it whatever n is.
+_ROW_BUDGET_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -111,68 +125,55 @@ def edge_orientation(g: Graph, e, dists: np.ndarray | None = None) -> EdgeOrient
     return EdgeOrientationCounts((u, v), m_u, m_v, g.m - m_u - m_v)
 
 
-def _vertex_diffs(g: Graph, d: np.ndarray) -> np.ndarray:
-    if g.m == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.asarray(g.edges, dtype=np.int64)
-    du = d[ends[:, 0]]
-    dv = d[ends[:, 1]]
-    n_u = np.count_nonzero(du < dv, axis=1).astype(np.int64)
-    n_v = np.count_nonzero(dv < du, axis=1).astype(np.int64)
-    return np.abs(n_u - n_v)
+def _transmissions(g: Graph, ends: np.ndarray,
+                   dists: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, E)``: per-vertex transmission and edge transmission, as int64.
 
-
-def _edge_diffs(g: Graph, d: np.ndarray) -> np.ndarray:
-    if g.m == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.asarray(g.edges, dtype=np.int64)
-    # f_dist[f, w] = distance from edge f to vertex w
-    f_dist = np.minimum(d[ends[:, 0]], d[ends[:, 1]])
-    u, v = ends[:, 0], ends[:, 1]
-    out = np.empty(g.m, dtype=np.int64)
-    block = max(1, (1 << 22) // g.m)
-    for start in range(0, g.m, block):
-        cu = f_dist[:, u[start:start + block]]
-        cv = f_dist[:, v[start:start + block]]
-        m_u = np.count_nonzero(cu < cv, axis=0).astype(np.int64)
-        m_v = np.count_nonzero(cv < cu, axis=0).astype(np.int64)
-        out[start:start + block] = np.abs(m_u - m_v)
-    return out
+    Rows come from BFS, or from the caller's all-pairs table when given; in
+    both cases one block of at most ``_ROW_BUDGET_BYTES`` at a time.
+    """
+    _require_connected(g)
+    rows = max(1, _ROW_BUDGET_BYTES // (8 * max(g.n, g.m)))
+    blocks = (distance_blocks(g, rows) if dists is None
+              else (dists[start:start + rows] for start in range(0, g.n, rows)))
+    # int64 row sums cannot wrap: each is below n * max(n, m)
+    vertex_sums, edge_sums = [], []
+    for block in blocks:
+        vertex_sums.append(block.sum(axis=1, dtype=np.int64))
+        to_edge = block[:, ends[:, 0]]
+        np.minimum(to_edge, block[:, ends[:, 1]], out=to_edge)
+        edge_sums.append(to_edge.sum(axis=1, dtype=np.int64))
+    return np.concatenate(vertex_sums), np.concatenate(edge_sums)
 
 
 def mostar_index(g: Graph, dists: np.ndarray | None = None) -> int:
     """Sum of ``|n_u - n_v|`` over all edges."""
-    _require_connected(g)
-    return _exact_sum(_vertex_diffs(g, _table(g, dists)))
+    return index_report(g, dists=dists).mostar
 
 
 def edge_mostar_index(g: Graph, dists: np.ndarray | None = None) -> int:
     """Sum of ``|m_u - m_v|`` over all edges."""
-    _require_connected(g)
-    return _exact_sum(_edge_diffs(g, _table(g, dists)))
+    return index_report(g, dists=dists).edge_mostar
 
 
 def wiener_index(g: Graph, dists: np.ndarray | None = None) -> int:
     """Sum of distances over unordered vertex pairs."""
-    _require_connected(g)
-    d = _table(g, dists)
-    if g.n * max(1, int(d.max())) < 2 ** 62:
-        row_sums = d.sum(axis=1, dtype=np.int64)
-    else:
-        row_sums = d.sum(axis=1, dtype=object)
-    return _exact_sum(row_sums) // 2
+    return index_report(g, dists=dists).wiener
 
 
 def index_report(g: Graph, include_per_edge: bool = False,
                  dists: np.ndarray | None = None) -> IndexReport:
-    """All three indices from a single all-pairs table.
+    """All three indices from a single streamed distance pass.
 
-    The per-edge breakdown, when requested, follows the canonical edge order.
+    ``dists``, when given, is ``all_pairs_distances(g)`` and is read in
+    place of running BFS.  The per-edge breakdown, when requested, follows
+    the canonical edge order.
     """
-    _require_connected(g)
-    d = _table(g, dists)
-    vdiffs = _vertex_diffs(g, d)
-    ediffs = _edge_diffs(g, d)
+    ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
+    vertex_sums, edge_sums = _transmissions(g, ends, dists)
+    u, v = ends[:, 0], ends[:, 1]
+    vdiffs = np.abs(vertex_sums[u] - vertex_sums[v])
+    ediffs = np.abs(edge_sums[u] - edge_sums[v])
     per_edge = None
     if include_per_edge:
         per_edge = tuple(
@@ -181,6 +182,6 @@ def index_report(g: Graph, include_per_edge: bool = False,
     return IndexReport(
         mostar=_exact_sum(vdiffs),
         edge_mostar=_exact_sum(ediffs),
-        wiener=wiener_index(g, d),
+        wiener=_exact_sum(vertex_sums) // 2,
         per_edge=per_edge,
     )

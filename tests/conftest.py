@@ -33,19 +33,25 @@ def naive_all_pairs(g: Graph) -> list[list[int]]:
     return [naive_bfs(g, s) for s in range(g.n)]
 
 
-def naive_mostar(g: Graph) -> int:
+def naive_vertex_diffs(g: Graph) -> list[int]:
+    """|n_u - n_v| for each edge, in canonical edge order."""
     dist = naive_all_pairs(g)
-    total = 0
+    diffs = []
     for u, v in g.edges:
         n_u = sum(1 for w in range(g.n) if dist[w][u] < dist[w][v])
         n_v = sum(1 for w in range(g.n) if dist[w][v] < dist[w][u])
-        total += abs(n_u - n_v)
-    return total
+        diffs.append(abs(n_u - n_v))
+    return diffs
 
 
-def naive_edge_mostar(g: Graph) -> int:
+def naive_mostar(g: Graph) -> int:
+    return sum(naive_vertex_diffs(g))
+
+
+def naive_edge_diffs(g: Graph) -> list[int]:
+    """|m_u - m_v| for each edge, in canonical edge order."""
     dist = naive_all_pairs(g)
-    total = 0
+    diffs = []
     for u, v in g.edges:
         m_u = m_v = 0
         for x, y in g.edges:
@@ -55,8 +61,12 @@ def naive_edge_mostar(g: Graph) -> int:
                 m_u += 1
             elif to_v < to_u:
                 m_v += 1
-        total += abs(m_u - m_v)
-    return total
+        diffs.append(abs(m_u - m_v))
+    return diffs
+
+
+def naive_edge_mostar(g: Graph) -> int:
+    return sum(naive_edge_diffs(g))
 
 
 def naive_wiener(g: Graph) -> int:

@@ -1,6 +1,10 @@
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
+import mostar
 import pytest
 from mostar import (FamilySpec, MonomerHandle, PolymerSpec, complete_graph,
                     generate, index_report, parse_edge_list, parse_graph_json,
@@ -91,6 +95,14 @@ class TestCompute:
         assert main(["compute", str(path)]) == 2
         assert main(["compute", str(tmp_path / "missing.txt")]) == 2
 
+    @pytest.mark.parametrize("edges", [[[0]], [[0, 1, 2]], [0], [None]])
+    def test_malformed_json_edge_exit_2(self, tmp_path, capsys, edges):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 3, "edges": edges}))
+        assert main(["compute", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_triangular_sweep(self, capsys):
@@ -134,6 +146,13 @@ class TestVerify:
         assert main(["verify", "--families", "triangular",
                      "--from", "3", "--to", "2"]) == 2
         assert main(["verify", "--families", "nosuch"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--m-range", "--inner-range"])
+    @pytest.mark.parametrize("text", ["a..3", "1..b", "", ".."])
+    def test_malformed_clique_range_exit_2(self, capsys, flag, text):
+        assert main(["verify", "--families", "clique-flower", flag, text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_text_format(self, capsys):
         assert main(["verify", "--families", "triangular",
@@ -256,6 +275,18 @@ class TestRoundTrip:
             assert record["results"]["mostar"] == report.mostar, spec
             assert record["results"]["edge-mostar"] == report.edge_mostar, spec
             assert record["results"]["wiener"] == report.wiener, spec
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(mostar.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mostar", "verify", "--families", "triangular",
+         "--from", "1", "--to", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("family,n,index")
 
 
 def test_console_script_wiring():

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mostar import (UNREACHABLE, DuplicateEdge, GraphError, SelfLoop,
-                    VertexOutOfRange, all_pairs_distances, bfs_distances,
-                    complete_graph, cycle_graph, dump_graph, emit_edge_list,
-                    emit_graph_json, from_edge_list, is_connected,
-                    parse_edge_list, parse_graph, parse_graph_json,
-                    path_graph)
+from mostar import (UNREACHABLE, DuplicateEdge, GraphError, MonomerHandle,
+                    SelfLoop, VertexOutOfRange, all_pairs_distances,
+                    bfs_distances, build_chain, build_link, complete_graph,
+                    cycle_graph, distance_blocks, dump_graph, emit_edge_list,
+                    emit_graph_json, from_edge_list, graphs, index_report,
+                    indices, is_connected, parse_edge_list, parse_graph,
+                    parse_graph_json, path_graph)
 
-from conftest import connected_graphs, naive_all_pairs
+from conftest import (connected_graphs, naive_all_pairs, naive_edge_diffs,
+                      naive_vertex_diffs, naive_wiener)
 
 
 def two_triangles():
@@ -85,12 +88,17 @@ class TestAllPairs:
         d = all_pairs_distances(two_triangles())
         assert d[0, 3] == UNREACHABLE and d[3, 0] == UNREACHABLE
 
-    def test_parallel_is_bit_identical(self):
+    def test_blocks_concatenate_to_table(self):
         g = cycle_graph(41)
-        seq = all_pairs_distances(g)
-        par = all_pairs_distances(g, parallel=True, chunk=7)
-        assert seq.dtype == par.dtype
-        assert np.array_equal(seq, par)
+        blocks = list(distance_blocks(g, 7))
+        assert [len(b) for b in blocks] == [7] * 5 + [6]
+        assert all(b.dtype == np.int32 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), all_pairs_distances(g))
+
+    def test_blocks_keep_unreachable_sentinel(self):
+        g = two_triangles()
+        blocks = np.concatenate(list(distance_blocks(g, 4)))
+        assert np.array_equal(blocks, all_pairs_distances(g))
 
 
 class TestConnectivity:
@@ -114,6 +122,68 @@ def test_triangle_step_and_symmetry(g):
     assert np.all(np.diagonal(d) == 0)
     for u, v in g.edges:
         assert np.all(np.abs(d[u] - d[v]) <= 1)
+
+
+def check_streamed_pass(g):
+    """index_report in blocks of 1, 2 and 3 sources, from BFS and from the table.
+
+    Shrinking the row budget forces the multi-block pass that real graphs
+    take; every per-edge diff and all three totals must match the naive
+    oracle, and the BFS blocks must have exactly the forced sizes.
+    """
+    vertex_diffs, edge_diffs = naive_vertex_diffs(g), naive_edge_diffs(g)
+    wiener = naive_wiener(g)
+    table = all_pairs_distances(g)
+    for rows in (1, 2, 3):
+        sizes = []
+
+        def spy(graph, k):
+            for block in graphs.distance_blocks(graph, k):
+                sizes.append(len(block))
+                yield block
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indices, "_ROW_BUDGET_BYTES", rows * 8 * max(g.n, g.m))
+            mp.setattr(indices, "distance_blocks", spy)
+            for dists in (None, table):
+                r = index_report(g, include_per_edge=True, dists=dists)
+                assert [c.edge for c in r.per_edge] == list(g.edges)
+                assert [c.vertex_diff for c in r.per_edge] == vertex_diffs
+                assert [c.edge_diff for c in r.per_edge] == edge_diffs
+                assert (r.mostar, r.edge_mostar, r.wiener) == (
+                    sum(vertex_diffs), sum(edge_diffs), wiener)
+        ragged = [g.n % rows] if g.n % rows else []
+        assert sizes == [rows] * (g.n // rows) + ragged
+
+
+@st.composite
+def polymer_composites(draw):
+    monomers = []
+    for _ in range(draw(st.integers(2, 4))):
+        mono = draw(connected_graphs(min_n=2, max_n=5))
+        x = draw(st.integers(0, mono.n - 1))
+        y = (x + draw(st.integers(1, mono.n - 1))) % mono.n
+        monomers.append(MonomerHandle(mono, x, y))
+    build = draw(st.sampled_from([build_chain, build_link]))
+    return build(monomers).graph
+
+
+@pytest.mark.parametrize("g", [from_edge_list(1, []), complete_graph(2)],
+                         ids=["n1", "n2"])
+def test_streamed_pass_smallest_graphs(g):
+    check_streamed_pass(g)
+
+
+@settings(deadline=None, max_examples=50)
+@given(connected_graphs())
+def test_streamed_pass_matches_naive_oracle(g):
+    check_streamed_pass(g)
+
+
+@settings(deadline=None, max_examples=30)
+@given(polymer_composites())
+def test_streamed_pass_on_polymer_composites(g):
+    check_streamed_pass(g)
 
 
 class TestFormats:
