@@ -1,13 +1,11 @@
 """Mostar, edge-Mostar and Wiener indices of polymer and cactus-chain graphs."""
 
 from .errors import (DegenerateHandles, DuplicateEdge, EdgeNotInGraph,
-                     GraphError, InvalidSpacing, MismatchedConstruction,
-                     NotATree, NotConnected, SelfLoop, TooFewMonomers,
+                     GraphError, MismatchedConstruction, NotATree,
+                     NotConnected, SelfLoop, TooFewMonomers,
                      UnsupportedCombination, VertexOutOfRange)
 from .families import (CHAIN_FAMILIES, FAMILY_NAMES, FamilyGraph, FamilySpec,
-                       family_counts, gen_clique_flower, gen_hex_chain,
-                       gen_ortho_square_chain, gen_para_square_chain,
-                       gen_triangular_chain, gen_triangulane,
+                       family_counts, gen_clique_flower, gen_triangulane,
                        gen_triangulane_aux, generate)
 from .formats import (dump_graph, emit_edge_list, emit_graph_json,
                       parse_edge_list, parse_graph, parse_graph_json)
@@ -18,10 +16,9 @@ from .formulas import (BOUND_KINDS, BoundsReport, FormulaCheck, MonomerStats,
                        superadditive_bound, upper_bound_bouquet,
                        upper_bound_chain, upper_bound_circuit,
                        upper_bound_link)
-from .graphs import (UNREACHABLE, DistanceRow, Graph, all_pairs_distances,
-                     bfs_distances, complete_graph, cycle_graph,
-                     distance_blocks, from_edge_list, is_connected,
-                     path_graph)
+from .graphs import (UNREACHABLE, Graph, bfs_distances, complete_graph,
+                     cycle_graph, distance_blocks, from_edge_list,
+                     is_connected, path_graph)
 from .indices import (EDGE_MOSTAR, INDEX_NAMES, MOSTAR, WIENER,
                       EdgeOrientationCounts, IndexReport, OrientationCounts,
                       PerEdgeContribution, edge_mostar_index,

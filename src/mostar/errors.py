@@ -46,10 +46,6 @@ class NotATree(GraphError):
     """Raised when tree-attachment edges do not form a tree over the monomers."""
 
 
-class InvalidSpacing(GraphError):
-    """Raised for a polygon-chain spacing the generator does not support."""
-
-
 class UnsupportedCombination(GraphError):
     """Raised when no closed form exists for a family/index combination."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import GraphError, InvalidSpacing
+from .errors import GraphError
 from .graphs import Edge, Graph, complete_graph, cycle_graph
 from .polymer import (MonomerHandle, PolymerSpec, build_chain, build_circuit,
                       build_tree_attach)
@@ -65,8 +65,8 @@ def _norm(u: int, v: int) -> Edge:
 
 def _polygon_chain(n: int, sides: int, spacing: int) -> FamilyGraph:
     polygon = cycle_graph(sides)
-    handles = tuple(MonomerHandle(polygon, 0, spacing) for _ in range(n))
-    comp = build_chain(handles)
+    # one handle for every copy: a handle checks its polygon once, on creation
+    comp = build_chain((MonomerHandle(polygon, 0, spacing),) * n)
     landmarks = {}
     for i in range(n):
         landmarks[f"x_{i + 1}"] = comp.vertex_map[(i, 0)]
@@ -76,28 +76,6 @@ def _polygon_chain(n: int, sides: int, spacing: int) -> FamilyGraph:
                      for a, b in polygon.edges))
         for i in range(n))
     return FamilyGraph(comp.graph, landmarks, polygons)
-
-
-def gen_triangular_chain(n: int) -> FamilyGraph:
-    """n triangles, consecutive ones sharing one vertex."""
-    return _polygon_chain(n, 3, 1)
-
-
-def gen_para_square_chain(n: int) -> FamilyGraph:
-    """n squares; consecutive cut vertices at opposite corners."""
-    return _polygon_chain(n, 4, 2)
-
-
-def gen_ortho_square_chain(n: int) -> FamilyGraph:
-    """n squares; consecutive cut vertices adjacent."""
-    return _polygon_chain(n, 4, 1)
-
-
-def gen_hex_chain(n: int, spacing: int) -> FamilyGraph:
-    """n hexagons; cut vertices at cycle distance spacing (3 para, 2 meta, 1 ortho)."""
-    if spacing not in (1, 2, 3):
-        raise InvalidSpacing(f"hexagon spacing must be 1, 2 or 3, got {spacing}")
-    return _polygon_chain(n, 6, spacing)
 
 
 def gen_clique_flower(m: int, inner: int) -> FamilyGraph:

@@ -5,8 +5,9 @@ Edge-list text format: first line ``n m``, then ``m`` lines ``u v``
 ``#`` are comments; blank lines are skipped.
 
 JSON format: object with integer field ``n`` and field ``edges`` holding an
-array of 2-element integer arrays.  Emission is canonical: ``u < v`` per
-edge, edges sorted, keys sorted.
+array of 2-element integer arrays; any other JSON value (bool, float,
+string, object) in place of an integer is rejected, never converted.
+Emission is canonical: ``u < v`` per edge, edges sorted, keys sorted.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def emit_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_integer(value, what: str) -> int:
+    # bool is a subclass of int, but JSON true/false is no vertex count or id
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError(f"graph JSON {what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_graph_json(source: str | dict) -> Graph:
     obj = json.loads(source) if isinstance(source, str) else source
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
@@ -51,7 +59,11 @@ def parse_graph_json(source: str | dict) -> Graph:
     if not isinstance(edges, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in edges):
         raise GraphError("graph JSON 'edges' must be an array of [u, v] pairs")
-    return from_edge_list(int(obj["n"]), edges)
+    n = _json_integer(obj["n"], "'n'")
+    for pair in edges:
+        for x in pair:
+            _json_integer(x, "vertex id")
+    return from_edge_list(n, edges)
 
 
 def graph_to_dict(g: Graph) -> dict:

@@ -141,45 +141,42 @@ def superadditive_bound(stats: list[MonomerStats], index: str) -> int:
     return sum(values)
 
 
-def upper_bound_link(stats: list[MonomerStats], index: str) -> int:
+def _upper_base(stats, index, kind) -> int:
+    """Sum of monomer values plus each monomer's edges times the rest of the composite.
+
+    The four upper bounds share this term.
+    """
     sizes, values = _split(stats, index)
-    total = _composite_size(stats, index, "link")
-    n = len(stats)
+    total = _composite_size(stats, index, kind)
+    return sum(values) + sum(st.edges * (total - s) for st, s in zip(stats, sizes))
+
+
+def upper_bound_link(stats: list[MonomerStats], index: str) -> int:
+    sizes, _ = _split(stats, index)
     prefix_term = sum(
-        abs(sum(sizes[:i]) - sum(sizes[i:])) for i in range(1, n))
-    return (sum(values)
-            + sum(e * (total - s) for e, s in zip((st.edges for st in stats), sizes))
-            + prefix_term)
+        abs(sum(sizes[:i]) - sum(sizes[i:])) for i in range(1, len(stats)))
+    return _upper_base(stats, index, "link") + prefix_term
 
 
 def upper_bound_chain(stats: list[MonomerStats], index: str) -> int:
-    sizes, values = _split(stats, index)
-    total = _composite_size(stats, index, "chain")
-    return sum(values) + sum(
-        e * (total - s) for e, s in zip((st.edges for st in stats), sizes))
+    return _upper_base(stats, index, "chain")
 
 
 def upper_bound_bouquet(stats: list[MonomerStats], index: str) -> int:
-    sizes, values = _split(stats, index)
-    total = _composite_size(stats, index, "bouquet")
-    return sum(values) + sum(
-        e * (total - s) for e, s in zip((st.edges for st in stats), sizes))
+    return _upper_base(stats, index, "bouquet")
 
 
 def upper_bound_circuit(stats: list[MonomerStats], index: str) -> int:
     n = len(stats)
     if n < 3:
         raise TooFewMonomers(f"circuit bound needs at least 3 monomers, got {n}")
-    sizes, values = _split(stats, index)
-    total = _composite_size(stats, index, "circuit")
-    base = sum(values) + sum(
-        e * (total - s) for e, s in zip((st.edges for st in stats), sizes))
+    sizes, _ = _split(stats, index)
     if n % 2 == 0:
         t = n // 2
         extra = n * sum(abs(sizes[i] - sizes[t + i]) for i in range(t))
     else:
-        extra = (n - 1) * total
-    return base + extra
+        extra = (n - 1) * _composite_size(stats, index, "circuit")
+    return _upper_base(stats, index, "circuit") + extra
 
 
 def lower_bound_link2(s1: MonomerStats, s2: MonomerStats, index: str) -> int:

@@ -45,21 +45,10 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             return False
         return v in self.adjacency[u]
-
-
-@dataclass(frozen=True)
-class DistanceRow:
-    """Hop counts from one source vertex; unreachable entries are UNREACHABLE."""
-
-    source: int
-    dist: tuple[int, ...]
 
 
 def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
@@ -108,8 +97,8 @@ def complete_graph(n: int) -> Graph:
     return from_edge_list(n, list(combinations(range(n), 2)))
 
 
-def bfs_distances(g: Graph, source: int) -> DistanceRow:
-    """Exact hop counts from ``source``; plain queue-based BFS."""
+def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
+    """Hop counts from ``source``, UNREACHABLE where no path; plain queue-based BFS."""
     if not 0 <= source < g.n:
         raise VertexOutOfRange(source, g.n)
     dist = [UNREACHABLE] * g.n
@@ -122,12 +111,12 @@ def bfs_distances(g: Graph, source: int) -> DistanceRow:
             if dist[w] == UNREACHABLE:
                 dist[w] = du
                 queue.append(w)
-    return DistanceRow(source, tuple(dist))
+    return tuple(dist)
 
 
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from vertex 0 reaches all n vertices."""
-    return UNREACHABLE not in bfs_distances(g, 0).dist
+    return UNREACHABLE not in bfs_distances(g, 0)
 
 
 def _csr(g: Graph) -> csr_matrix:
@@ -140,30 +129,15 @@ def _csr(g: Graph) -> csr_matrix:
     return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
 
 
-def _to_hops(raw: np.ndarray) -> np.ndarray:
-    out = np.where(np.isfinite(raw), raw, UNREACHABLE)
-    return out.astype(np.int32)
-
-
-def all_pairs_distances(g: Graph) -> np.ndarray:
-    """All-pairs hop counts as an ``(n, n)`` int32 array.
-
-    One BFS per source, executed in C via scipy's csgraph machinery.  This
-    is the dense reference table; the indices stream it with
-    ``distance_blocks`` instead.
-    """
-    raw = shortest_path(_csr(g), method="auto", directed=False, unweighted=True)
-    return _to_hops(np.atleast_2d(raw))
-
-
 def distance_blocks(g: Graph, rows: int) -> Iterator[np.ndarray]:
-    """Rows of the all-pairs table in source order, at most ``rows`` at a time.
+    """Rows of the all-pairs hop-count table in source order, ``rows`` at a time.
 
     Yields ``(k, n)`` int32 blocks, ``k <= rows``, whose concatenation is
-    ``all_pairs_distances(g)``; only the current block is held.  The BFS
-    runs on a copy relabelled in reverse Cuthill-McKee order, which keeps
-    neighbours close in memory, so graphs with scattered labels sweep as
-    fast as well-ordered ones; each block's columns are mapped back to the
+    the full table, with UNREACHABLE where there is no path; only the
+    current block is held.  The BFS runs in C via scipy's csgraph, on a
+    copy relabelled in reverse Cuthill-McKee order, which keeps neighbours
+    close in memory, so graphs with scattered labels sweep as fast as
+    well-ordered ones; each block's columns are mapped back to the
     original labels.
     """
     mat = _csr(g)
@@ -176,4 +150,5 @@ def distance_blocks(g: Graph, rows: int) -> Iterator[np.ndarray]:
         sources = relabel[start:start + rows]
         raw = shortest_path(mat, method="D", directed=False, unweighted=True,
                             indices=sources)
-        yield _to_hops(raw)[:, relabel]
+        # one expression, so no unpermuted copy stays alive across the yield
+        yield np.where(np.isfinite(raw), raw, UNREACHABLE).astype(np.int32)[:, relabel]

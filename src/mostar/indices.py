@@ -10,8 +10,9 @@ an edge is therefore equidistant from its own endpoints and always lands in
 pairs.
 
 All three indices come from one pass over the distance rows, a bounded
-block of BFS sources at a time, so the ``n x n`` table is never held.  The
-pass needs only two sums per vertex ``x``: its transmission
+block of BFS sources at a time, so the ``n x n`` table is never held (the
+orientation of a single edge reads only the BFS rows of its endpoints).
+The pass needs only two sums per vertex ``x``: its transmission
 ``T(x) = sum_w d(x, w)`` and its edge transmission
 ``E(x) = sum_{ab} min(d(x, a), d(x, b))``, both read off the row of ``x``.
 Along an edge ``uv`` every distance ``d(w, .)`` and every edge distance
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EdgeNotInGraph, NotConnected
-from .graphs import Edge, Graph, all_pairs_distances, distance_blocks, is_connected
+from .graphs import Edge, Graph, bfs_distances, distance_blocks, is_connected
 
 MOSTAR = "mostar"
 EDGE_MOSTAR = "edge_mostar"
@@ -89,56 +90,47 @@ def _require_edge(g: Graph, e) -> Edge:
     return u, v
 
 
-def _table(g: Graph, dists: np.ndarray | None) -> np.ndarray:
-    return all_pairs_distances(g) if dists is None else dists
-
-
 def _exact_sum(values: np.ndarray) -> int:
     # object dtype forces Python-int accumulation: exact, never wraps
     return int(np.sum(values, dtype=object)) if values.size else 0
 
 
-def vertex_orientation(g: Graph, e, dists: np.ndarray | None = None) -> OrientationCounts:
+def vertex_orientation(g: Graph, e) -> OrientationCounts:
     """Classify every vertex of ``g`` against the endpoints of edge ``e``.
 
     Counts are reported relative to the orientation of ``e`` as passed.
     """
     _require_connected(g)
     u, v = _require_edge(g, e)
-    d = _table(g, dists)
-    du, dv = d[u], d[v]
+    du, dv = (np.asarray(bfs_distances(g, x)) for x in (u, v))
     n_u = int(np.count_nonzero(du < dv))
     n_v = int(np.count_nonzero(dv < du))
     return OrientationCounts((u, v), n_u, n_v, g.n - n_u - n_v)
 
 
-def edge_orientation(g: Graph, e, dists: np.ndarray | None = None) -> EdgeOrientationCounts:
+def edge_orientation(g: Graph, e) -> EdgeOrientationCounts:
     """Classify every edge of ``g`` against the endpoints of edge ``e``."""
     _require_connected(g)
     u, v = _require_edge(g, e)
-    d = _table(g, dists)
+    du, dv = (np.asarray(bfs_distances(g, x)) for x in (u, v))
     ends = np.asarray(g.edges, dtype=np.int64)
-    fu = np.minimum(d[ends[:, 0], u], d[ends[:, 1], u])
-    fv = np.minimum(d[ends[:, 0], v], d[ends[:, 1], v])
+    fu = np.minimum(du[ends[:, 0]], du[ends[:, 1]])
+    fv = np.minimum(dv[ends[:, 0]], dv[ends[:, 1]])
     m_u = int(np.count_nonzero(fu < fv))
     m_v = int(np.count_nonzero(fv < fu))
     return EdgeOrientationCounts((u, v), m_u, m_v, g.m - m_u - m_v)
 
 
-def _transmissions(g: Graph, ends: np.ndarray,
-                   dists: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _transmissions(g: Graph, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(T, E)``: per-vertex transmission and edge transmission, as int64.
 
-    Rows come from BFS, or from the caller's all-pairs table when given; in
-    both cases one block of at most ``_ROW_BUDGET_BYTES`` at a time.
+    Rows come from BFS, one block of at most ``_ROW_BUDGET_BYTES`` at a time.
     """
     _require_connected(g)
     rows = max(1, _ROW_BUDGET_BYTES // (8 * max(g.n, g.m)))
-    blocks = (distance_blocks(g, rows) if dists is None
-              else (dists[start:start + rows] for start in range(0, g.n, rows)))
     # int64 row sums cannot wrap: each is below n * max(n, m)
     vertex_sums, edge_sums = [], []
-    for block in blocks:
+    for block in distance_blocks(g, rows):
         vertex_sums.append(block.sum(axis=1, dtype=np.int64))
         to_edge = block[:, ends[:, 0]]
         np.minimum(to_edge, block[:, ends[:, 1]], out=to_edge)
@@ -146,31 +138,28 @@ def _transmissions(g: Graph, ends: np.ndarray,
     return np.concatenate(vertex_sums), np.concatenate(edge_sums)
 
 
-def mostar_index(g: Graph, dists: np.ndarray | None = None) -> int:
+def mostar_index(g: Graph) -> int:
     """Sum of ``|n_u - n_v|`` over all edges."""
-    return index_report(g, dists=dists).mostar
+    return index_report(g).mostar
 
 
-def edge_mostar_index(g: Graph, dists: np.ndarray | None = None) -> int:
+def edge_mostar_index(g: Graph) -> int:
     """Sum of ``|m_u - m_v|`` over all edges."""
-    return index_report(g, dists=dists).edge_mostar
+    return index_report(g).edge_mostar
 
 
-def wiener_index(g: Graph, dists: np.ndarray | None = None) -> int:
+def wiener_index(g: Graph) -> int:
     """Sum of distances over unordered vertex pairs."""
-    return index_report(g, dists=dists).wiener
+    return index_report(g).wiener
 
 
-def index_report(g: Graph, include_per_edge: bool = False,
-                 dists: np.ndarray | None = None) -> IndexReport:
+def index_report(g: Graph, include_per_edge: bool = False) -> IndexReport:
     """All three indices from a single streamed distance pass.
 
-    ``dists``, when given, is ``all_pairs_distances(g)`` and is read in
-    place of running BFS.  The per-edge breakdown, when requested, follows
-    the canonical edge order.
+    The per-edge breakdown, when requested, follows the canonical edge order.
     """
     ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
-    vertex_sums, edge_sums = _transmissions(g, ends, dists)
+    vertex_sums, edge_sums = _transmissions(g, ends)
     u, v = ends[:, 0], ends[:, 1]
     vdiffs = np.abs(vertex_sums[u] - vertex_sums[v])
     ediffs = np.abs(edge_sums[u] - edge_sums[v])

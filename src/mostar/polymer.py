@@ -181,16 +181,19 @@ def build_tree_attach(spec: PolymerSpec) -> CompositionResult:
     return _assemble([h.graph for h in spec.monomers], identify, extra_edges=[])
 
 
+#: builder per kind; each looks its builder up by name when called, so a
+#: wrapper bound over a module-level builder still sees every call
+_COMPOSERS = {
+    "link": lambda spec: build_link(spec.monomers),
+    "chain": lambda spec: build_chain(spec.monomers),
+    "bouquet": lambda spec: build_bouquet(spec.monomers),
+    "circuit": lambda spec: build_circuit(spec.monomers),
+    "tree": lambda spec: build_tree_attach(spec),
+}
+
+
 def compose(spec: PolymerSpec) -> CompositionResult:
-    if spec.kind == "link":
-        return build_link(spec.monomers)
-    if spec.kind == "chain":
-        return build_chain(spec.monomers)
-    if spec.kind == "bouquet":
-        return build_bouquet(spec.monomers)
-    if spec.kind == "circuit":
-        return build_circuit(spec.monomers)
-    return build_tree_attach(spec)
+    return _COMPOSERS[spec.kind](spec)
 
 
 def spec_to_dict(spec: PolymerSpec) -> dict:

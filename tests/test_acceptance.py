@@ -14,13 +14,12 @@ import time
 from contextlib import contextmanager
 
 from mostar import (CHAIN_FAMILIES, EDGE_MOSTAR, MOSTAR, FamilySpec,
-                    MonomerHandle, PolymerSpec, all_pairs_distances,
-                    build_bouquet, build_chain, build_circuit, build_link,
-                    check_bound, check_family, complete_graph, compose,
-                    cycle_graph, edge_mostar_index, edge_orientation,
-                    family_counts, gen_triangulane, generate, index_report,
-                    mostar_index, path_graph, vertex_orientation,
-                    wiener_index)
+                    MonomerHandle, PolymerSpec, build_bouquet, build_chain,
+                    build_circuit, build_link, check_bound, check_family,
+                    complete_graph, compose, cycle_graph, edge_mostar_index,
+                    edge_orientation, family_counts, gen_triangulane,
+                    generate, index_report, mostar_index, path_graph,
+                    vertex_orientation, wiener_index)
 from mostar.cli import main
 
 from conftest import naive_wiener, permute_graph, random_connected_graph
@@ -212,11 +211,10 @@ def test_criterion_4_structural_invariants():
         tested += [random_connected_graph(rng, rng.randrange(2, 11))
                    for _ in range(20)]
         for g in tested:
-            dists = all_pairs_distances(g)
             for e in g.edges:
-                c = vertex_orientation(g, e, dists)
+                c = vertex_orientation(g, e)
                 assert c.n_u + c.n_v + c.n_0 == g.n
-                ec = edge_orientation(g, e, dists)
+                ec = edge_orientation(g, e)
                 assert ec.m_u + ec.m_v + ec.m_0 == g.m
 
 
@@ -230,8 +228,6 @@ def test_criterion_5_performance_desk_scale():
         assert report.mostar == 60 * 200 * 200
         assert report.edge_mostar == 72 * 200 * 200
         assert elapsed < 5.0, f"index_report took {elapsed:.2f}s"
-
-        assert index_report(fam.graph, dists=all_pairs_distances(fam.graph)) == report
 
 
 def test_criterion_6_cross_family_coincidence():

@@ -95,7 +95,8 @@ class TestCompute:
         assert main(["compute", str(path)]) == 2
         assert main(["compute", str(tmp_path / "missing.txt")]) == 2
 
-    @pytest.mark.parametrize("edges", [[[0]], [[0, 1, 2]], [0], [None]])
+    @pytest.mark.parametrize("edges", [[[0]], [[0, 1, 2]], [0], [None],
+                                       [[0, {}]], [[0, 1.5]]])
     def test_malformed_json_edge_exit_2(self, tmp_path, capsys, edges):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 3, "edges": edges}))
@@ -244,6 +245,15 @@ class TestCompose:
         path.write_text(json.dumps({"kind": "circuit", "monomers": [
             {"graph": K2_JSON, "x": 0, "y": 1}]}))
         assert main(["compose", str(path)]) == 2
+
+    @pytest.mark.parametrize("edges", [[[0, {}]], [[0, 1.5]]])
+    def test_non_integer_monomer_vertex_exit_2(self, tmp_path, capsys, edges):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "link", "monomers": [
+            {"graph": {"n": 2, "edges": edges}, "x": 0}]}))
+        assert main(["compose", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestRoundTrip:

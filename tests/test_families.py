@@ -1,11 +1,10 @@
 from collections import Counter
 
 import pytest
-from mostar import (CHAIN_FAMILIES, FamilySpec, GraphError, InvalidSpacing,
-                    complete_graph, cycle_graph, family_counts,
-                    gen_clique_flower, gen_hex_chain, gen_triangulane,
-                    gen_triangulane_aux, generate, index_report, is_connected,
-                    mostar_index)
+from mostar import (CHAIN_FAMILIES, FamilySpec, GraphError, complete_graph,
+                    cycle_graph, family_counts, gen_clique_flower,
+                    gen_triangulane, gen_triangulane_aux, generate,
+                    index_report, is_connected, mostar_index)
 
 
 class TestCounts:
@@ -130,10 +129,6 @@ class TestMirrorSymmetry:
 
 
 class TestValidation:
-    def test_invalid_spacing(self):
-        with pytest.raises(InvalidSpacing):
-            gen_hex_chain(3, 4)
-
     def test_bad_family(self):
         with pytest.raises(GraphError):
             FamilySpec("pentagonal", n=2)

@@ -4,15 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mostar import (UNREACHABLE, DuplicateEdge, GraphError, MonomerHandle,
-                    SelfLoop, VertexOutOfRange, all_pairs_distances,
-                    bfs_distances, build_chain, build_link, complete_graph,
-                    cycle_graph, distance_blocks, dump_graph, emit_edge_list,
-                    emit_graph_json, from_edge_list, graphs, index_report,
-                    indices, is_connected, parse_edge_list, parse_graph,
+                    SelfLoop, VertexOutOfRange, bfs_distances, build_chain,
+                    build_link, complete_graph, cycle_graph, distance_blocks,
+                    dump_graph, emit_edge_list, emit_graph_json,
+                    from_edge_list, graphs, index_report, indices,
+                    is_connected, parse_edge_list, parse_graph,
                     parse_graph_json, path_graph)
 
 from conftest import (connected_graphs, naive_all_pairs, naive_edge_diffs,
                       naive_vertex_diffs, naive_wiener)
+
+
+def block_table(g, rows=3):
+    """The all-pairs table, concatenated from ``distance_blocks``."""
+    return np.concatenate(list(distance_blocks(g, rows)))
 
 
 def two_triangles():
@@ -51,17 +56,17 @@ class TestFromEdgeList:
 
 class TestBfs:
     def test_path(self):
-        assert bfs_distances(path_graph(4), 0).dist == (0, 1, 2, 3)
+        assert bfs_distances(path_graph(4), 0) == (0, 1, 2, 3)
 
     def test_complete(self):
-        assert bfs_distances(complete_graph(3), 2).dist == (1, 1, 0)
+        assert bfs_distances(complete_graph(3), 2) == (1, 1, 0)
 
     def test_cycle_both_arcs(self):
-        assert bfs_distances(cycle_graph(6), 0).dist == (0, 1, 2, 3, 2, 1)
+        assert bfs_distances(cycle_graph(6), 0) == (0, 1, 2, 3, 2, 1)
 
     def test_unreachable_sentinel(self):
         g = from_edge_list(2, [])
-        assert bfs_distances(g, 0).dist == (0, UNREACHABLE)
+        assert bfs_distances(g, 0) == (0, UNREACHABLE)
 
     def test_bad_source(self):
         with pytest.raises(VertexOutOfRange):
@@ -70,14 +75,14 @@ class TestBfs:
 
 class TestAllPairs:
     def test_k1(self):
-        assert all_pairs_distances(from_edge_list(1, [])).tolist() == [[0]]
+        assert block_table(from_edge_list(1, [])).tolist() == [[0]]
 
     def test_k2(self):
-        assert all_pairs_distances(complete_graph(2)).tolist() == [[0, 1], [1, 0]]
+        assert block_table(complete_graph(2)).tolist() == [[0, 1], [1, 0]]
 
     def test_star(self):
         star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
-        d = all_pairs_distances(star)
+        d = block_table(star)
         assert d[0].tolist() == [0, 1, 1, 1]
         for leaf in (1, 2, 3):
             row = d[leaf].tolist()
@@ -85,7 +90,7 @@ class TestAllPairs:
             assert all(row[other] == 2 for other in (1, 2, 3) if other != leaf)
 
     def test_disconnected_sentinel(self):
-        d = all_pairs_distances(two_triangles())
+        d = block_table(two_triangles())
         assert d[0, 3] == UNREACHABLE and d[3, 0] == UNREACHABLE
 
     def test_blocks_concatenate_to_table(self):
@@ -93,12 +98,11 @@ class TestAllPairs:
         blocks = list(distance_blocks(g, 7))
         assert [len(b) for b in blocks] == [7] * 5 + [6]
         assert all(b.dtype == np.int32 for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), all_pairs_distances(g))
+        assert np.concatenate(blocks).tolist() == naive_all_pairs(g)
 
     def test_blocks_keep_unreachable_sentinel(self):
         g = two_triangles()
-        blocks = np.concatenate(list(distance_blocks(g, 4)))
-        assert np.array_equal(blocks, all_pairs_distances(g))
+        assert block_table(g, 4).tolist() == naive_all_pairs(g)
 
 
 class TestConnectivity:
@@ -111,13 +115,13 @@ class TestConnectivity:
 @settings(deadline=None)
 @given(connected_graphs())
 def test_distance_table_matches_naive_bfs(g):
-    assert all_pairs_distances(g).tolist() == naive_all_pairs(g)
+    assert block_table(g).tolist() == naive_all_pairs(g)
 
 
 @settings(deadline=None)
 @given(connected_graphs())
 def test_triangle_step_and_symmetry(g):
-    d = all_pairs_distances(g)
+    d = block_table(g)
     assert np.array_equal(d, d.T)
     assert np.all(np.diagonal(d) == 0)
     for u, v in g.edges:
@@ -125,7 +129,7 @@ def test_triangle_step_and_symmetry(g):
 
 
 def check_streamed_pass(g):
-    """index_report in blocks of 1, 2 and 3 sources, from BFS and from the table.
+    """index_report in blocks of 1, 2 and 3 sources.
 
     Shrinking the row budget forces the multi-block pass that real graphs
     take; every per-edge diff and all three totals must match the naive
@@ -133,7 +137,6 @@ def check_streamed_pass(g):
     """
     vertex_diffs, edge_diffs = naive_vertex_diffs(g), naive_edge_diffs(g)
     wiener = naive_wiener(g)
-    table = all_pairs_distances(g)
     for rows in (1, 2, 3):
         sizes = []
 
@@ -145,13 +148,12 @@ def check_streamed_pass(g):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(indices, "_ROW_BUDGET_BYTES", rows * 8 * max(g.n, g.m))
             mp.setattr(indices, "distance_blocks", spy)
-            for dists in (None, table):
-                r = index_report(g, include_per_edge=True, dists=dists)
-                assert [c.edge for c in r.per_edge] == list(g.edges)
-                assert [c.vertex_diff for c in r.per_edge] == vertex_diffs
-                assert [c.edge_diff for c in r.per_edge] == edge_diffs
-                assert (r.mostar, r.edge_mostar, r.wiener) == (
-                    sum(vertex_diffs), sum(edge_diffs), wiener)
+            r = index_report(g, include_per_edge=True)
+            assert [c.edge for c in r.per_edge] == list(g.edges)
+            assert [c.vertex_diff for c in r.per_edge] == vertex_diffs
+            assert [c.edge_diff for c in r.per_edge] == edge_diffs
+            assert (r.mostar, r.edge_mostar, r.wiener) == (
+                sum(vertex_diffs), sum(edge_diffs), wiener)
         ragged = [g.n % rows] if g.n % rows else []
         assert sizes == [rows] * (g.n // rows) + ragged
 
@@ -203,6 +205,15 @@ class TestFormats:
     def test_json_round_trip(self):
         g = cycle_graph(5)
         assert parse_graph_json(emit_graph_json(g)) == g
+
+    @pytest.mark.parametrize("doc", [
+        {"n": "3", "edges": [[0, 1]]}, {"n": 3.0, "edges": [[0, 1]]},
+        {"n": True, "edges": []}, {"n": 3, "edges": [[0, 1.5]]},
+        {"n": 3, "edges": [[0, {}]]}, {"n": 3, "edges": [["0", 1]]},
+        {"n": 3, "edges": [[False, 1]]}])
+    def test_json_accepts_only_integers(self, doc):
+        with pytest.raises(GraphError, match="must be an integer"):
+            parse_graph_json(doc)
 
     def test_json_canonical_sorted(self):
         g = from_edge_list(3, [(2, 1), (1, 0)])

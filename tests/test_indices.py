@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mostar import (EdgeNotInGraph, MonomerHandle, NotConnected,
-                    all_pairs_distances, build_chain, complete_graph,
-                    cycle_graph, edge_mostar_index, edge_orientation,
-                    from_edge_list, gen_clique_flower, index_report,
-                    is_connected, mostar_index, path_graph,
+from mostar import (EdgeNotInGraph, MonomerHandle, NotConnected, build_chain,
+                    complete_graph, cycle_graph, edge_mostar_index,
+                    edge_orientation, from_edge_list, gen_clique_flower,
+                    index_report, is_connected, mostar_index, path_graph,
                     vertex_orientation, wiener_index)
 
-from conftest import (connected_graphs, naive_edge_mostar, naive_mostar,
-                      naive_wiener, permute_graph, random_connected_graph)
+from conftest import (connected_graphs, naive_edge_diffs, naive_edge_mostar,
+                      naive_mostar, naive_vertex_diffs, naive_wiener,
+                      permute_graph, random_connected_graph)
 
 
 def t2():
@@ -167,13 +167,12 @@ class TestStructuralInvariants:
         graphs += [random_connected_graph(rng, rng.randrange(2, 12))
                    for _ in range(10)]
         for g in graphs:
-            d = all_pairs_distances(g)
             vertex_total = edge_total = 0
             for e in g.edges:
-                c = vertex_orientation(g, e, d)
+                c = vertex_orientation(g, e)
                 assert c.n_u + c.n_v + c.n_0 == g.n
                 vertex_total += g.n
-                ce = edge_orientation(g, e, d)
+                ce = edge_orientation(g, e)
                 assert ce.m_u + ce.m_v + ce.m_0 == g.m
                 edge_total += g.m
             assert vertex_total == g.m * g.n
@@ -209,3 +208,12 @@ def test_indices_match_naive_oracle(g):
     assert mostar_index(g) == naive_mostar(g)
     assert edge_mostar_index(g) == naive_edge_mostar(g)
     assert wiener_index(g) == naive_wiener(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_graphs(max_n=9))
+def test_orientations_match_naive_oracle_per_edge(g):
+    vertex = [vertex_orientation(g, e) for e in g.edges]
+    edge = [edge_orientation(g, e) for e in g.edges]
+    assert [abs(c.n_u - c.n_v) for c in vertex] == naive_vertex_diffs(g)
+    assert [abs(c.m_u - c.m_v) for c in edge] == naive_edge_diffs(g)
