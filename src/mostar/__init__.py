@@ -16,9 +16,8 @@ from .formulas import (BOUND_KINDS, BoundsReport, FormulaCheck, MonomerStats,
                        superadditive_bound, upper_bound_bouquet,
                        upper_bound_chain, upper_bound_circuit,
                        upper_bound_link)
-from .graphs import (UNREACHABLE, Graph, bfs_distances, complete_graph,
-                     cycle_graph, distance_blocks, from_edge_list,
-                     is_connected, path_graph)
+from .graphs import (Graph, complete_graph, cycle_graph, distance_blocks,
+                     distance_rows, from_edge_list, is_connected, path_graph)
 from .indices import (EDGE_MOSTAR, INDEX_NAMES, MOSTAR, WIENER,
                       EdgeOrientationCounts, IndexReport, OrientationCounts,
                       PerEdgeContribution, edge_mostar_index,

@@ -1,8 +1,8 @@
 """Text and JSON serialization of graphs.
 
 Edge-list text format: first line ``n m``, then ``m`` lines ``u v``
-(0-based, whitespace separated).  Lines whose first non-blank character is
-``#`` are comments; blank lines are skipped.
+(0-based ASCII decimal integers, whitespace separated).  Lines whose first
+non-blank character is ``#`` are comments; blank lines are skipped.
 
 JSON format: object with integer field ``n`` and field ``edges`` holding an
 array of 2-element integer arrays; any other JSON value (bool, float,
@@ -13,9 +13,17 @@ Emission is canonical: ``u < v`` per edge, edges sorted, keys sorted.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import GraphError
 from .graphs import Graph, from_edge_list
+
+
+def _decimal(token: str) -> int:
+    # int() alone would also read "1_0" as 10 and non-ASCII digits like "\u0662"
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise GraphError(f"expected a decimal integer, got {token!r}")
+    return int(token)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -26,7 +34,7 @@ def parse_edge_list(text: str) -> Graph:
     header = lines[0].split()
     if len(header) != 2:
         raise GraphError(f"expected header 'n m', got {lines[0]!r}")
-    n, m = int(header[0]), int(header[1])
+    n, m = _decimal(header[0]), _decimal(header[1])
     if len(lines) - 1 != m:
         raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")
     pairs = []
@@ -34,7 +42,7 @@ def parse_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"expected edge line 'u v', got {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        pairs.append((_decimal(parts[0]), _decimal(parts[1])))
     return from_edge_list(n, pairs)
 
 
@@ -44,10 +52,10 @@ def emit_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_integer(value, what: str) -> int:
-    # bool is a subclass of int, but JSON true/false is no vertex count or id
+def json_integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer (bool is not), else GraphError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphError(f"graph JSON {what} must be an integer, got {value!r}")
+        raise GraphError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -59,10 +67,10 @@ def parse_graph_json(source: str | dict) -> Graph:
     if not isinstance(edges, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in edges):
         raise GraphError("graph JSON 'edges' must be an array of [u, v] pairs")
-    n = _json_integer(obj["n"], "'n'")
+    n = json_integer(obj["n"], "graph JSON 'n'")
     for pair in edges:
         for x in pair:
-            _json_integer(x, "vertex id")
+            json_integer(x, "graph JSON vertex id")
     return from_edge_list(n, edges)
 
 

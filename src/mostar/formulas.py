@@ -3,9 +3,9 @@
 Chain formulas are quadratic in k with an even/odd split (n = 2k or
 n = 2k + 1) and are evaluated exactly as stated, in exact integer
 arithmetic.  Bound evaluators work on per-monomer statistics so they can be
-unit-tested against hand arithmetic; ``check_bound`` derives the statistics
-from real monomers and compares against the brute-force index of the
-composite.
+unit-tested against hand arithmetic; ``check_bounds`` (which ``bounds``
+uses) derives the statistics from real monomers and compares them against
+the brute-force indices of the composite, each graph evaluated once.
 """
 
 from __future__ import annotations

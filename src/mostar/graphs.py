@@ -8,7 +8,7 @@ quantities.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -17,12 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee, shortest_path
 
-from .errors import DuplicateEdge, SelfLoop, VertexOutOfRange
-
-#: Sentinel distance for vertices a BFS cannot reach.  Kept negative so that
-#: arithmetic misuse yields obviously wrong (negative) values instead of a
-#: plausible large number.
-UNREACHABLE = -1
+from .errors import DuplicateEdge, NotConnected, SelfLoop, VertexOutOfRange
 
 Edge = tuple[int, int]
 
@@ -32,23 +27,21 @@ class Graph:
     """Validated simple undirected graph.
 
     ``edges`` is canonical: each pair satisfies ``u < v`` and the list is
-    sorted lexicographically.  ``adjacency[v]`` is the sorted tuple of
-    neighbours of ``v``.  Instances are immutable and safe to share across
-    threads.
+    sorted lexicographically.  Instances are immutable and safe to share
+    across threads.
     """
 
     n: int
     edges: tuple[Edge, ...]
-    adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        return v in self.adjacency[u]
+        pair = (min(u, v), max(u, v))
+        i = bisect_left(self.edges, pair)
+        return i < len(self.edges) and self.edges[i] == pair
 
 
 def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
@@ -75,12 +68,7 @@ def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     for prev, cur in zip(normalized, normalized[1:]):
         if prev == cur:
             raise DuplicateEdge(*cur)
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in normalized:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-    return Graph(n, tuple(normalized), adjacency)
+    return Graph(n, tuple(normalized))
 
 
 def path_graph(n: int) -> Graph:
@@ -97,58 +85,66 @@ def complete_graph(n: int) -> Graph:
     return from_edge_list(n, list(combinations(range(n), 2)))
 
 
-def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
-    """Hop counts from ``source``, UNREACHABLE where no path; plain queue-based BFS."""
-    if not 0 <= source < g.n:
-        raise VertexOutOfRange(source, g.n)
-    dist = [UNREACHABLE] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in g.adjacency[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = du
-                queue.append(w)
-    return tuple(dist)
-
-
 def is_connected(g: Graph) -> bool:
-    """True iff a BFS from vertex 0 reaches all n vertices."""
-    return UNREACHABLE not in bfs_distances(g, 0)
+    """True iff the edges join all n vertices into one component (union-find)."""
+    parent = list(range(g.n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = g.n
+    for u, v in g.edges:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+    return components == 1
 
 
 def _csr(g: Graph) -> csr_matrix:
-    if g.m == 0:
-        return csr_matrix((g.n, g.n), dtype=np.int8)
-    e = np.asarray(g.edges, dtype=np.int64)
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
     rows = np.concatenate([e[:, 0], e[:, 1]])
     cols = np.concatenate([e[:, 1], e[:, 0]])
     data = np.ones(2 * g.m, dtype=np.int8)
     return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
 
 
+def _bfs_rows(mat: csr_matrix, sources: np.ndarray) -> np.ndarray:
+    raw = shortest_path(mat, method="D", directed=False, unweighted=True,
+                        indices=sources)
+    # every row of a disconnected graph misses some vertex, so one row decides
+    if not np.isfinite(raw[:1]).all():
+        raise NotConnected(f"graph with {mat.shape[0]} vertices is not connected")
+    return raw.astype(np.int32)
+
+
+def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
+    """int32 hop counts, one row per source; NotConnected if g is disconnected."""
+    for s in sources:
+        if not 0 <= s < g.n:
+            raise VertexOutOfRange(s, g.n)
+    return _bfs_rows(_csr(g), np.asarray(sources, dtype=np.intp))
+
+
 def distance_blocks(g: Graph, rows: int) -> Iterator[np.ndarray]:
     """Rows of the all-pairs hop-count table in source order, ``rows`` at a time.
 
     Yields ``(k, n)`` int32 blocks, ``k <= rows``, whose concatenation is
-    the full table, with UNREACHABLE where there is no path; only the
-    current block is held.  The BFS runs in C via scipy's csgraph, on a
-    copy relabelled in reverse Cuthill-McKee order, which keeps neighbours
-    close in memory, so graphs with scattered labels sweep as fast as
-    well-ordered ones; each block's columns are mapped back to the
+    the full table; only the current block is held, and a disconnected
+    graph raises NotConnected before the first.  The BFS runs in C via
+    scipy's csgraph, on a copy relabelled in reverse Cuthill-McKee order,
+    which keeps neighbours close in memory, so graphs with scattered labels
+    sweep as fast as well-ordered ones; block columns map back to the
     original labels.
     """
     mat = _csr(g)
     order = reverse_cuthill_mckee(mat, symmetric_mode=True)
-    relabel = np.empty(g.n, dtype=np.intp)
-    relabel[order] = np.arange(g.n)
+    relabel = np.argsort(order)  # the inverse permutation
     mat = mat[order][:, order]
     mat.sort_indices()
     for start in range(0, g.n, rows):
-        sources = relabel[start:start + rows]
-        raw = shortest_path(mat, method="D", directed=False, unweighted=True,
-                            indices=sources)
         # one expression, so no unpermuted copy stays alive across the yield
-        yield np.where(np.isfinite(raw), raw, UNREACHABLE).astype(np.int32)[:, relabel]
+        yield _bfs_rows(mat, relabel[start:start + rows])[:, relabel]

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EdgeNotInGraph, NotConnected
-from .graphs import Edge, Graph, bfs_distances, distance_blocks, is_connected
+from .errors import EdgeNotInGraph
+from .graphs import Edge, Graph, distance_blocks, distance_rows
 
 MOSTAR = "mostar"
 EDGE_MOSTAR = "edge_mostar"
@@ -78,16 +78,13 @@ class IndexReport:
     per_edge: tuple[PerEdgeContribution, ...] | None = None
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise NotConnected(f"graph with {g.n} vertices is not connected")
-
-
-def _require_edge(g: Graph, e) -> Edge:
+def _endpoint_rows(g: Graph, e) -> tuple[Edge, np.ndarray, np.ndarray]:
     u, v = int(e[0]), int(e[1])
     if not g.has_edge(u, v):
+        distance_rows(g, (0,))  # a disconnected graph raises NotConnected first
         raise EdgeNotInGraph(u, v)
-    return u, v
+    du, dv = distance_rows(g, (u, v))
+    return (u, v), du, dv
 
 
 def _exact_sum(values: np.ndarray) -> int:
@@ -98,27 +95,25 @@ def _exact_sum(values: np.ndarray) -> int:
 def vertex_orientation(g: Graph, e) -> OrientationCounts:
     """Classify every vertex of ``g`` against the endpoints of edge ``e``.
 
-    Counts are reported relative to the orientation of ``e`` as passed.
+    Counts are reported relative to the orientation of ``e`` as passed.  Both
+    orientations raise NotConnected on a disconnected ``g``, else
+    EdgeNotInGraph if ``e`` is not an edge.
     """
-    _require_connected(g)
-    u, v = _require_edge(g, e)
-    du, dv = (np.asarray(bfs_distances(g, x)) for x in (u, v))
+    edge, du, dv = _endpoint_rows(g, e)
     n_u = int(np.count_nonzero(du < dv))
     n_v = int(np.count_nonzero(dv < du))
-    return OrientationCounts((u, v), n_u, n_v, g.n - n_u - n_v)
+    return OrientationCounts(edge, n_u, n_v, g.n - n_u - n_v)
 
 
 def edge_orientation(g: Graph, e) -> EdgeOrientationCounts:
     """Classify every edge of ``g`` against the endpoints of edge ``e``."""
-    _require_connected(g)
-    u, v = _require_edge(g, e)
-    du, dv = (np.asarray(bfs_distances(g, x)) for x in (u, v))
+    edge, du, dv = _endpoint_rows(g, e)
     ends = np.asarray(g.edges, dtype=np.int64)
     fu = np.minimum(du[ends[:, 0]], du[ends[:, 1]])
     fv = np.minimum(dv[ends[:, 0]], dv[ends[:, 1]])
     m_u = int(np.count_nonzero(fu < fv))
     m_v = int(np.count_nonzero(fv < fu))
-    return EdgeOrientationCounts((u, v), m_u, m_v, g.m - m_u - m_v)
+    return EdgeOrientationCounts(edge, m_u, m_v, g.m - m_u - m_v)
 
 
 def _transmissions(g: Graph, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +121,6 @@ def _transmissions(g: Graph, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rows come from BFS, one block of at most ``_ROW_BUDGET_BYTES`` at a time.
     """
-    _require_connected(g)
     rows = max(1, _ROW_BUDGET_BYTES // (8 * max(g.n, g.m)))
     # int64 row sums cannot wrap: each is below n * max(n, m)
     vertex_sums, edge_sums = [], []

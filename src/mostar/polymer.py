@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import (DegenerateHandles, GraphError, NotATree, NotConnected,
                      TooFewMonomers, VertexOutOfRange)
-from .formats import graph_to_dict, parse_graph_json
+from .formats import graph_to_dict, json_integer, parse_graph_json
 from .graphs import Graph, from_edge_list, is_connected
 
 KINDS = ("link", "chain", "bouquet", "circuit", "tree")
@@ -215,10 +215,12 @@ def spec_from_dict(obj: dict) -> PolymerSpec:
         for mon in obj["monomers"]:
             graph = parse_graph_json(mon["graph"])
             y = mon.get("y")
-            monomers.append(MonomerHandle(graph, int(mon["x"]),
-                                          int(y) if y is not None else None))
-        tree_edges = tuple(tuple(int(x) for x in e)
-                           for e in obj.get("tree_edges", []))
+            monomers.append(MonomerHandle(
+                graph, json_integer(mon["x"], "polymer spec 'x'"),
+                None if y is None else json_integer(y, "polymer spec 'y'")))
+        tree_edges = tuple(
+            tuple(json_integer(x, "polymer spec tree edge entry") for x in e)
+            for e in obj.get("tree_edges", []))
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed polymer spec: {exc}") from exc
     return PolymerSpec(obj["kind"], tuple(monomers), tree_edges)

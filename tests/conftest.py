@@ -16,13 +16,24 @@ from hypothesis import strategies as st
 from mostar import Graph, from_edge_list
 
 
+def neighbour_lists(g: Graph, without=None) -> list[list[int]]:
+    """Neighbours of each vertex, read off ``g.edges``, minus edge ``without``."""
+    neighbours: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        if (u, v) != without:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+    return neighbours
+
+
 def naive_bfs(g: Graph, source: int) -> list[int]:
+    neighbours = neighbour_lists(g)
     dist = [-1] * g.n
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.adjacency[u]:
+        for w in neighbours[u]:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -102,3 +113,12 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 12):
             if a != b:
                 pairs.add((min(a, b), max(a, b)))
     return from_edge_list(n, sorted(pairs))
+
+
+@st.composite
+def any_graphs(draw, max_n: int = 12):
+    """Simple graphs on 1..max_n vertices, connected or not."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=2 * n))
+    return from_edge_list(n, {(min(a, b), max(a, b)) for a, b in pairs if a != b})

@@ -95,6 +95,18 @@ class TestCompute:
         assert main(["compute", str(path)]) == 2
         assert main(["compute", str(tmp_path / "missing.txt")]) == 2
 
+    # int() reads each of these as a graph that was not written (exit 0 or 3)
+    @pytest.mark.parametrize("text", ["11 1\n0 1_0\n", "2 1\n0 \u0661\n",
+                                      "2 1\n\u0660 1\n", "1_0 0\n",
+                                      "\u0663 0\n", "2 \u0661\n0 1\n"])
+    def test_non_decimal_edge_list_token_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["compute", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected a decimal integer, got ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("edges", [[[0]], [[0, 1, 2]], [0], [None],
                                        [[0, {}]], [[0, 1.5]]])
     def test_malformed_json_edge_exit_2(self, tmp_path, capsys, edges):
@@ -254,6 +266,35 @@ class TestCompose:
         assert main(["compose", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: specs whose handles or tree edges are not JSON integers; ``int()`` would
+#: read each as a different, valid polymer
+NON_INTEGER_SPECS = {
+    "y-float": {"kind": "link", "monomers": [
+        {"graph": K2_JSON, "x": 0, "y": 1.9}, {"graph": K2_JSON, "x": 0, "y": 1}]},
+    "x-bool": {"kind": "link", "monomers": [
+        {"graph": K2_JSON, "x": True, "y": 0}, {"graph": K2_JSON, "x": 0, "y": 1}]},
+    "y-string": {"kind": "chain", "monomers": [
+        {"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "x": 0, "y": "2"},
+        {"graph": K2_JSON, "x": 0, "y": 1}]},
+    "tree-edge-float": {"kind": "tree", "monomers": [
+        {"graph": K2_JSON, "x": 0}, {"graph": K2_JSON, "x": 0}],
+        "tree_edges": [[0, 1.7, 1, 0]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_SPECS))
+@pytest.mark.parametrize("argv", [["compose"], ["bounds", "--which", "superadditive"]],
+                         ids=["compose", "bounds"])
+def test_non_integer_spec_vertex_exit_2(tmp_path, capsys, name, argv):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(NON_INTEGER_SPECS[name]))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: polymer spec ")
+    assert captured.err.count("\n") == 1 and "must be an integer" in captured.err
 
 
 class TestRoundTrip:

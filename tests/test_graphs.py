@@ -3,16 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mostar import (UNREACHABLE, DuplicateEdge, GraphError, MonomerHandle,
-                    SelfLoop, VertexOutOfRange, bfs_distances, build_chain,
-                    build_link, complete_graph, cycle_graph, distance_blocks,
-                    dump_graph, emit_edge_list, emit_graph_json,
-                    from_edge_list, graphs, index_report, indices,
-                    is_connected, parse_edge_list, parse_graph,
-                    parse_graph_json, path_graph)
+from mostar import (DuplicateEdge, GraphError, MonomerHandle, NotConnected,
+                    SelfLoop, VertexOutOfRange, build_chain, build_link,
+                    complete_graph, cycle_graph, distance_blocks,
+                    distance_rows, dump_graph, edge_orientation,
+                    emit_edge_list, emit_graph_json, from_edge_list, graphs,
+                    index_report, indices, is_connected, parse_edge_list,
+                    parse_graph, parse_graph_json, path_graph,
+                    vertex_orientation)
 
-from conftest import (connected_graphs, naive_all_pairs, naive_edge_diffs,
-                      naive_vertex_diffs, naive_wiener)
+from conftest import (any_graphs, connected_graphs, naive_all_pairs,
+                      naive_bfs, naive_edge_diffs, naive_vertex_diffs,
+                      naive_wiener)
 
 
 def block_table(g, rows=3):
@@ -28,7 +30,6 @@ class TestFromEdgeList:
     def test_triangle_normalized(self):
         g = from_edge_list(3, [(2, 0), (1, 0), (2, 1)])
         assert g.edges == ((0, 1), (0, 2), (1, 2))
-        assert g.adjacency == ((1, 2), (0, 2), (0, 1))
 
     def test_single_vertex(self):
         g = from_edge_list(1, [])
@@ -56,21 +57,24 @@ class TestFromEdgeList:
 
 class TestBfs:
     def test_path(self):
-        assert bfs_distances(path_graph(4), 0) == (0, 1, 2, 3)
+        assert distance_rows(path_graph(4), [0]).tolist() == [[0, 1, 2, 3]]
 
     def test_complete(self):
-        assert bfs_distances(complete_graph(3), 2) == (1, 1, 0)
+        assert distance_rows(complete_graph(3), [2]).tolist() == [[1, 1, 0]]
 
     def test_cycle_both_arcs(self):
-        assert bfs_distances(cycle_graph(6), 0) == (0, 1, 2, 3, 2, 1)
+        rows = distance_rows(cycle_graph(6), [0, 3])
+        assert rows.dtype == np.int32
+        assert rows.tolist() == [[0, 1, 2, 3, 2, 1], [3, 2, 1, 0, 1, 2]]
 
-    def test_unreachable_sentinel(self):
-        g = from_edge_list(2, [])
-        assert bfs_distances(g, 0) == (0, UNREACHABLE)
+    def test_unreachable_raises_not_connected(self):
+        with pytest.raises(NotConnected):
+            distance_rows(from_edge_list(2, []), [0])
 
     def test_bad_source(self):
-        with pytest.raises(VertexOutOfRange):
-            bfs_distances(path_graph(2), 5)
+        for source in (5, -1):
+            with pytest.raises(VertexOutOfRange):
+                distance_rows(path_graph(2), [source])
 
 
 class TestAllPairs:
@@ -89,10 +93,6 @@ class TestAllPairs:
             assert row[leaf] == 0 and row[0] == 1
             assert all(row[other] == 2 for other in (1, 2, 3) if other != leaf)
 
-    def test_disconnected_sentinel(self):
-        d = block_table(two_triangles())
-        assert d[0, 3] == UNREACHABLE and d[3, 0] == UNREACHABLE
-
     def test_blocks_concatenate_to_table(self):
         g = cycle_graph(41)
         blocks = list(distance_blocks(g, 7))
@@ -100,16 +100,52 @@ class TestAllPairs:
         assert all(b.dtype == np.int32 for b in blocks)
         assert np.concatenate(blocks).tolist() == naive_all_pairs(g)
 
-    def test_blocks_keep_unreachable_sentinel(self):
-        g = two_triangles()
-        assert block_table(g, 4).tolist() == naive_all_pairs(g)
-
 
 class TestConnectivity:
     def test_examples(self):
         assert is_connected(complete_graph(3))
+        assert is_connected(from_edge_list(1, []))
         assert not is_connected(from_edge_list(2, []))
         assert not is_connected(two_triangles())
+
+    @pytest.mark.parametrize("g", [two_triangles(), from_edge_list(2, [])],
+                             ids=["two-triangles", "two-isolated"])
+    def test_distance_pass_raises_not_connected(self, g):
+        with pytest.raises(NotConnected, match=f"graph with {g.n} vertices"):
+            next(distance_blocks(g, 4))
+        with pytest.raises(NotConnected):
+            distance_rows(g, [g.n - 1])
+        with pytest.raises(NotConnected):
+            index_report(g)
+        for orientation in (vertex_orientation, edge_orientation):
+            with pytest.raises(NotConnected):
+                orientation(g, (0, 1))
+
+    def test_index_report_makes_no_separate_connectivity_check(self, monkeypatch):
+        def fail(g):
+            raise AssertionError("is_connected called")
+
+        monkeypatch.setattr(graphs, "is_connected", fail)
+        monkeypatch.setattr(indices, "is_connected", fail, raising=False)
+        assert index_report(cycle_graph(5)).wiener == 15
+        with pytest.raises(NotConnected):
+            index_report(two_triangles())
+
+
+@settings(deadline=None)
+@given(any_graphs())
+def test_is_connected_matches_naive_bfs(g):
+    assert is_connected(g) == (min(naive_bfs(g, 0)) >= 0)
+
+
+@settings(deadline=None)
+@given(any_graphs(max_n=8), st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)),
+                                     max_size=20))
+def test_has_edge_matches_edge_set(g, queries):
+    edges = set(g.edges)
+    for u, v in list(g.edges) + queries:
+        expected = (u, v) in edges or (v, u) in edges
+        assert g.has_edge(u, v) == expected and g.has_edge(v, u) == expected
 
 
 @settings(deadline=None)

@@ -12,7 +12,7 @@ from mostar import (EdgeNotInGraph, MonomerHandle, NotConnected, build_chain,
 
 from conftest import (connected_graphs, naive_edge_diffs, naive_edge_mostar,
                       naive_mostar, naive_vertex_diffs, naive_wiener,
-                      permute_graph, random_connected_graph)
+                      neighbour_lists, permute_graph, random_connected_graph)
 
 
 def t2():
@@ -147,13 +147,12 @@ def _bridges(g):
 
 
 def _component_size(g, without, start):
+    neighbours = neighbour_lists(g, without)
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
-        for w in g.adjacency[u]:
-            if (min(u, w), max(u, w)) == without:
-                continue
+        for w in neighbours[u]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
