@@ -9,8 +9,7 @@ from .families import (CHAIN_FAMILIES, FAMILY_NAMES, FamilyGraph, FamilySpec,
                        gen_triangulane_aux, generate)
 from .formats import (dump_graph, emit_edge_list, emit_graph_json,
                       parse_edge_list, parse_graph, parse_graph_json)
-from .formulas import (BOUND_KINDS, BoundsReport, FormulaCheck, MonomerStats,
-                       check_bound, check_bounds, check_family,
+from .formulas import (BOUND_KINDS, BoundsReport, MonomerStats, check_bounds,
                        formula_value, has_formula, lower_bound_link2,
                        lower_bound_link_chain, monomer_stats,
                        superadditive_bound, upper_bound_bouquet,
@@ -25,7 +24,7 @@ from .indices import (EDGE_MOSTAR, INDEX_NAMES, MOSTAR, WIENER,
                       vertex_orientation, wiener_index)
 from .polymer import (KINDS, CompositionResult, MonomerHandle, PolymerSpec,
                       build_bouquet, build_chain, build_circuit, build_link,
-                      build_tree_attach, compose, point_attach,
-                      spec_from_dict, spec_from_json, spec_to_dict)
+                      build_tree_attach, compose, spec_from_dict,
+                      spec_from_json, spec_to_dict)
 
 __version__ = "0.1.0"

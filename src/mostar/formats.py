@@ -88,7 +88,7 @@ def parse_graph(text: str) -> Graph:
     if stripped.startswith("{"):
         try:
             return parse_graph_json(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GraphError(f"invalid graph JSON: {exc}") from exc
     return parse_edge_list(text)
 

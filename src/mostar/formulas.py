@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MismatchedConstruction, TooFewMonomers, UnsupportedCombination
-from .families import CHAIN_FAMILIES, FamilySpec, generate
+from .families import CHAIN_FAMILIES, FamilySpec
 from .graphs import Graph
-from .indices import EDGE_MOSTAR, MOSTAR, edge_mostar_index, index_report, mostar_index
+from .indices import EDGE_MOSTAR, MOSTAR, index_report
 from .polymer import PolymerSpec
 
 #: (a, b) meaning a*k^2 + b*k, keyed by (family, index, n odd?)
@@ -59,11 +59,18 @@ def _triangulane_mostar(n: int) -> int:
     return total
 
 
+def has_formula(family: str, index: str) -> bool:
+    """Whether ``formula_value`` has a closed form for this family and index."""
+    return index in (MOSTAR, EDGE_MOSTAR) and (
+        family in CHAIN_FAMILIES or family == "clique-flower"
+        or (family == "triangulane" and index == MOSTAR))
+
+
 def formula_value(spec: FamilySpec, index: str) -> int:
     """Closed-form value of the requested index for a family instance."""
-    if index not in (MOSTAR, EDGE_MOSTAR):
-        raise UnsupportedCombination(f"no closed forms for index {index!r}")
     fam = spec.family
+    if not has_formula(fam, index):
+        raise UnsupportedCombination(f"no closed form for ({fam}, {index})")
     if fam in CHAIN_FAMILIES:
         k, odd = divmod(spec.n, 2)
         a, b = _CHAIN_FORMS[(fam, index, bool(odd))]
@@ -73,33 +80,7 @@ def formula_value(spec: FamilySpec, index: str) -> int:
         if index == MOSTAR:
             return m * n * (m - 1) * (n - 1)
         return m * (n - 1) * (m - 1) * (n * n - n + m) // 2
-    if fam == "triangulane" and index == MOSTAR:
-        return _triangulane_mostar(spec.n)
-    raise UnsupportedCombination(f"no closed form for ({fam}, {index})")
-
-
-def has_formula(family: str, index: str) -> bool:
-    return (family in CHAIN_FAMILIES or family == "clique-flower"
-            or (family == "triangulane" and index == MOSTAR))
-
-
-@dataclass(frozen=True)
-class FormulaCheck:
-    spec: FamilySpec
-    index: str
-    formula_value: int
-    oracle_value: int
-
-    @property
-    def agrees(self) -> bool:
-        return self.formula_value == self.oracle_value
-
-
-def check_family(spec: FamilySpec, index: str) -> FormulaCheck:
-    """Evaluate the closed form and the brute-force oracle for one instance."""
-    graph = generate(spec).graph
-    oracle = mostar_index(graph) if index == MOSTAR else edge_mostar_index(graph)
-    return FormulaCheck(spec, index, formula_value(spec, index), oracle)
+    return _triangulane_mostar(spec.n)
 
 
 @dataclass(frozen=True)
@@ -212,28 +193,20 @@ class BoundsReport:
         return self.bound - self.actual if self.kind == "upper" else self.actual - self.bound
 
 
-BOUND_KINDS = ("link-upper", "chain-upper", "bouquet-upper", "circuit-upper",
-               "link2-lower", "polymer-lower", "superadditive")
-
+#: bound name -> (evaluator over monomer stats, composition kinds it applies
+#: to); the order is the order of the ``bounds --which`` choices
 _BOUNDS = {
-    "link-upper": upper_bound_link,
-    "chain-upper": upper_bound_chain,
-    "bouquet-upper": upper_bound_bouquet,
-    "circuit-upper": upper_bound_circuit,
-    "link2-lower": lambda stats, index: lower_bound_link2(stats[0], stats[1], index),
-    "polymer-lower": lower_bound_link_chain,
-    "superadditive": superadditive_bound,
+    "link-upper": (upper_bound_link, {"link"}),
+    "chain-upper": (upper_bound_chain, {"chain"}),
+    "bouquet-upper": (upper_bound_bouquet, {"bouquet"}),
+    "circuit-upper": (upper_bound_circuit, {"circuit"}),
+    "link2-lower": (lambda stats, index: lower_bound_link2(stats[0], stats[1], index),
+                    {"link"}),
+    "polymer-lower": (lower_bound_link_chain, {"link"}),
+    "superadditive": (superadditive_bound, {"link", "chain", "bouquet", "circuit", "tree"}),
 }
 
-_COMPATIBLE = {
-    "link-upper": {"link"},
-    "chain-upper": {"chain"},
-    "bouquet-upper": {"bouquet"},
-    "circuit-upper": {"circuit"},
-    "link2-lower": {"link"},
-    "polymer-lower": {"link"},
-    "superadditive": {"link", "chain", "bouquet", "circuit", "tree"},
-}
+BOUND_KINDS = tuple(_BOUNDS)
 
 
 def check_bounds(composite: Graph, spec: PolymerSpec, which: str,
@@ -247,9 +220,10 @@ def check_bounds(composite: Graph, spec: PolymerSpec, which: str,
         if index not in (MOSTAR, EDGE_MOSTAR):
             raise UnsupportedCombination(
                 f"bounds are defined for mostar and edge_mostar, not {index!r}")
-    if which not in _COMPATIBLE:
+    if which not in _BOUNDS:
         raise MismatchedConstruction(f"unknown bound {which!r}")
-    if spec.kind not in _COMPATIBLE[which]:
+    evaluator, kinds = _BOUNDS[which]
+    if spec.kind not in kinds:
         raise MismatchedConstruction(
             f"bound {which!r} does not apply to a {spec.kind!r} composition")
     if which == "link2-lower" and len(spec.monomers) != 2:
@@ -260,14 +234,9 @@ def check_bounds(composite: Graph, spec: PolymerSpec, which: str,
     actuals = {MOSTAR: report.mostar, EDGE_MOSTAR: report.edge_mostar}
     reports = {}
     for index in indices:
-        actual, bound = actuals[index], _BOUNDS[which](stats, index)
+        actual, bound = actuals[index], evaluator(stats, index)
         if which.endswith("upper"):
             reports[index] = BoundsReport(actual, bound, "upper", False, actual <= bound)
         else:
             reports[index] = BoundsReport(actual, bound, "lower", True, actual > bound)
     return reports
-
-
-def check_bound(composite: Graph, spec: PolymerSpec, which: str, index: str) -> BoundsReport:
-    """Compare the brute-force index of a composite against one bound."""
-    return check_bounds(composite, spec, which, (index,))[index]

@@ -56,6 +56,12 @@ class PolymerSpec:
             raise GraphError(f"unknown composition kind {self.kind!r}")
         if not self.monomers:
             raise GraphError("a polymer needs at least one monomer")
+        if self.tree_edges and self.kind != "tree":
+            raise GraphError(f"tree_edges apply only to kind 'tree', not {self.kind!r}")
+        for e in self.tree_edges:
+            if len(e) != 4:
+                raise GraphError(f"tree edge {list(e)} must have 4 entries "
+                                 "[monomer a, vertex in a, monomer b, vertex in b]")
 
 
 @dataclass(frozen=True)
@@ -96,14 +102,6 @@ def _assemble(graphs: list[Graph], identify: list[tuple[Slot, Slot]],
     # duplicate edges cannot arise from point-attaching disjoint monomers;
     # from_edge_list raising DuplicateEdge here would expose a builder bug
     return CompositionResult(from_edge_list(len(ids), edges), vertex_map)
-
-
-def point_attach(a: Graph, va: int, b: Graph, vb: int) -> CompositionResult:
-    """Disjoint union of a and b with va and vb merged into one vertex."""
-    for g, v in ((a, va), (b, vb)):
-        if not 0 <= v < g.n:
-            raise VertexOutOfRange(v, g.n)
-    return _assemble([a, b], identify=[((0, va), (1, vb))], extra_edges=[])
 
 
 def build_link(monomers: list[MonomerHandle] | tuple[MonomerHandle, ...]) -> CompositionResult:
@@ -229,5 +227,5 @@ def spec_from_dict(obj: dict) -> PolymerSpec:
 def spec_from_json(text: str) -> PolymerSpec:
     try:
         return spec_from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid polymer spec JSON: {exc}") from exc

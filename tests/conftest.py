@@ -13,7 +13,8 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from mostar import Graph, from_edge_list
+from mostar import (FamilySpec, Graph, formula_value, from_edge_list,
+                    generate, index_report)
 
 
 def neighbour_lists(g: Graph, without=None) -> list[list[int]]:
@@ -83,6 +84,11 @@ def naive_edge_mostar(g: Graph) -> int:
 def naive_wiener(g: Graph) -> int:
     dist = naive_all_pairs(g)
     return sum(dist[u][v] for u, v in combinations(range(g.n), 2))
+
+
+def formula_and_oracle(spec: FamilySpec, index: str) -> tuple[int, int]:
+    """(closed form, exact index of the generated graph) for one family instance."""
+    return formula_value(spec, index), getattr(index_report(generate(spec).graph), index)
 
 
 def permute_graph(g: Graph, perm) -> Graph:

@@ -15,14 +15,14 @@ from contextlib import contextmanager
 
 from mostar import (CHAIN_FAMILIES, EDGE_MOSTAR, MOSTAR, FamilySpec,
                     MonomerHandle, PolymerSpec, build_bouquet, build_chain,
-                    build_circuit, build_link, check_bound, check_family,
-                    complete_graph, compose, cycle_graph, edge_mostar_index,
-                    edge_orientation, family_counts, gen_triangulane,
+                    build_circuit, build_link, check_bounds, complete_graph,
+                    compose, cycle_graph, edge_mostar_index, edge_orientation, family_counts, gen_triangulane,
                     generate, index_report, mostar_index, path_graph,
                     vertex_orientation, wiener_index)
 from mostar.cli import main
 
-from conftest import naive_wiener, permute_graph, random_connected_graph
+from conftest import (formula_and_oracle, naive_wiener, permute_graph,
+                      random_connected_graph)
 
 
 @contextmanager
@@ -72,12 +72,11 @@ def test_criterion_2_formula_vs_oracle_sweep():
             for family in CHAIN_FAMILIES:
                 for n in range(1, 13):
                     for index in (MOSTAR, EDGE_MOSTAR):
-                        check = check_family(FamilySpec(family, n=n), index)
-                        if not check.agrees:
+                        formula, oracle = formula_and_oracle(FamilySpec(family, n=n), index)
+                        if formula != oracle:
                             rows.append({
                                 "family": family, "n": n, "index": index,
-                                "formula": check.formula_value,
-                                "oracle": check.oracle_value})
+                                "formula": formula, "oracle": oracle})
             failures.append("chain sweep disagreements: " + json.dumps(rows))
         if main(["verify", "--families", "clique-flower",
                  "--m-range", "1..5", "--inner-range", "1..5"]) != 0:
@@ -97,9 +96,9 @@ def test_criterion_2_formula_vs_oracle_sweep():
             (FamilySpec("clique-flower", m=5, inner=4), EDGE_MOSTAR, 510),
         ]
         for spec, index, expected in spots:
-            check = check_family(spec, index)
-            if not (check.formula_value == check.oracle_value == expected):
-                failures.append(f"spot value {spec} {index}: {check}")
+            formula, oracle = formula_and_oracle(spec, index)
+            if not (formula == oracle == expected):
+                failures.append(f"spot value {spec} {index}: formula={formula} oracle={oracle}")
 
         assert time.perf_counter() - start < 60.0
         assert not failures, (
@@ -138,15 +137,15 @@ def test_criterion_3_bound_property_suite():
                 which_list.append("link2-lower")
             for which in which_list:
                 for index in (MOSTAR, EDGE_MOSTAR):
-                    report = check_bound(composite, spec, which, index)
+                    report = check_bounds(composite, spec, which, (index,))[index]
                     assert report.holds, (trial, kind, which, index, report)
 
         # tight cases: the upper bound is met with equality
         link22 = PolymerSpec("link", (MonomerHandle(complete_graph(2), 0, 1),) * 2)
-        report = check_bound(compose(link22).graph, link22, "link-upper", MOSTAR)
+        report = check_bounds(compose(link22).graph, link22, "link-upper", (MOSTAR,))[MOSTAR]
         assert (report.actual, report.bound) == (4, 4) and report.slack == 0
         star = PolymerSpec("bouquet", (MonomerHandle(complete_graph(2), 0),) * 3)
-        report = check_bound(compose(star).graph, star, "bouquet-upper", MOSTAR)
+        report = check_bounds(compose(star).graph, star, "bouquet-upper", (MOSTAR,))[MOSTAR]
         assert (report.actual, report.bound) == (6, 6) and report.slack == 0
         assert time.perf_counter() - start < 60.0
 

@@ -297,6 +297,49 @@ def test_non_integer_spec_vertex_exit_2(tmp_path, capsys, name, argv):
     assert captured.err.count("\n") == 1 and "must be an integer" in captured.err
 
 
+#: (spec, part of the message) for tree edges of the wrong arity or kind
+BAD_TREE_EDGE_SPECS = {
+    "three-entries": ({"kind": "tree", "monomers": [{"graph": K2_JSON, "x": 0}] * 2,
+                       "tree_edges": [[0, 1, 1]]}, "must have 4 entries"),
+    "five-entries": ({"kind": "tree", "monomers": [{"graph": K2_JSON, "x": 0}] * 2,
+                      "tree_edges": [[0, 1, 1, 0, 7]]}, "must have 4 entries"),
+    "link-with-tree-edges": ({"kind": "link", "monomers": [{"graph": K2_JSON, "x": 0}] * 2,
+                              "tree_edges": [[0, 1, 1, 0]]}, "apply only to kind 'tree'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TREE_EDGE_SPECS))
+@pytest.mark.parametrize("argv", [["compose"], ["bounds", "--which", "superadditive"]],
+                         ids=["compose", "bounds"])
+def test_bad_tree_edges_exit_2(tmp_path, capsys, name, argv):
+    spec, message = BAD_TREE_EDGE_SPECS[name]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tree") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["compute"], '{"n": 3, "edges": ' + DEEP),
+    (["compose"], '{"kind": "link", "monomers": ' + DEEP),
+    (["bounds", "--which", "superadditive"], '{"kind": "link", "monomers": ' + DEEP),
+], ids=["compute", "compose", "bounds"])
+def test_deeply_nested_json_exit_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 class TestRoundTrip:
     def sweep_specs(self):
         for family in ("triangular", "square-para", "square-ortho",

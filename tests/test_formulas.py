@@ -1,16 +1,17 @@
 import random
 
 import pytest
-from mostar import (EDGE_MOSTAR, MOSTAR, BoundsReport, FamilySpec,
-                    MismatchedConstruction, MonomerHandle, MonomerStats,
-                    PolymerSpec, TooFewMonomers, UnsupportedCombination,
-                    check_bound, check_family, complete_graph, compose,
-                    cycle_graph, edge_mostar_index, formula_value,
-                    lower_bound_link2, lower_bound_link_chain, monomer_stats,
-                    mostar_index, superadditive_bound, upper_bound_bouquet,
-                    upper_bound_chain, upper_bound_circuit, upper_bound_link)
+from mostar import (EDGE_MOSTAR, FAMILY_NAMES, INDEX_NAMES, MOSTAR,
+                    BoundsReport, FamilySpec, MismatchedConstruction,
+                    MonomerHandle, MonomerStats, PolymerSpec, TooFewMonomers,
+                    UnsupportedCombination, check_bounds, complete_graph,
+                    compose, cycle_graph, edge_mostar_index, formula_value,
+                    has_formula, lower_bound_link2, lower_bound_link_chain,
+                    monomer_stats, mostar_index, superadditive_bound,
+                    upper_bound_bouquet, upper_bound_chain,
+                    upper_bound_circuit, upper_bound_link)
 
-from conftest import random_connected_graph
+from conftest import formula_and_oracle, random_connected_graph
 
 K1 = complete_graph(1)
 K2 = complete_graph(2)
@@ -56,21 +57,34 @@ class TestFormulaValues:
             formula_value(FamilySpec("triangular", n=2), "wiener")
 
 
+@pytest.mark.parametrize("index", INDEX_NAMES)
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_has_formula_agrees_with_formula_value(family, index):
+    spec = FamilySpec(family, n=3, m=3, inner=2)
+    try:
+        formula_value(spec, index)
+    except UnsupportedCombination:
+        evaluated = False
+    else:
+        evaluated = True
+    assert has_formula(family, index) == evaluated
+
+
 class TestFormulaAgainstOracle:
     @pytest.mark.parametrize("family", [
         "triangular", "square-para", "square-ortho",
         "hex-para", "hex-meta", "hex-ortho"])
     def test_chain_mostar_agrees(self, family):
         for n in range(1, 10):
-            check = check_family(FamilySpec(family, n=n), MOSTAR)
-            assert check.agrees, (family, n, check)
+            formula, oracle = formula_and_oracle(FamilySpec(family, n=n), MOSTAR)
+            assert formula == oracle, (family, n, formula, oracle)
 
     @pytest.mark.parametrize("family", [
         "triangular", "square-para", "square-ortho", "hex-para"])
     def test_chain_edge_mostar_agrees(self, family):
         for n in range(1, 10):
-            check = check_family(FamilySpec(family, n=n), EDGE_MOSTAR)
-            assert check.agrees, (family, n, check)
+            formula, oracle = formula_and_oracle(FamilySpec(family, n=n), EDGE_MOSTAR)
+            assert formula == oracle, (family, n, formula, oracle)
 
     @pytest.mark.parametrize("family,true_form", [
         # oracle-derived closed forms; the stated ones replicate hex-para's
@@ -81,24 +95,24 @@ class TestFormulaAgainstOracle:
     def test_known_hex_edge_disagreement(self, family, true_form):
         (a_even, b_even), (a_odd, b_odd) = true_form
         for n in range(1, 8):
-            check = check_family(FamilySpec(family, n=n), EDGE_MOSTAR)
+            formula, oracle = formula_and_oracle(FamilySpec(family, n=n), EDGE_MOSTAR)
             k, odd = divmod(n, 2)
             expected = (a_odd * k * k + b_odd * k) if odd else (a_even * k * k + b_even * k)
-            assert check.oracle_value == expected, (family, n, check)
-            assert check.agrees == (n <= 2), (family, n, check)
+            assert oracle == expected, (family, n, formula, oracle)
+            assert (formula == oracle) == (n <= 2), (family, n, formula, oracle)
 
     def test_clique_flower_grid(self):
         for m in range(1, 5):
             for inner in range(1, 5):
                 for index in (MOSTAR, EDGE_MOSTAR):
-                    check = check_family(
+                    formula, oracle = formula_and_oracle(
                         FamilySpec("clique-flower", m=m, inner=inner), index)
-                    assert check.agrees, (m, inner, index, check)
+                    assert formula == oracle, (m, inner, index, formula, oracle)
 
     def test_triangulane_sweep(self):
         for n in range(1, 5):
-            check = check_family(FamilySpec("triangulane", n=n), MOSTAR)
-            assert check.agrees, (n, check)
+            formula, oracle = formula_and_oracle(FamilySpec("triangulane", n=n), MOSTAR)
+            assert formula == oracle, (n, formula, oracle)
 
     def test_parity_branches_pin_each_other(self):
         # evaluating the wrong branch at the same k must disagree with the
@@ -109,7 +123,7 @@ class TestFormulaAgainstOracle:
                 k, odd = divmod(n, 2)
                 swapped = FamilySpec(family, n=2 * k + (0 if odd else 1))
                 value = formula_value(swapped, MOSTAR)
-                oracle = check_family(FamilySpec(family, n=n), MOSTAR).oracle_value
+                _, oracle = formula_and_oracle(FamilySpec(family, n=n), MOSTAR)
                 if value != oracle:
                     swapped_hits += 1
             assert swapped_hits > 0, family
@@ -180,30 +194,30 @@ class TestLowerBounds:
 class TestCheckBound:
     def test_link_upper_holds(self):
         spec = PolymerSpec("link", (MonomerHandle(K3, 0, 1),) * 2)
-        report = check_bound(compose(spec).graph, spec, "link-upper", MOSTAR)
+        report = check_bounds(compose(spec).graph, spec, "link-upper", (MOSTAR,))[MOSTAR]
         assert report == BoundsReport(12, 18, "upper", False, True)
         assert report.slack == 6
 
     def test_superadditive_chain(self):
         spec = PolymerSpec("chain", (MonomerHandle(K3, 0, 1),) * 2)
-        report = check_bound(compose(spec).graph, spec, "superadditive", MOSTAR)
+        report = check_bounds(compose(spec).graph, spec, "superadditive", (MOSTAR,))[MOSTAR]
         assert (report.actual, report.bound, report.holds) == (8, 0, True)
         assert report.strict
 
     def test_circuit_upper(self):
         spec = PolymerSpec("circuit", (MonomerHandle(K1, 0),) * 3)
-        report = check_bound(compose(spec).graph, spec, "circuit-upper", MOSTAR)
+        report = check_bounds(compose(spec).graph, spec, "circuit-upper", (MOSTAR,))[MOSTAR]
         assert (report.actual, report.bound, report.holds) == (0, 6, True)
 
     def test_mismatches(self):
         chain_spec = PolymerSpec("chain", (MonomerHandle(K3, 0, 1),) * 2)
         with pytest.raises(MismatchedConstruction):
-            check_bound(compose(chain_spec).graph, chain_spec, "link-upper", MOSTAR)
+            check_bounds(compose(chain_spec).graph, chain_spec, "link-upper", (MOSTAR,))[MOSTAR]
         link3 = PolymerSpec("link", (MonomerHandle(K2, 0, 1),) * 3)
         with pytest.raises(MismatchedConstruction):
-            check_bound(compose(link3).graph, link3, "link2-lower", MOSTAR)
+            check_bounds(compose(link3).graph, link3, "link2-lower", (MOSTAR,))[MOSTAR]
         with pytest.raises(MismatchedConstruction):
-            check_bound(compose(link3).graph, link3, "nonsense", MOSTAR)
+            check_bounds(compose(link3).graph, link3, "nonsense", (MOSTAR,))[MOSTAR]
 
 
 def _random_handles(rng, count, kind):
@@ -238,7 +252,7 @@ def test_random_compositions_respect_all_bounds():
         composite = compose(spec).graph
         for which in applicable_bounds(kind, count):
             for index in (MOSTAR, EDGE_MOSTAR):
-                report = check_bound(composite, spec, which, index)
+                report = check_bounds(composite, spec, which, (index,))[index]
                 assert report.holds, (kind, which, index, report)
 
 

@@ -9,8 +9,7 @@ from mostar import (DegenerateHandles, GraphError, MonomerHandle, NotATree,
                     VertexOutOfRange, build_bouquet, build_chain,
                     build_circuit, build_link, build_tree_attach, complete_graph,
                     compose, cycle_graph, from_edge_list, index_report,
-                    is_connected, path_graph, point_attach, spec_from_dict,
-                    spec_to_dict)
+                    is_connected, path_graph, spec_from_dict, spec_to_dict)
 
 from conftest import random_connected_graph
 
@@ -36,29 +35,30 @@ class TestHandles:
 
 
 class TestPointAttach:
+    # point-attaching a at va and b at vb is the chain of the two monomers
     def test_two_edges_make_a_path(self):
-        res = point_attach(K2, 1, K2, 0)
+        res = build_chain([MonomerHandle(K2, 1), MonomerHandle(K2, 0)])
         assert res.graph == path_graph(3)
         assert res.vertex_map[(0, 1)] == res.vertex_map[(1, 0)]
 
     def test_two_triangles(self):
-        res = point_attach(K3, 0, K3, 2)
+        res = build_chain([MonomerHandle(K3, 0), MonomerHandle(K3, 2)])
         assert (res.graph.n, res.graph.m) == (5, 6)
 
     def test_identity_monomer(self):
         g = cycle_graph(5)
-        res = point_attach(K1, 0, g, 3)
+        res = build_chain([MonomerHandle(K1, 0), MonomerHandle(g, 3)])
         assert (res.graph.n, res.graph.m) == (g.n, g.m)
         assert index_report(res.graph) == index_report(g)
 
     def test_counts(self):
         a, b = cycle_graph(4), complete_graph(4)
-        res = point_attach(a, 2, b, 1)
+        res = build_chain([MonomerHandle(a, 2), MonomerHandle(b, 1)])
         assert res.graph.n == a.n + b.n - 1
         assert res.graph.m == a.m + b.m
 
     def test_map_surjective_and_merging(self):
-        res = point_attach(K3, 1, K3, 0)
+        res = build_chain([MonomerHandle(K3, 1), MonomerHandle(K3, 0)])
         assert set(res.vertex_map.values()) == set(range(res.graph.n))
         merged = [s for s, cid in res.vertex_map.items()
                   if cid == res.vertex_map[(0, 1)]]
