@@ -15,8 +15,9 @@ from .formulas import (BOUND_KINDS, BoundsReport, MonomerStats, check_bounds,
                        superadditive_bound, upper_bound_bouquet,
                        upper_bound_chain, upper_bound_circuit,
                        upper_bound_link)
-from .graphs import (Graph, complete_graph, cycle_graph, distance_blocks,
-                     distance_rows, from_edge_list, is_connected, path_graph)
+from .graphs import (Blocks, Graph, blocks, complete_graph, cycle_graph,
+                     distance_blocks, distance_rows, from_edge_list,
+                     is_connected, path_graph)
 from .indices import (EDGE_MOSTAR, INDEX_NAMES, MOSTAR, WIENER,
                       EdgeOrientationCounts, IndexReport, OrientationCounts,
                       PerEdgeContribution, edge_mostar_index,

@@ -55,7 +55,9 @@ def emit_edge_list(g: Graph) -> str:
 def json_integer(value, what: str) -> int:
     """``value`` if it is a JSON integer (bool is not), else GraphError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphError(f"{what} must be an integer, got {value!r}")
+        shown = repr(value)  # at most 60 characters of it, so the line stays short
+        raise GraphError(f"{what} must be an integer, got "
+                         f"{shown if len(shown) <= 60 else shown[:60] + '...'}")
     return value
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -104,6 +104,83 @@ def is_connected(g: Graph) -> bool:
     return components == 1
 
 
+class Blocks(NamedTuple):
+    """The blocks (bridges and 2-connected pieces) of a connected graph:
+    block ``i`` has ``vertices[vertex_start[i]:vertex_start[i + 1]]``, its top
+    vertex first, and the ids ``edges[edge_start[i]:edge_start[i + 1]]`` into
+    ``g.edges``.  All that lies outside a block hangs at one of its vertices,
+    ``weights`` vertices (itself included) and ``hanging`` edges."""
+
+    vertex_start: np.ndarray
+    vertices: np.ndarray
+    weights: np.ndarray
+    hanging: np.ndarray
+    edge_start: np.ndarray
+    edges: np.ndarray
+
+
+def blocks(g: Graph) -> Blocks:
+    """The blocks of ``g`` by Hopcroft-Tarjan, with an explicit DFS stack, so
+    no graph is too deep; NotConnected if the DFS misses a vertex.  A block
+    pops after every block below it, so what hangs at its lower vertices is
+    known then, and its top vertex carries the rest of the graph."""
+    n, m = g.n, g.m
+    if m < n - 1:  # too few edges to connect: decided before allocating n of anything
+        raise NotConnected(f"graph with {n} vertices is not connected")
+    flat = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2).T.ravel()
+    slots = np.argsort(flat, kind="stable")  # edge endpoints grouped by vertex
+    nbr, eid = flat[(slots + m) % (2 * m)].tolist(), (slots % m).tolist()
+    nxt = np.searchsorted(flat[slots], np.arange(n + 1)).tolist()
+    stop = nxt[1:]
+    disc, low, vmark, emark, below_e = ([0] * n for _ in range(5))
+    below_v = [1] * n  # vertices (itself included) and edges under each vertex so far
+    vstack, estack, verts, weights, hanging, edges = [], [], [], [], [], []
+    vstart, estart, stack, disc[0], low[0], t = [0], [0], [0], 1, 1, 1
+    while stack:
+        u = stack[-1]
+        i = nxt[u]
+        if i < stop[u]:
+            nxt[u] = i + 1
+            w, e = nbr[i], eid[i]
+            if not disc[w]:
+                t += 1
+                disc[w] = low[w] = t
+                vmark[w], emark[w] = len(vstack), len(estack)
+                estack.append(e)
+                vstack.append(w)
+                stack.append(w)
+            elif disc[w] < disc[u] and e != estack[emark[u]]:  # back edge up the tree
+                estack.append(e)
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
+            continue
+        stack.pop()
+        if not stack:
+            break
+        p = stack[-1]
+        if low[u] < disc[p]:
+            if low[u] < low[p]:
+                low[p] = low[u]
+            continue
+        # p cuts u's subtree off: what was pushed since u is one block
+        inner = vstack[vmark[u]:]
+        hang = [below_e[x] for x in inner]
+        under_v, under_e = t - disc[u] + 1, len(estack) - emark[u] + sum(hang)
+        below_v[p] += under_v
+        below_e[p] += under_e
+        verts += [p, *inner]
+        weights += [n - under_v, *(below_v[x] for x in inner)]
+        hanging += [m - under_e, *hang]
+        edges += estack[emark[u]:]
+        del vstack[vmark[u]:], estack[emark[u]:]
+        vstart.append(len(verts))
+        estart.append(len(edges))
+    if t < n:
+        raise NotConnected(f"graph with {n} vertices is not connected")
+    return Blocks(*(np.array(a, dtype=np.int64)
+                    for a in (vstart, verts, weights, hanging, estart, edges)))
+
+
 def _csr(g: Graph) -> csr_matrix:
     e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
     rows = np.concatenate([e[:, 0], e[:, 1]])
@@ -132,13 +209,12 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
 def distance_blocks(g: Graph, rows: int) -> Iterator[np.ndarray]:
     """Rows of the all-pairs hop-count table in source order, ``rows`` at a time.
 
-    Yields ``(k, n)`` int32 blocks, ``k <= rows``, whose concatenation is
-    the full table; only the current block is held, and a disconnected
-    graph raises NotConnected before the first.  The BFS runs in C via
-    scipy's csgraph, on a copy relabelled in reverse Cuthill-McKee order,
-    which keeps neighbours close in memory, so graphs with scattered labels
-    sweep as fast as well-ordered ones; block columns map back to the
-    original labels.
+    Yields ``(k, n)`` int32 blocks, ``k <= rows``, whose concatenation is the
+    full table; only the current block is held, and a disconnected graph
+    raises NotConnected before the first.  The BFS runs in scipy's csgraph on
+    a copy relabelled in reverse Cuthill-McKee order, which keeps neighbours
+    close in memory, so scattered labels sweep as fast as well-ordered ones;
+    block columns map back to the original labels.
     """
     mat = _csr(g)
     order = reverse_cuthill_mckee(mat, symmetric_mode=True)

@@ -13,8 +13,9 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from mostar import (FamilySpec, Graph, formula_value, from_edge_list,
-                    generate, index_report)
+from mostar import (KINDS, FamilySpec, Graph, MonomerHandle, PolymerSpec,
+                    compose, formula_value, from_edge_list, generate,
+                    index_report)
 
 
 def neighbour_lists(g: Graph, without=None) -> list[list[int]]:
@@ -128,3 +129,38 @@ def any_graphs(draw, max_n: int = 12):
     pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                          max_size=2 * n))
     return from_edge_list(n, {(min(a, b), max(a, b)) for a, b in pairs if a != b})
+
+
+@st.composite
+def polymer_composites(draw):
+    """A composite of 2-4 small random monomers, by any of the five builders."""
+    kind = draw(st.sampled_from(KINDS))
+    monomers = []
+    for _ in range(draw(st.integers(3 if kind == "circuit" else 2, 4))):
+        mono = draw(connected_graphs(min_n=2, max_n=5))
+        x = draw(st.integers(0, mono.n - 1))
+        y = (x + draw(st.integers(1, mono.n - 1))) % mono.n
+        monomers.append(MonomerHandle(mono, x, y))
+    tree_edges = []
+    for b in range(1, len(monomers) if kind == "tree" else 1):
+        a = draw(st.integers(0, b - 1))
+        tree_edges.append((a, draw(st.integers(0, monomers[a].graph.n - 1)),
+                           b, draw(st.integers(0, monomers[b].graph.n - 1))))
+    return compose(PolymerSpec(kind, tuple(monomers), tuple(tree_edges))).graph
+
+
+@st.composite
+def block_rich_graphs(draw, max_pieces: int = 6):
+    """Paths, cycles and cliques hung one by one on the graph so far, then
+    relabelled: bridges, pendant paths and cut vertices shared by blocks."""
+    pairs, n = set(), 1
+    for _ in range(draw(st.integers(0, max_pieces))):
+        new = [draw(st.integers(0, n - 1)), *range(n, n + draw(st.integers(1, 5)))]
+        n += len(new) - 1
+        shape = draw(st.sampled_from(["path", "cycle", "clique"]))
+        if shape == "path" or len(new) < 3:
+            links = zip(new, new[1:])
+        else:
+            links = zip(new, new[1:] + new[:1]) if shape == "cycle" else combinations(new, 2)
+        pairs.update((min(a, b), max(a, b)) for a, b in links)
+    return permute_graph(from_edge_list(n, sorted(pairs)), draw(st.permutations(range(n))))

@@ -322,6 +322,24 @@ def test_bad_tree_edges_exit_2(tmp_path, capsys, name, argv):
     assert message in captured.err
 
 
+LONG = "x" * 1_000_000
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["compute"], {"n": 3, "edges": [[0, LONG]]}),
+    (["compose"], {"kind": "link", "monomers": [{"graph": K2_JSON, "x": LONG}] * 2}),
+], ids=["compute", "compose"])
+def test_long_bad_value_gives_one_short_error_line(tmp_path, capsys, argv, doc):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "must be an integer, got 'xxx" in captured.err
+    assert captured.err.endswith("...\n") and len(captured.err) < 200
+
+
 DEEP = "[" * 100_000
 
 

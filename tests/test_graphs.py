@@ -1,20 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mostar import (DuplicateEdge, GraphError, MonomerHandle, NotConnected,
-                    SelfLoop, VertexOutOfRange, build_chain, build_link,
-                    complete_graph, cycle_graph, distance_blocks,
-                    distance_rows, dump_graph, edge_orientation,
+from mostar import (DuplicateEdge, GraphError, NotConnected, SelfLoop,
+                    VertexOutOfRange, blocks, complete_graph, cycle_graph,
+                    distance_blocks, distance_rows, dump_graph, edge_orientation,
                     emit_edge_list, emit_graph_json, from_edge_list, graphs,
                     index_report, indices, is_connected, parse_edge_list,
                     parse_graph, parse_graph_json, path_graph,
                     vertex_orientation)
 
-from conftest import (any_graphs, connected_graphs, naive_all_pairs,
-                      naive_bfs, naive_edge_diffs, naive_vertex_diffs,
-                      naive_wiener)
+from conftest import (any_graphs, block_rich_graphs, connected_graphs,
+                      naive_all_pairs, naive_bfs, naive_edge_diffs,
+                      naive_vertex_diffs, naive_wiener, polymer_composites)
 
 
 def block_table(g, rows=3):
@@ -165,45 +166,51 @@ def test_triangle_step_and_symmetry(g):
 
 
 def check_streamed_pass(g):
-    """index_report in blocks of 1, 2 and 3 sources.
+    """index_report at the default Floyd-Warshall cutoff, then with every
+    block streamed in BFS blocks of 1, 2 and 3 sources.
 
-    Shrinking the row budget forces the multi-block pass that real graphs
-    take; every per-edge diff and all three totals must match the naive
-    oracle, and the BFS blocks must have exactly the forced sizes.
+    Cutoff 0 sends every block through the streamed pass, and shrinking the
+    row budget forces the multi-block pass that real graphs take; every
+    per-edge diff and all three totals must match the naive oracle, and each
+    block's BFS must come in exactly the sizes its budget gives.
     """
     vertex_diffs, edge_diffs = naive_vertex_diffs(g), naive_edge_diffs(g)
-    wiener = naive_wiener(g)
+    totals = (sum(vertex_diffs), sum(edge_diffs), naive_wiener(g))
+
+    def check(r):
+        assert [c.edge for c in r.per_edge] == list(g.edges)
+        assert [c.vertex_diff for c in r.per_edge] == vertex_diffs
+        assert [c.edge_diff for c in r.per_edge] == edge_diffs
+        assert (r.mostar, r.edge_mostar, r.wiener) == totals
+
+    check(index_report(g, include_per_edge=True))
+    # a graph that is one block (or one vertex) streams as a whole
+    block_orders = np.diff(blocks(g).vertex_start).tolist() or [g.n]
     for rows in (1, 2, 3):
-        sizes = []
+        budget = rows * 8 * max(g.n, g.m)
+        calls = []
 
         def spy(graph, k):
+            sizes = []
+            calls.append((graph, k, sizes))
             for block in graphs.distance_blocks(graph, k):
                 sizes.append(len(block))
                 yield block
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(indices, "_ROW_BUDGET_BYTES", rows * 8 * max(g.n, g.m))
+            mp.setattr(indices, "_ROW_BUDGET_BYTES", budget)
+            mp.setattr(indices, "_FLOYD_MAX", 0)
             mp.setattr(indices, "distance_blocks", spy)
-            r = index_report(g, include_per_edge=True)
-            assert [c.edge for c in r.per_edge] == list(g.edges)
-            assert [c.vertex_diff for c in r.per_edge] == vertex_diffs
-            assert [c.edge_diff for c in r.per_edge] == edge_diffs
-            assert (r.mostar, r.edge_mostar, r.wiener) == (
-                sum(vertex_diffs), sum(edge_diffs), wiener)
-        ragged = [g.n % rows] if g.n % rows else []
-        assert sizes == [rows] * (g.n // rows) + ragged
-
-
-@st.composite
-def polymer_composites(draw):
-    monomers = []
-    for _ in range(draw(st.integers(2, 4))):
-        mono = draw(connected_graphs(min_n=2, max_n=5))
-        x = draw(st.integers(0, mono.n - 1))
-        y = (x + draw(st.integers(1, mono.n - 1))) % mono.n
-        monomers.append(MonomerHandle(mono, x, y))
-    build = draw(st.sampled_from([build_chain, build_link]))
-    return build(monomers).graph
+            check(index_report(g, include_per_edge=True))
+        assert sorted(graph.n for graph, _, _ in calls) == sorted(block_orders)
+        if len(block_orders) == 1:
+            assert calls[0][1] == rows
+        for graph, k, sizes in calls:
+            assert list(graph.edges) == sorted(graph.edges)  # each block is canonical
+            assert all(a < b for a, b in graph.edges)
+            assert k == max(1, budget // (8 * max(graph.n, graph.m)))
+            ragged = [graph.n % k] if graph.n % k else []
+            assert sizes == [k] * (graph.n // k) + ragged
 
 
 @pytest.mark.parametrize("g", [from_edge_list(1, []), complete_graph(2)],
@@ -263,3 +270,85 @@ class TestFormats:
     def test_dump_format_validation(self):
         with pytest.raises(GraphError):
             dump_graph(path_graph(2), "yaml")
+
+
+def check_blocks(g):
+    """Invariants of ``blocks``, and each weight against its definition:
+    the vertices and edges left joined to a block vertex once the block's
+    own edges are gone."""
+    parts = blocks(g)
+    assert sorted(parts.edges.tolist()) == list(range(g.m))  # each edge in one block
+    seen = []
+    for i in range(len(parts.vertex_start) - 1):
+        vertices = parts.vertices[parts.vertex_start[i]:parts.vertex_start[i + 1]].tolist()
+        weights = parts.weights[parts.vertex_start[i]:parts.vertex_start[i + 1]].tolist()
+        hanging = parts.hanging[parts.vertex_start[i]:parts.vertex_start[i + 1]].tolist()
+        own = [g.edges[e] for e in parts.edges[parts.edge_start[i]:parts.edge_start[i + 1]]]
+        assert sorted(vertices) == sorted({x for edge in own for x in edge})
+        assert sum(weights) == g.n and sum(hanging) == g.m - len(own)
+        assert all(len(set(vertices) & other) <= 1 for other in seen)
+        seen.append(set(vertices))
+        rest = from_edge_list(g.n, [e for e in g.edges if e not in own])
+        for x, w, h in zip(vertices, weights, hanging):
+            reach = [y for y, d in enumerate(naive_bfs(rest, x)) if d >= 0]
+            assert w == len(reach)
+            assert h == sum(1 for a, _ in rest.edges if a in set(reach))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("g,orders", [
+        (from_edge_list(1, []), []), (complete_graph(2), [2]),
+        (path_graph(4), [2, 2, 2]), (cycle_graph(5), [5]), (complete_graph(5), [5]),
+    ], ids=["K1", "K2", "P4", "C5", "K5"])
+    def test_small_graphs(self, g, orders):
+        check_blocks(g)
+        assert np.diff(blocks(g).vertex_start).tolist() == orders
+
+    def test_two_triangles_on_a_path(self):
+        # triangles {0,1,2} and {3,4,5} joined by the bridge 2-3
+        g = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+        parts = blocks(g)
+        found = {}
+        for i in range(3):
+            span = slice(parts.vertex_start[i], parts.vertex_start[i + 1])
+            found[tuple(sorted(parts.vertices[span].tolist()))] = dict(
+                zip(parts.vertices[span].tolist(), parts.weights[span].tolist()))
+        assert found == {(0, 1, 2): {0: 1, 1: 1, 2: 4}, (2, 3): {2: 3, 3: 3},
+                         (3, 4, 5): {3: 4, 4: 1, 5: 1}}
+
+    def test_not_connected(self):
+        for g in (two_triangles(), from_edge_list(2, [])):
+            message = f"^graph with {g.n} vertices is not connected$"
+            with pytest.raises(NotConnected, match=message):
+                blocks(g)
+
+    def test_too_few_edges_raise_before_allocating(self):
+        g = from_edge_list(10**6, [(0, 1)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotConnected, match="^graph with 1000000 vertices"):
+                blocks(g)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    def test_long_path_needs_no_recursion(self):
+        assert len(blocks(path_graph(50_000)).edges) == 49_999
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_graphs())
+def test_blocks_on_random_graphs(g):
+    check_blocks(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(block_rich_graphs())
+def test_blocks_on_block_rich_graphs(g):
+    check_blocks(g)
+
+
+@settings(deadline=None, max_examples=40)
+@given(polymer_composites())
+def test_blocks_on_polymer_composites(g):
+    check_blocks(g)

@@ -1,18 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mostar import (EdgeNotInGraph, MonomerHandle, NotConnected, build_chain,
-                    complete_graph, cycle_graph, edge_mostar_index,
-                    edge_orientation, from_edge_list, gen_clique_flower,
-                    index_report, is_connected, mostar_index, path_graph,
+from mostar import (EdgeNotInGraph, FamilySpec, MonomerHandle, NotConnected,
+                    blocks, build_chain, complete_graph, cycle_graph,
+                    edge_mostar_index, edge_orientation, formula_value,
+                    from_edge_list, gen_clique_flower, generate, index_report,
+                    indices, is_connected, mostar_index, path_graph,
                     vertex_orientation, wiener_index)
 
-from conftest import (connected_graphs, naive_edge_diffs, naive_edge_mostar,
-                      naive_mostar, naive_vertex_diffs, naive_wiener,
-                      neighbour_lists, permute_graph, random_connected_graph)
+from conftest import (block_rich_graphs, connected_graphs, naive_edge_diffs,
+                      naive_edge_mostar, naive_mostar, naive_vertex_diffs,
+                      naive_wiener, neighbour_lists, permute_graph,
+                      polymer_composites, random_connected_graph)
 
 
 def t2():
@@ -216,3 +219,77 @@ def test_orientations_match_naive_oracle_per_edge(g):
     edge = [edge_orientation(g, e) for e in g.edges]
     assert [abs(c.n_u - c.n_v) for c in vertex] == naive_vertex_diffs(g)
     assert [abs(c.m_u - c.m_v) for c in edge] == naive_edge_diffs(g)
+
+
+def check_against_oracle(g):
+    """Per-edge diffs and all three totals of index_report equal the naive oracle."""
+    r = index_report(g, include_per_edge=True)
+    assert [c.edge for c in r.per_edge] == list(g.edges)
+    assert [c.vertex_diff for c in r.per_edge] == naive_vertex_diffs(g)
+    assert [c.edge_diff for c in r.per_edge] == naive_edge_diffs(g)
+    assert (r.mostar, r.edge_mostar, r.wiener) == (
+        naive_mostar(g), naive_edge_mostar(g), naive_wiener(g))
+
+
+def hung(core, pieces):
+    """``core`` with each of ``pieces`` hung by its vertex 0 on core vertex ``at``."""
+    edges, n = list(core.edges), core.n
+    for at, piece in pieces:
+        shift = {0: at, **{x: n + x - 1 for x in range(1, piece.n)}}
+        edges += [(shift[a], shift[b]) for a, b in piece.edges]
+        n += piece.n - 1
+    return from_edge_list(n, edges)
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("g", [from_edge_list(1, []), complete_graph(2)],
+                             ids=["n1", "n2"])
+    def test_smallest_graphs(self, g):
+        check_against_oracle(g)
+
+    @pytest.mark.parametrize("order", [indices._FLOYD_MAX, indices._FLOYD_MAX + 1, 60])
+    def test_block_at_and_above_the_cutoff(self, order):
+        # one big cycle with chords, a clique, a triangle and a pendant path on it
+        core = from_edge_list(order, list(cycle_graph(order).edges) + [(0, order // 2)])
+        g = hung(core, [(0, complete_graph(4)), (3, cycle_graph(3)), (7, path_graph(5)),
+                        (7, cycle_graph(6))])
+        check_against_oracle(g)
+
+    def test_blocks_on_both_sides_of_the_cutoff(self):
+        g = hung(cycle_graph(55), [(1, cycle_graph(50)), (2, complete_graph(5)),
+                                   (2, path_graph(3))])
+        assert sorted(np.diff(blocks(g).vertex_start)) == [2, 2, 5, 50, 55]
+        check_against_oracle(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(block_rich_graphs())
+def test_block_engine_on_block_rich_graphs(g):
+    check_against_oracle(g)
+
+
+@settings(deadline=None, max_examples=40)
+@given(polymer_composites())
+def test_block_engine_on_polymer_composites(g):
+    check_against_oracle(g)
+
+
+class TestScale:
+    def test_hex_meta_20000_hexagons(self):
+        spec = FamilySpec("hex-meta", n=20_000)
+        g = generate(spec).graph
+        assert g.n == 100_001
+        r = index_report(g)
+        k = 10_000
+        assert r.mostar == formula_value(spec, "mostar") == 80 * k * k - 20 * k
+        assert r.edge_mostar == 96 * k * k - 24 * k
+
+    def test_hex_meta_1600_wiener(self):
+        g = generate(FamilySpec("hex-meta", n=1600)).graph
+        assert index_report(g).wiener == 34184531200  # as pinned in the benchmark oracle
+
+    def test_long_path(self):
+        n = 50_000
+        r = index_report(path_graph(n))
+        assert r.wiener == (n ** 3 - n) // 6
+        assert r.mostar == r.edge_mostar == sum(abs(n - 2 * i) for i in range(1, n))
