@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .errors import GraphError, NotConnected
 from .families import CHAIN_FAMILIES, FAMILY_NAMES, FamilySpec, family_counts, generate
@@ -50,11 +51,14 @@ def _record(command: str, inputs: dict, results) -> str:
 
 
 def _parse_range(text: str) -> range:
-    lo, _, hi = text.partition("..")
+    lo, dots, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi or lo) + 1)
+        values = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise GraphError(f"invalid range {text!r}, expected 'lo..hi' or 'n'") from None
+    if not values:
+        raise GraphError(f"empty range {text!r}: lo must not exceed hi")
+    return values
 
 
 def _family_spec(args) -> FamilySpec:
@@ -120,29 +124,34 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _verify_cells(args) -> list[tuple[FamilySpec, str]]:
-    names = (list(CHAIN_FAMILIES) + ["triangulane", "clique-flower"]
-             if args.families == "all" else args.families.split(","))
-    cells: list[tuple[FamilySpec, str]] = []
+def _verify_cells(args) -> Iterator[tuple[FamilySpec, str]]:
+    """The sweep's cells in output order, made one at a time, so a size check
+    can stop at the first oversized one; every family name and range is
+    checked before the first cell."""
+    names = [name.strip() for name in (
+        list(CHAIN_FAMILIES) + ["triangulane", "clique-flower"]
+        if args.families == "all" else args.families.split(","))]
     for name in names:
-        name = name.strip()
         if name not in FAMILY_NAMES:
             raise GraphError(f"unknown family {name!r}")
         if name == "clique-flower":
-            for m in _parse_range(args.m_range):
-                for inner in _parse_range(args.inner_range):
-                    spec = FamilySpec(name, m=m, inner=inner)
-                    cells.append((spec, MOSTAR))
-                    cells.append((spec, EDGE_MOSTAR))
+            ms, inners = _parse_range(args.m_range), _parse_range(args.inner_range)
+            FamilySpec(name, m=ms[0], inner=inners[0])  # the smallest cell checks both ranges
         elif not has_formula(name, MOSTAR):
             raise GraphError(f"no closed forms to verify for {name!r}")
+    for name in names:
+        if name == "clique-flower":
+            for m in ms:
+                for inner in inners:
+                    spec = FamilySpec(name, m=m, inner=inner)
+                    yield spec, MOSTAR
+                    yield spec, EDGE_MOSTAR
         else:
             for n in range(args.n_from, args.n_to + 1):
                 spec = FamilySpec(name, n=n)
                 for index in (MOSTAR, EDGE_MOSTAR):
                     if has_formula(name, index):
-                        cells.append((spec, index))
-    return cells
+                        yield spec, index
 
 
 def _spec_label(spec: FamilySpec) -> str:
@@ -152,14 +161,15 @@ def _spec_label(spec: FamilySpec) -> str:
 
 
 def cmd_verify(args) -> int:
+    cells = []
     try:
-        cells = _verify_cells(args)
-        for spec, _ in cells:
+        for spec, index in _verify_cells(args):
             nv, ne = family_counts(spec)
             if nv * ne > args.max_size:
                 raise GraphError(
                     f"{spec.family} at {_spec_label(spec)} has vertex-edge product "
                     f"{nv * ne} > --max-size {args.max_size}")
+            cells.append((spec, index))
     except GraphError as exc:
         _err(str(exc))
         return 2

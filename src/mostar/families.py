@@ -2,9 +2,8 @@
 
 Six polygon chains (triangles, squares, hexagons, each with its cut-vertex
 spacing), the clique flower Q(m, n), and the recursive triangulane.  Every
-generator returns the graph together with named landmark vertices and, for
-chains, the per-polygon edge groups used by symmetry checks.  Identical
-parameters always produce a byte-identical canonical edge list.
+generator returns the graph together with named landmark vertices.
+Identical parameters always produce a byte-identical canonical edge list.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GraphError
-from .graphs import Edge, Graph, complete_graph, cycle_graph
+from .graphs import Graph, complete_graph, cycle_graph
 from .polymer import (MonomerHandle, PolymerSpec, build_chain, build_circuit,
                       build_tree_attach)
 
@@ -55,12 +54,6 @@ class FamilySpec:
 class FamilyGraph:
     graph: Graph
     landmarks: dict[str, int] = field(compare=False)
-    #: per-polygon edge groups in composite ids (chain families only)
-    polygons: tuple[tuple[Edge, ...], ...] = ()
-
-
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 def _polygon_chain(n: int, sides: int, spacing: int) -> FamilyGraph:
@@ -71,11 +64,7 @@ def _polygon_chain(n: int, sides: int, spacing: int) -> FamilyGraph:
     for i in range(n):
         landmarks[f"x_{i + 1}"] = comp.vertex_map[(i, 0)]
         landmarks[f"y_{i + 1}"] = comp.vertex_map[(i, spacing)]
-    polygons = tuple(
-        tuple(sorted(_norm(comp.vertex_map[(i, a)], comp.vertex_map[(i, b)])
-                     for a, b in polygon.edges))
-        for i in range(n))
-    return FamilyGraph(comp.graph, landmarks, polygons)
+    return FamilyGraph(comp.graph, landmarks)
 
 
 def gen_clique_flower(m: int, inner: int) -> FamilyGraph:

@@ -24,8 +24,8 @@ for an edge ``uv`` of B
 
 Blocks of at most ``_FLOYD_MAX`` vertices are stacked by size and get
 ``D_B`` from one batched Floyd-Warshall; a larger block streams its BFS
-rows, a bounded batch of sources at a time, and a graph that is one block
-(or one vertex) takes that pass unweighted, so no ``n x n`` table is held.
+rows, a bounded batch of sources at a time, so no ``n x n`` table is held.
+A graph that is one block is a stack of one, and one vertex has no blocks.
 Totals are accumulated as Python integers, so sums are exact at any size.
 """
 
@@ -126,20 +126,18 @@ def edge_orientation(g: Graph, e) -> EdgeOrientationCounts:
     return EdgeOrientationCounts(edge, m_u, m_v, g.m - m_u - m_v)
 
 
-def _transmissions(g: Graph, ends: np.ndarray, weights: np.ndarray | None = None,
-                   hanging: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _transmissions(g: Graph, ends: np.ndarray, weights: np.ndarray,
+                   hanging: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(T, E)`` as int64 from BFS rows, at most ``_ROW_BUDGET_BYTES`` at a
     time; vertex w counts ``weights[w]`` times in T and ``hanging[w]`` in E."""
     rows = max(1, _ROW_BUDGET_BYTES // (8 * max(g.n, g.m)))
     # int64 row sums cannot wrap: each is below n * max(n, m)
     vertex_sums, edge_sums = [], []
     for block in distance_blocks(g, rows):
-        vertex_sums.append(block.sum(axis=1, dtype=np.int64) if weights is None
-                           else block @ weights)
+        vertex_sums.append(block @ weights)
         to_edge = block[:, ends[:, 0]]
         np.minimum(to_edge, block[:, ends[:, 1]], out=to_edge)
-        edge_sums.append(to_edge.sum(axis=1, dtype=np.int64)
-                         + (0 if hanging is None else block @ hanging))
+        edge_sums.append(to_edge.sum(axis=1, dtype=np.int64) + block @ hanging)
     return np.concatenate(vertex_sums), np.concatenate(edge_sums)
 
 
@@ -201,23 +199,17 @@ def index_report(g: Graph, include_per_edge: bool = False) -> IndexReport:
     breakdown, when requested, follows the canonical edge order."""
     ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
     parts = blocks(g)
-    if parts.vertex_start.size <= 2:  # one block, or one vertex: the whole graph
-        sums = _transmissions(g, ends)
-        vdiffs, ediffs = (np.abs(x[ends[:, 0]] - x[ends[:, 1]]) for x in sums)
-        wiener = _exact_sum(sums[0]) // 2
-    else:
-        vdiffs, ediffs, twice = np.empty(g.m, np.int64), np.empty(g.m, np.int64), 0
-        sizes = np.diff(parts.vertex_start)
-        for s in np.unique(sizes).tolist():
-            chosen = np.flatnonzero(sizes == s)
-            # k blocks per stack: k s^2 int64 distances and at most k s^3 / 2 edge gathers
-            step = max(1, _ROW_BUDGET_BYTES // (8 * s ** 3)) if s <= _FLOYD_MAX else 1
-            for first in range(0, chosen.size, step):
-                eids, vd, ed, share = _block_diffs(g, parts, ends,
-                                                   chosen[first:first + step], s)
-                vdiffs[eids], ediffs[eids] = vd, ed
-                twice += share
-        wiener = twice // 2
+    vdiffs, ediffs, twice = np.empty(g.m, np.int64), np.empty(g.m, np.int64), 0
+    sizes = np.diff(parts.vertex_start)
+    for s in np.unique(sizes).tolist():
+        chosen = np.flatnonzero(sizes == s)
+        # k blocks per stack: k s^2 int64 distances and at most k s^3 / 2 edge gathers
+        step = max(1, _ROW_BUDGET_BYTES // (8 * s ** 3)) if s <= _FLOYD_MAX else 1
+        for first in range(0, chosen.size, step):
+            eids, vd, ed, share = _block_diffs(g, parts, ends,
+                                               chosen[first:first + step], s)
+            vdiffs[eids], ediffs[eids] = vd, ed
+            twice += share
     per_edge = tuple(PerEdgeContribution(edge, int(vd), int(ed)) for edge, vd, ed
                      in zip(g.edges, vdiffs, ediffs)) if include_per_edge else None
-    return IndexReport(_exact_sum(vdiffs), _exact_sum(ediffs), wiener, per_edge)
+    return IndexReport(_exact_sum(vdiffs), _exact_sum(ediffs), twice // 2, per_edge)

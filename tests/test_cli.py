@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mostar
@@ -155,13 +156,35 @@ class TestVerify:
         assert main(["verify", "--families", "triangulane",
                      "--from", "12", "--to", "12"]) == 2
 
+    def test_size_cap_stops_at_the_first_oversized_instance(self, capsys):
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--families", "hex-para", "--to", "1000000000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "error: hex-para at 129 has vertex-edge product 500004 > --max-size 500000\n")
+        assert peak < 1 << 20  # no cell past the first oversized one is made
+
+    @pytest.mark.parametrize("args,message", [
+        (["--families", "hex-para,bogus"], "unknown family 'bogus'"),
+        (["--families", "hex-para,clique-flower", "--m-range", "3..1"],
+         "empty range '3..1': lo must not exceed hi"),
+        (["--families", "hex-para,clique-flower", "--m-range", "0..2"],
+         "family parameters must be >= 1")])
+    def test_bad_names_and_ranges_come_before_the_size_check(self, capsys, args, message):
+        # hex-para is oversized from n=129 on, before the later family in sweep order
+        assert main(["verify", *args, "--to", "200"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_range(self):
         assert main(["verify", "--families", "triangular",
                      "--from", "3", "--to", "2"]) == 2
         assert main(["verify", "--families", "nosuch"]) == 2
 
     @pytest.mark.parametrize("flag", ["--m-range", "--inner-range"])
-    @pytest.mark.parametrize("text", ["a..3", "1..b", "", ".."])
+    @pytest.mark.parametrize("text", ["a..3", "1..b", "", "..", "3..1", "2.."])
     def test_malformed_clique_range_exit_2(self, capsys, flag, text):
         assert main(["verify", "--families", "clique-flower", flag, text]) == 2
         err = capsys.readouterr().err

@@ -1,10 +1,11 @@
 from collections import Counter
 
 import pytest
-from mostar import (CHAIN_FAMILIES, FamilySpec, GraphError, complete_graph,
-                    cycle_graph, family_counts, gen_clique_flower,
-                    gen_triangulane, gen_triangulane_aux, generate,
-                    index_report, is_connected, mostar_index)
+from mostar import (CHAIN_FAMILIES, FamilySpec, GraphError, MonomerHandle,
+                    build_chain, complete_graph, cycle_graph, family_counts,
+                    gen_clique_flower, gen_triangulane, gen_triangulane_aux,
+                    generate, index_report, is_connected, mostar_index)
+from mostar.families import CHAIN_SHAPE
 
 
 class TestCounts:
@@ -91,11 +92,6 @@ class TestCactusStructure:
                 g = generate(FamilySpec(family, n=n)).graph
                 assert g.m - g.n + 1 == n
 
-    def test_polygon_groups_partition_the_edges(self):
-        fam = generate(FamilySpec("hex-meta", n=4))
-        seen = [e for group in fam.polygons for e in group]
-        assert sorted(seen) == list(fam.graph.edges)
-
 
 class TestCrossFamilyCoincidence:
     def test_hex_chains_at_n2(self):
@@ -117,12 +113,19 @@ class TestMirrorSymmetry:
         ("triangular", 5), ("square-para", 4), ("square-ortho", 6),
         ("hex-para", 4), ("hex-meta", 5), ("hex-ortho", 4)])
     def test_per_polygon_contributions_mirror(self, family, n):
-        fam = generate(FamilySpec(family, n=n))
-        report = index_report(fam.graph, include_per_edge=True)
+        sides, spacing = CHAIN_SHAPE[family]
+        polygon = cycle_graph(sides)
+        comp = build_chain((MonomerHandle(polygon, 0, spacing),) * n)
+        assert comp.graph == generate(FamilySpec(family, n=n)).graph
+        # polygon i's edges in composite ids; together they are every edge once
+        groups = [[tuple(sorted((comp.vertex_map[(i, a)], comp.vertex_map[(i, b)])))
+                   for a, b in polygon.edges] for i in range(n)]
+        assert sorted(e for group in groups for e in group) == list(comp.graph.edges)
+        report = index_report(comp.graph, include_per_edge=True)
         diffs = {c.edge: (c.vertex_diff, c.edge_diff) for c in report.per_edge}
 
         def polygon_multiset(i):
-            return Counter(diffs[e] for e in fam.polygons[i])
+            return Counter(diffs[e] for e in groups[i])
 
         for i in range(n // 2):
             assert polygon_multiset(i) == polygon_multiset(n - 1 - i)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from mostar import FamilySpec, emit_edge_list, emit_graph_json, generate
+from mostar import FamilySpec, emit_edge_list, emit_graph_json, from_edge_list, generate
 from mostar.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -70,6 +70,13 @@ FAMILY_ARGS = {
 }
 
 
+def shuffled_block(n: int) -> str:
+    """A cycle of n vertices with two chords, one block, its labels scrambled."""
+    label = sorted(range(n), key=lambda i: i * 7919 % 10007)
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2), (1, n // 3)]
+    return emit_edge_list(from_edge_list(n, [(label[u], label[v]) for u, v in edges]))
+
+
 def input_files() -> dict[str, str]:
     files = {
         "k1.txt": "1 0\n",
@@ -87,6 +94,8 @@ def input_files() -> dict[str, str]:
     files["flower33.json"] = emit_graph_json(
         generate(FamilySpec("clique-flower", m=3, inner=3)).graph)
     files["triangulane1.json"] = emit_graph_json(generate(FamilySpec("triangulane", n=1)).graph)
+    for n in (48, 60):
+        files[f"block{n}.txt"] = shuffled_block(n)
     for name, spec in SPECS.items():
         files[f"{name}.json"] = json.dumps(spec, sort_keys=True)
     return files
@@ -106,6 +115,8 @@ def cases() -> list[list[str]]:
             out.append(["compute", graph, "--per-edge", "--format", fmt])
         for index in ("mostar", "edge-mostar", "wiener"):
             out.append(["compute", graph, "--index", index, "--format", "json"])
+    for graph in ("block48.txt", "block60.txt"):
+        out.append(["compute", graph, "--per-edge", "--format", "csv"])
     for fmt in ("json", "csv", "text"):
         out.append(["compute", "disconnected.txt", "--format", fmt])
     for bad in ("not-a-graph.txt", "short.txt", "self-loop.txt",

@@ -184,8 +184,7 @@ def check_streamed_pass(g):
         assert (r.mostar, r.edge_mostar, r.wiener) == totals
 
     check(index_report(g, include_per_edge=True))
-    # a graph that is one block (or one vertex) streams as a whole
-    block_orders = np.diff(blocks(g).vertex_start).tolist() or [g.n]
+    block_orders = np.diff(blocks(g).vertex_start).tolist()
     for rows in (1, 2, 3):
         budget = rows * 8 * max(g.n, g.m)
         calls = []

@@ -249,11 +249,12 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("order", [indices._FLOYD_MAX, indices._FLOYD_MAX + 1, 60])
     def test_block_at_and_above_the_cutoff(self, order):
-        # one big cycle with chords, a clique, a triangle and a pendant path on it
+        # one big cycle with chords, bare and with a clique, a triangle and a
+        # pendant path on it
         core = from_edge_list(order, list(cycle_graph(order).edges) + [(0, order // 2)])
-        g = hung(core, [(0, complete_graph(4)), (3, cycle_graph(3)), (7, path_graph(5)),
-                        (7, cycle_graph(6))])
-        check_against_oracle(g)
+        check_against_oracle(core)
+        check_against_oracle(hung(core, [(0, complete_graph(4)), (3, cycle_graph(3)),
+                                         (7, path_graph(5)), (7, cycle_graph(6))]))
 
     def test_blocks_on_both_sides_of_the_cutoff(self):
         g = hung(cycle_graph(55), [(1, cycle_graph(50)), (2, complete_graph(5)),
