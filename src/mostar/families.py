@@ -2,13 +2,16 @@
 
 Six polygon chains (triangles, squares, hexagons, each with its cut-vertex
 spacing), the clique flower Q(m, n), and the recursive triangulane.  Every
-generator returns the graph together with named landmark vertices.
+generator returns the graph together with named landmark vertices, which
+are worked out only when first read.
 Identical parameters always produce a byte-identical canonical edge list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .errors import GraphError
 from .graphs import Graph, complete_graph, cycle_graph
@@ -52,19 +55,27 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class FamilyGraph:
+    """A family instance; ``marks`` names its landmark vertices when called."""
+
     graph: Graph
-    landmarks: dict[str, int] = field(compare=False)
+    marks: Callable[[], dict[str, int]] = field(compare=False, repr=False)
+
+    @cached_property
+    def landmarks(self) -> dict[str, int]:
+        return self.marks()
 
 
 def _polygon_chain(n: int, sides: int, spacing: int) -> FamilyGraph:
     polygon = cycle_graph(sides)
     # one handle for every copy: a handle checks its polygon once, on creation
     comp = build_chain((MonomerHandle(polygon, 0, spacing),) * n)
-    landmarks = {}
-    for i in range(n):
-        landmarks[f"x_{i + 1}"] = comp.vertex_map[(i, 0)]
-        landmarks[f"y_{i + 1}"] = comp.vertex_map[(i, spacing)]
-    return FamilyGraph(comp.graph, landmarks)
+
+    def marks() -> dict[str, int]:
+        entries = comp.starts[:-1]
+        xs, ys = comp.ids[entries].tolist(), comp.ids[entries + spacing].tolist()
+        return {name: v for i, (x, y) in enumerate(zip(xs, ys), 1)
+                for name, v in ((f"x_{i}", x), (f"y_{i}", y))}
+    return FamilyGraph(comp.graph, marks)
 
 
 def gen_clique_flower(m: int, inner: int) -> FamilyGraph:
@@ -75,8 +86,7 @@ def gen_clique_flower(m: int, inner: int) -> FamilyGraph:
         MonomerHandle(petal, 0) for _ in range(m))
     tree_edges = tuple((0, i, i + 1, 0) for i in range(m))
     comp = build_tree_attach(PolymerSpec("tree", monomers, tree_edges))
-    landmarks = {f"u_{i + 1}": comp.vertex_map[(0, i)] for i in range(m)}
-    return FamilyGraph(comp.graph, landmarks)
+    return FamilyGraph(comp.graph, lambda: {f"u_{i + 1}": comp.vertex(0, i) for i in range(m)})
 
 
 def _triangulane_aux(k: int) -> tuple[Graph, int]:
@@ -86,23 +96,21 @@ def _triangulane_aux(k: int) -> tuple[Graph, int]:
     sub, y = _triangulane_aux(k - 1)
     comp = build_circuit((MonomerHandle(sub, y), MonomerHandle(sub, y),
                           MonomerHandle(complete_graph(1), 0)))
-    return comp.graph, comp.vertex_map[(2, 0)]
+    return comp.graph, comp.vertex(2, 0)
 
 
 def gen_triangulane_aux(k: int) -> FamilyGraph:
     """Recursive triangulane building block; the hub is the landmark y_k."""
     graph, y = _triangulane_aux(k)
-    return FamilyGraph(graph, {f"y_{k}": y})
+    return FamilyGraph(graph, lambda: {f"y_{k}": y})
 
 
 def gen_triangulane(n: int) -> FamilyGraph:
     """Circuit of three depth-n building blocks over a triangle of hubs."""
     sub, y = _triangulane_aux(n)
     comp = build_circuit(tuple(MonomerHandle(sub, y) for _ in range(3)))
-    landmarks = {"x_0": comp.vertex_map[(0, y)],
-                 "u": comp.vertex_map[(1, y)],
-                 "v": comp.vertex_map[(2, y)]}
-    return FamilyGraph(comp.graph, landmarks)
+    return FamilyGraph(comp.graph, lambda: {"x_0": comp.vertex(0, y), "u": comp.vertex(1, y),
+                                            "v": comp.vertex(2, y)})
 
 
 def generate(spec: FamilySpec) -> FamilyGraph:

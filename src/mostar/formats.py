@@ -48,7 +48,7 @@ def parse_edge_list(text: str) -> Graph:
 
 def emit_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(f"{u} {v}" for u, v in g.ends.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -77,7 +77,7 @@ def parse_graph_json(source: str | dict) -> Graph:
 
 
 def graph_to_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
+    return {"n": g.n, "edges": g.ends.tolist()}
 
 
 def emit_graph_json(g: Graph) -> str:

@@ -3,72 +3,109 @@
 Vertices are dense 0-based integers, so every distance structure is a plain
 array indexed by vertex id.  All distances are exact hop counts; nothing in
 this module (or downstream of it) uses floating point arithmetic for graph
-quantities.
+quantities.  scipy, which only the BFS pass needs, is imported on its first
+call, so building and splitting graphs never loads it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import reverse_cuthill_mckee, shortest_path
 
-from .errors import DuplicateEdge, NotConnected, SelfLoop, VertexOutOfRange
+from .errors import (DuplicateEdge, GraphError, NotConnected, SelfLoop,
+                     VertexOutOfRange)
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 Edge = tuple[int, int]
 
+#: vertex ids are int64, so a vertex count must not exceed this
+_MAX_N = np.iinfo(np.int64).max
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Validated simple undirected graph.
 
-    ``edges`` is canonical: each pair satisfies ``u < v`` and the list is
-    sorted lexicographically.  Instances are immutable and safe to share
-    across threads.
+    ``ends`` is the read-only ``(m, 2)`` int64 array of edge endpoints, in
+    canonical order: each row has ``u < v`` and the rows are sorted
+    lexicographically.  ``edges`` is the same list as a tuple of ``(u, v)``
+    Python ints, built on first use.  Build graphs with ``from_edge_list``;
+    the constructor trusts ``ends`` to be canonical.  Instances are
+    immutable and safe to share across threads.
     """
 
     n: int
-    edges: tuple[Edge, ...]
+    ends: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.ends.flags.writeable = False
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(tuple, self.ends.tolist()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
 
     def has_edge(self, u: int, v: int) -> bool:
-        pair = (min(u, v), max(u, v))
-        i = bisect_left(self.edges, pair)
-        return i < len(self.edges) and self.edges[i] == pair
+        u, v = min(u, v), max(u, v)
+        if not 0 <= u < v < self.n:
+            return False
+        first = self.ends[:, 0]
+        lo, hi = np.searchsorted(first, u), np.searchsorted(first, u, side="right")
+        i = lo + np.searchsorted(self.ends[lo:hi, 1], v)
+        return bool(i < hi and self.ends[i, 1] == v)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.ends, other.ends)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.ends.tobytes()))
 
 
 def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     """Build a validated Graph from vertex count and unordered vertex pairs.
 
-    Pairs are normalized to ``u < v`` and sorted.  A duplicate pair is an
-    error rather than being silently merged.
+    Pairs are normalized to ``u < v`` and sorted.  The first pair in input
+    order that is a self-loop or leaves ``0..n-1`` raises, as does the first
+    duplicate in sorted order: a duplicate is an error rather than being
+    silently merged.  ``n`` must fit int64.
     """
     if n < 1:
         raise VertexOutOfRange(0, n)
-    normalized: list[Edge] = []
-    for pair in pairs:
-        u, v = int(pair[0]), int(pair[1])
+    if n > _MAX_N:
+        raise GraphError("vertex count does not fit in 64 bits (n >= 2**63)")
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    try:
+        raw = np.array(pairs, dtype=np.int64)
+    except OverflowError:  # an id beyond int64 is out of range: Python ints find it
+        raw = np.array(pairs, dtype=object)
+    raw = raw.reshape(-1, 2) if raw.size == 0 else raw
+    if raw.ndim != 2 or raw.shape[1] != 2:
+        raise GraphError("edges must be a list of (u, v) pairs")
+    lo, hi = np.minimum(raw[:, 0], raw[:, 1]), np.maximum(raw[:, 0], raw[:, 1])
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v = int(lo[i]), int(hi[i])
         if u == v:
             raise SelfLoop(u)
-        if u > v:
-            u, v = v, u
-        if not 0 <= u < n:
-            raise VertexOutOfRange(u, n)
-        if v >= n:
-            raise VertexOutOfRange(v, n)
-        normalized.append((u, v))
-    normalized.sort()
-    for prev, cur in zip(normalized, normalized[1:]):
-        if prev == cur:
-            raise DuplicateEdge(*cur)
-    return Graph(n, tuple(normalized))
+        raise VertexOutOfRange(u if u < 0 or u >= n else v, n)
+    order = np.lexsort((hi, lo))
+    ends = np.stack([lo[order], hi[order]], axis=1).astype(np.int64, copy=False)
+    same = np.flatnonzero((ends[1:] == ends[:-1]).all(axis=1))
+    if same.size:
+        raise DuplicateEdge(*ends[same[0] + 1].tolist())
+    return Graph(n, ends)
 
 
 def path_graph(n: int) -> Graph:
@@ -82,11 +119,13 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return from_edge_list(n, list(combinations(range(n), 2)))
+    return from_edge_list(n, np.column_stack(np.triu_indices(max(n, 0), 1)))
 
 
 def is_connected(g: Graph) -> bool:
     """True iff the edges join all n vertices into one component (union-find)."""
+    if g.m < g.n - 1:  # too few edges to connect: decided before allocating n of anything
+        return False
     parent = list(range(g.n))
 
     def root(x: int) -> int:
@@ -96,7 +135,7 @@ def is_connected(g: Graph) -> bool:
         return x
 
     components = g.n
-    for u, v in g.edges:
+    for u, v in g.ends.tolist():
         ru, rv = root(u), root(v)
         if ru != rv:
             parent[ru] = rv
@@ -127,7 +166,7 @@ def blocks(g: Graph) -> Blocks:
     n, m = g.n, g.m
     if m < n - 1:  # too few edges to connect: decided before allocating n of anything
         raise NotConnected(f"graph with {n} vertices is not connected")
-    flat = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2).T.ravel()
+    flat = g.ends.T.ravel()
     slots = np.argsort(flat, kind="stable")  # edge endpoints grouped by vertex
     nbr, eid = flat[(slots + m) % (2 * m)].tolist(), (slots % m).tolist()
     nxt = np.searchsorted(flat[slots], np.arange(n + 1)).tolist()
@@ -182,14 +221,17 @@ def blocks(g: Graph) -> Blocks:
 
 
 def _csr(g: Graph) -> csr_matrix:
-    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
+    from scipy.sparse import csr_matrix
+
+    rows = np.concatenate([g.ends[:, 0], g.ends[:, 1]])
+    cols = np.concatenate([g.ends[:, 1], g.ends[:, 0]])
     data = np.ones(2 * g.m, dtype=np.int8)
     return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
 
 
 def _bfs_rows(mat: csr_matrix, sources: np.ndarray) -> np.ndarray:
+    from scipy.sparse.csgraph import shortest_path
+
     raw = shortest_path(mat, method="D", directed=False, unweighted=True,
                         indices=sources)
     # every row of a disconnected graph misses some vertex, so one row decides
@@ -216,6 +258,8 @@ def distance_blocks(g: Graph, rows: int) -> Iterator[np.ndarray]:
     close in memory, so scattered labels sweep as fast as well-ordered ones;
     block columns map back to the original labels.
     """
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     mat = _csr(g)
     order = reverse_cuthill_mckee(mat, symmetric_mode=True)
     relabel = np.argsort(order)  # the inverse permutation

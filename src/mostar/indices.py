@@ -118,15 +118,14 @@ def vertex_orientation(g: Graph, e) -> OrientationCounts:
 def edge_orientation(g: Graph, e) -> EdgeOrientationCounts:
     """Classify every edge of ``g`` against the endpoints of edge ``e``."""
     edge, du, dv = _endpoint_rows(g, e)
-    ends = np.asarray(g.edges, dtype=np.int64)
-    fu = np.minimum(du[ends[:, 0]], du[ends[:, 1]])
-    fv = np.minimum(dv[ends[:, 0]], dv[ends[:, 1]])
+    fu = np.minimum(du[g.ends[:, 0]], du[g.ends[:, 1]])
+    fv = np.minimum(dv[g.ends[:, 0]], dv[g.ends[:, 1]])
     m_u = int(np.count_nonzero(fu < fv))
     m_v = int(np.count_nonzero(fv < fu))
     return EdgeOrientationCounts(edge, m_u, m_v, g.m - m_u - m_v)
 
 
-def _transmissions(g: Graph, ends: np.ndarray, weights: np.ndarray,
+def _transmissions(g: Graph, weights: np.ndarray,
                    hanging: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(T, E)`` as int64 from BFS rows, at most ``_ROW_BUDGET_BYTES`` at a
     time; vertex w counts ``weights[w]`` times in T and ``hanging[w]`` in E."""
@@ -135,13 +134,13 @@ def _transmissions(g: Graph, ends: np.ndarray, weights: np.ndarray,
     vertex_sums, edge_sums = [], []
     for block in distance_blocks(g, rows):
         vertex_sums.append(block @ weights)
-        to_edge = block[:, ends[:, 0]]
-        np.minimum(to_edge, block[:, ends[:, 1]], out=to_edge)
+        to_edge = block[:, g.ends[:, 0]]
+        np.minimum(to_edge, block[:, g.ends[:, 1]], out=to_edge)
         edge_sums.append(to_edge.sum(axis=1, dtype=np.int64) + block @ hanging)
     return np.concatenate(vertex_sums), np.concatenate(edge_sums)
 
 
-def _block_diffs(g: Graph, parts: Blocks, ends: np.ndarray, chosen: np.ndarray,
+def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
                  s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Edge ids, their vertex and edge diffs, and twice the Wiener share of
     the blocks ``chosen``, each of s vertices."""
@@ -158,7 +157,7 @@ def _block_diffs(g: Graph, parts: Blocks, ends: np.ndarray, chosen: np.ndarray,
         eids.sort()  # k == 1: relabelled in vertex order, its edges stay canonical
     # endpoints as positions in the flattened (k, s) arrays, by (block, vertex) key
     pos = np.searchsorted((parts.vertices[at] + g.n * np.arange(k)[:, None]).ravel(),
-                          ends[eids] + g.n * owner[:, None])
+                          g.ends[eids] + g.n * owner[:, None])
     local = pos - s * owner[:, None]
     if s <= _FLOYD_MAX:  # one Floyd-Warshall over the stack
         d = np.full((k, s, s), s, dtype=np.int64)  # s exceeds every hop count
@@ -171,8 +170,7 @@ def _block_diffs(g: Graph, parts: Blocks, ends: np.ndarray, chosen: np.ndarray,
         edge_trans = (np.einsum("kij,kj->ki", d, hanging)
                       + np.add.reduceat(near, firsts)).ravel()
     else:
-        sub = Graph(s, tuple(map(tuple, local.tolist())))
-        trans, edge_trans = _transmissions(sub, local, weights[0], hanging[0])
+        trans, edge_trans = _transmissions(Graph(s, local), weights[0], hanging[0])
     u, v = pos[:, 0], pos[:, 1]
     # weights . D weights of a block is at most n^2 s: far inside int64
     return (eids, np.abs(trans[u] - trans[v]), np.abs(edge_trans[u] - edge_trans[v]),
@@ -197,7 +195,6 @@ def wiener_index(g: Graph) -> int:
 def index_report(g: Graph, include_per_edge: bool = False) -> IndexReport:
     """All three indices, block by block (see above); the per-edge
     breakdown, when requested, follows the canonical edge order."""
-    ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
     parts = blocks(g)
     vdiffs, ediffs, twice = np.empty(g.m, np.int64), np.empty(g.m, np.int64), 0
     sizes = np.diff(parts.vertex_start)
@@ -206,8 +203,7 @@ def index_report(g: Graph, include_per_edge: bool = False) -> IndexReport:
         # k blocks per stack: k s^2 int64 distances and at most k s^3 / 2 edge gathers
         step = max(1, _ROW_BUDGET_BYTES // (8 * s ** 3)) if s <= _FLOYD_MAX else 1
         for first in range(0, chosen.size, step):
-            eids, vd, ed, share = _block_diffs(g, parts, ends,
-                                               chosen[first:first + step], s)
+            eids, vd, ed, share = _block_diffs(g, parts, chosen[first:first + step], s)
             vdiffs[eids], ediffs[eids] = vd, ed
             twice += share
     per_edge = tuple(PerEdgeContribution(edge, int(vd), int(ed)) for edge, vd, ed

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (DegenerateHandles, GraphError, NotATree, NotConnected,
                      TooFewMonomers, VertexOutOfRange)
@@ -66,42 +69,56 @@ class PolymerSpec:
 
 @dataclass(frozen=True)
 class CompositionResult:
+    """The composite and where every monomer vertex went: slot ``(i, v)``,
+    vertex v of monomer i, is composite vertex ``ids[starts[i] + v]``."""
+
     graph: Graph
-    vertex_map: dict[Slot, int] = field(compare=False)
+    ids: np.ndarray = field(compare=False, repr=False)
+    starts: np.ndarray = field(compare=False, repr=False)
+
+    def vertex(self, i: int, v: int) -> int:
+        """The composite vertex of slot ``(i, v)``."""
+        return int(self.ids[self.starts[i] + v])
+
+    @cached_property
+    def vertex_map(self) -> dict[Slot, int]:
+        """Composite vertex per slot, in slot order."""
+        owner = np.repeat(np.arange(len(self.starts) - 1), np.diff(self.starts))
+        local = np.arange(len(self.ids)) - self.starts[owner]
+        return dict(zip(zip(owner.tolist(), local.tolist()), self.ids.tolist()))
 
 
 def _assemble(graphs: list[Graph], identify: list[tuple[Slot, Slot]],
               extra_edges: list[tuple[Slot, Slot]]) -> CompositionResult:
-    parent: dict[Slot, Slot] = {}
+    """Slot ``(i, v)`` is flat slot ``starts[i] + v``.  Identified slots are
+    united into their lowest slot, and a composite id is the running count
+    of those class roots, so ids follow monomer order and a merged vertex
+    takes the lowest id among its slots."""
+    starts = np.cumsum([0] + [g.n for g in graphs])
+    first = starts.tolist()
 
-    def find(s: Slot) -> Slot:
-        root = s
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(s, s) != s:
-            parent[s], s = root, parent[s]
-        return root
+    def flat(pairs: list[tuple[Slot, Slot]]) -> np.ndarray:
+        return np.array([(first[i] + v, first[j] + w) for (i, v), (j, w) in pairs],
+                        dtype=np.int64).reshape(-1, 2)
 
-    for a, b in identify:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    ids: dict[Slot, int] = {}
-    vertex_map: dict[Slot, int] = {}
-    for i, g in enumerate(graphs):
-        for v in range(g.n):
-            root = find((i, v))
-            if root not in ids:
-                ids[root] = len(ids)
-            vertex_map[(i, v)] = ids[root]
-
-    edges = [(vertex_map[(i, u)], vertex_map[(i, v)])
-             for i, g in enumerate(graphs) for u, v in g.edges]
-    edges.extend((vertex_map[a], vertex_map[b]) for a, b in extra_edges)
+    label = np.arange(first[-1])
+    a, b = flat(identify).T
+    while True:  # hook the larger root of every pair under the smaller, then shortcut
+        ra, rb = label[a], label[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        label[np.maximum(ra, rb)[apart]] = np.minimum(ra, rb)[apart]
+        while not np.array_equal(up := label[label], label):
+            label = up
+    roots = label == np.arange(first[-1])
+    ids = (np.cumsum(roots) - 1)[label]
+    arrays = [g.ends for g in graphs]
+    ends = np.concatenate(arrays) + np.repeat(starts[:-1], [len(e) for e in arrays])[:, None]
+    ends = ids[np.concatenate([ends, flat(extra_edges)])]
     # duplicate edges cannot arise from point-attaching disjoint monomers;
     # from_edge_list raising DuplicateEdge here would expose a builder bug
-    return CompositionResult(from_edge_list(len(ids), edges), vertex_map)
+    return CompositionResult(from_edge_list(int(roots.sum()), ends), ids, starts)
 
 
 def build_link(monomers: list[MonomerHandle] | tuple[MonomerHandle, ...]) -> CompositionResult:

@@ -1,8 +1,11 @@
-"""Shared test helpers: a naive pure-python oracle and graph generators.
+"""Shared test helpers: a naive pure-python oracle, pure-python reference
+constructors and graph generators.
 
 The naive oracle deliberately avoids numpy/scipy and the package's
 vectorized paths, so cross-checks against it exercise two independent
-implementations of every definition.
+implementations of every definition.  The reference constructors are the
+per-pair loop and the dict union-find that ``from_edge_list`` and
+``polymer._assemble`` replaced with array code.
 """
 
 from __future__ import annotations
@@ -13,9 +16,70 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from mostar import (KINDS, FamilySpec, Graph, MonomerHandle, PolymerSpec,
-                    compose, formula_value, from_edge_list, generate,
-                    index_report)
+from mostar import (KINDS, DuplicateEdge, FamilySpec, Graph, MonomerHandle,
+                    PolymerSpec, SelfLoop, VertexOutOfRange, compose,
+                    formula_value, from_edge_list, generate, index_report)
+
+Edge = tuple[int, int]
+Slot = tuple[int, int]
+
+
+def reference_edges(n: int, pairs) -> tuple[Edge, ...]:
+    """The canonical edges ``from_edge_list`` gives, one pair at a time: the
+    first bad pair in input order raises, then the first duplicate in sorted
+    order."""
+    if n < 1:
+        raise VertexOutOfRange(0, n)
+    normalized: list[Edge] = []
+    for pair in pairs:
+        u, v = int(pair[0]), int(pair[1])
+        if u == v:
+            raise SelfLoop(u)
+        if u > v:
+            u, v = v, u
+        if not 0 <= u < n:
+            raise VertexOutOfRange(u, n)
+        if v >= n:
+            raise VertexOutOfRange(v, n)
+        normalized.append((u, v))
+    normalized.sort()
+    for prev, cur in zip(normalized, normalized[1:]):
+        if prev == cur:
+            raise DuplicateEdge(*cur)
+    return tuple(normalized)
+
+
+def reference_assemble(graphs: list[Graph], identify: list[tuple[Slot, Slot]],
+                       extra_edges: list[tuple[Slot, Slot]]
+                       ) -> tuple[int, tuple[Edge, ...], dict[Slot, int]]:
+    """``(n, edges, vertex_map)`` of a composite by a dict union-find over
+    (monomer, vertex) slots, ids handed out in slot order."""
+    parent: dict[Slot, Slot] = {}
+
+    def find(s: Slot) -> Slot:
+        root = s
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(s, s) != s:
+            parent[s], s = root, parent[s]
+        return root
+
+    for a, b in identify:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    ids: dict[Slot, int] = {}
+    vertex_map: dict[Slot, int] = {}
+    for i, g in enumerate(graphs):
+        for v in range(g.n):
+            root = find((i, v))
+            if root not in ids:
+                ids[root] = len(ids)
+            vertex_map[(i, v)] = ids[root]
+    edges = [(vertex_map[(i, u)], vertex_map[(i, v)])
+             for i, g in enumerate(graphs) for u, v in g.edges]
+    edges.extend((vertex_map[a], vertex_map[b]) for a, b in extra_edges)
+    return len(ids), reference_edges(len(ids), edges), vertex_map
 
 
 def neighbour_lists(g: Graph, without=None) -> list[list[int]]:
@@ -132,8 +196,8 @@ def any_graphs(draw, max_n: int = 12):
 
 
 @st.composite
-def polymer_composites(draw):
-    """A composite of 2-4 small random monomers, by any of the five builders."""
+def polymer_specs(draw):
+    """A spec of 2-4 small random monomers, for any of the five builders."""
     kind = draw(st.sampled_from(KINDS))
     monomers = []
     for _ in range(draw(st.integers(3 if kind == "circuit" else 2, 4))):
@@ -146,7 +210,12 @@ def polymer_composites(draw):
         a = draw(st.integers(0, b - 1))
         tree_edges.append((a, draw(st.integers(0, monomers[a].graph.n - 1)),
                            b, draw(st.integers(0, monomers[b].graph.n - 1))))
-    return compose(PolymerSpec(kind, tuple(monomers), tuple(tree_edges))).graph
+    return PolymerSpec(kind, tuple(monomers), tuple(tree_edges))
+
+
+def polymer_composites():
+    """The composite of a ``polymer_specs`` spec."""
+    return polymer_specs().map(lambda spec: compose(spec).graph)
 
 
 @st.composite

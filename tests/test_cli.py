@@ -381,6 +381,61 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, argv, text):
     assert "Traceback" not in captured.err
 
 
+HUGE = 10 ** 23  # a vertex count beyond int64
+HUGE_GRAPH = {"n": HUGE, "edges": [[0, HUGE - 1]]}
+
+
+@pytest.mark.parametrize("argv,name,text", [
+    (["compute"], "g.json", json.dumps(HUGE_GRAPH)),
+    (["compute"], "g.txt", f"{HUGE} 1\n0 {HUGE - 1}\n"),
+    (["compose"], "spec.json", json.dumps({"kind": "chain", "monomers": [
+        {"graph": HUGE_GRAPH, "x": 0}]})),
+], ids=["compute-json", "compute-text", "compose"])
+def test_vertex_count_beyond_int64_exit_2(tmp_path, capsys, argv, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([argv[0], str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex count does not fit in 64 bits (n >= 2**63)\n"
+
+
+def test_sparse_monomer_is_rejected_before_allocating(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "chain", "monomers": [
+        {"graph": {"n": 10 ** 12, "edges": [[0, 1]]}, "x": 0, "y": 1}]}))
+    tracemalloc.start()
+    try:
+        assert main(["compose", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == "error: monomer graph is not connected\n"
+    assert peak < 1 << 20
+
+
+#: whether scipy is loaded after each step, printed by a fresh interpreter
+SCIPY_PROBE = """
+import sys
+import mostar.cli
+from mostar import FamilySpec, cycle_graph, generate, index_report
+loaded = ["scipy" in sys.modules]
+index_report(generate(FamilySpec("hex-meta", n=50)).graph)  # blocks of 6 vertices
+loaded.append("scipy" in sys.modules)
+index_report(cycle_graph(60))  # one block of 60 vertices streams BFS rows
+loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scipy_is_loaded_only_by_the_bfs_pass():
+    src = str(Path(mostar.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, True]\n"
+
+
 class TestRoundTrip:
     def sweep_specs(self):
         for family in ("triangular", "square-para", "square-ortho",

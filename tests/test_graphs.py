@@ -15,7 +15,8 @@ from mostar import (DuplicateEdge, GraphError, NotConnected, SelfLoop,
 
 from conftest import (any_graphs, block_rich_graphs, connected_graphs,
                       naive_all_pairs, naive_bfs, naive_edge_diffs,
-                      naive_vertex_diffs, naive_wiener, polymer_composites)
+                      naive_vertex_diffs, naive_wiener, polymer_composites,
+                      reference_edges)
 
 
 def block_table(g, rows=3):
@@ -54,6 +55,58 @@ class TestFromEdgeList:
         pairs = [(4, 2), (0, 1), (3, 0)]
         g = from_edge_list(5, pairs)
         assert from_edge_list(5, g.edges).edges == g.edges
+
+    def test_ends_are_one_read_only_int64_array(self):
+        g = from_edge_list(4, [[3, 1], [0, 1]])
+        assert g.ends.dtype == np.int64 and g.ends.tolist() == [[0, 1], [1, 3]]
+        with pytest.raises(ValueError):
+            g.ends[0, 0] = 2
+        assert from_edge_list(1, []).ends.shape == (0, 2)
+
+    def test_any_pair_container_gives_the_same_graph(self):
+        g = from_edge_list(4, [(0, 1), (1, 3)])
+        for pairs in ([[1, 3], [1, 0]], ((3, 1), (0, 1)), np.array([[1, 3], [0, 1]]),
+                      iter([(0, 1), (3, 1)]), {(0, 1), (1, 3)}):
+            h = from_edge_list(4, pairs)
+            assert h == g and hash(h) == hash(g) and h.edges == g.edges
+        assert g != from_edge_list(5, [(0, 1), (1, 3)])
+        assert g != from_edge_list(4, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0,)], [0, 1]])
+    def test_pairs_of_other_lengths_rejected(self, pairs):
+        with pytest.raises(GraphError, match=r"\(u, v\) pairs"):
+            from_edge_list(3, pairs)
+
+    def test_vertex_count_must_fit_int64(self):
+        with pytest.raises(GraphError, match="64 bits"):
+            from_edge_list(2 ** 63, [(0, 1)])
+        g = from_edge_list(2 ** 63 - 1, [(0, 2 ** 63 - 2)])
+        assert g.edges == ((0, 2 ** 63 - 2),) and not is_connected(g)
+
+
+#: mostly ids of a small graph, some just outside it, some beyond int64
+vertex_ids = st.one_of(st.integers(0, 5), st.integers(-2, 7),
+                       st.sampled_from([2 ** 63 - 1, 2 ** 63, 2 ** 64 + 3, -2 ** 63 - 1]))
+
+
+def outcome(build):
+    """What ``build()`` returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(-1, 6), st.lists(st.tuples(vertex_ids, vertex_ids), max_size=10), st.data())
+def test_from_edge_list_matches_the_reference_loop(n, pairs, data):
+    for _ in range(data.draw(st.integers(0, 2))):  # repeat some pairs, maybe flipped
+        if pairs:
+            u, v = data.draw(st.sampled_from(pairs))
+            pairs.insert(data.draw(st.integers(0, len(pairs))),
+                         (v, u) if data.draw(st.booleans()) else (u, v))
+    assert outcome(lambda: from_edge_list(n, pairs).edges) == outcome(
+        lambda: reference_edges(n, pairs))
 
 
 class TestBfs:

@@ -138,6 +138,14 @@ class TestIndexReport:
         r = index_report(from_edge_list(1, []))
         assert (r.mostar, r.edge_mostar, r.wiener) == (0, 0, 0)
 
+    @pytest.mark.parametrize("g", [generate(FamilySpec("hex-meta", n=30)).graph,
+                                   cycle_graph(60)], ids=["stacked-blocks", "one-bfs-block"])
+    def test_totals_read_only_the_edge_array(self, g):
+        index_report(g)
+        assert "edges" not in vars(g)  # no tuple of (u, v) ints was built
+        r = index_report(g, include_per_edge=True)
+        assert [c.edge for c in r.per_edge] == list(g.edges)
+
 
 def _bridges(g):
     """Edges whose removal disconnects the graph (brute force)."""

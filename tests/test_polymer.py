@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,10 @@ from mostar import (DegenerateHandles, GraphError, MonomerHandle, NotATree,
                     VertexOutOfRange, build_bouquet, build_chain,
                     build_circuit, build_link, build_tree_attach, complete_graph,
                     compose, cycle_graph, from_edge_list, index_report,
-                    is_connected, path_graph, spec_from_dict, spec_to_dict)
+                    is_connected, path_graph, polymer, spec_from_dict,
+                    spec_to_dict)
 
-from conftest import random_connected_graph
+from conftest import polymer_specs, random_connected_graph, reference_assemble
 
 K1 = complete_graph(1)
 K2 = complete_graph(2)
@@ -261,3 +263,27 @@ def test_chain_equals_tree_attach_path(rnd, k):
     via_chain = build_chain(handles)
     via_tree = build_tree_attach(PolymerSpec("tree", handles, tree))
     assert index_report(via_chain.graph) == index_report(via_tree.graph)
+
+
+def assert_matches_reference(spec):
+    """compose(spec) against the dict union-find run on the same arguments."""
+    with mock.patch.object(polymer, "_assemble", wraps=polymer._assemble) as spy:
+        res = compose(spec)
+    n, edges, vertex_map = reference_assemble(*spy.call_args.args, **spy.call_args.kwargs)
+    assert (res.graph.n, res.graph.edges) == (n, edges)
+    assert list(res.vertex_map.items()) == list(vertex_map.items())
+    assert all(res.vertex(i, v) == cid for (i, v), cid in vertex_map.items())
+
+
+@settings(deadline=None, max_examples=150)
+@given(polymer_specs())
+def test_assemble_matches_the_reference_union_find(spec):
+    assert_matches_reference(spec)
+
+
+def test_long_chain_and_shared_tree_slots_match_the_reference():
+    hexagon = MonomerHandle(cycle_graph(6), 0, 2)
+    assert_matches_reference(PolymerSpec("chain", (hexagon,) * 40))
+    # slot (1, 0) is in three tree edges and slot (0, 0) in two: one class of five slots
+    tree = ((1, 0, 0, 0), (2, 1, 1, 0), (0, 0, 3, 2), (1, 0, 4, 1), (4, 2, 5, 0))
+    assert_matches_reference(PolymerSpec("tree", (hexagon,) * 6, tree))
