@@ -6,8 +6,10 @@ arbitrary graph file), ``verify`` (formula-vs-oracle sweep), ``bounds``
 
 Data goes to stdout, diagnostics go to stderr.  Exit codes: 0 success,
 1 a checked property failed (verify disagreement, bound violated),
-2 invalid input or spec, 3 disconnected input where connectivity is
-required.
+2 invalid input or spec, or a path that cannot be read or written,
+3 disconnected input to ``compute``.  ``main`` maps every bad-input
+error to 2 in one place; ``cmd_compute`` alone maps ``NotConnected`` to 3.
+Either way stderr gets one ``error:`` line and no traceback.
 """
 
 from __future__ import annotations
@@ -68,12 +70,8 @@ def _family_spec(args) -> FamilySpec:
 
 
 def cmd_gen(args) -> int:
-    try:
-        spec = _family_spec(args)
-        fam = generate(spec)
-    except (GraphError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+    spec = _family_spec(args)
+    fam = generate(spec)
     _write_output(dump_graph(fam.graph, args.format), args.out)
     marks = " ".join(f"{k}={v}" for k, v in sorted(fam.landmarks.items()))
     print(f"{spec.family}: n={fam.graph.n} m={fam.graph.m} landmarks: {marks}",
@@ -82,12 +80,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    try:
-        text = Path(args.input).read_text()
-        graph = parse_graph(text)
-    except (OSError, GraphError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+    graph = parse_graph(Path(args.input).read_text())
     try:
         report = index_report(graph, include_per_edge=args.per_edge)
     except NotConnected as exc:
@@ -126,8 +119,12 @@ def cmd_compute(args) -> int:
 
 def _verify_cells(args) -> Iterator[tuple[FamilySpec, str]]:
     """The sweep's cells in output order, made one at a time, so a size check
-    can stop at the first oversized one; every family name and range is
-    checked before the first cell."""
+    stops at the first one over ``--max-size``; ``--from``/``--to`` and every
+    family name and range are checked before the first cell."""
+    if args.n_from < 1:
+        raise GraphError("--from must be >= 1")
+    if args.n_from > args.n_to:
+        raise GraphError("--from must not exceed --to")
     names = [name.strip() for name in (
         list(CHAIN_FAMILIES) + ["triangulane", "clique-flower"]
         if args.families == "all" else args.families.split(","))]
@@ -141,17 +138,18 @@ def _verify_cells(args) -> Iterator[tuple[FamilySpec, str]]:
             raise GraphError(f"no closed forms to verify for {name!r}")
     for name in names:
         if name == "clique-flower":
-            for m in ms:
-                for inner in inners:
-                    spec = FamilySpec(name, m=m, inner=inner)
-                    yield spec, MOSTAR
-                    yield spec, EDGE_MOSTAR
+            specs = (FamilySpec(name, m=m, inner=inner) for m in ms for inner in inners)
         else:
-            for n in range(args.n_from, args.n_to + 1):
-                spec = FamilySpec(name, n=n)
-                for index in (MOSTAR, EDGE_MOSTAR):
-                    if has_formula(name, index):
-                        yield spec, index
+            specs = (FamilySpec(name, n=n) for n in range(args.n_from, args.n_to + 1))
+        for spec in specs:
+            nv, ne = family_counts(spec)
+            if nv * ne > args.max_size:
+                raise GraphError(
+                    f"{spec.family} at {_spec_label(spec)} has vertex-edge product "
+                    f"{nv * ne} > --max-size {args.max_size}")
+            for index in (MOSTAR, EDGE_MOSTAR):
+                if has_formula(name, index):
+                    yield spec, index
 
 
 def _spec_label(spec: FamilySpec) -> str:
@@ -161,19 +159,7 @@ def _spec_label(spec: FamilySpec) -> str:
 
 
 def cmd_verify(args) -> int:
-    cells = []
-    try:
-        for spec, index in _verify_cells(args):
-            nv, ne = family_counts(spec)
-            if nv * ne > args.max_size:
-                raise GraphError(
-                    f"{spec.family} at {_spec_label(spec)} has vertex-edge product "
-                    f"{nv * ne} > --max-size {args.max_size}")
-            cells.append((spec, index))
-    except GraphError as exc:
-        _err(str(exc))
-        return 2
-
+    cells = list(_verify_cells(args))  # all checked before the first graph is built
     rows = []
     oracles: dict[FamilySpec, dict[str, int]] = {}
     for spec, index in cells:
@@ -210,16 +196,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        spec = spec_from_json(Path(args.spec).read_text())
-        composite = compose(spec).graph
-        indices = ((MOSTAR, EDGE_MOSTAR) if args.index == "both"
-                   else (_CLI_INDEX[args.index],))
-        reports = {_INDEX_CLI[ix]: r for ix, r in
-                   check_bounds(composite, spec, args.which, indices).items()}
-    except (OSError, GraphError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+    spec = spec_from_json(Path(args.spec).read_text())
+    composite = compose(spec).graph
+    indices = ((MOSTAR, EDGE_MOSTAR) if args.index == "both"
+               else (_CLI_INDEX[args.index],))
+    reports = {_INDEX_CLI[ix]: r for ix, r in
+               check_bounds(composite, spec, args.which, indices).items()}
     if args.format == "json":
         results = {name: {"actual": r.actual, "bound": r.bound, "kind": r.kind,
                           "strict": r.strict, "slack": r.slack, "holds": r.holds}
@@ -236,12 +218,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    try:
-        spec = spec_from_json(Path(args.spec).read_text())
-        result = compose(spec)
-    except (OSError, GraphError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+    spec = spec_from_json(Path(args.spec).read_text())
+    result = compose(spec)
     _write_output(dump_graph(result.graph, args.format), args.out)
     vmap = [[i, v, cid] for (i, v), cid in sorted(result.vertex_map.items())]
     map_json = json.dumps({"schema_version": SCHEMA_VERSION, "vertex_map": vmap},
@@ -308,13 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify" and args.n_from < 1:
-        _err("--from must be >= 1")
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # GraphError, NotConnected included
+        _err(str(exc))
         return 2
-    if args.command == "verify" and args.n_from > args.n_to:
-        _err("--from must not exceed --to")
-        return 2
-    return args.func(args)
 
 
 def entry() -> None:

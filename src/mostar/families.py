@@ -10,7 +10,7 @@ Identical parameters always produce a byte-identical canonical edge list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 from .errors import GraphError
@@ -65,10 +65,15 @@ class FamilyGraph:
         return self.marks()
 
 
+@cache
+def _polygon(sides: int, spacing: int) -> MonomerHandle:
+    """The chain monomer of one shape, built and checked once: graphs and
+    handles are immutable, so every copy in every chain shares it."""
+    return MonomerHandle(cycle_graph(sides), 0, spacing)
+
+
 def _polygon_chain(n: int, sides: int, spacing: int) -> FamilyGraph:
-    polygon = cycle_graph(sides)
-    # one handle for every copy: a handle checks its polygon once, on creation
-    comp = build_chain((MonomerHandle(polygon, 0, spacing),) * n)
+    comp = build_chain((_polygon(sides, spacing),) * n)
 
     def marks() -> dict[str, int]:
         entries = comp.starts[:-1]

@@ -225,6 +225,9 @@ def spec_to_dict(spec: PolymerSpec) -> dict:
 def spec_from_dict(obj: dict) -> PolymerSpec:
     if not isinstance(obj, dict) or "kind" not in obj or "monomers" not in obj:
         raise GraphError("polymer spec JSON must have 'kind' and 'monomers'")
+    if not isinstance(obj["monomers"], list) or not all(
+            isinstance(mon, dict) for mon in obj["monomers"]):
+        raise GraphError("polymer spec 'monomers' must be an array of objects")
     try:
         monomers = []
         for mon in obj["monomers"]:

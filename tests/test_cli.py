@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,11 @@ from pathlib import Path
 
 import mostar
 import pytest
-from mostar import (FamilySpec, MonomerHandle, PolymerSpec, complete_graph,
-                    generate, index_report, parse_edge_list, parse_graph_json,
-                    spec_to_dict)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mostar import (BOUND_KINDS, KINDS, FamilySpec, MonomerHandle, PolymerSpec,
+                    complete_graph, generate, index_report, parse_edge_list,
+                    parse_graph_json, spec_to_dict)
 from mostar.cli import main
 
 K2_JSON = {"n": 2, "edges": [[0, 1]]}
@@ -412,6 +416,140 @@ def test_sparse_monomer_is_rejected_before_allocating(tmp_path, capsys):
         tracemalloc.stop()
     assert capsys.readouterr().err == "error: monomer graph is not connected\n"
     assert peak < 1 << 20
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "triangular", "--out", "{missing}/x.txt"],
+    ["compose", "{spec}", "--out", "{missing}/x.txt"],
+    ["bounds", "{missing}/spec.json", "--which", "superadditive"],
+    ["compose", "{missing}/spec.json"],
+    ["compute", "{missing}/g.txt"],
+], ids=["gen-out", "compose-out", "bounds-spec", "compose-spec", "compute-input"])
+def test_path_that_cannot_be_read_or_written_exit_2(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, "spec.json", PolymerSpec(
+        "link", (MonomerHandle(complete_graph(2), 0, 1),) * 2))
+    argv = [arg.format(spec=spec, missing=tmp_path / "missing") for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+#: small integers, so no generated input can ask for a large graph
+small_ints = st.integers(-3, 30)
+#: any shallow JSON value, for fields that may hold the wrong kind
+json_values = st.recursive(
+    st.none() | st.booleans() | small_ints | st.sampled_from([1.5, -0.0])
+    | st.text("0123456789 ab{[", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "edges", "x", "y", "graph"]), inner, max_size=3),
+    max_leaves=6)
+
+
+def _documents(fields: dict):
+    """JSON objects with these fields, each of any JSON kind and sometimes dropped."""
+    return st.fixed_dictionaries({}, optional={k: v | json_values for k, v in fields.items()})
+
+
+@st.composite
+def edge_pairs(draw, odds: int = 4):
+    """``(n, edges)``: a connected graph (a path plus chords), except one time
+    in ``odds`` a graph whose pairs may loop, repeat, leave it disconnected
+    or fall out of range."""
+    if draw(st.integers(1, odds)) > 1:
+        n = draw(st.integers(1, 8))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3))
+        chords = sorted({(min(p), max(p)) for p in pairs if abs(p[0] - p[1]) > 1})
+        return n, [[i, i + 1] for i in range(n - 1)] + [list(c) for c in chords]
+    n = draw(st.integers(-1, 10))
+    ids = st.integers(-1, max(n, 0))
+    return n, draw(st.lists(st.lists(ids, min_size=2, max_size=2), max_size=6))
+
+
+@st.composite
+def edge_list_texts(draw):
+    n, edges = draw(edge_pairs())
+    lines = [[str(n), str(len(edges) + draw(st.sampled_from([0, 0, 1, -1])))]]
+    lines += [[str(u), str(v)] for u, v in edges]
+    tokens = small_ints.map(str) | st.sampled_from(["x", "1.5", "#", "0x1", "+2", "\u0662"])
+    for _ in range(draw(st.integers(0, 2))):  # a line of junk in place of a good one
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.lists(tokens, max_size=3))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+graph_docs = edge_pairs().map(lambda pair: {"n": pair[0], "edges": pair[1]}) | _documents({
+    "n": small_ints, "edges": st.lists(st.lists(small_ints, max_size=3), max_size=6)})
+
+
+@st.composite
+def polymer_docs(draw):
+    """Polymer spec documents of at most 5 small monomers, mostly well formed."""
+    kind = draw(st.sampled_from(KINDS))
+    monomers = []
+    for _ in range(draw(st.integers(1, 5))):
+        n, edges = draw(edge_pairs(odds=16))
+        handles = st.integers(0, n - 1) if n > 0 and draw(st.integers(0, 7)) else small_ints
+        monomers.append({"graph": {"n": n, "edges": edges}, "x": draw(handles),
+                         **({"y": draw(handles)} if draw(st.booleans()) else {})})
+    doc = {"kind": kind, "monomers": monomers}
+    if kind == "tree":
+        doc["tree_edges"] = [[draw(st.integers(0, i)), draw(st.integers(-1, 2)), i + 1,
+                              draw(st.integers(-1, 2))] for i in range(len(monomers) - 1)]
+    return doc
+
+
+spec_docs = polymer_docs() | _documents({
+    "kind": st.sampled_from(KINDS),
+    "monomers": st.lists(_documents({"graph": graph_docs, "x": small_ints,
+                                     "y": small_ints}), max_size=5),
+    "tree_edges": st.lists(st.lists(small_ints, min_size=3, max_size=5), max_size=5),
+})
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _run_fuzz_case(path: Path, text: str, argv: list[str]) -> None:
+    """``main`` on ``text`` written to ``path`` keeps the exit-code contract:
+    no exception escapes, and a bad-input or disconnected exit prints one
+    ``error:`` line and nothing else on stderr."""
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert "error: " not in err.getvalue()
+
+
+compute_argvs = st.sampled_from([["compute"], ["compute", "--per-edge", "--format", "json"]])
+
+
+@settings(deadline=None, max_examples=150)
+@given(edge_list_texts(), compute_argvs)
+def test_fuzz_compute_edge_list(fuzz_dir, text, argv):
+    _run_fuzz_case(fuzz_dir / "g.txt", text, argv)
+
+
+@settings(deadline=None, max_examples=150)
+@given(graph_docs, compute_argvs)
+def test_fuzz_compute_graph_json(fuzz_dir, doc, argv):
+    _run_fuzz_case(fuzz_dir / "g.json", json.dumps(doc), argv)
+
+
+@settings(deadline=None, max_examples=200)
+@given(spec_docs, st.sampled_from(
+    [["compose"], ["compose", "--format", "json"]]
+    + [["bounds", "--which", which, "--index", "both"] for which in BOUND_KINDS]))
+def test_fuzz_compose_and_bounds(fuzz_dir, doc, argv):
+    _run_fuzz_case(fuzz_dir / "spec.json", json.dumps(doc), argv)
 
 
 #: whether scipy is loaded after each step, printed by a fresh interpreter

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from mostar import families
 from mostar import (CHAIN_FAMILIES, FamilySpec, GraphError, MonomerHandle,
                     build_chain, complete_graph, cycle_graph, family_counts,
                     gen_clique_flower, gen_triangulane, gen_triangulane_aux,
@@ -143,3 +144,16 @@ class TestValidation:
                      FamilySpec("clique-flower", m=3, inner=3),
                      FamilySpec("triangulane", n=2)):
             assert generate(spec).graph == generate(spec).graph
+
+
+def test_chain_polygon_is_built_once(monkeypatch):
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return cycle_graph(n)
+    families._polygon.cache_clear()
+    monkeypatch.setattr(families, "cycle_graph", spy)
+    graphs = [generate(FamilySpec("hex-meta", n=n)).graph for n in range(1, 6)]
+    assert calls == [6]
+    assert [(g.n, g.m) for g in graphs] == [(5 * n + 1, 6 * n) for n in range(1, 6)]

@@ -214,6 +214,12 @@ class TestSpecJson:
         with pytest.raises(GraphError):
             PolymerSpec("link", ())
 
+    @pytest.mark.parametrize("monomers", [{"a": 1}, [5], "K2", None])
+    def test_monomers_not_an_array_of_objects(self, monomers):
+        with pytest.raises(GraphError, match=r"^polymer spec 'monomers' must be an "
+                                             r"array of objects$"):
+            spec_from_dict({"kind": "link", "monomers": monomers})
+
 
 def _random_handles(rng, count, min_n=2):
     out = []
