@@ -220,12 +220,12 @@ def blocks(g: Graph) -> Blocks:
                     for a in (vstart, verts, weights, hanging, estart, edges)))
 
 
-def _csr(g: Graph) -> csr_matrix:
+def _csr(g: Graph, dtype=np.int8) -> csr_matrix:
     from scipy.sparse import csr_matrix
 
     rows = np.concatenate([g.ends[:, 0], g.ends[:, 1]])
     cols = np.concatenate([g.ends[:, 1], g.ends[:, 0]])
-    data = np.ones(2 * g.m, dtype=np.int8)
+    data = np.ones(2 * g.m, dtype=dtype)
     return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
 
 

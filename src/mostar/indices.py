@@ -23,8 +23,12 @@ for an edge ``uv`` of B
 * ``W(G) = 1/2 sum_B W_B' D_B W_B``
 
 Blocks of at most ``_FLOYD_MAX`` vertices are stacked by size and get
-``D_B`` from one batched Floyd-Warshall; a larger block streams its BFS
-rows, a bounded batch of sources at a time, so no ``n x n`` table is held.
+``D_B`` from one batched Floyd-Warshall.  A larger block whose BFS from its
+first vertex ends within ``_LEVEL_MAX_ECC`` levels takes the level pass,
+the linear-algebra BFS of Kepner and Gilbert: one sparse product per level
+for a batch of sources, and no distance row held.  A deeper block streams
+its BFS rows.  Either way a bounded batch of sources runs at a time, so no
+``n x n`` table is held.
 A graph that is one block is a stack of one, and one vertex has no blocks.
 Totals are accumulated as Python integers, so sums are exact at any size.
 """
@@ -36,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EdgeNotInGraph
-from .graphs import Blocks, Edge, Graph, blocks, distance_blocks, distance_rows
+from .graphs import (Blocks, Edge, Graph, _csr, blocks, distance_blocks,
+                     distance_rows)
 
 MOSTAR = "mostar"
 EDGE_MOSTAR = "edge_mostar"
@@ -47,10 +52,16 @@ INDEX_NAMES = (MOSTAR, EDGE_MOSTAR, WIENER)
 #: ``_ROW_BUDGET_BYTES // (8 * max(n, m))`` sources (at least one), so its
 #: float64 rows from scipy and its gathers over the edge endpoints each fit
 #: the budget, and peak memory is a small multiple of it whatever n is.
+#: The level pass takes ``_ROW_BUDGET_BYTES // (24 * n)`` sources: its
+#: ``(n, k)`` frontiers, products and masks take at most 24 bytes an entry.
 _ROW_BUDGET_BYTES = 4 << 20
 
-#: Largest block that takes the batched Floyd-Warshall; larger ones stream rows.
+#: Largest block that takes the batched Floyd-Warshall; larger ones go on.
 _FLOYD_MAX = 48
+
+#: BFS levels the probe may spend before a block streams rows: the level pass
+#: costs eccentricity x m a batch, and beats rows below about 25 (CHANGES.md).
+_LEVEL_MAX_ECC = 10
 
 
 @dataclass(frozen=True)
@@ -136,8 +147,60 @@ def _transmissions(g: Graph, weights: np.ndarray,
         vertex_sums.append(block @ weights)
         to_edge = block[:, g.ends[:, 0]]
         np.minimum(to_edge, block[:, g.ends[:, 1]], out=to_edge)
-        edge_sums.append(to_edge.sum(axis=1, dtype=np.int64) + block @ hanging)
+        # no edge hangs at a graph that is one block: skip that product
+        edge_sums.append(to_edge.sum(axis=1, dtype=np.int64)
+                         + (block @ hanging if hanging.any() else 0))
     return np.concatenate(vertex_sums), np.concatenate(edge_sums)
+
+
+def _levels(a, front: np.ndarray):
+    """BFS from the sources marked in the float32 ``front``'s columns: yields
+    each level's frontiers, ``a @`` them and whether it is the last level."""
+    unseen, last = front == 0, False
+    while not last:
+        q = a @ front
+        ahead = (q > 0) & unseen
+        unseen ^= ahead
+        last = not ahead.any()
+        yield front, q, last
+        front = ahead.astype(np.float32)
+
+
+def _shallow(g: Graph) -> bool:
+    """The cost test: a BFS from vertex 0 ends within ``_LEVEL_MAX_ECC``
+    products, and every degree is below 2^24, so float32 counts are exact."""
+    a = _csr(g, np.float32)
+    front = np.zeros((g.n, 1), np.float32)
+    front[0] = 1
+    return bool(np.diff(a.indptr).max() < 1 << 24) and any(
+        last for _, (_, _, last) in zip(range(_LEVEL_MAX_ECC), _levels(a, front)))
+
+
+def _level_transmissions(g: Graph, weights: np.ndarray,
+                         hanging: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, E)`` as ``_transmissions`` gives them, from one sparse product per
+    BFS level of a batch of sources.  Level d's ``deg`` edge ends split into
+    ``back`` (to level d-1), ``within`` (two per edge inside d) and ``ahead``,
+    so ``ahead + within / 2`` edges have their nearer end at level d."""
+    a = _csr(g, np.float32)
+    # rows: weights, degrees, then hanging if any; integer sums below 2^53, exact
+    mass = np.array([weights, np.diff(a.indptr)] + ([hanging] if hanging.any() else []),
+                    dtype=np.float64)
+    trans, edge_trans = np.zeros(g.n, np.int64), np.zeros(g.n, np.int64)
+    k = max(1, _ROW_BUDGET_BYTES // (24 * g.n))
+    for start in range(0, g.n, k):
+        cols = np.arange(start, min(start + k, g.n))
+        front = np.zeros((g.n, cols.size), np.float32)
+        front[cols, np.arange(cols.size)] = 1
+        back = 0
+        for d, (f, q, _) in enumerate(_levels(a, front)):
+            at = (mass @ f).astype(np.int64)
+            within = (q * f).sum(axis=0, dtype=np.float64).astype(np.int64)
+            ahead = at[1] - within - back
+            trans[cols] += d * at[0]
+            edge_trans[cols] += d * (ahead + within // 2 + at[2:].sum(axis=0))
+            back = ahead
+    return trans, edge_trans
 
 
 def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
@@ -170,7 +233,9 @@ def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
         edge_trans = (np.einsum("kij,kj->ki", d, hanging)
                       + np.add.reduceat(near, firsts)).ravel()
     else:
-        trans, edge_trans = _transmissions(Graph(s, local), weights[0], hanging[0])
+        block = Graph(s, local)
+        sums = _level_transmissions if _shallow(block) else _transmissions
+        trans, edge_trans = sums(block, weights[0], hanging[0])
     u, v = pos[:, 0], pos[:, 1]
     # weights . D weights of a block is at most n^2 s: far inside int64
     return (eids, np.abs(trans[u] - trans[v]), np.abs(edge_trans[u] - edge_trans[v]),

@@ -230,7 +230,9 @@ def spec_from_dict(obj: dict) -> PolymerSpec:
         raise GraphError("polymer spec 'monomers' must be an array of objects")
     try:
         monomers = []
-        for mon in obj["monomers"]:
+        for i, mon in enumerate(obj["monomers"]):
+            if missing := [f for f in ("graph", "x") if f not in mon]:
+                raise GraphError(f"polymer spec monomer {i} has no '{missing[0]}'")
             graph = parse_graph_json(mon["graph"])
             y = mon.get("y")
             monomers.append(MonomerHandle(

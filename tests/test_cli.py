@@ -311,6 +311,21 @@ NON_INTEGER_SPECS = {
 }
 
 
+@pytest.mark.parametrize("field", ["graph", "x"])
+@pytest.mark.parametrize("argv", [["compose"], ["bounds", "--which", "superadditive"]],
+                         ids=["compose", "bounds"])
+def test_monomer_missing_field_exit_2(tmp_path, capsys, field, argv):
+    second = {key: value for key, value in {"graph": K2_JSON, "x": 0}.items()
+              if key != field}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "link", "monomers": [
+        {"graph": K2_JSON, "x": 0, "y": 1}, second]}))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: polymer spec monomer 1 has no '{field}'\n"
+
+
 @pytest.mark.parametrize("name", sorted(NON_INTEGER_SPECS))
 @pytest.mark.parametrize("argv", [["compose"], ["bounds", "--which", "superadditive"]],
                          ids=["compose", "bounds"])
@@ -552,15 +567,18 @@ def test_fuzz_compose_and_bounds(fuzz_dir, doc, argv):
     _run_fuzz_case(fuzz_dir / "spec.json", json.dumps(doc), argv)
 
 
-#: whether scipy is loaded after each step, printed by a fresh interpreter
+#: whether scipy (or its csgraph) is loaded after each step, printed by a
+#: fresh interpreter
 SCIPY_PROBE = """
 import sys
 import mostar.cli
-from mostar import FamilySpec, cycle_graph, generate, index_report
+from mostar import FamilySpec, complete_graph, cycle_graph, generate, index_report
 loaded = ["scipy" in sys.modules]
 index_report(generate(FamilySpec("hex-meta", n=50)).graph)  # blocks of 6 vertices
 loaded.append("scipy" in sys.modules)
-index_report(cycle_graph(60))  # one block of 60 vertices streams BFS rows
+index_report(complete_graph(60))  # one shallow block of 60 vertices: the level pass
+loaded += ["scipy.sparse" in sys.modules, "scipy.sparse.csgraph" in sys.modules]
+index_report(cycle_graph(60))  # one deep block of 60 vertices streams BFS rows
 loaded.append("scipy" in sys.modules)
 print(loaded)
 """
@@ -571,7 +589,7 @@ def test_scipy_is_loaded_only_by_the_bfs_pass():
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False, True]\n"
+    assert proc.stdout == "[False, False, True, False, True]\n"
 
 
 class TestRoundTrip:

@@ -219,11 +219,13 @@ def test_triangle_step_and_symmetry(g):
 
 
 def check_streamed_pass(g):
-    """index_report at the default Floyd-Warshall cutoff, then with every
-    block streamed in BFS blocks of 1, 2 and 3 sources.
+    """index_report at the default cutoffs, then with every block streamed in
+    BFS blocks of 1, 2 and 3 sources, then with every block through the
+    level pass in batches of 1, 2 and 3 sources.
 
-    Cutoff 0 sends every block through the streamed pass, and shrinking the
-    row budget forces the multi-block pass that real graphs take; every
+    Floyd-Warshall cutoff 0 sends every block on to the probe; level cutoff 0
+    sends it to the streamed pass and n + 1 to the level pass.  Shrinking the
+    row budget forces the multi-batch pass that real graphs take; every
     per-edge diff and all three totals must match the naive oracle, and each
     block's BFS must come in exactly the sizes its budget gives.
     """
@@ -252,6 +254,7 @@ def check_streamed_pass(g):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(indices, "_ROW_BUDGET_BYTES", budget)
             mp.setattr(indices, "_FLOYD_MAX", 0)
+            mp.setattr(indices, "_LEVEL_MAX_ECC", 0)
             mp.setattr(indices, "distance_blocks", spy)
             check(index_report(g, include_per_edge=True))
         assert sorted(graph.n for graph, _, _ in calls) == sorted(block_orders)
@@ -263,12 +266,72 @@ def check_streamed_pass(g):
             assert k == max(1, budget // (8 * max(graph.n, graph.m)))
             ragged = [graph.n % k] if graph.n % k else []
             assert sizes == [k] * (graph.n // k) + ragged
+    level_pass, levels = indices._level_transmissions, indices._levels
+    for rows in (1, 2, 3):
+        budget = rows * 24 * g.n
+        passes, fronts = [], []
+
+        def spy_pass(graph, weights, hanging):
+            passes.append(graph.n)
+            return level_pass(graph, weights, hanging)
+
+        def spy_levels(a, front):
+            fronts.append(front.shape)
+            return levels(a, front)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indices, "_ROW_BUDGET_BYTES", budget)
+            mp.setattr(indices, "_FLOYD_MAX", 0)
+            mp.setattr(indices, "_LEVEL_MAX_ECC", g.n + 1)
+            mp.setattr(indices, "_level_transmissions", spy_pass)
+            mp.setattr(indices, "_levels", spy_levels)
+            check(index_report(g, include_per_edge=True))
+        assert sorted(passes) == sorted(block_orders)
+        expected = []  # per block: the one-source probe, then its batches
+        for n in passes:
+            k = max(1, budget // (24 * n))
+            ragged = [(n, n % k)] if n % k else []
+            expected += [(n, 1)] + [(n, k)] * (n // k) + ragged
+        assert fronts == expected
 
 
 @pytest.mark.parametrize("g", [from_edge_list(1, []), complete_graph(2)],
                          ids=["n1", "n2"])
 def test_streamed_pass_smallest_graphs(g):
     check_streamed_pass(g)
+
+
+@pytest.mark.parametrize("g,taken", [(complete_graph(60), "_level_transmissions"),
+                                     (cycle_graph(200), "_transmissions")],
+                         ids=["K60", "C200"])
+def test_cost_test_picks_the_pass(g, taken):
+    """K60 ends its probe BFS at level 1 and takes the level pass; C200 is
+    still going after ``_LEVEL_MAX_ECC`` products and streams rows."""
+    passes, products = [], []
+    levels = indices._levels
+
+    def spy(name):
+        real = getattr(indices, name)
+
+        def run(graph, weights, hanging):
+            passes.append(name)
+            return real(graph, weights, hanging)
+        return run
+
+    def spy_levels(a, front):
+        for level in levels(a, front):
+            products.append(front.shape[1])
+            yield level
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_level_transmissions", "_transmissions"):
+            mp.setattr(indices, name, spy(name))
+        mp.setattr(indices, "_levels", spy_levels)
+        index_report(g)
+    assert passes == [taken]
+    if taken == "_transmissions":
+        assert products == [1] * len(products)  # the probe's one source
+        assert 0 < len(products) <= indices._LEVEL_MAX_ECC
 
 
 @settings(deadline=None, max_examples=50)

@@ -12,8 +12,9 @@ from mostar import (EdgeNotInGraph, FamilySpec, MonomerHandle, NotConnected,
                     indices, is_connected, mostar_index, path_graph,
                     vertex_orientation, wiener_index)
 
-from conftest import (block_rich_graphs, connected_graphs, naive_edge_diffs,
-                      naive_edge_mostar, naive_mostar, naive_vertex_diffs,
+from conftest import (block_rich_graphs, connected_graphs, naive_all_pairs,
+                      naive_edge_diffs, naive_edge_mostar, naive_mostar,
+                      naive_vertex_diffs,
                       naive_wiener, neighbour_lists, permute_graph,
                       polymer_composites, random_connected_graph)
 
@@ -281,6 +282,65 @@ def test_block_engine_on_block_rich_graphs(g):
 @given(polymer_composites())
 def test_block_engine_on_polymer_composites(g):
     check_against_oracle(g)
+
+
+def wheel(n):
+    return from_edge_list(n, [(0, i) for i in range(1, n)]
+                          + [(i, i % (n - 1) + 1) for i in range(1, n)])
+
+
+def grid(p, q):
+    return from_edge_list(p * q, [(r * q + c, r * q + c + 1)
+                                  for r in range(p) for c in range(q - 1)]
+                          + [(r * q + c, (r + 1) * q + c)
+                             for r in range(p - 1) for c in range(q)])
+
+
+def chorded_cycle(n, step):
+    """C_n with chords from i to i + n/2 for every step-th i in the first half."""
+    return from_edge_list(n, list(cycle_graph(n).edges)
+                          + [(i, i + n // 2) for i in range(0, n // 2, step)])
+
+
+#: (graph, diameter): one-block graphs of diameter 1 to 30, and one block
+#: with nonzero weights and hanging edges
+PASS_CASES = {
+    "K2": (complete_graph(2), 1), "K9": (complete_graph(9), 1), "W16": (wheel(16), 2),
+    "grid-3x4": (grid(3, 4), 5), "grid-4x6": (grid(4, 6), 8),
+    "C48-chords": (chorded_cycle(48, 6), 12), "grid-2x13": (grid(2, 13), 13),
+    "C60-chords": (chorded_cycle(60, 3), 15), "grid-2x20": (grid(2, 20), 20),
+    "C40-chord": (chorded_cycle(40, 20), 20), "C61": (cycle_graph(61), 30),
+    "C48-chords-hung": (hung(chorded_cycle(48, 6), [
+        (0, complete_graph(4)), (3, cycle_graph(3)), (7, path_graph(5)),
+        (30, cycle_graph(6))]), 16),
+}
+
+
+@pytest.mark.parametrize("name", list(PASS_CASES))
+def test_level_and_rows_passes_match_the_oracle(name):
+    """Every block forced through the level pass, then through the streamed
+    rows: both give the naive oracle's per-edge diffs and totals."""
+    g, diameter = PASS_CASES[name]
+    assert max(map(max, naive_all_pairs(g))) == diameter
+    vertex_diffs, edge_diffs = naive_vertex_diffs(g), naive_edge_diffs(g)
+    totals = (sum(vertex_diffs), sum(edge_diffs), naive_wiener(g))
+    for level_max, taken in ((g.n, "_level_transmissions"), (0, "_transmissions")):
+        passes = []
+        real = getattr(indices, taken)
+
+        def spy(graph, weights, hanging):
+            passes.append(graph.n)
+            return real(graph, weights, hanging)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indices, "_FLOYD_MAX", 0)
+            mp.setattr(indices, "_LEVEL_MAX_ECC", level_max)
+            mp.setattr(indices, taken, spy)
+            r = index_report(g, include_per_edge=True)
+        assert sorted(passes) == sorted(np.diff(blocks(g).vertex_start).tolist())
+        assert [c.vertex_diff for c in r.per_edge] == vertex_diffs
+        assert [c.edge_diff for c in r.per_edge] == edge_diffs
+        assert (r.mostar, r.edge_mostar, r.wiener) == totals
 
 
 class TestScale:
