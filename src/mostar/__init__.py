@@ -5,8 +5,7 @@ from .errors import (DegenerateHandles, DuplicateEdge, EdgeNotInGraph,
                      NotConnected, SelfLoop, TooFewMonomers,
                      UnsupportedCombination, VertexOutOfRange)
 from .families import (CHAIN_FAMILIES, FAMILY_NAMES, FamilyGraph, FamilySpec,
-                       family_counts, gen_clique_flower, gen_triangulane,
-                       gen_triangulane_aux, generate)
+                       family_counts, generate)
 from .formats import (dump_graph, emit_edge_list, emit_graph_json,
                       parse_edge_list, parse_graph, parse_graph_json)
 from .formulas import (BOUND_KINDS, BoundsReport, MonomerStats, check_bounds,
@@ -24,8 +23,6 @@ from .indices import (EDGE_MOSTAR, INDEX_NAMES, MOSTAR, WIENER,
                       edge_orientation, index_report, mostar_index,
                       vertex_orientation, wiener_index)
 from .polymer import (KINDS, CompositionResult, MonomerHandle, PolymerSpec,
-                      build_bouquet, build_chain, build_circuit, build_link,
-                      build_tree_attach, compose, spec_from_dict,
-                      spec_from_json, spec_to_dict)
+                      compose, spec_from_dict, spec_from_json, spec_to_dict)
 
 __version__ = "0.1.0"

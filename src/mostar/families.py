@@ -15,8 +15,7 @@ from typing import Callable
 
 from .errors import GraphError
 from .graphs import Graph, complete_graph, cycle_graph
-from .polymer import (MonomerHandle, PolymerSpec, build_chain, build_circuit,
-                      build_tree_attach)
+from .polymer import MonomerHandle, PolymerSpec, compose
 
 CHAIN_FAMILIES = ("triangular", "square-para", "square-ortho",
                   "hex-para", "hex-meta", "hex-ortho")
@@ -73,7 +72,7 @@ def _polygon(sides: int, spacing: int) -> MonomerHandle:
 
 
 def _polygon_chain(n: int, sides: int, spacing: int) -> FamilyGraph:
-    comp = build_chain((_polygon(sides, spacing),) * n)
+    comp = compose(PolymerSpec("chain", (_polygon(sides, spacing),) * n))
 
     def marks() -> dict[str, int]:
         entries = comp.starts[:-1]
@@ -83,51 +82,33 @@ def _polygon_chain(n: int, sides: int, spacing: int) -> FamilyGraph:
     return FamilyGraph(comp.graph, marks)
 
 
-def gen_clique_flower(m: int, inner: int) -> FamilyGraph:
-    """K_m with every vertex merged into its own copy of K_inner."""
-    hub = complete_graph(m)
-    petal = complete_graph(inner)
-    monomers = (MonomerHandle(hub, 0),) + tuple(
-        MonomerHandle(petal, 0) for _ in range(m))
-    tree_edges = tuple((0, i, i + 1, 0) for i in range(m))
-    comp = build_tree_attach(PolymerSpec("tree", monomers, tree_edges))
-    return FamilyGraph(comp.graph, lambda: {f"u_{i + 1}": comp.vertex(0, i) for i in range(m)})
-
-
 def _triangulane_aux(k: int) -> tuple[Graph, int]:
-    """Returns (graph, hub vertex)."""
+    """The depth-k building block and its hub vertex y_k."""
     if k == 1:
         return cycle_graph(3), 0
-    sub, y = _triangulane_aux(k - 1)
-    comp = build_circuit((MonomerHandle(sub, y), MonomerHandle(sub, y),
-                          MonomerHandle(complete_graph(1), 0)))
+    sub = MonomerHandle(*_triangulane_aux(k - 1))
+    comp = compose(PolymerSpec("circuit", (sub, sub, MonomerHandle(complete_graph(1), 0))))
     return comp.graph, comp.vertex(2, 0)
 
 
-def gen_triangulane_aux(k: int) -> FamilyGraph:
-    """Recursive triangulane building block; the hub is the landmark y_k."""
-    graph, y = _triangulane_aux(k)
-    return FamilyGraph(graph, lambda: {f"y_{k}": y})
-
-
-def gen_triangulane(n: int) -> FamilyGraph:
-    """Circuit of three depth-n building blocks over a triangle of hubs."""
+def generate(spec: FamilySpec) -> FamilyGraph:
+    """The family instance ``spec`` selects, with its landmark vertices: a
+    triangulane is a circuit of three depth-n building blocks over a
+    triangle of hubs."""
+    fam, n = spec.family, spec.n
+    if fam in CHAIN_SHAPE:
+        return _polygon_chain(n, *CHAIN_SHAPE[fam])
+    if fam == "clique-flower":  # K_m with every vertex merged into its own K_inner
+        m, petal = spec.m, MonomerHandle(complete_graph(spec.inner), 0)
+        comp = compose(PolymerSpec("tree", (MonomerHandle(complete_graph(m), 0),) + (petal,) * m,
+                                   tuple((0, i, i + 1, 0) for i in range(m))))
+        return FamilyGraph(comp.graph, lambda: {f"u_{i + 1}": comp.vertex(0, i) for i in range(m)})
     sub, y = _triangulane_aux(n)
-    comp = build_circuit(tuple(MonomerHandle(sub, y) for _ in range(3)))
+    if fam == "triangulane-aux":
+        return FamilyGraph(sub, lambda: {f"y_{n}": y})
+    comp = compose(PolymerSpec("circuit", (MonomerHandle(sub, y),) * 3))
     return FamilyGraph(comp.graph, lambda: {"x_0": comp.vertex(0, y), "u": comp.vertex(1, y),
                                             "v": comp.vertex(2, y)})
-
-
-def generate(spec: FamilySpec) -> FamilyGraph:
-    fam = spec.family
-    if fam in CHAIN_SHAPE:
-        sides, spacing = CHAIN_SHAPE[fam]
-        return _polygon_chain(spec.n, sides, spacing)
-    if fam == "clique-flower":
-        return gen_clique_flower(spec.m, spec.inner)
-    if fam == "triangulane-aux":
-        return gen_triangulane_aux(spec.n)
-    return gen_triangulane(spec.n)
 
 
 def family_counts(spec: FamilySpec) -> tuple[int, int]:

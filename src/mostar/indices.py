@@ -166,31 +166,32 @@ def _levels(a, front: np.ndarray):
         front = ahead.astype(np.float32)
 
 
-def _shallow(g: Graph) -> bool:
-    """The cost test: a BFS from vertex 0 ends within ``_LEVEL_MAX_ECC``
-    products, and every degree is below 2^24, so float32 counts are exact."""
-    a = _csr(g, np.float32)
-    front = np.zeros((g.n, 1), np.float32)
+def _shallow(a) -> bool:
+    """The cost test on a block's float32 adjacency ``a``: a BFS from vertex 0
+    ends within ``_LEVEL_MAX_ECC`` products, and every degree is below 2^24,
+    so float32 counts are exact."""
+    front = np.zeros((a.shape[0], 1), np.float32)
     front[0] = 1
     return bool(np.diff(a.indptr).max() < 1 << 24) and any(
         last for _, (_, _, last) in zip(range(_LEVEL_MAX_ECC), _levels(a, front)))
 
 
-def _level_transmissions(g: Graph, weights: np.ndarray,
+def _level_transmissions(a, weights: np.ndarray,
                          hanging: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(T, E)`` as ``_transmissions`` gives them, from one sparse product per
-    BFS level of a batch of sources.  Level d's ``deg`` edge ends split into
-    ``back`` (to level d-1), ``within`` (two per edge inside d) and ``ahead``,
-    so ``ahead + within / 2`` edges have their nearer end at level d."""
-    a = _csr(g, np.float32)
+    BFS level of a batch of sources over the float32 adjacency ``a``.  Level
+    d's ``deg`` edge ends split into ``back`` (to level d-1), ``within`` (two
+    per edge inside d) and ``ahead``, so ``ahead + within / 2`` edges have
+    their nearer end at level d."""
+    n = a.shape[0]
     # rows: weights, degrees, then hanging if any; integer sums below 2^53, exact
     mass = np.array([weights, np.diff(a.indptr)] + ([hanging] if hanging.any() else []),
                     dtype=np.float64)
-    trans, edge_trans = np.zeros(g.n, np.int64), np.zeros(g.n, np.int64)
-    k = max(1, _ROW_BUDGET_BYTES // (24 * g.n))
-    for start in range(0, g.n, k):
-        cols = np.arange(start, min(start + k, g.n))
-        front = np.zeros((g.n, cols.size), np.float32)
+    trans, edge_trans = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    k = max(1, _ROW_BUDGET_BYTES // (24 * n))
+    for start in range(0, n, k):
+        cols = np.arange(start, min(start + k, n))
+        front = np.zeros((n, cols.size), np.float32)
         front[cols, np.arange(cols.size)] = 1
         back = 0
         for d, (f, q, _) in enumerate(_levels(a, front)):
@@ -234,8 +235,11 @@ def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
                       + np.add.reduceat(near, firsts)).ravel()
     else:
         block = Graph(s, local)
-        sums = _level_transmissions if _shallow(block) else _transmissions
-        trans, edge_trans = sums(block, weights[0], hanging[0])
+        a = _csr(block, np.float32)  # the probe's adjacency, reused by the level pass
+        if _shallow(a):
+            trans, edge_trans = _level_transmissions(a, weights[0], hanging[0])
+        else:
+            trans, edge_trans = _transmissions(block, weights[0], hanging[0])
     u, v = pos[:, 0], pos[:, 1]
     # weights . D weights of a block is at most n^2 s: far inside int64
     return (eids, np.abs(trans[u] - trans[v]), np.abs(edge_trans[u] - edge_trans[v]),

@@ -1,10 +1,13 @@
 """Composite graphs built from monomer units by point-attaching.
 
-Each construction takes monomers with designated attachment vertices and
-either identifies attachment vertices (chain, bouquet, tree) or joins them
-with new edges (link, circuit).  Vertex ids in the composite are assigned in
-monomer order, so a merged vertex inherits the lowest id among its slots and
-``vertex_map`` records where every original vertex ended up.
+A ``PolymerSpec`` names a kind and monomers with designated attachment
+vertices; it checks everything its kind requires when made, so every spec
+that exists can be composed.  ``compose`` is the one constructor: the kind
+only picks which attachment slots pair up, and whether each pair is
+identified (chain, bouquet, tree) or joined by a new edge (link, circuit).
+Vertex ids in the composite are assigned in monomer order, so a merged
+vertex inherits the lowest id among its slots and ``vertex_map`` records
+where every original vertex ended up.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ class MonomerHandle:
 
 @dataclass(frozen=True)
 class PolymerSpec:
+    """A polymer to compose; raises here, not in ``compose``, if its kind's
+    conditions fail: a circuit has at least 3 monomers, no interior chain
+    monomer has x == y, and tree edges form a tree over the monomers."""
+
     kind: str
     monomers: tuple[MonomerHandle, ...]
     tree_edges: tuple[TreeEdge, ...] = ()
@@ -65,6 +72,43 @@ class PolymerSpec:
             if len(e) != 4:
                 raise GraphError(f"tree edge {list(e)} must have 4 entries "
                                  "[monomer a, vertex in a, monomer b, vertex in b]")
+        k = len(self.monomers)
+        if self.kind == "circuit" and k < 3:
+            raise TooFewMonomers(f"circuit needs at least 3 monomers, got {k}")
+        if self.kind == "chain":
+            for i, h in enumerate(self.monomers[1:-1], 1):
+                if h.x == h.y:
+                    raise DegenerateHandles(f"interior chain monomer {i} has x == y == {h.x}")
+        if self.kind == "tree":
+            _check_tree(self.monomers, self.tree_edges)
+
+
+def _check_tree(monomers: tuple[MonomerHandle, ...], tree_edges: tuple[TreeEdge, ...]) -> None:
+    """Raise unless ``tree_edges`` joins the k monomers by k - 1 in-range
+    edges with no cycle, checked edge by edge in order."""
+    k = len(monomers)
+    if len(tree_edges) != k - 1:
+        raise NotATree(f"{k} monomers need {k - 1} tree edges, got {len(tree_edges)}")
+    comp = list(range(k))
+
+    def root(i: int) -> int:
+        while comp[i] != i:
+            comp[i] = comp[comp[i]]
+            i = comp[i]
+        return i
+
+    for a, va, b, vb in tree_edges:
+        for mi, v in ((a, va), (b, vb)):
+            if not 0 <= mi < k:
+                raise NotATree(f"monomer index {mi} out of range")
+            if not 0 <= v < monomers[mi].graph.n:
+                raise VertexOutOfRange(v, monomers[mi].graph.n)
+        if a == b:
+            raise NotATree(f"tree edge attaches monomer {a} to itself")
+        ra, rb = root(a), root(b)
+        if ra == rb:
+            raise NotATree(f"tree edges form a cycle through monomers {a} and {b}")
+        comp[ra] = rb
 
 
 @dataclass(frozen=True)
@@ -103,12 +147,12 @@ def _assemble(graphs: list[Graph], identify: list[tuple[Slot, Slot]],
 
     label = np.arange(first[-1])
     a, b = flat(identify).T
-    while True:  # hook the larger root of every pair under the smaller, then shortcut
+    while True:  # hook each larger root under the smallest root paired with it, then shortcut
         ra, rb = label[a], label[b]
         apart = ra != rb
         if not apart.any():
             break
-        label[np.maximum(ra, rb)[apart]] = np.minimum(ra, rb)[apart]
+        np.minimum.at(label, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
         while not np.array_equal(up := label[label], label):
             label = up
     roots = label == np.arange(first[-1])
@@ -117,98 +161,28 @@ def _assemble(graphs: list[Graph], identify: list[tuple[Slot, Slot]],
     ends = np.concatenate(arrays) + np.repeat(starts[:-1], [len(e) for e in arrays])[:, None]
     ends = ids[np.concatenate([ends, flat(extra_edges)])]
     # duplicate edges cannot arise from point-attaching disjoint monomers;
-    # from_edge_list raising DuplicateEdge here would expose a builder bug
+    # from_edge_list raising DuplicateEdge here would expose a compose bug
     return CompositionResult(from_edge_list(int(roots.sum()), ends), ids, starts)
 
 
-def build_link(monomers: list[MonomerHandle] | tuple[MonomerHandle, ...]) -> CompositionResult:
-    """Disjoint union plus new bridge edges y_i to x_{i+1}."""
-    monomers = tuple(monomers)
-    if not monomers:
-        raise GraphError("link needs at least one monomer")
-    extra = [((i, monomers[i].y), (i + 1, monomers[i + 1].x))
-             for i in range(len(monomers) - 1)]
-    return _assemble([h.graph for h in monomers], identify=[], extra_edges=extra)
-
-
-def build_chain(monomers: list[MonomerHandle] | tuple[MonomerHandle, ...]) -> CompositionResult:
-    """Successive identification of y_i with x_{i+1}."""
-    monomers = tuple(monomers)
-    if not monomers:
-        raise GraphError("chain needs at least one monomer")
-    for i, h in enumerate(monomers):
-        if 0 < i < len(monomers) - 1 and h.x == h.y:
-            raise DegenerateHandles(
-                f"interior chain monomer {i} has x == y == {h.x}")
-    identify = [((i, monomers[i].y), (i + 1, monomers[i + 1].x))
-                for i in range(len(monomers) - 1)]
-    return _assemble([h.graph for h in monomers], identify, extra_edges=[])
-
-
-def build_bouquet(monomers: list[MonomerHandle] | tuple[MonomerHandle, ...]) -> CompositionResult:
-    """All x_i merged into a single hub vertex."""
-    monomers = tuple(monomers)
-    if not monomers:
-        raise GraphError("bouquet needs at least one monomer")
-    identify = [((0, monomers[0].x), (i, monomers[i].x))
-                for i in range(1, len(monomers))]
-    return _assemble([h.graph for h in monomers], identify, extra_edges=[])
-
-
-def build_circuit(monomers: list[MonomerHandle] | tuple[MonomerHandle, ...]) -> CompositionResult:
-    """Monomer i's x_i becomes cycle position i; cycle edges (i, i+1 mod n)."""
-    monomers = tuple(monomers)
-    if len(monomers) < 3:
-        raise TooFewMonomers(f"circuit needs at least 3 monomers, got {len(monomers)}")
-    k = len(monomers)
-    extra = [((i, monomers[i].x), ((i + 1) % k, monomers[(i + 1) % k].x))
-             for i in range(k)]
-    return _assemble([h.graph for h in monomers], identify=[], extra_edges=extra)
-
-
-def build_tree_attach(spec: PolymerSpec) -> CompositionResult:
-    """One point-attachment per tree edge over the monomer set."""
-    k = len(spec.monomers)
-    if len(spec.tree_edges) != k - 1:
-        raise NotATree(f"{k} monomers need {k - 1} tree edges, got {len(spec.tree_edges)}")
-    comp = list(range(k))
-
-    def root(i: int) -> int:
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    identify: list[tuple[Slot, Slot]] = []
-    for a, va, b, vb in spec.tree_edges:
-        for mi, v in ((a, va), (b, vb)):
-            if not 0 <= mi < k:
-                raise NotATree(f"monomer index {mi} out of range")
-            if not 0 <= v < spec.monomers[mi].graph.n:
-                raise VertexOutOfRange(v, spec.monomers[mi].graph.n)
-        if a == b:
-            raise NotATree(f"tree edge attaches monomer {a} to itself")
-        ra, rb = root(a), root(b)
-        if ra == rb:
-            raise NotATree(f"tree edges form a cycle through monomers {a} and {b}")
-        comp[ra] = rb
-        identify.append(((a, va), (b, vb)))
-    return _assemble([h.graph for h in spec.monomers], identify, extra_edges=[])
-
-
-#: builder per kind; each looks its builder up by name when called, so a
-#: wrapper bound over a module-level builder still sees every call
-_COMPOSERS = {
-    "link": lambda spec: build_link(spec.monomers),
-    "chain": lambda spec: build_chain(spec.monomers),
-    "bouquet": lambda spec: build_bouquet(spec.monomers),
-    "circuit": lambda spec: build_circuit(spec.monomers),
-    "tree": lambda spec: build_tree_attach(spec),
-}
-
-
 def compose(spec: PolymerSpec) -> CompositionResult:
-    return _COMPOSERS[spec.kind](spec)
+    """The composite of ``spec``: its kind names the slot pairs, and whether
+    each pair is identified or joined by a new edge.  Link and chain pair
+    ``(y_i, x_{i+1})``, bouquet ``(x_0, x_i)``, circuit ``(x_i, x_{i+1 mod
+    k})`` and tree its tree edges; link and circuit add edges."""
+    hs, k = spec.monomers, len(spec.monomers)
+    if spec.kind == "tree":
+        pairs = [((a, va), (b, vb)) for a, va, b, vb in spec.tree_edges]
+    elif spec.kind == "bouquet":
+        pairs = [((0, hs[0].x), (i, hs[i].x)) for i in range(1, k)]
+    elif spec.kind == "circuit":
+        pairs = [((i, hs[i].x), ((i + 1) % k, hs[(i + 1) % k].x)) for i in range(k)]
+    else:  # link, chain
+        pairs = [((i, hs[i].y), (i + 1, hs[i + 1].x)) for i in range(k - 1)]
+    graphs = [h.graph for h in hs]
+    if spec.kind in ("link", "circuit"):
+        return _assemble(graphs, identify=[], extra_edges=pairs)
+    return _assemble(graphs, pairs, extra_edges=[])
 
 
 def spec_to_dict(spec: PolymerSpec) -> dict:

@@ -197,7 +197,9 @@ def any_graphs(draw, max_n: int = 12):
 
 @st.composite
 def polymer_specs(draw):
-    """A spec of 2-4 small random monomers, for any of the five builders."""
+    """A spec of 2-4 small random monomers, of any of the five kinds.  Tree
+    edges come in any order and either orientation, so a pair's smaller
+    slot may be on either side."""
     kind = draw(st.sampled_from(KINDS))
     monomers = []
     for _ in range(draw(st.integers(3 if kind == "circuit" else 2, 4))):
@@ -208,9 +210,10 @@ def polymer_specs(draw):
     tree_edges = []
     for b in range(1, len(monomers) if kind == "tree" else 1):
         a = draw(st.integers(0, b - 1))
-        tree_edges.append((a, draw(st.integers(0, monomers[a].graph.n - 1)),
-                           b, draw(st.integers(0, monomers[b].graph.n - 1))))
-    return PolymerSpec(kind, tuple(monomers), tuple(tree_edges))
+        edge = (a, draw(st.integers(0, monomers[a].graph.n - 1)),
+                b, draw(st.integers(0, monomers[b].graph.n - 1)))
+        tree_edges.append(edge[2:] + edge[:2] if draw(st.booleans()) else edge)
+    return PolymerSpec(kind, tuple(monomers), tuple(draw(st.permutations(tree_edges))))
 
 
 def polymer_composites():

@@ -14,11 +14,10 @@ import time
 from contextlib import contextmanager
 
 from mostar import (CHAIN_FAMILIES, EDGE_MOSTAR, MOSTAR, FamilySpec,
-                    MonomerHandle, PolymerSpec, build_bouquet, build_chain,
-                    build_circuit, build_link, check_bounds, complete_graph,
-                    compose, cycle_graph, edge_mostar_index, edge_orientation, family_counts, gen_triangulane,
-                    generate, index_report, mostar_index, path_graph,
-                    vertex_orientation, wiener_index)
+                    MonomerHandle, PolymerSpec, check_bounds, complete_graph,
+                    compose, cycle_graph, edge_mostar_index, edge_orientation,
+                    family_counts, generate, index_report, mostar_index,
+                    path_graph, vertex_orientation, wiener_index)
 from mostar.cli import main
 
 from conftest import (formula_and_oracle, naive_wiener, permute_graph,
@@ -37,7 +36,7 @@ def criterion(name):
 
 
 def t2_graph():
-    return build_chain([MonomerHandle(complete_graph(3), 0, 1)] * 2).graph
+    return compose(PolymerSpec("chain", (MonomerHandle(complete_graph(3), 0, 1),) * 2)).graph
 
 
 def test_criterion_1_hand_derived_anchors():
@@ -51,13 +50,13 @@ def test_criterion_1_hand_derived_anchors():
         assert naive_wiener(t2) == 14
         assert wiener_index(t2) == 14
         assert mostar_index(path_graph(4)) == 4
-        star = build_bouquet([MonomerHandle(complete_graph(2), 0)] * 3).graph
+        star = compose(PolymerSpec("bouquet", (MonomerHandle(complete_graph(2), 0),) * 3)).graph
         assert mostar_index(star) == 6
         for k in range(3, 11):
             assert mostar_index(cycle_graph(k)) == 0
         for n in range(2, 9):
             assert edge_mostar_index(complete_graph(n)) == 0
-        assert mostar_index(gen_triangulane(1).graph) == 36
+        assert mostar_index(generate(FamilySpec("triangulane", n=1)).graph) == 36
         assert time.perf_counter() - start < 1.0
 
 
@@ -182,9 +181,7 @@ def test_criterion_4_structural_invariants():
             handles = _random_handles(rng, count, kind)
             total_v = sum(h.graph.n for h in handles)
             total_e = sum(h.graph.m for h in handles)
-            build = {"link": build_link, "chain": build_chain,
-                     "bouquet": build_bouquet, "circuit": build_circuit}[kind]
-            graph = build(handles).graph
+            graph = compose(PolymerSpec(kind, handles)).graph
             expected = {
                 "link": (total_v, total_e + count - 1),
                 "chain": (total_v - (count - 1), total_e),

@@ -3,9 +3,9 @@ from collections import Counter
 import pytest
 from mostar import families
 from mostar import (CHAIN_FAMILIES, FamilySpec, GraphError, MonomerHandle,
-                    build_chain, complete_graph, cycle_graph, family_counts,
-                    gen_clique_flower, gen_triangulane, gen_triangulane_aux,
-                    generate, index_report, is_connected, mostar_index)
+                    PolymerSpec, complete_graph, compose, cycle_graph,
+                    family_counts, generate, index_report, is_connected,
+                    mostar_index)
 from mostar.families import CHAIN_SHAPE
 
 
@@ -33,20 +33,20 @@ class TestCounts:
 
     def test_triangulane_aux(self):
         for k, counts in ((1, (3, 3)), (2, (7, 9)), (3, (15, 21))):
-            fam = gen_triangulane_aux(k)
+            fam = generate(FamilySpec("triangulane-aux", n=k))
             assert (fam.graph.n, fam.graph.m) == counts
             assert counts == family_counts(FamilySpec("triangulane-aux", n=k))
 
     def test_triangulane(self):
         for n, nv in ((1, 9), (2, 21), (3, 45)):
-            fam = gen_triangulane(n)
+            fam = generate(FamilySpec("triangulane", n=n))
             assert fam.graph.n == nv
             assert (fam.graph.n, fam.graph.m) == family_counts(
                 FamilySpec("triangulane", n=n))
-        assert mostar_index(gen_triangulane(1).graph) == 36
+        assert mostar_index(generate(FamilySpec("triangulane", n=1)).graph) == 36
 
     def test_clique_flower_counts(self):
-        fam = gen_clique_flower(5, 4)
+        fam = generate(FamilySpec("clique-flower", m=5, inner=4))
         assert (fam.graph.n, fam.graph.m) == (20, 40)
         for m, inner in ((1, 1), (2, 3), (4, 2)):
             spec = FamilySpec("clique-flower", m=m, inner=inner)
@@ -56,12 +56,12 @@ class TestCounts:
 class TestCliqueFlowerDegenerate:
     def test_single_petal_is_a_clique(self):
         for n in (2, 5, 7):
-            fam = gen_clique_flower(1, n)
+            fam = generate(FamilySpec("clique-flower", m=1, inner=n))
             assert fam.graph == complete_graph(n)
 
     def test_trivial_petals_leave_the_hub(self):
         for m in (1, 3, 6):
-            fam = gen_clique_flower(m, 1)
+            fam = generate(FamilySpec("clique-flower", m=m, inner=1))
             assert fam.graph == complete_graph(m)
 
 
@@ -75,14 +75,14 @@ class TestLandmarks:
                 assert 0 <= v < fam.graph.n
 
     def test_triangulane_hubs_form_a_triangle(self):
-        fam = gen_triangulane(2)
+        fam = generate(FamilySpec("triangulane", n=2))
         hubs = [fam.landmarks[k] for k in ("x_0", "u", "v")]
         assert len(set(hubs)) == 3
         for i in range(3):
             assert fam.graph.has_edge(hubs[i], hubs[(i + 1) % 3])
 
     def test_aux_hub_named_by_depth(self):
-        fam = gen_triangulane_aux(3)
+        fam = generate(FamilySpec("triangulane-aux", n=3))
         assert "y_3" in fam.landmarks
 
 
@@ -116,7 +116,7 @@ class TestMirrorSymmetry:
     def test_per_polygon_contributions_mirror(self, family, n):
         sides, spacing = CHAIN_SHAPE[family]
         polygon = cycle_graph(sides)
-        comp = build_chain((MonomerHandle(polygon, 0, spacing),) * n)
+        comp = compose(PolymerSpec("chain", (MonomerHandle(polygon, 0, spacing),) * n))
         assert comp.graph == generate(FamilySpec(family, n=n)).graph
         # polygon i's edges in composite ids; together they are every edge once
         groups = [[tuple(sorted((comp.vertex_map[(i, a)], comp.vertex_map[(i, b)])))

@@ -271,9 +271,9 @@ def check_streamed_pass(g):
         budget = rows * 24 * g.n
         passes, fronts = [], []
 
-        def spy_pass(graph, weights, hanging):
-            passes.append(graph.n)
-            return level_pass(graph, weights, hanging)
+        def spy_pass(a, weights, hanging):
+            passes.append(a.shape[0])
+            return level_pass(a, weights, hanging)
 
         def spy_levels(a, front):
             fronts.append(front.shape)

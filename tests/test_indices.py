@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mostar import (EdgeNotInGraph, FamilySpec, MonomerHandle, NotConnected,
-                    blocks, build_chain, complete_graph, cycle_graph,
+                    PolymerSpec, blocks, complete_graph, compose, cycle_graph,
                     edge_mostar_index, edge_orientation, formula_value,
-                    from_edge_list, gen_clique_flower, generate, index_report,
-                    indices, is_connected, mostar_index, path_graph,
+                    from_edge_list, generate, index_report, indices,
+                    is_connected, mostar_index, path_graph,
                     vertex_orientation, wiener_index)
 
 from conftest import (block_rich_graphs, connected_graphs, naive_all_pairs,
@@ -21,7 +21,7 @@ from conftest import (block_rich_graphs, connected_graphs, naive_all_pairs,
 
 def t2():
     """Two triangles sharing vertex 1: {0,1,2} and {1,3,4}."""
-    return build_chain([MonomerHandle(complete_graph(3), 0, 1)] * 2).graph
+    return compose(PolymerSpec("chain", (MonomerHandle(complete_graph(3), 0, 1),) * 2)).graph
 
 
 class TestVertexOrientation:
@@ -100,7 +100,7 @@ class TestIndexValues:
         assert wiener_index(g) == 14
 
     def test_clique_flower_5_4(self):
-        g = gen_clique_flower(5, 4).graph
+        g = generate(FamilySpec("clique-flower", m=5, inner=4)).graph
         assert mostar_index(g) == 240
         assert edge_mostar_index(g) == 510
 
@@ -328,8 +328,8 @@ def test_level_and_rows_passes_match_the_oracle(name):
         passes = []
         real = getattr(indices, taken)
 
-        def spy(graph, weights, hanging):
-            passes.append(graph.n)
+        def spy(graph, weights, hanging):  # graph: a Graph, or the level pass's adjacency
+            passes.append(weights.size)
             return real(graph, weights, hanging)
 
         with pytest.MonkeyPatch.context() as mp:

@@ -1,17 +1,17 @@
 import random
+import time
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mostar
 from mostar import (DegenerateHandles, GraphError, MonomerHandle, NotATree,
                     NotConnected, PolymerSpec, TooFewMonomers,
-                    VertexOutOfRange, build_bouquet, build_chain,
-                    build_circuit, build_link, build_tree_attach, complete_graph,
-                    compose, cycle_graph, from_edge_list, index_report,
-                    is_connected, path_graph, polymer, spec_from_dict,
-                    spec_to_dict)
+                    VertexOutOfRange, complete_graph, compose, cycle_graph,
+                    from_edge_list, index_report, is_connected, path_graph,
+                    polymer, spec_from_dict, spec_to_dict)
 
 from conftest import polymer_specs, random_connected_graph, reference_assemble
 
@@ -39,28 +39,28 @@ class TestHandles:
 class TestPointAttach:
     # point-attaching a at va and b at vb is the chain of the two monomers
     def test_two_edges_make_a_path(self):
-        res = build_chain([MonomerHandle(K2, 1), MonomerHandle(K2, 0)])
+        res = compose(PolymerSpec("chain", (MonomerHandle(K2, 1), MonomerHandle(K2, 0))))
         assert res.graph == path_graph(3)
         assert res.vertex_map[(0, 1)] == res.vertex_map[(1, 0)]
 
     def test_two_triangles(self):
-        res = build_chain([MonomerHandle(K3, 0), MonomerHandle(K3, 2)])
+        res = compose(PolymerSpec("chain", (MonomerHandle(K3, 0), MonomerHandle(K3, 2))))
         assert (res.graph.n, res.graph.m) == (5, 6)
 
     def test_identity_monomer(self):
         g = cycle_graph(5)
-        res = build_chain([MonomerHandle(K1, 0), MonomerHandle(g, 3)])
+        res = compose(PolymerSpec("chain", (MonomerHandle(K1, 0), MonomerHandle(g, 3))))
         assert (res.graph.n, res.graph.m) == (g.n, g.m)
         assert index_report(res.graph) == index_report(g)
 
     def test_counts(self):
         a, b = cycle_graph(4), complete_graph(4)
-        res = build_chain([MonomerHandle(a, 2), MonomerHandle(b, 1)])
+        res = compose(PolymerSpec("chain", (MonomerHandle(a, 2), MonomerHandle(b, 1))))
         assert res.graph.n == a.n + b.n - 1
         assert res.graph.m == a.m + b.m
 
     def test_map_surjective_and_merging(self):
-        res = build_chain([MonomerHandle(K3, 1), MonomerHandle(K3, 0)])
+        res = compose(PolymerSpec("chain", (MonomerHandle(K3, 1), MonomerHandle(K3, 0))))
         assert set(res.vertex_map.values()) == set(range(res.graph.n))
         merged = [s for s, cid in res.vertex_map.items()
                   if cid == res.vertex_map[(0, 1)]]
@@ -69,15 +69,15 @@ class TestPointAttach:
 
 class TestLink:
     def test_two_k2_make_p4(self):
-        res = build_link([MonomerHandle(K2, 0, 1), MonomerHandle(K2, 0, 1)])
+        res = compose(PolymerSpec("link", (MonomerHandle(K2, 0, 1), MonomerHandle(K2, 0, 1))))
         assert res.graph == path_graph(4)
 
     def test_single_monomer_unchanged(self):
-        res = build_link([MonomerHandle(K3, 0, 1)])
+        res = compose(PolymerSpec("link", (MonomerHandle(K3, 0, 1),)))
         assert res.graph == K3
 
     def test_two_triangles_one_bridge(self):
-        res = build_link([MonomerHandle(K3, 0, 1), MonomerHandle(K3, 0, 1)])
+        res = compose(PolymerSpec("link", (MonomerHandle(K3, 0, 1), MonomerHandle(K3, 0, 1))))
         g = res.graph
         assert (g.n, g.m) == (6, 7)
         bridges = [e for e in g.edges
@@ -88,7 +88,7 @@ class TestLink:
         rng = random.Random(3)
         handles = [MonomerHandle(random_connected_graph(rng, rng.randrange(2, 6)), 0, 1)
                    for _ in range(4)]
-        res = build_link(handles)
+        res = compose(PolymerSpec("link", tuple(handles)))
         g = res.graph
         monomer_edges = {tuple(sorted((res.vertex_map[(i, u)], res.vertex_map[(i, v)])))
                          for i, h in enumerate(handles) for u, v in h.graph.edges}
@@ -101,56 +101,57 @@ class TestLink:
 
 class TestChain:
     def test_two_triangles(self):
-        res = build_chain([MonomerHandle(K3, 0, 1)] * 2)
+        res = compose(PolymerSpec("chain", (MonomerHandle(K3, 0, 1),) * 2))
         assert (res.graph.n, res.graph.m) == (5, 6)
 
     def test_single(self):
-        assert build_chain([MonomerHandle(K3, 0, 2)]).graph == K3
+        assert compose(PolymerSpec("chain", (MonomerHandle(K3, 0, 2),))).graph == K3
 
     def test_para_squares(self):
-        res = build_chain([MonomerHandle(cycle_graph(4), 0, 2)] * 2)
+        res = compose(PolymerSpec("chain", (MonomerHandle(cycle_graph(4), 0, 2),) * 2))
         assert (res.graph.n, res.graph.m) == (7, 8)
 
     def test_interior_degenerate_handles(self):
         ok = MonomerHandle(K3, 0, 1)
         bad = MonomerHandle(K3, 2, 2)
         with pytest.raises(DegenerateHandles):
-            build_chain([ok, bad, ok])
+            compose(PolymerSpec("chain", (ok, bad, ok)))
         # ends may use a single vertex
-        build_chain([bad, ok])
-        build_chain([ok, bad])
+        compose(PolymerSpec("chain", (bad, ok)))
+        compose(PolymerSpec("chain", (ok, bad)))
 
 
 class TestBouquet:
     def test_three_k2_make_star(self):
-        res = build_bouquet([MonomerHandle(K2, 0)] * 3)
+        res = compose(PolymerSpec("bouquet", (MonomerHandle(K2, 0),) * 3))
         assert res.graph == from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
 
     def test_single(self):
-        assert build_bouquet([MonomerHandle(cycle_graph(4), 3)]).graph == cycle_graph(4)
+        single = PolymerSpec("bouquet", (MonomerHandle(cycle_graph(4), 3),))
+        assert compose(single).graph == cycle_graph(4)
 
     def test_friendship_counts(self):
         for m in (2, 3, 5):
-            res = build_bouquet([MonomerHandle(K3, 0)] * m)
+            res = compose(PolymerSpec("bouquet", (MonomerHandle(K3, 0),) * m))
             assert (res.graph.n, res.graph.m) == (2 * m + 1, 3 * m)
 
 
 class TestCircuit:
     def test_bare_cycles(self):
-        assert build_circuit([MonomerHandle(K1, 0)] * 3).graph == cycle_graph(3)
-        assert build_circuit([MonomerHandle(K1, 0)] * 4).graph == cycle_graph(4)
+        assert compose(PolymerSpec("circuit", (MonomerHandle(K1, 0),) * 3)).graph == cycle_graph(3)
+        assert compose(PolymerSpec("circuit", (MonomerHandle(K1, 0),) * 4)).graph == cycle_graph(4)
 
     def test_three_triangles(self):
-        res = build_circuit([MonomerHandle(K3, 0)] * 3)
+        res = compose(PolymerSpec("circuit", (MonomerHandle(K3, 0),) * 3))
         assert (res.graph.n, res.graph.m) == (9, 12)
 
     def test_too_few(self):
         with pytest.raises(TooFewMonomers):
-            build_circuit([MonomerHandle(K3, 0)] * 2)
+            compose(PolymerSpec("circuit", (MonomerHandle(K3, 0),) * 2))
 
     def test_attachment_vertices_induce_cycle(self):
         handles = [MonomerHandle(cycle_graph(4), 1)] * 5
-        res = build_circuit(handles)
+        res = compose(PolymerSpec("circuit", tuple(handles)))
         hubs = [res.vertex_map[(i, 1)] for i in range(5)]
         for i in range(5):
             assert res.graph.has_edge(hubs[i], hubs[(i + 1) % 5])
@@ -160,15 +161,15 @@ class TestTreeAttach:
     def test_star_spec_equals_bouquet(self):
         handles = tuple(MonomerHandle(K3, 1) for _ in range(4))
         tree = tuple((0, 1, i, 1) for i in range(1, 4))
-        via_tree = build_tree_attach(PolymerSpec("tree", handles, tree))
-        via_bouquet = build_bouquet(handles)
+        via_tree = compose(PolymerSpec("tree", handles, tree))
+        via_bouquet = compose(PolymerSpec("bouquet", handles))
         assert via_tree.graph == via_bouquet.graph
 
     def test_path_spec_equals_chain(self):
         handles = tuple(MonomerHandle(cycle_graph(4), 0, 2) for _ in range(3))
         tree = tuple((i, 2, i + 1, 0) for i in range(2))
-        via_tree = build_tree_attach(PolymerSpec("tree", handles, tree))
-        via_chain = build_chain(handles)
+        via_tree = compose(PolymerSpec("tree", handles, tree))
+        via_chain = compose(PolymerSpec("chain", handles))
         r1, r2 = index_report(via_tree.graph), index_report(via_chain.graph)
         assert (via_tree.graph.n, via_tree.graph.m) == (via_chain.graph.n, via_chain.graph.m)
         assert r1 == r2
@@ -176,19 +177,42 @@ class TestTreeAttach:
     def test_three_triangles_in_a_path(self):
         handles = tuple(MonomerHandle(K3, 0, 1) for _ in range(3))
         tree = ((0, 1, 1, 0), (1, 1, 2, 0))
-        res = build_tree_attach(PolymerSpec("tree", handles, tree))
+        res = compose(PolymerSpec("tree", handles, tree))
         assert (res.graph.n, res.graph.m) == (7, 9)
 
     def test_not_a_tree(self):
         handles = tuple(MonomerHandle(K3, 0, 1) for _ in range(3))
         with pytest.raises(NotATree):
-            build_tree_attach(PolymerSpec("tree", handles, ((0, 0, 1, 0),)))
+            compose(PolymerSpec("tree", handles, ((0, 0, 1, 0),)))
         with pytest.raises(NotATree):
-            build_tree_attach(PolymerSpec(
+            compose(PolymerSpec(
                 "tree", handles, ((0, 0, 1, 0), (1, 1, 0, 1))))
         with pytest.raises(NotATree):
-            build_tree_attach(PolymerSpec(
+            compose(PolymerSpec(
                 "tree", handles, ((0, 0, 0, 1), (1, 0, 2, 0))))
+
+
+@pytest.mark.parametrize("kind,monomers,tree,error,message", [
+    ("circuit", (MonomerHandle(K3, 0),) * 2, (), TooFewMonomers,
+     "circuit needs at least 3 monomers, got 2"),
+    ("chain", (MonomerHandle(K3, 0, 1), MonomerHandle(K3, 2, 2), MonomerHandle(K3, 0, 1)), (),
+     DegenerateHandles, "interior chain monomer 1 has x == y == 2"),
+    ("tree", (MonomerHandle(K3, 0),) * 3, ((0, 0, 1, 0),), NotATree,
+     "3 monomers need 2 tree edges, got 1"),
+    ("tree", (MonomerHandle(K3, 0),) * 3, ((0, 0, 1, 0), (1, 1, 0, 1)), NotATree,
+     "tree edges form a cycle through monomers 1 and 0"),
+    ("tree", (MonomerHandle(K3, 0),) * 2, ((0, 0, 2, 0),), NotATree,
+     "monomer index 2 out of range"),
+    ("tree", (MonomerHandle(K3, 0),) * 2, ((0, 0, 1, 3),), VertexOutOfRange,
+     "vertex 3 out of range for n=3"),
+], ids=["circuit-of-2", "degenerate-interior", "too-few-edges", "cycle",
+        "monomer-out-of-range", "vertex-out-of-range"])
+def test_invalid_spec_fails_at_construction(kind, monomers, tree, error, message):
+    """Every check of a kind runs when the spec is made, so no spec that
+    exists fails in ``compose``."""
+    with pytest.raises(error) as caught:
+        PolymerSpec(kind, monomers, tree)
+    assert str(caught.value) == message
 
 
 class TestSpecJson:
@@ -244,16 +268,16 @@ def test_count_formulas_and_connectivity(rnd, k, kind):
     total_v = sum(h.graph.n for h in handles)
     total_e = sum(h.graph.m for h in handles)
     if kind == "link":
-        res = build_link(handles)
+        res = compose(PolymerSpec("link", tuple(handles)))
         expected = (total_v, total_e + k - 1)
     elif kind == "chain":
-        res = build_chain(handles)
+        res = compose(PolymerSpec("chain", tuple(handles)))
         expected = (total_v - (k - 1), total_e)
     elif kind == "bouquet":
-        res = build_bouquet(handles)
+        res = compose(PolymerSpec("bouquet", tuple(handles)))
         expected = (total_v - (k - 1), total_e)
     else:
-        res = build_circuit(handles)
+        res = compose(PolymerSpec("circuit", tuple(handles)))
         expected = (total_v, total_e + k)
     assert (res.graph.n, res.graph.m) == expected
     assert is_connected(res.graph)
@@ -266,8 +290,8 @@ def test_chain_equals_tree_attach_path(rnd, k):
     rng = random.Random(rnd.random())
     handles = tuple(_random_handles(rng, k))
     tree = tuple((i, handles[i].y, i + 1, handles[i + 1].x) for i in range(k - 1))
-    via_chain = build_chain(handles)
-    via_tree = build_tree_attach(PolymerSpec("tree", handles, tree))
+    via_chain = compose(PolymerSpec("chain", handles))
+    via_tree = compose(PolymerSpec("tree", handles, tree))
     assert index_report(via_chain.graph) == index_report(via_tree.graph)
 
 
@@ -293,3 +317,26 @@ def test_long_chain_and_shared_tree_slots_match_the_reference():
     # slot (1, 0) is in three tree edges and slot (0, 0) in two: one class of five slots
     tree = ((1, 0, 0, 0), (2, 1, 1, 0), (0, 0, 3, 2), (1, 0, 4, 1), (4, 2, 5, 0))
     assert_matches_reference(PolymerSpec("tree", (hexagon,) * 6, tree))
+
+
+def test_tree_star_on_the_last_monomer_composes_fast():
+    """20,000 one-vertex monomers, each attached to the last: every pair shares
+    the larger root, so hooking one root per round would take 20,000 rounds."""
+    k = 20_000
+    spec = PolymerSpec("tree", (MonomerHandle(K1, 0),) * k,
+                       tuple((i, 0, k - 1, 0) for i in range(k - 1)))
+    start = time.perf_counter()
+    res = compose(spec)
+    assert time.perf_counter() - start < 1.0
+    assert (res.graph.n, res.graph.m) == (1, 0)
+    assert res.vertex_map == {(i, 0): 0 for i in range(k)}
+
+
+def test_one_way_in():
+    """``compose`` and ``generate`` are the only construction entry points."""
+    for name in ("build_link", "build_chain", "build_bouquet", "build_circuit",
+                 "build_tree_attach", "gen_clique_flower", "gen_triangulane",
+                 "gen_triangulane_aux"):
+        assert not hasattr(mostar, name)
+        assert not hasattr(mostar.polymer, name) and not hasattr(mostar.families, name)
+    assert not hasattr(mostar.polymer, "_COMPOSERS")
