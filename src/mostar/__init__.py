@@ -15,8 +15,7 @@ from .formulas import (BOUND_KINDS, BoundsReport, MonomerStats, check_bounds,
                        upper_bound_chain, upper_bound_circuit,
                        upper_bound_link)
 from .graphs import (Blocks, Graph, blocks, complete_graph, cycle_graph,
-                     distance_blocks, distance_rows, from_edge_list,
-                     is_connected, path_graph)
+                     distance_rows, from_edge_list, is_connected, path_graph)
 from .indices import (EDGE_MOSTAR, INDEX_NAMES, MOSTAR, WIENER,
                       EdgeOrientationCounts, IndexReport, OrientationCounts,
                       PerEdgeContribution, edge_mostar_index,

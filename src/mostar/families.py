@@ -14,7 +14,7 @@ from functools import cache, cached_property
 from typing import Callable
 
 from .errors import GraphError
-from .graphs import Graph, complete_graph, cycle_graph
+from .graphs import Graph, _is_int, complete_graph, cycle_graph
 from .polymer import MonomerHandle, PolymerSpec, compose
 
 CHAIN_FAMILIES = ("triangular", "square-para", "square-ortho",
@@ -48,6 +48,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_NAMES:
             raise GraphError(f"unknown family {self.family!r}")
+        if not all(map(_is_int, (self.n, self.m, self.inner))):
+            raise GraphError("family parameters must be integers")
         if self.n < 1 or self.m < 1 or self.inner < 1:
             raise GraphError("family parameters must be >= 1")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,25 +122,28 @@ def complete_graph(n: int) -> Graph:
     return from_edge_list(n, np.column_stack(np.triu_indices(max(n, 0), 1)))
 
 
+def _components(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Each vertex's component label, the lowest vertex of its component, by
+    the hooking of Shiloach and Vishkin: every larger root of a pair hooks
+    under the smallest root paired with it, then pointer jumping flattens
+    the trees, until no pair has two roots."""
+    label = np.arange(n)
+    a, b = pairs.T
+    while True:
+        ra, rb = label[a], label[b]
+        apart = ra != rb
+        if not apart.any():
+            return label
+        np.minimum.at(label, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        while not np.array_equal(up := label[label], label):
+            label = up
+
+
 def is_connected(g: Graph) -> bool:
-    """True iff the edges join all n vertices into one component (union-find)."""
+    """True iff the edges join all n vertices into one component."""
     if g.m < g.n - 1:  # too few edges to connect: decided before allocating n of anything
         return False
-    parent = list(range(g.n))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = g.n
-    for u, v in g.ends.tolist():
-        ru, rv = root(u), root(v)
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-    return components == 1
+    return not _components(g.n, g.ends).any()
 
 
 class Blocks(NamedTuple):
@@ -220,13 +223,13 @@ def blocks(g: Graph) -> Blocks:
                     for a in (vstart, verts, weights, hanging, estart, edges)))
 
 
-def _csr(g: Graph, dtype=np.int8) -> csr_matrix:
+def _csr(n: int, ends: np.ndarray) -> csr_matrix:
+    """The float32 adjacency of n vertices joined by the ``(m, 2)`` ``ends``."""
     from scipy.sparse import csr_matrix
 
-    rows = np.concatenate([g.ends[:, 0], g.ends[:, 1]])
-    cols = np.concatenate([g.ends[:, 1], g.ends[:, 0]])
-    data = np.ones(2 * g.m, dtype=dtype)
-    return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+    rows = np.concatenate([ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([ends[:, 1], ends[:, 0]])
+    return csr_matrix((np.ones(2 * len(ends), np.float32), (rows, cols)), shape=(n, n))
 
 
 def _bfs_rows(mat: csr_matrix, sources: np.ndarray) -> np.ndarray:
@@ -240,31 +243,16 @@ def _bfs_rows(mat: csr_matrix, sources: np.ndarray) -> np.ndarray:
     return raw.astype(np.int32)
 
 
+def _is_int(x) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
-    """int32 hop counts, one row per source; NotConnected if g is disconnected."""
+    """int32 hop counts, one row per source; NotConnected if g is disconnected.
+
+    Each chunk of the all-pairs table is ``distance_rows(g, range(a, b))``."""
     for s in sources:
-        if not 0 <= s < g.n:
+        if not (_is_int(s) and 0 <= s < g.n):
             raise VertexOutOfRange(s, g.n)
-    return _bfs_rows(_csr(g), np.asarray(sources, dtype=np.intp))
-
-
-def distance_blocks(g: Graph, rows: int) -> Iterator[np.ndarray]:
-    """Rows of the all-pairs hop-count table in source order, ``rows`` at a time.
-
-    Yields ``(k, n)`` int32 blocks, ``k <= rows``, whose concatenation is the
-    full table; only the current block is held, and a disconnected graph
-    raises NotConnected before the first.  The BFS runs in scipy's csgraph on
-    a copy relabelled in reverse Cuthill-McKee order, which keeps neighbours
-    close in memory, so scattered labels sweep as fast as well-ordered ones;
-    block columns map back to the original labels.
-    """
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    mat = _csr(g)
-    order = reverse_cuthill_mckee(mat, symmetric_mode=True)
-    relabel = np.argsort(order)  # the inverse permutation
-    mat = mat[order][:, order]
-    mat.sort_indices()
-    for start in range(0, g.n, rows):
-        # one expression, so no unpermuted copy stays alive across the yield
-        yield _bfs_rows(mat, relabel[start:start + rows])[:, relabel]
+    return _bfs_rows(_csr(g.n, g.ends), np.asarray(sources, dtype=np.intp))

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EdgeNotInGraph
-from .graphs import (Blocks, Edge, Graph, _csr, blocks, distance_blocks,
+from .errors import EdgeNotInGraph, GraphError
+from .graphs import (Blocks, Edge, Graph, _bfs_rows, _csr, _is_int, blocks,
                      distance_rows)
 
 MOSTAR = "mostar"
@@ -100,7 +100,13 @@ class IndexReport:
 
 
 def _endpoint_rows(g: Graph, e) -> tuple[Edge, np.ndarray, np.ndarray]:
-    u, v = int(e[0]), int(e[1])
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        u = v = None
+    if not (_is_int(u) and _is_int(v)):
+        raise GraphError(f"edge must be a pair of integers, got {e!r}")
+    u, v = int(u), int(v)
     if not g.has_edge(u, v):
         distance_rows(g, (0,))  # a disconnected graph raises NotConnected first
         raise EdgeNotInGraph(u, v)
@@ -117,8 +123,9 @@ def vertex_orientation(g: Graph, e) -> OrientationCounts:
     """Classify every vertex of ``g`` against the endpoints of edge ``e``.
 
     Counts are reported relative to the orientation of ``e`` as passed.  Both
-    orientations raise NotConnected on a disconnected ``g``, else
-    EdgeNotInGraph if ``e`` is not an edge.
+    orientations raise GraphError if ``e`` is not a pair of integers, then
+    NotConnected on a disconnected ``g``, else EdgeNotInGraph if ``e`` is
+    not an edge.
     """
     edge, du, dv = _endpoint_rows(g, e)
     n_u = int(np.count_nonzero(du < dv))
@@ -136,21 +143,34 @@ def edge_orientation(g: Graph, e) -> EdgeOrientationCounts:
     return EdgeOrientationCounts(edge, m_u, m_v, g.m - m_u - m_v)
 
 
-def _transmissions(g: Graph, weights: np.ndarray,
+def _transmissions(a, ends: np.ndarray, weights: np.ndarray,
                    hanging: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(T, E)`` as int64 from BFS rows, at most ``_ROW_BUDGET_BYTES`` at a
-    time; vertex w counts ``weights[w]`` times in T and ``hanging[w]`` in E."""
-    rows = max(1, _ROW_BUDGET_BYTES // (8 * max(g.n, g.m)))
+    """``(T, E)`` as int64 from BFS rows over the float32 adjacency ``a`` of
+    the edges ``ends``, at most ``_ROW_BUDGET_BYTES`` at a time; vertex w
+    counts ``weights[w]`` times in T and ``hanging[w]`` in E.  The rows run
+    on a copy relabelled in reverse Cuthill-McKee order, which keeps
+    neighbours close in memory, so scattered labels sweep as fast as
+    well-ordered ones."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n = a.shape[0]
+    order = reverse_cuthill_mckee(a, symmetric_mode=True)
+    relabel = np.argsort(order)  # the inverse permutation
+    a = a[order][:, order]
+    a.sort_indices()
+    ends, weights, hanging = relabel[ends], weights[order], hanging[order]
+    rows = max(1, _ROW_BUDGET_BYTES // (8 * max(n, len(ends))))
     # int64 row sums cannot wrap: each is below n * max(n, m)
     vertex_sums, edge_sums = [], []
-    for block in distance_blocks(g, rows):
+    for start in range(0, n, rows):
+        block = _bfs_rows(a, np.arange(start, min(start + rows, n)))
         vertex_sums.append(block @ weights)
-        to_edge = block[:, g.ends[:, 0]]
-        np.minimum(to_edge, block[:, g.ends[:, 1]], out=to_edge)
+        to_edge = block[:, ends[:, 0]]
+        np.minimum(to_edge, block[:, ends[:, 1]], out=to_edge)
         # no edge hangs at a graph that is one block: skip that product
         edge_sums.append(to_edge.sum(axis=1, dtype=np.int64)
                          + (block @ hanging if hanging.any() else 0))
-    return np.concatenate(vertex_sums), np.concatenate(edge_sums)
+    return np.concatenate(vertex_sums)[relabel], np.concatenate(edge_sums)[relabel]
 
 
 def _levels(a, front: np.ndarray):
@@ -217,8 +237,6 @@ def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
     firsts = np.cumsum(counts) - counts  # where each block's edges start
     eids = parts.edges[np.repeat(parts.edge_start[chosen] - firsts, counts)
                        + np.arange(owner.size)]
-    if s > _FLOYD_MAX:
-        eids.sort()  # k == 1: relabelled in vertex order, its edges stay canonical
     # endpoints as positions in the flattened (k, s) arrays, by (block, vertex) key
     pos = np.searchsorted((parts.vertices[at] + g.n * np.arange(k)[:, None]).ravel(),
                           g.ends[eids] + g.n * owner[:, None])
@@ -234,12 +252,11 @@ def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
         edge_trans = (np.einsum("kij,kj->ki", d, hanging)
                       + np.add.reduceat(near, firsts)).ravel()
     else:
-        block = Graph(s, local)
-        a = _csr(block, np.float32)  # the probe's adjacency, reused by the level pass
+        a = _csr(s, local)  # the probe's adjacency, reused by either pass
         if _shallow(a):
             trans, edge_trans = _level_transmissions(a, weights[0], hanging[0])
         else:
-            trans, edge_trans = _transmissions(block, weights[0], hanging[0])
+            trans, edge_trans = _transmissions(a, local, weights[0], hanging[0])
     u, v = pos[:, 0], pos[:, 1]
     # weights . D weights of a block is at most n^2 s: far inside int64
     return (eids, np.abs(trans[u] - trans[v]), np.abs(edge_trans[u] - edge_trans[v]),

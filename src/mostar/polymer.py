@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (DegenerateHandles, GraphError, NotATree, NotConnected,
                      TooFewMonomers, VertexOutOfRange)
 from .formats import graph_to_dict, json_integer, parse_graph_json
-from .graphs import Graph, from_edge_list, is_connected
+from .graphs import Graph, _components, from_edge_list, is_connected
 
 KINDS = ("link", "chain", "bouquet", "circuit", "tree")
 
@@ -145,16 +145,7 @@ def _assemble(graphs: list[Graph], identify: list[tuple[Slot, Slot]],
         return np.array([(first[i] + v, first[j] + w) for (i, v), (j, w) in pairs],
                         dtype=np.int64).reshape(-1, 2)
 
-    label = np.arange(first[-1])
-    a, b = flat(identify).T
-    while True:  # hook each larger root under the smallest root paired with it, then shortcut
-        ra, rb = label[a], label[b]
-        apart = ra != rb
-        if not apart.any():
-            break
-        np.minimum.at(label, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
-        while not np.array_equal(up := label[label], label):
-            label = up
+    label = _components(first[-1], flat(identify))
     roots = label == np.arange(first[-1])
     ids = (np.cumsum(roots) - 1)[label]
     arrays = [g.ends for g in graphs]

@@ -572,8 +572,13 @@ def test_fuzz_compose_and_bounds(fuzz_dir, doc, argv):
 SCIPY_PROBE = """
 import sys
 import mostar.cli
-from mostar import FamilySpec, complete_graph, cycle_graph, generate, index_report
+from mostar import (FamilySpec, MonomerHandle, PolymerSpec, complete_graph, compose,
+                    cycle_graph, generate, index_report, is_connected)
 loaded = ["scipy" in sys.modules]
+compose(PolymerSpec("bouquet", (MonomerHandle(cycle_graph(5), 0),) * 3))
+loaded.append("scipy" in sys.modules)
+is_connected(generate(FamilySpec("hex-meta", n=50)).graph)
+loaded.append("scipy" in sys.modules)
 index_report(generate(FamilySpec("hex-meta", n=50)).graph)  # blocks of 6 vertices
 loaded.append("scipy" in sys.modules)
 index_report(complete_graph(60))  # one shallow block of 60 vertices: the level pass
@@ -589,7 +594,7 @@ def test_scipy_is_loaded_only_by_the_bfs_pass():
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False, True, False, True]\n"
+    assert proc.stdout == "[False, False, False, False, True, False, True]\n"
 
 
 class TestRoundTrip:

@@ -139,6 +139,12 @@ class TestValidation:
         with pytest.raises(GraphError):
             FamilySpec("triangular", n=0)
 
+    @pytest.mark.parametrize("params", [{"n": 2.5}, {"n": True}, {"m": 3.0},
+                                        {"inner": "2"}, {"inner": False}])
+    def test_non_integer_parameters(self, params):
+        with pytest.raises(GraphError, match="must be integers"):
+            FamilySpec("hex-meta", **params)
+
     def test_determinism(self):
         for spec in (FamilySpec("hex-ortho", n=5),
                      FamilySpec("clique-flower", m=3, inner=3),

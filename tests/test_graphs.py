@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mostar import (DuplicateEdge, GraphError, NotConnected, SelfLoop,
                     VertexOutOfRange, blocks, complete_graph, cycle_graph,
-                    distance_blocks, distance_rows, dump_graph, edge_orientation,
+                    distance_rows, dump_graph, edge_orientation,
                     emit_edge_list, emit_graph_json, from_edge_list, graphs,
                     index_report, indices, is_connected, parse_edge_list,
                     parse_graph, parse_graph_json, path_graph,
@@ -19,9 +19,14 @@ from conftest import (any_graphs, block_rich_graphs, connected_graphs,
                       reference_edges)
 
 
+def row_chunks(g, rows):
+    """The all-pairs table as ``distance_rows`` chunks of ``rows`` sources."""
+    return [distance_rows(g, range(a, min(a + rows, g.n))) for a in range(0, g.n, rows)]
+
+
 def block_table(g, rows=3):
-    """The all-pairs table, concatenated from ``distance_blocks``."""
-    return np.concatenate(list(distance_blocks(g, rows)))
+    """The all-pairs table, concatenated from ``distance_rows`` chunks."""
+    return np.concatenate(row_chunks(g, rows))
 
 
 def two_triangles():
@@ -130,6 +135,14 @@ class TestBfs:
             with pytest.raises(VertexOutOfRange):
                 distance_rows(path_graph(2), [source])
 
+    @pytest.mark.parametrize("source", [1.5, True, np.float64(1), "1"])
+    def test_non_integer_source(self, source):
+        with pytest.raises(VertexOutOfRange):
+            distance_rows(path_graph(3), [source])
+
+    def test_numpy_integer_source(self):
+        assert distance_rows(path_graph(3), [np.int64(2)]).tolist() == [[2, 1, 0]]
+
 
 class TestAllPairs:
     def test_k1(self):
@@ -149,7 +162,7 @@ class TestAllPairs:
 
     def test_blocks_concatenate_to_table(self):
         g = cycle_graph(41)
-        blocks = list(distance_blocks(g, 7))
+        blocks = row_chunks(g, 7)
         assert [len(b) for b in blocks] == [7] * 5 + [6]
         assert all(b.dtype == np.int32 for b in blocks)
         assert np.concatenate(blocks).tolist() == naive_all_pairs(g)
@@ -166,7 +179,7 @@ class TestConnectivity:
                              ids=["two-triangles", "two-isolated"])
     def test_distance_pass_raises_not_connected(self, g):
         with pytest.raises(NotConnected, match=f"graph with {g.n} vertices"):
-            next(distance_blocks(g, 4))
+            distance_rows(g, range(min(4, g.n)))
         with pytest.raises(NotConnected):
             distance_rows(g, [g.n - 1])
         with pytest.raises(NotConnected):
@@ -174,6 +187,30 @@ class TestConnectivity:
         for orientation in (vertex_orientation, edge_orientation):
             with pytest.raises(NotConnected):
                 orientation(g, (0, 1))
+
+    def test_shuffled_long_path(self):
+        """A 20,000-vertex path under a seeded relabelling: connected, and
+        disconnected once its middle edge is gone."""
+        n = 20_000
+        perm = np.random.default_rng(7).permutation(n)
+        g = from_edge_list(n, np.column_stack([perm[:-1], perm[1:]]))
+        assert is_connected(g) and min(naive_bfs(g, 0)) >= 0
+        middle = tuple(sorted(perm[n // 2:n // 2 + 2].tolist()))
+        cut = from_edge_list(n, [e for e in g.edges if e != middle])
+        assert not is_connected(cut) and min(naive_bfs(cut, 0)) < 0
+
+    def test_many_components(self):
+        """Shuffled disjoint paths and cycles, then one edge per gap joining
+        them: disconnected until the last gap closes."""
+        rng = np.random.default_rng(11)
+        perm = rng.permutation(3000)
+        pieces = np.split(perm, np.sort(rng.choice(np.arange(1, 3000), 199, replace=False)))
+        edges = [(int(p[i]), int(p[i + 1])) for p in pieces for i in range(len(p) - 1)]
+        edges += [(int(p[0]), int(p[-1])) for p in pieces if len(p) > 2]
+        joins = [(int(a[-1]), int(b[0])) for a, b in zip(pieces, pieces[1:])]
+        for k in (0, 100, 198, 199):
+            g = from_edge_list(3000, edges + joins[:k])
+            assert is_connected(g) == (k == 199) == (min(naive_bfs(g, 0)) >= 0)
 
     def test_index_report_makes_no_separate_connectivity_check(self, monkeypatch):
         def fail(g):
@@ -242,30 +279,28 @@ def check_streamed_pass(g):
     block_orders = np.diff(blocks(g).vertex_start).tolist()
     for rows in (1, 2, 3):
         budget = rows * 8 * max(g.n, g.m)
-        calls = []
+        calls = []  # per block: its adjacency and the sizes of its BFS batches
 
-        def spy(graph, k):
-            sizes = []
-            calls.append((graph, k, sizes))
-            for block in graphs.distance_blocks(graph, k):
-                sizes.append(len(block))
-                yield block
+        def spy(mat, sources):  # each block's batches share one adjacency
+            if not calls or calls[-1][0] is not mat:
+                calls.append((mat, []))
+            calls[-1][1].append(len(sources))
+            return graphs._bfs_rows(mat, sources)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(indices, "_ROW_BUDGET_BYTES", budget)
             mp.setattr(indices, "_FLOYD_MAX", 0)
             mp.setattr(indices, "_LEVEL_MAX_ECC", 0)
-            mp.setattr(indices, "distance_blocks", spy)
+            mp.setattr(indices, "_bfs_rows", spy)
             check(index_report(g, include_per_edge=True))
-        assert sorted(graph.n for graph, _, _ in calls) == sorted(block_orders)
-        if len(block_orders) == 1:
-            assert calls[0][1] == rows
-        for graph, k, sizes in calls:
-            assert list(graph.edges) == sorted(graph.edges)  # each block is canonical
-            assert all(a < b for a, b in graph.edges)
-            assert k == max(1, budget // (8 * max(graph.n, graph.m)))
-            ragged = [graph.n % k] if graph.n % k else []
-            assert sizes == [k] * (graph.n // k) + ragged
+        assert sorted(mat.shape[0] for mat, _ in calls) == sorted(block_orders)
+        for mat, sizes in calls:
+            n, m = mat.shape[0], mat.nnz // 2
+            k = max(1, budget // (8 * max(n, m)))
+            if len(block_orders) == 1:
+                assert k == rows
+            ragged = [n % k] if n % k else []
+            assert sizes == [k] * (n // k) + ragged
     level_pass, levels = indices._level_transmissions, indices._levels
     for rows in (1, 2, 3):
         budget = rows * 24 * g.n
@@ -313,9 +348,9 @@ def test_cost_test_picks_the_pass(g, taken):
     def spy(name):
         real = getattr(indices, name)
 
-        def run(graph, weights, hanging):
+        def run(*args):
             passes.append(name)
-            return real(graph, weights, hanging)
+            return real(*args)
         return run
 
     def spy_levels(a, front):

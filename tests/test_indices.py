@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mostar import (EdgeNotInGraph, FamilySpec, MonomerHandle, NotConnected,
-                    PolymerSpec, blocks, complete_graph, compose, cycle_graph,
-                    edge_mostar_index, edge_orientation, formula_value,
+from mostar import (EdgeNotInGraph, FamilySpec, GraphError, MonomerHandle,
+                    NotConnected, PolymerSpec, blocks, complete_graph, compose,
+                    cycle_graph, edge_mostar_index, edge_orientation, formula_value,
                     from_edge_list, generate, index_report, indices,
                     is_connected, mostar_index, path_graph,
                     vertex_orientation, wiener_index)
@@ -52,6 +52,16 @@ class TestVertexOrientation:
     def test_edge_not_in_graph(self):
         with pytest.raises(EdgeNotInGraph):
             vertex_orientation(path_graph(3), (0, 2))
+
+    @pytest.mark.parametrize("e", [(0, 1, 2), (0,), (0.0, 1), (False, True), 1, None])
+    def test_edge_not_a_pair_of_integers(self, e):
+        for orientation in (vertex_orientation, edge_orientation):
+            with pytest.raises(GraphError, match="pair of integers"):
+                orientation(path_graph(3), e)
+
+    def test_numpy_edge(self):
+        g = path_graph(3)
+        assert vertex_orientation(g, g.ends[1]) == vertex_orientation(g, (1, 2))
 
     def test_not_connected(self):
         with pytest.raises(NotConnected):
@@ -316,6 +326,24 @@ PASS_CASES = {
 }
 
 
+def test_deep_relabelled_block_takes_the_rows_pass():
+    """A 300-cycle with chords under a seeded relabelling is one block whose
+    probe is still going after ``_LEVEL_MAX_ECC`` levels, so at the default
+    cutoffs it streams BFS rows, and they give the naive oracle's diffs."""
+    g = permute_graph(chorded_cycle(300, 50), random.Random(5).sample(range(300), 300))
+    passes = []
+    real = indices._transmissions
+
+    def spy(*args):
+        passes.append(args[0].shape[0])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indices, "_transmissions", spy)
+        check_against_oracle(g)
+    assert passes == [300]
+
+
 @pytest.mark.parametrize("name", list(PASS_CASES))
 def test_level_and_rows_passes_match_the_oracle(name):
     """Every block forced through the level pass, then through the streamed
@@ -328,9 +356,9 @@ def test_level_and_rows_passes_match_the_oracle(name):
         passes = []
         real = getattr(indices, taken)
 
-        def spy(graph, weights, hanging):  # graph: a Graph, or the level pass's adjacency
-            passes.append(weights.size)
-            return real(graph, weights, hanging)
+        def spy(*args):  # the block's adjacency, its edges for the rows pass, then the masses
+            passes.append(args[-2].size)
+            return real(*args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(indices, "_FLOYD_MAX", 0)
