@@ -18,9 +18,8 @@ from .graphs import (Blocks, Graph, blocks, complete_graph, cycle_graph,
                      distance_rows, from_edge_list, is_connected, path_graph)
 from .indices import (EDGE_MOSTAR, INDEX_NAMES, MOSTAR, WIENER,
                       EdgeOrientationCounts, IndexReport, OrientationCounts,
-                      PerEdgeContribution, edge_mostar_index,
-                      edge_orientation, index_report, mostar_index,
-                      vertex_orientation, wiener_index)
+                      edge_mostar_index, edge_orientation, index_report,
+                      mostar_index, vertex_orientation, wiener_index)
 from .polymer import (KINDS, CompositionResult, MonomerHandle, PolymerSpec,
                       compose, spec_from_dict, spec_from_json, spec_to_dict)
 

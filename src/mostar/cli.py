@@ -82,7 +82,7 @@ def cmd_gen(args) -> int:
 def cmd_compute(args) -> int:
     graph = parse_graph(Path(args.input).read_text())
     try:
-        report = index_report(graph, include_per_edge=args.per_edge)
+        report = index_report(graph)
     except NotConnected as exc:
         _err(str(exc))
         return 3
@@ -90,13 +90,14 @@ def cmd_compute(args) -> int:
               else [args.index])
     values = {"mostar": report.mostar, "edge-mostar": report.edge_mostar,
               "wiener": report.wiener}
+    # ((u, v), |n_u-n_v|, |m_u-m_v|) in edge order, built only for --per-edge
+    edge_rows = list(zip(graph.ends.tolist(), report.vertex_diffs.tolist(),
+                         report.edge_diffs.tolist())) if args.per_edge else []
     if args.format == "json":
         results: dict = {name: values[name] for name in wanted}
         if args.per_edge:
-            results["per_edge"] = [
-                {"u": c.edge[0], "v": c.edge[1],
-                 "vertex_diff": c.vertex_diff, "edge_diff": c.edge_diff}
-                for c in report.per_edge]
+            results["per_edge"] = [{"u": u, "v": v, "vertex_diff": vd, "edge_diff": ed}
+                                   for (u, v), vd, ed in edge_rows]
         inputs = {"input": args.input, "index": args.index,
                   "per_edge": args.per_edge}
         sys.stdout.write(_record("compute", inputs, results))
@@ -104,16 +105,15 @@ def cmd_compute(args) -> int:
         print("metric,u,v,vertex_diff,edge_diff,value")
         for name in wanted:
             print(f"{name},,,,,{values[name]}")
-        if args.per_edge:
-            for c in report.per_edge:
-                print(f"edge,{c.edge[0]},{c.edge[1]},{c.vertex_diff},{c.edge_diff},")
+        for (u, v), vd, ed in edge_rows:
+            print(f"edge,{u},{v},{vd},{ed},")
     else:
         for name in wanted:
             print(f"{name} = {values[name]}")
         if args.per_edge:
             print("edge  |n_u-n_v|  |m_u-m_v|")
-            for c in report.per_edge:
-                print(f"({c.edge[0]},{c.edge[1]})  {c.vertex_diff}  {c.edge_diff}")
+            for (u, v), vd, ed in edge_rows:
+                print(f"({u},{v})  {vd}  {ed}")
     return 0
 
 
@@ -197,11 +197,10 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = spec_from_json(Path(args.spec).read_text())
-    composite = compose(spec).graph
+    checked = check_bounds(spec, args.which)
     indices = ((MOSTAR, EDGE_MOSTAR) if args.index == "both"
                else (_CLI_INDEX[args.index],))
-    reports = {_INDEX_CLI[ix]: r for ix, r in
-               check_bounds(composite, spec, args.which, indices).items()}
+    reports = {_INDEX_CLI[ix]: checked[ix] for ix in indices}
     if args.format == "json":
         results = {name: {"actual": r.actual, "bound": r.bound, "kind": r.kind,
                           "strict": r.strict, "slack": r.slack, "holds": r.holds}

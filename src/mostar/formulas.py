@@ -4,8 +4,9 @@ Chain formulas are quadratic in k with an even/odd split (n = 2k or
 n = 2k + 1) and are evaluated exactly as stated, in exact integer
 arithmetic.  Bound evaluators work on per-monomer statistics so they can be
 unit-tested against hand arithmetic; ``check_bounds`` (which ``bounds``
-uses) derives the statistics from real monomers and compares them against
-the brute-force indices of the composite, each graph evaluated once.
+uses) composes the spec, derives the statistics from its real monomers and
+compares them against the brute-force indices of the composite, each graph
+evaluated once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import MismatchedConstruction, TooFewMonomers, UnsupportedCombinati
 from .families import CHAIN_FAMILIES, FamilySpec
 from .graphs import Graph
 from .indices import EDGE_MOSTAR, MOSTAR, index_report
-from .polymer import PolymerSpec
+from .polymer import PolymerSpec, compose
 
 #: (a, b) meaning a*k^2 + b*k, keyed by (family, index, n odd?)
 #: The hex-meta and hex-ortho edge rows replicate the hex-para ones; the
@@ -209,17 +210,13 @@ _BOUNDS = {
 BOUND_KINDS = tuple(_BOUNDS)
 
 
-def check_bounds(composite: Graph, spec: PolymerSpec, which: str,
-                 indices: tuple[str, ...]) -> dict[str, BoundsReport]:
-    """Compare the brute-force indices of a composite against one bound.
+def check_bounds(spec: PolymerSpec, which: str) -> dict[str, BoundsReport]:
+    """Compare the brute-force indices of ``compose(spec)`` against one bound.
 
-    Each monomer and the composite are evaluated once, whatever the number
-    of indices; the result maps each requested index to its report.
+    ``which`` is checked against the spec before anything is composed.  Each
+    monomer and the composite are evaluated once; the result maps MOSTAR and
+    EDGE_MOSTAR to their reports.
     """
-    for index in indices:
-        if index not in (MOSTAR, EDGE_MOSTAR):
-            raise UnsupportedCombination(
-                f"bounds are defined for mostar and edge_mostar, not {index!r}")
     if which not in _BOUNDS:
         raise MismatchedConstruction(f"unknown bound {which!r}")
     evaluator, kinds = _BOUNDS[which]
@@ -230,11 +227,11 @@ def check_bounds(composite: Graph, spec: PolymerSpec, which: str,
         raise MismatchedConstruction(
             f"link2-lower needs exactly 2 monomers, got {len(spec.monomers)}")
     stats = [monomer_stats(h.graph) for h in spec.monomers]
-    report = index_report(composite)
+    report = index_report(compose(spec).graph)
     actuals = {MOSTAR: report.mostar, EDGE_MOSTAR: report.edge_mostar}
     reports = {}
-    for index in indices:
-        actual, bound = actuals[index], evaluator(stats, index)
+    for index, actual in actuals.items():
+        bound = evaluator(stats, index)
         if which.endswith("upper"):
             reports[index] = BoundsReport(actual, bound, "upper", False, actual <= bound)
         else:

@@ -35,7 +35,7 @@ Totals are accumulated as Python integers, so sums are exact at any size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,18 +85,15 @@ class EdgeOrientationCounts:
 
 
 @dataclass(frozen=True)
-class PerEdgeContribution:
-    edge: Edge
-    vertex_diff: int
-    edge_diff: int
-
-
-@dataclass(frozen=True)
 class IndexReport:
+    """The three totals, and each edge's ``|n_u - n_v|`` and ``|m_u - m_v|``
+    as read-only int64 arrays in ``g.ends`` order; ``==`` compares the totals."""
+
     mostar: int
     edge_mostar: int
     wiener: int
-    per_edge: tuple[PerEdgeContribution, ...] | None = None
+    vertex_diffs: np.ndarray = field(compare=False, repr=False)
+    edge_diffs: np.ndarray = field(compare=False, repr=False)
 
 
 def _endpoint_rows(g: Graph, e) -> tuple[Edge, np.ndarray, np.ndarray]:
@@ -116,7 +113,7 @@ def _endpoint_rows(g: Graph, e) -> tuple[Edge, np.ndarray, np.ndarray]:
 
 def _exact_sum(values: np.ndarray) -> int:
     # object dtype forces Python-int accumulation: exact, never wraps
-    return int(np.sum(values, dtype=object)) if values.size else 0
+    return int(np.sum(values, dtype=object))
 
 
 def vertex_orientation(g: Graph, e) -> OrientationCounts:
@@ -204,9 +201,8 @@ def _level_transmissions(a, weights: np.ndarray,
     per edge inside d) and ``ahead``, so ``ahead + within / 2`` edges have
     their nearer end at level d."""
     n = a.shape[0]
-    # rows: weights, degrees, then hanging if any; integer sums below 2^53, exact
-    mass = np.array([weights, np.diff(a.indptr)] + ([hanging] if hanging.any() else []),
-                    dtype=np.float64)
+    # rows: weights, degrees, hanging; integer sums below 2^53, exact
+    mass = np.array([weights, np.diff(a.indptr), hanging], dtype=np.float64)
     trans, edge_trans = np.zeros(n, np.int64), np.zeros(n, np.int64)
     k = max(1, _ROW_BUDGET_BYTES // (24 * n))
     for start in range(0, n, k):
@@ -219,7 +215,7 @@ def _level_transmissions(a, weights: np.ndarray,
             within = (q * f).sum(axis=0, dtype=np.float64).astype(np.int64)
             ahead = at[1] - within - back
             trans[cols] += d * at[0]
-            edge_trans[cols] += d * (ahead + within // 2 + at[2:].sum(axis=0))
+            edge_trans[cols] += d * (ahead + within // 2 + at[2])
             back = ahead
     return trans, edge_trans
 
@@ -278,9 +274,8 @@ def wiener_index(g: Graph) -> int:
     return index_report(g).wiener
 
 
-def index_report(g: Graph, include_per_edge: bool = False) -> IndexReport:
-    """All three indices, block by block (see above); the per-edge
-    breakdown, when requested, follows the canonical edge order."""
+def index_report(g: Graph) -> IndexReport:
+    """All three indices and the per-edge diffs, block by block (see above)."""
     parts = blocks(g)
     vdiffs, ediffs, twice = np.empty(g.m, np.int64), np.empty(g.m, np.int64), 0
     sizes = np.diff(parts.vertex_start)
@@ -292,6 +287,5 @@ def index_report(g: Graph, include_per_edge: bool = False) -> IndexReport:
             eids, vd, ed, share = _block_diffs(g, parts, chosen[first:first + step], s)
             vdiffs[eids], ediffs[eids] = vd, ed
             twice += share
-    per_edge = tuple(PerEdgeContribution(edge, int(vd), int(ed)) for edge, vd, ed
-                     in zip(g.edges, vdiffs, ediffs)) if include_per_edge else None
-    return IndexReport(_exact_sum(vdiffs), _exact_sum(ediffs), twice // 2, per_edge)
+    vdiffs.flags.writeable = ediffs.flags.writeable = False
+    return IndexReport(_exact_sum(vdiffs), _exact_sum(ediffs), twice // 2, vdiffs, ediffs)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (DegenerateHandles, GraphError, NotATree, NotConnected,
                      TooFewMonomers, VertexOutOfRange)
 from .formats import graph_to_dict, json_integer, parse_graph_json
-from .graphs import Graph, _components, from_edge_list, is_connected
+from .graphs import Graph, _components, _is_int, from_edge_list, is_connected
 
 KINDS = ("link", "chain", "bouquet", "circuit", "tree")
 
@@ -33,7 +33,8 @@ TreeEdge = tuple[int, int, int, int]  # (monomer a, vertex in a, monomer b, vert
 class MonomerHandle:
     """A connected monomer with entry vertex x and exit vertex y.
 
-    y may equal x and defaults to it; bouquet and circuit use only x.
+    y may equal x and defaults to it; bouquet and circuit use only x.  Each
+    must be an integer vertex of the graph, else VertexOutOfRange.
     """
 
     graph: Graph
@@ -41,12 +42,11 @@ class MonomerHandle:
     y: int | None = None
 
     def __post_init__(self):
-        if not 0 <= self.x < self.graph.n:
-            raise VertexOutOfRange(self.x, self.graph.n)
         if self.y is None:
             object.__setattr__(self, "y", self.x)
-        if not 0 <= self.y < self.graph.n:
-            raise VertexOutOfRange(self.y, self.graph.n)
+        for v in (self.x, self.y):
+            if not (_is_int(v) and 0 <= v < self.graph.n):
+                raise VertexOutOfRange(v, self.graph.n)
         if not is_connected(self.graph):
             raise NotConnected("monomer graph is not connected")
 
@@ -84,8 +84,8 @@ class PolymerSpec:
 
 
 def _check_tree(monomers: tuple[MonomerHandle, ...], tree_edges: tuple[TreeEdge, ...]) -> None:
-    """Raise unless ``tree_edges`` joins the k monomers by k - 1 in-range
-    edges with no cycle, checked edge by edge in order."""
+    """Raise unless ``tree_edges`` joins the k monomers by k - 1 edges of
+    integer, in-range entries with no cycle, checked edge by edge in order."""
     k = len(monomers)
     if len(tree_edges) != k - 1:
         raise NotATree(f"{k} monomers need {k - 1} tree edges, got {len(tree_edges)}")
@@ -99,9 +99,9 @@ def _check_tree(monomers: tuple[MonomerHandle, ...], tree_edges: tuple[TreeEdge,
 
     for a, va, b, vb in tree_edges:
         for mi, v in ((a, va), (b, vb)):
-            if not 0 <= mi < k:
-                raise NotATree(f"monomer index {mi} out of range")
-            if not 0 <= v < monomers[mi].graph.n:
+            if not (_is_int(mi) and 0 <= mi < k):
+                raise NotATree(f"monomer index {mi!r} out of range")
+            if not (_is_int(v) and 0 <= v < monomers[mi].graph.n):
                 raise VertexOutOfRange(v, monomers[mi].graph.n)
         if a == b:
             raise NotATree(f"tree edge attaches monomer {a} to itself")

@@ -572,10 +572,13 @@ def test_fuzz_compose_and_bounds(fuzz_dir, doc, argv):
 SCIPY_PROBE = """
 import sys
 import mostar.cli
-from mostar import (FamilySpec, MonomerHandle, PolymerSpec, complete_graph, compose,
-                    cycle_graph, generate, index_report, is_connected)
+from mostar import (FamilySpec, MonomerHandle, PolymerSpec, check_bounds, complete_graph,
+                    compose, cycle_graph, generate, index_report, is_connected)
 loaded = ["scipy" in sys.modules]
 compose(PolymerSpec("bouquet", (MonomerHandle(cycle_graph(5), 0),) * 3))
+loaded.append("scipy" in sys.modules)
+# composes inside; every block of monomers and composite has at most 48 vertices
+check_bounds(PolymerSpec("link", (MonomerHandle(cycle_graph(40), 0, 20),) * 3), "superadditive")
 loaded.append("scipy" in sys.modules)
 is_connected(generate(FamilySpec("hex-meta", n=50)).graph)
 loaded.append("scipy" in sys.modules)
@@ -594,7 +597,7 @@ def test_scipy_is_loaded_only_by_the_bfs_pass():
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False, False, False, True, False, True]\n"
+    assert proc.stdout == "[False, False, False, False, False, True, False, True]\n"
 
 
 class TestRoundTrip:

@@ -122,8 +122,9 @@ class TestMirrorSymmetry:
         groups = [[tuple(sorted((comp.vertex_map[(i, a)], comp.vertex_map[(i, b)])))
                    for a, b in polygon.edges] for i in range(n)]
         assert sorted(e for group in groups for e in group) == list(comp.graph.edges)
-        report = index_report(comp.graph, include_per_edge=True)
-        diffs = {c.edge: (c.vertex_diff, c.edge_diff) for c in report.per_edge}
+        report = index_report(comp.graph)
+        diffs = dict(zip(comp.graph.edges, zip(report.vertex_diffs.tolist(),
+                                               report.edge_diffs.tolist())))
 
         def polygon_multiset(i):
             return Counter(diffs[e] for e in groups[i])

@@ -10,6 +10,7 @@ from mostar import (EDGE_MOSTAR, FAMILY_NAMES, INDEX_NAMES, MOSTAR,
                     monomer_stats, mostar_index, superadditive_bound,
                     upper_bound_bouquet, upper_bound_chain,
                     upper_bound_circuit, upper_bound_link)
+from mostar import formulas
 
 from conftest import formula_and_oracle, random_connected_graph
 
@@ -194,30 +195,43 @@ class TestLowerBounds:
 class TestCheckBound:
     def test_link_upper_holds(self):
         spec = PolymerSpec("link", (MonomerHandle(K3, 0, 1),) * 2)
-        report = check_bounds(compose(spec).graph, spec, "link-upper", (MOSTAR,))[MOSTAR]
+        report = check_bounds(spec, "link-upper")[MOSTAR]
         assert report == BoundsReport(12, 18, "upper", False, True)
         assert report.slack == 6
 
     def test_superadditive_chain(self):
         spec = PolymerSpec("chain", (MonomerHandle(K3, 0, 1),) * 2)
-        report = check_bounds(compose(spec).graph, spec, "superadditive", (MOSTAR,))[MOSTAR]
+        report = check_bounds(spec, "superadditive")[MOSTAR]
         assert (report.actual, report.bound, report.holds) == (8, 0, True)
         assert report.strict
 
     def test_circuit_upper(self):
         spec = PolymerSpec("circuit", (MonomerHandle(K1, 0),) * 3)
-        report = check_bounds(compose(spec).graph, spec, "circuit-upper", (MOSTAR,))[MOSTAR]
+        report = check_bounds(spec, "circuit-upper")[MOSTAR]
         assert (report.actual, report.bound, report.holds) == (0, 6, True)
 
-    def test_mismatches(self):
+    def test_mismatches(self, monkeypatch):
+        """A mismatch raises before any graph is composed or evaluated."""
+        def fail(*args):
+            raise AssertionError("a mismatched bound composed or evaluated a graph")
+
+        for name in ("compose", "index_report"):
+            monkeypatch.setattr(formulas, name, fail)
         chain_spec = PolymerSpec("chain", (MonomerHandle(K3, 0, 1),) * 2)
         with pytest.raises(MismatchedConstruction):
-            check_bounds(compose(chain_spec).graph, chain_spec, "link-upper", (MOSTAR,))[MOSTAR]
+            check_bounds(chain_spec, "link-upper")
         link3 = PolymerSpec("link", (MonomerHandle(K2, 0, 1),) * 3)
         with pytest.raises(MismatchedConstruction):
-            check_bounds(compose(link3).graph, link3, "link2-lower", (MOSTAR,))[MOSTAR]
+            check_bounds(link3, "link2-lower")
         with pytest.raises(MismatchedConstruction):
-            check_bounds(compose(link3).graph, link3, "nonsense", (MOSTAR,))[MOSTAR]
+            check_bounds(link3, "nonsense")
+
+    def test_both_indices_are_reported(self):
+        spec = PolymerSpec("chain", (MonomerHandle(K3, 0, 1),) * 2)
+        reports = check_bounds(spec, "superadditive")
+        assert list(reports) == [MOSTAR, EDGE_MOSTAR]
+        assert (reports[MOSTAR].actual, reports[EDGE_MOSTAR].actual) == (
+            mostar_index(compose(spec).graph), edge_mostar_index(compose(spec).graph))
 
 
 def _random_handles(rng, count, kind):
@@ -249,10 +263,10 @@ def test_random_compositions_respect_all_bounds():
         kind = rng.choice(["link", "chain", "bouquet", "circuit"])
         count = rng.randrange(3 if kind == "circuit" else 2, 7)
         spec = PolymerSpec(kind, _random_handles(rng, count, kind))
-        composite = compose(spec).graph
         for which in applicable_bounds(kind, count):
+            reports = check_bounds(spec, which)
             for index in (MOSTAR, EDGE_MOSTAR):
-                report = check_bounds(composite, spec, which, (index,))[index]
+                report = reports[index]
                 assert report.holds, (kind, which, index, report)
 
 

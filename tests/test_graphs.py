@@ -270,12 +270,11 @@ def check_streamed_pass(g):
     totals = (sum(vertex_diffs), sum(edge_diffs), naive_wiener(g))
 
     def check(r):
-        assert [c.edge for c in r.per_edge] == list(g.edges)
-        assert [c.vertex_diff for c in r.per_edge] == vertex_diffs
-        assert [c.edge_diff for c in r.per_edge] == edge_diffs
+        assert r.vertex_diffs.tolist() == vertex_diffs
+        assert r.edge_diffs.tolist() == edge_diffs
         assert (r.mostar, r.edge_mostar, r.wiener) == totals
 
-    check(index_report(g, include_per_edge=True))
+    check(index_report(g))
     block_orders = np.diff(blocks(g).vertex_start).tolist()
     for rows in (1, 2, 3):
         budget = rows * 8 * max(g.n, g.m)
@@ -292,7 +291,7 @@ def check_streamed_pass(g):
             mp.setattr(indices, "_FLOYD_MAX", 0)
             mp.setattr(indices, "_LEVEL_MAX_ECC", 0)
             mp.setattr(indices, "_bfs_rows", spy)
-            check(index_report(g, include_per_edge=True))
+            check(index_report(g))
         assert sorted(mat.shape[0] for mat, _ in calls) == sorted(block_orders)
         for mat, sizes in calls:
             n, m = mat.shape[0], mat.nnz // 2
@@ -320,7 +319,7 @@ def check_streamed_pass(g):
             mp.setattr(indices, "_LEVEL_MAX_ECC", g.n + 1)
             mp.setattr(indices, "_level_transmissions", spy_pass)
             mp.setattr(indices, "_levels", spy_levels)
-            check(index_report(g, include_per_edge=True))
+            check(index_report(g))
         assert sorted(passes) == sorted(block_orders)
         expected = []  # per block: the one-source probe, then its batches
         for n in passes:

@@ -130,32 +130,68 @@ class TestIndexReport:
     def test_k3(self):
         r = index_report(complete_graph(3))
         assert (r.mostar, r.edge_mostar, r.wiener) == (0, 0, 3)
-        assert r.per_edge is None
+        assert r.vertex_diffs.tolist() == r.edge_diffs.tolist() == [0, 0, 0]
 
     def test_p4_with_breakdown(self):
-        r = index_report(path_graph(4), include_per_edge=True)
+        r = index_report(path_graph(4))
         assert (r.mostar, r.edge_mostar, r.wiener) == (4, 4, 10)
-        assert [c.vertex_diff for c in r.per_edge] == [2, 0, 2]
-        assert [c.edge_diff for c in r.per_edge] == [2, 0, 2]
+        assert r.vertex_diffs.tolist() == [2, 0, 2]
+        assert r.edge_diffs.tolist() == [2, 0, 2]
 
     def test_t2_with_breakdown(self):
-        r = index_report(t2(), include_per_edge=True)
+        r = index_report(t2())
         assert (r.mostar, r.edge_mostar, r.wiener) == (8, 12, 14)
-        assert [c.edge for c in r.per_edge] == list(t2().edges)
-        assert sum(c.vertex_diff for c in r.per_edge) == r.mostar
-        assert sum(c.edge_diff for c in r.per_edge) == r.edge_mostar
+        assert len(r.vertex_diffs) == len(r.edge_diffs) == t2().m
+        assert sum(r.vertex_diffs.tolist()) == r.mostar
+        assert sum(r.edge_diffs.tolist()) == r.edge_mostar
 
     def test_single_vertex(self):
         r = index_report(from_edge_list(1, []))
         assert (r.mostar, r.edge_mostar, r.wiener) == (0, 0, 0)
+        assert r.vertex_diffs.shape == r.edge_diffs.shape == (0,)
 
     @pytest.mark.parametrize("g", [generate(FamilySpec("hex-meta", n=30)).graph,
                                    cycle_graph(60)], ids=["stacked-blocks", "one-bfs-block"])
     def test_totals_read_only_the_edge_array(self, g):
-        index_report(g)
+        r = index_report(g)
         assert "edges" not in vars(g)  # no tuple of (u, v) ints was built
-        r = index_report(g, include_per_edge=True)
-        assert [c.edge for c in r.per_edge] == list(g.edges)
+        assert len(r.vertex_diffs) == len(r.edge_diffs) == g.m
+
+    @pytest.mark.parametrize("g,taken", [
+        (generate(FamilySpec("hex-meta", n=30)).graph, []),
+        (permute_graph(complete_graph(60), random.Random(3).sample(range(60), 60)),
+         ["_level_transmissions"]),
+        (permute_graph(cycle_graph(60), random.Random(4).sample(range(60), 60)),
+         ["_transmissions"])], ids=["stacked-blocks", "level-pass", "rows-pass"])
+    def test_per_edge_arrays(self, g, taken):
+        """The diffs are read-only int64 arrays of length m in ``g.ends``
+        order, equal to the naive oracle's, whichever pass fills them."""
+        passes = []
+
+        def spy(name):
+            real = getattr(indices, name)
+
+            def run(*args):
+                passes.append(name)
+                return real(*args)
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_level_transmissions", "_transmissions"):
+                mp.setattr(indices, name, spy(name))
+            r = index_report(g)
+        assert passes == taken
+        for diffs, oracle in ((r.vertex_diffs, naive_vertex_diffs(g)),
+                              (r.edge_diffs, naive_edge_diffs(g))):
+            assert diffs.dtype == np.int64 and diffs.shape == (g.m,)
+            assert not diffs.flags.writeable
+            with pytest.raises(ValueError):
+                diffs[0] = 0
+            assert diffs.tolist() == oracle  # the oracle walks g.edges, i.e. g.ends
+
+    def test_equality_compares_the_totals(self):
+        r = index_report(t2())
+        assert r == index_report(t2()) and "vertex_diffs" not in repr(r)
 
 
 def _bridges(g):
@@ -242,10 +278,9 @@ def test_orientations_match_naive_oracle_per_edge(g):
 
 def check_against_oracle(g):
     """Per-edge diffs and all three totals of index_report equal the naive oracle."""
-    r = index_report(g, include_per_edge=True)
-    assert [c.edge for c in r.per_edge] == list(g.edges)
-    assert [c.vertex_diff for c in r.per_edge] == naive_vertex_diffs(g)
-    assert [c.edge_diff for c in r.per_edge] == naive_edge_diffs(g)
+    r = index_report(g)
+    assert r.vertex_diffs.tolist() == naive_vertex_diffs(g)
+    assert r.edge_diffs.tolist() == naive_edge_diffs(g)
     assert (r.mostar, r.edge_mostar, r.wiener) == (
         naive_mostar(g), naive_edge_mostar(g), naive_wiener(g))
 
@@ -364,10 +399,10 @@ def test_level_and_rows_passes_match_the_oracle(name):
             mp.setattr(indices, "_FLOYD_MAX", 0)
             mp.setattr(indices, "_LEVEL_MAX_ECC", level_max)
             mp.setattr(indices, taken, spy)
-            r = index_report(g, include_per_edge=True)
+            r = index_report(g)
         assert sorted(passes) == sorted(np.diff(blocks(g).vertex_start).tolist())
-        assert [c.vertex_diff for c in r.per_edge] == vertex_diffs
-        assert [c.edge_diff for c in r.per_edge] == edge_diffs
+        assert r.vertex_diffs.tolist() == vertex_diffs
+        assert r.edge_diffs.tolist() == edge_diffs
         assert (r.mostar, r.edge_mostar, r.wiener) == totals
 
 

@@ -2,6 +2,7 @@ import random
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,18 @@ class TestHandles:
             MonomerHandle(K3, 3)
         with pytest.raises(VertexOutOfRange):
             MonomerHandle(K3, 0, 5)
+
+    @pytest.mark.parametrize("x,y", [(1.5, None), (None, None), (True, None), (1, 2.0),
+                                     (0, False), ("1", None)],
+                             ids=["float-x", "none-x", "bool-x", "float-y", "bool-y", "str-x"])
+    def test_vertex_not_an_integer(self, x, y):
+        """1.5 used to compose like 1, and None raised a bare TypeError."""
+        with pytest.raises(VertexOutOfRange):
+            MonomerHandle(path_graph(4), x, y)
+
+    def test_numpy_integer_vertices(self):
+        h = MonomerHandle(path_graph(4), np.int64(1), np.int32(3))
+        assert compose(PolymerSpec("link", (h, h))).graph.m == 7
 
     def test_monomer_must_be_connected(self):
         with pytest.raises(NotConnected):
@@ -205,8 +218,17 @@ class TestTreeAttach:
      "monomer index 2 out of range"),
     ("tree", (MonomerHandle(K3, 0),) * 2, ((0, 0, 1, 3),), VertexOutOfRange,
      "vertex 3 out of range for n=3"),
+    ("tree", (MonomerHandle(K3, 0),) * 2, ((0, 2.7, 1, 0),), VertexOutOfRange,
+     "vertex 2.7 out of range for n=3"),
+    ("tree", (MonomerHandle(K3, 0),) * 2, ((0, 0, 1, True),), VertexOutOfRange,
+     "vertex True out of range for n=3"),
+    ("tree", (MonomerHandle(K3, 0),) * 2, ((0.0, 2, 1, 0),), NotATree,
+     "monomer index 0.0 out of range"),
+    ("tree", (MonomerHandle(K3, 0),) * 2, ((0, 2, True, 0),), NotATree,
+     "monomer index True out of range"),
 ], ids=["circuit-of-2", "degenerate-interior", "too-few-edges", "cycle",
-        "monomer-out-of-range", "vertex-out-of-range"])
+        "monomer-out-of-range", "vertex-out-of-range", "float-vertex", "bool-vertex",
+        "float-monomer", "bool-monomer"])
 def test_invalid_spec_fails_at_construction(kind, monomers, tree, error, message):
     """Every check of a kind runs when the spec is made, so no spec that
     exists fails in ``compose``."""
