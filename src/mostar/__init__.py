@@ -19,7 +19,8 @@ from .graphs import (Blocks, Graph, blocks, complete_graph, cycle_graph,
 from .indices import (EDGE_MOSTAR, INDEX_NAMES, MOSTAR, WIENER,
                       EdgeOrientationCounts, IndexReport, OrientationCounts,
                       edge_mostar_index, edge_orientation, index_report,
-                      mostar_index, vertex_orientation, wiener_index)
+                      index_reports, mostar_index, vertex_orientation,
+                      wiener_index)
 from .polymer import (KINDS, CompositionResult, MonomerHandle, PolymerSpec,
                       compose, spec_from_dict, spec_from_json, spec_to_dict)
 

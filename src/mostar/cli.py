@@ -24,7 +24,7 @@ from .errors import GraphError, NotConnected
 from .families import CHAIN_FAMILIES, FAMILY_NAMES, FamilySpec, family_counts, generate
 from .formats import dump_graph, parse_graph
 from .formulas import BOUND_KINDS, check_bounds, formula_value, has_formula
-from .indices import EDGE_MOSTAR, MOSTAR, index_report
+from .indices import EDGE_MOSTAR, MOSTAR, index_report, index_reports
 from .polymer import compose, spec_from_json
 
 SCHEMA_VERSION = "1"
@@ -160,13 +160,12 @@ def _spec_label(spec: FamilySpec) -> str:
 
 def cmd_verify(args) -> int:
     cells = list(_verify_cells(args))  # all checked before the first graph is built
-    rows = []
-    oracles: dict[FamilySpec, dict[str, int]] = {}
-    for spec, index in cells:
-        if spec not in oracles:
-            report = index_report(generate(spec).graph)
-            oracles[spec] = {MOSTAR: report.mostar, EDGE_MOSTAR: report.edge_mostar}
-        rows.append((spec, index, formula_value(spec, index), oracles[spec][index]))
+    specs = list(dict.fromkeys(spec for spec, _ in cells))
+    reports = index_reports(generate(spec).graph for spec in specs)
+    oracles = {spec: {MOSTAR: r.mostar, EDGE_MOSTAR: r.edge_mostar}
+               for spec, r in zip(specs, reports)}
+    rows = [(spec, index, formula_value(spec, index), oracles[spec][index])
+            for spec, index in cells]
 
     all_agree = all(formula == oracle for _, _, formula, oracle in rows)
     if args.format == "csv":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import MismatchedConstruction, TooFewMonomers, UnsupportedCombination
 from .families import CHAIN_FAMILIES, FamilySpec
 from .graphs import Graph
-from .indices import EDGE_MOSTAR, MOSTAR, index_report
+from .indices import EDGE_MOSTAR, MOSTAR, index_report, index_reports
 from .polymer import PolymerSpec, compose
 
 #: (a, b) meaning a*k^2 + b*k, keyed by (family, index, n odd?)
@@ -213,9 +213,9 @@ BOUND_KINDS = tuple(_BOUNDS)
 def check_bounds(spec: PolymerSpec, which: str) -> dict[str, BoundsReport]:
     """Compare the brute-force indices of ``compose(spec)`` against one bound.
 
-    ``which`` is checked against the spec before anything is composed.  Each
-    monomer and the composite are evaluated once; the result maps MOSTAR and
-    EDGE_MOSTAR to their reports.
+    ``which`` is checked against the spec before anything is composed.  The
+    monomers and the composite are evaluated in one ``index_reports`` call;
+    the result maps MOSTAR and EDGE_MOSTAR to their reports.
     """
     if which not in _BOUNDS:
         raise MismatchedConstruction(f"unknown bound {which!r}")
@@ -226,8 +226,9 @@ def check_bounds(spec: PolymerSpec, which: str) -> dict[str, BoundsReport]:
     if which == "link2-lower" and len(spec.monomers) != 2:
         raise MismatchedConstruction(
             f"link2-lower needs exactly 2 monomers, got {len(spec.monomers)}")
-    stats = [monomer_stats(h.graph) for h in spec.monomers]
-    report = index_report(compose(spec).graph)
+    *monomers, report = index_reports([h.graph for h in spec.monomers] + [compose(spec).graph])
+    stats = [MonomerStats(h.graph.n, h.graph.m, r.mostar, r.edge_mostar)
+             for h, r in zip(spec.monomers, monomers)]
     actuals = {MOSTAR: report.mostar, EDGE_MOSTAR: report.edge_mostar}
     reports = {}
     for index, actual in actuals.items():

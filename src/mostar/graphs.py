@@ -161,66 +161,131 @@ class Blocks(NamedTuple):
     edges: np.ndarray
 
 
-def blocks(g: Graph) -> Blocks:
-    """The blocks of ``g`` by Hopcroft-Tarjan, with an explicit DFS stack, so
-    no graph is too deep; NotConnected if the DFS misses a vertex.  A block
-    pops after every block below it, so what hangs at its lower vertices is
-    known then, and its top vertex carries the rest of the graph."""
+def _union(graphs: Sequence[Graph]) -> Graph:
+    """The disjoint union, each graph's vertices shifted past those before
+    it; its ends stay canonical, since the shifted runs of rows stay sorted."""
+    if len(graphs) == 1:
+        return graphs[0]
+    shift = np.repeat(np.cumsum([0] + [g.n for g in graphs[:-1]]), [g.m for g in graphs])
+    return Graph(sum(g.n for g in graphs),
+                 np.concatenate([g.ends for g in graphs]) + shift[:, None])
+
+
+def _dfs(g: Graph, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Hopcroft-Tarjan over ``g``, a disjoint union of parts of ``sizes``
+    vertices each, one DFS from each part's lowest vertex, with an explicit
+    stack, so no graph is too deep; NotConnected if a DFS misses a vertex of
+    its part.  Gives the edge ids block by block, in the order the blocks
+    pop, with where each block starts, and each vertex's preorder number,
+    tree edge (-1 at a root) and subtree size."""
     n, m = g.n, g.m
-    if m < n - 1:  # too few edges to connect: decided before allocating n of anything
-        raise NotConnected(f"graph with {n} vertices is not connected")
     flat = g.ends.T.ravel()
     slots = np.argsort(flat, kind="stable")  # edge endpoints grouped by vertex
     nbr, eid = flat[(slots + m) % (2 * m)].tolist(), (slots % m).tolist()
     nxt = np.searchsorted(flat[slots], np.arange(n + 1)).tolist()
     stop = nxt[1:]
-    disc, low, vmark, emark, below_e = ([0] * n for _ in range(5))
-    below_v = [1] * n  # vertices (itself included) and edges under each vertex so far
-    vstack, estack, verts, weights, hanging, edges = [], [], [], [], [], []
-    vstart, estart, stack, disc[0], low[0], t = [0], [0], [0], 1, 1, 1
-    while stack:
-        u = stack[-1]
-        i = nxt[u]
-        if i < stop[u]:
-            nxt[u] = i + 1
-            w, e = nbr[i], eid[i]
-            if not disc[w]:
-                t += 1
-                disc[w] = low[w] = t
-                vmark[w], emark[w] = len(vstack), len(estack)
-                estack.append(e)
-                vstack.append(w)
-                stack.append(w)
-            elif disc[w] < disc[u] and e != estack[emark[u]]:  # back edge up the tree
-                estack.append(e)
-                if disc[w] < low[u]:
-                    low[u] = disc[w]
-            continue
-        stack.pop()
-        if not stack:
-            break
-        p = stack[-1]
-        if low[u] < disc[p]:
-            if low[u] < low[p]:
-                low[p] = low[u]
-            continue
-        # p cuts u's subtree off: what was pushed since u is one block
-        inner = vstack[vmark[u]:]
-        hang = [below_e[x] for x in inner]
-        under_v, under_e = t - disc[u] + 1, len(estack) - emark[u] + sum(hang)
-        below_v[p] += under_v
-        below_e[p] += under_e
-        verts += [p, *inner]
-        weights += [n - under_v, *(below_v[x] for x in inner)]
-        hanging += [m - under_e, *hang]
-        edges += estack[emark[u]:]
-        del vstack[vmark[u]:], estack[emark[u]:]
-        vstart.append(len(verts))
-        estart.append(len(edges))
-    if t < n:
-        raise NotConnected(f"graph with {n} vertices is not connected")
-    return Blocks(*(np.array(a, dtype=np.int64)
-                    for a in (vstart, verts, weights, hanging, estart, edges)))
+    disc, low, emark, sub = ([0] * n for _ in range(4))
+    tree = [-1] * n
+    estack, popped, estart, t = [], [], [0], 0
+    for size in sizes:
+        root = t
+        t += 1
+        disc[root] = low[root] = t
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            i = nxt[u]
+            if i < stop[u]:
+                nxt[u] = i + 1
+                w, e = nbr[i], eid[i]
+                if not disc[w]:
+                    t += 1
+                    disc[w] = low[w] = t
+                    tree[w], emark[w] = e, len(estack)
+                    estack.append(e)
+                    stack.append(w)
+                elif disc[w] < disc[u] and e != tree[u]:  # back edge up the tree
+                    estack.append(e)
+                    if disc[w] < low[u]:
+                        low[u] = disc[w]
+                continue
+            stack.pop()
+            sub[u] = t - disc[u] + 1
+            if not stack:
+                break
+            p = stack[-1]
+            if low[u] < disc[p]:
+                if low[u] < low[p]:
+                    low[p] = low[u]
+                continue
+            # p cuts u's subtree off: what was pushed since u's tree edge is one block
+            popped += estack[emark[u]:]
+            del estack[emark[u]:]
+            estart.append(len(popped))
+        if t - root < size:
+            raise NotConnected(f"graph with {size} vertices is not connected")
+    return tuple(np.array(a, dtype=np.int64) for a in (popped, estart, disc, tree, sub))
+
+
+def _blocks(graphs: Sequence[Graph]) -> tuple[Graph, Blocks]:
+    """The disjoint union of the connected ``graphs`` and its blocks, each
+    graph's in the order ``blocks`` gives them, graph after graph.  Built
+    from one ``_dfs`` by array steps: the inner vertices of block B are the
+    vertices whose tree edge is in B, and B's top vertex is the parent of
+    its first.  For an inner vertex x, with y over x's tree children in B,
+
+    * ``weight(x) = sub(x) - sum sub(y)``
+    * ``hanging(x) = cnt(x) - sum cnt(y) - #{e in B : x is e's shallower end}``,
+
+    ``cnt(x)`` counting the edges whose shallower end is in x's subtree.
+    The top vertex carries the rest of its graph."""
+    for g in graphs:
+        if g.m < g.n - 1:  # too few edges to connect: decided before allocating n of anything
+            raise NotConnected(f"graph with {g.n} vertices is not connected")
+    g = _union(graphs)
+    sizes = np.array([h.n for h in graphs], dtype=np.int64)
+    order, estart, disc, tree, sub = _dfs(g, sizes.tolist())
+    n, nb, pre = g.n, len(estart) - 1, disc - 1
+    label = np.empty(g.m, np.int64)
+    label[order] = np.repeat(np.arange(nb), np.diff(estart))
+    seq = np.empty(n, np.int64)
+    seq[pre] = np.arange(n)  # the vertices in preorder
+    seq = seq[tree[seq] >= 0]  # less the roots
+    vlab = np.full(n, -1)  # the block of each vertex's tree edge; -1 at a root
+    vlab[seq] = label[tree[seq]]
+    inner = seq[np.argsort(vlab[seq], kind="stable")]  # block by block, each in preorder
+    count = np.bincount(vlab[inner], minlength=nb)  # a block has at least one
+    first = np.cumsum(count) - count
+    parent = np.full(n, -1)
+    parent[inner] = g.ends[tree[inner]].sum(axis=1) - inner
+    top = parent[inner[first]]
+    a, b = g.ends.T
+    shallow = np.where(pre[a] < pre[b], a, b)
+    below = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(pre[shallow], minlength=n), out=below[1:])
+    cnt = below[pre + sub] - below[pre]
+    weight, hang = sub.copy(), cnt - np.bincount(shallow[label == vlab[shallow]], minlength=n)
+    same = inner[vlab[parent[inner]] == vlab[inner]]  # tree edges inside a block
+    np.subtract.at(weight, parent[same], sub[same])
+    np.subtract.at(hang, parent[same], cnt[same])
+    part = np.searchsorted(np.cumsum(sizes), top, side="right")
+    edges_of = np.array([h.m for h in graphs], dtype=np.int64)
+    vertex_start = np.concatenate([[0], np.cumsum(count + 1)])
+    heads = np.zeros(vertex_start[-1], bool)  # where each block's top vertex goes
+    heads[vertex_start[:-1]] = True
+    vertices, weights, hanging = (np.empty(vertex_start[-1], np.int64) for _ in range(3))
+    vertices[heads], vertices[~heads] = top, inner
+    weights[heads], weights[~heads] = sizes[part] - sub[inner[first]], weight[inner]
+    hanging[~heads] = hang[inner]
+    hanging[heads] = edges_of[part] - np.diff(estart) - np.add.reduceat(hang[inner], first)
+    return g, Blocks(vertex_start, vertices, weights, hanging, estart, order)
+
+
+def blocks(g: Graph) -> Blocks:
+    """The blocks of ``g``, in the order Hopcroft-Tarjan's DFS pops them, each
+    with its top vertex first and its other vertices in preorder;
+    NotConnected if the DFS misses a vertex (see ``_dfs`` and ``_blocks``)."""
+    return _blocks([g])[1]
 
 
 def _csr(n: int, ends: np.ndarray) -> csr_matrix:

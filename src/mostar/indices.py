@@ -30,17 +30,25 @@ for a batch of sources, and no distance row held.  A deeper block streams
 its BFS rows.  Either way a bounded batch of sources runs at a time, so no
 ``n x n`` table is held.
 A graph that is one block is a stack of one, and one vertex has no blocks.
-Totals are accumulated as Python integers, so sums are exact at any size.
+
+``index_reports`` evaluates graphs in batches: consecutive graphs are
+joined into one disjoint union while their edges stay within
+``_BATCH_EDGES``, so one DFS splits them all and blocks of one size are
+stacked across the whole batch.  A graph's totals are sums over its own
+slice of the per-edge diffs and of the per-block Wiener shares.
+``index_report`` is a batch of one.  Totals are exact Python integers at
+any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import EdgeNotInGraph, GraphError
-from .graphs import (Blocks, Edge, Graph, _bfs_rows, _csr, _is_int, blocks,
+from .graphs import (Blocks, Edge, Graph, _bfs_rows, _blocks, _csr, _is_int,
                      distance_rows)
 
 MOSTAR = "mostar"
@@ -55,6 +63,12 @@ INDEX_NAMES = (MOSTAR, EDGE_MOSTAR, WIENER)
 #: The level pass takes ``_ROW_BUDGET_BYTES // (24 * n)`` sources: its
 #: ``(n, k)`` frontiers, products and masks take at most 24 bytes an entry.
 _ROW_BUDGET_BYTES = 4 << 20
+
+#: Edges of the graphs that ``index_reports`` evaluates together.  A batch's
+#: DFS lists and block arrays take about 360 bytes an edge, so this holds a
+#: batch to a fifth of the row budget: 4096 edges cost verify-chains 5 % more
+#: peak RSS for no clear speed-up over 2048 (CHANGES.md).
+_BATCH_EDGES = _ROW_BUDGET_BYTES // 2048
 
 #: Largest block that takes the batched Floyd-Warshall; larger ones go on.
 _FLOYD_MAX = 48
@@ -111,9 +125,13 @@ def _endpoint_rows(g: Graph, e) -> tuple[Edge, np.ndarray, np.ndarray]:
     return (u, v), du, dv
 
 
-def _exact_sum(values: np.ndarray) -> int:
-    # object dtype forces Python-int accumulation: exact, never wraps
-    return int(np.sum(values, dtype=object))
+def _exact_sums(values: np.ndarray, bounds: list[int]) -> list[int]:
+    """The sums of the nonnegative ``values[bounds[i]:bounds[i + 1]]`` as
+    Python ints: in int64 when no sum can reach 2^63, else accumulated as
+    Python ints (object dtype), so they are exact at any size."""
+    wide = int(values.max(initial=0)) * values.size >= 1 << 63
+    acc = np.concatenate([[0], np.cumsum(values, dtype=object if wide else np.int64)])
+    return np.diff(acc[bounds]).tolist()
 
 
 def vertex_orientation(g: Graph, e) -> OrientationCounts:
@@ -221,9 +239,9 @@ def _level_transmissions(a, weights: np.ndarray,
 
 
 def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
-                 s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+                 s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Edge ids, their vertex and edge diffs, and twice the Wiener share of
-    the blocks ``chosen``, each of s vertices."""
+    each of the blocks ``chosen``, each of s vertices."""
     k = chosen.size
     at = parts.vertex_start[chosen, None] + np.arange(s)
     at = np.take_along_axis(at, np.argsort(parts.vertices[at], axis=1), axis=1)
@@ -256,7 +274,7 @@ def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
     u, v = pos[:, 0], pos[:, 1]
     # weights . D weights of a block is at most n^2 s: far inside int64
     return (eids, np.abs(trans[u] - trans[v]), np.abs(edge_trans[u] - edge_trans[v]),
-            _exact_sum((weights * trans.reshape(k, s)).sum(axis=1)))
+            (weights * trans.reshape(k, s)).sum(axis=1))
 
 
 def mostar_index(g: Graph) -> int:
@@ -274,18 +292,48 @@ def wiener_index(g: Graph) -> int:
     return index_report(g).wiener
 
 
+def index_reports(graphs: Iterable[Graph]) -> Iterator[IndexReport]:
+    """``index_report`` of each graph, in order.  Consecutive graphs are
+    evaluated together, as one disjoint union, while their edges stay within
+    ``_BATCH_EDGES``; a larger graph is evaluated alone."""
+    batch, edges = [], 0
+    for g in graphs:
+        if batch and edges + g.m > _BATCH_EDGES:
+            yield from _batch_reports(batch)
+            batch, edges = [], 0
+        batch.append(g)
+        edges += g.m
+    if batch:
+        yield from _batch_reports(batch)
+
+
 def index_report(g: Graph) -> IndexReport:
     """All three indices and the per-edge diffs, block by block (see above)."""
-    parts = blocks(g)
-    vdiffs, ediffs, twice = np.empty(g.m, np.int64), np.empty(g.m, np.int64), 0
+    return next(index_reports([g]))
+
+
+def _batch_reports(batch: list[Graph]) -> Iterator[IndexReport]:
+    """The reports of ``batch`` from one pass over the blocks of its union:
+    blocks of one size are stacked across all its graphs."""
+    g, parts = _blocks(batch)
+    vdiffs, ediffs = np.empty(g.m, np.int64), np.empty(g.m, np.int64)
+    twice = np.empty(len(parts.edge_start) - 1, np.int64)  # each block's Wiener share
     sizes = np.diff(parts.vertex_start)
     for s in np.unique(sizes).tolist():
         chosen = np.flatnonzero(sizes == s)
         # k blocks per stack: k s^2 int64 distances and at most k s^3 / 2 edge gathers
         step = max(1, _ROW_BUDGET_BYTES // (8 * s ** 3)) if s <= _FLOYD_MAX else 1
         for first in range(0, chosen.size, step):
-            eids, vd, ed, share = _block_diffs(g, parts, chosen[first:first + step], s)
+            some = chosen[first:first + step]
+            eids, vd, ed, twice[some] = _block_diffs(g, parts, some, s)
             vdiffs[eids], ediffs[eids] = vd, ed
-            twice += share
     vdiffs.flags.writeable = ediffs.flags.writeable = False
-    return IndexReport(_exact_sum(vdiffs), _exact_sum(ediffs), twice // 2, vdiffs, ediffs)
+    edge_at = np.cumsum([0] + [h.m for h in batch]).tolist()
+    # blocks come graph by graph: each belongs to the graph of its top vertex
+    owner = np.searchsorted(np.cumsum([h.n for h in batch]),
+                            parts.vertices[parts.vertex_start[:-1]], side="right")
+    block_at = np.searchsorted(owner, np.arange(len(batch) + 1)).tolist()
+    totals = zip(_exact_sums(vdiffs, edge_at), _exact_sums(ediffs, edge_at),
+                 _exact_sums(twice, block_at))
+    for lo, hi, (mostar, edge_mostar, twice_wiener) in zip(edge_at, edge_at[1:], totals):
+        yield IndexReport(mostar, edge_mostar, twice_wiener // 2, vdiffs[lo:hi], ediffs[lo:hi])

@@ -34,7 +34,8 @@ class MonomerHandle:
     """A connected monomer with entry vertex x and exit vertex y.
 
     y may equal x and defaults to it; bouquet and circuit use only x.  Each
-    must be an integer vertex of the graph, else VertexOutOfRange.
+    must be an integer vertex of the graph, else VertexOutOfRange, and is
+    stored as a Python int.
     """
 
     graph: Graph
@@ -44,9 +45,11 @@ class MonomerHandle:
     def __post_init__(self):
         if self.y is None:
             object.__setattr__(self, "y", self.x)
-        for v in (self.x, self.y):
+        for name in ("x", "y"):
+            v = getattr(self, name)
             if not (_is_int(v) and 0 <= v < self.graph.n):
                 raise VertexOutOfRange(v, self.graph.n)
+            object.__setattr__(self, name, int(v))
         if not is_connected(self.graph):
             raise NotConnected("monomer graph is not connected")
 
@@ -54,8 +57,10 @@ class MonomerHandle:
 @dataclass(frozen=True)
 class PolymerSpec:
     """A polymer to compose; raises here, not in ``compose``, if its kind's
-    conditions fail: a circuit has at least 3 monomers, no interior chain
-    monomer has x == y, and tree edges form a tree over the monomers."""
+    conditions fail: every monomer is a ``MonomerHandle``, a circuit has at
+    least 3 monomers, no interior chain monomer has x == y, and tree edges
+    form a tree over the monomers.  Tree edges are stored as tuples of 4
+    Python ints."""
 
     kind: str
     monomers: tuple[MonomerHandle, ...]
@@ -66,12 +71,19 @@ class PolymerSpec:
             raise GraphError(f"unknown composition kind {self.kind!r}")
         if not self.monomers:
             raise GraphError("a polymer needs at least one monomer")
+        for i, h in enumerate(self.monomers):
+            if not isinstance(h, MonomerHandle):
+                raise GraphError(f"monomer {i} is a {type(h).__name__}, not a MonomerHandle")
         if self.tree_edges and self.kind != "tree":
             raise GraphError(f"tree_edges apply only to kind 'tree', not {self.kind!r}")
         for e in self.tree_edges:
-            if len(e) != 4:
-                raise GraphError(f"tree edge {list(e)} must have 4 entries "
-                                 "[monomer a, vertex in a, monomer b, vertex in b]")
+            try:
+                arity = len(e)
+            except TypeError:  # not a sequence at all
+                arity = None
+            if arity != 4:
+                raise NotATree(f"tree edge {e if arity is None else list(e)!r} must have "
+                               "4 entries [monomer a, vertex in a, monomer b, vertex in b]")
         k = len(self.monomers)
         if self.kind == "circuit" and k < 3:
             raise TooFewMonomers(f"circuit needs at least 3 monomers, got {k}")
@@ -81,6 +93,8 @@ class PolymerSpec:
                     raise DegenerateHandles(f"interior chain monomer {i} has x == y == {h.x}")
         if self.kind == "tree":
             _check_tree(self.monomers, self.tree_edges)
+            object.__setattr__(self, "tree_edges",
+                               tuple(tuple(map(int, e)) for e in self.tree_edges))
 
 
 def _check_tree(monomers: tuple[MonomerHandle, ...], tree_edges: tuple[TreeEdge, ...]) -> None:

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mostar import (EdgeNotInGraph, FamilySpec, GraphError, MonomerHandle,
-                    NotConnected, PolymerSpec, blocks, complete_graph, compose,
-                    cycle_graph, edge_mostar_index, edge_orientation, formula_value,
-                    from_edge_list, generate, index_report, indices,
-                    is_connected, mostar_index, path_graph,
-                    vertex_orientation, wiener_index)
+from mostar import (CHAIN_FAMILIES, EdgeNotInGraph, FamilySpec, GraphError,
+                    MonomerHandle, NotConnected, PolymerSpec, blocks,
+                    complete_graph, compose, cycle_graph, edge_mostar_index,
+                    edge_orientation, formula_value, from_edge_list, generate,
+                    index_report, index_reports, indices, is_connected,
+                    mostar_index, path_graph, vertex_orientation, wiener_index)
 
 from conftest import (block_rich_graphs, connected_graphs, naive_all_pairs,
                       naive_edge_diffs, naive_edge_mostar, naive_mostar,
@@ -278,7 +278,11 @@ def test_orientations_match_naive_oracle_per_edge(g):
 
 def check_against_oracle(g):
     """Per-edge diffs and all three totals of index_report equal the naive oracle."""
-    r = index_report(g)
+    check_report(g, index_report(g))
+
+
+def check_report(g, r):
+    """Per-edge diffs and all three totals of ``g``'s report ``r`` equal the naive oracle."""
     assert r.vertex_diffs.tolist() == naive_vertex_diffs(g)
     assert r.edge_diffs.tolist() == naive_edge_diffs(g)
     assert (r.mostar, r.edge_mostar, r.wiener) == (
@@ -404,6 +408,83 @@ def test_level_and_rows_passes_match_the_oracle(name):
         assert r.vertex_diffs.tolist() == vertex_diffs
         assert r.edge_diffs.tolist() == edge_diffs
         assert (r.mostar, r.edge_mostar, r.wiener) == totals
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.one_of(connected_graphs(), block_rich_graphs(), polymer_composites()),
+                max_size=8), st.data())
+def test_batched_reports_match_the_oracle(graphs, data):
+    """Graphs evaluated together, a one-vertex graph among them, each get
+    the naive oracle's per-edge diffs and totals, in input order."""
+    graphs.insert(data.draw(st.integers(0, len(graphs))), from_edge_list(1, []))
+    reports = list(index_reports(graphs))
+    assert len(reports) == len(graphs)
+    for g, r in zip(graphs, reports):
+        check_report(g, r)
+
+
+def spy_on_batches(mp):
+    """Count the unions that ``index_reports`` splits into blocks."""
+    unions = []
+    real = indices._blocks
+
+    def run(graphs):
+        unions.append(len(graphs))
+        return real(graphs)
+    mp.setattr(indices, "_blocks", run)
+    return unions
+
+
+@pytest.mark.parametrize("cap,batches", [(1, 20), (10 ** 9, 1)], ids=["one-edge", "huge"])
+def test_batch_cap_changes_no_report(cap, batches):
+    graphs = [generate(FamilySpec(family, n=n)).graph
+              for family in CHAIN_FAMILIES for n in (1, 7, 40)] + [from_edge_list(1, []),
+                                                                   cycle_graph(60)]
+    expected = list(index_reports(graphs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indices, "_BATCH_EDGES", cap)
+        unions = spy_on_batches(mp)
+        got = list(index_reports(graphs))
+    assert len(unions) == batches and sum(unions) == len(graphs)
+    for r, want in zip(got, expected, strict=True):
+        assert r == want
+        assert r.vertex_diffs.tolist() == want.vertex_diffs.tolist()
+        assert r.edge_diffs.tolist() == want.edge_diffs.tolist()
+
+
+def test_deep_block_in_a_batch_takes_the_rows_pass():
+    deep = permute_graph(chorded_cycle(300, 50), random.Random(5).sample(range(300), 300))
+    graphs = [path_graph(4), deep, t2(), complete_graph(5)]
+    passes = []
+    real = indices._transmissions
+
+    def spy(*args):
+        passes.append(args[0].shape[0])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indices, "_transmissions", spy)
+        unions = spy_on_batches(mp)
+        reports = list(index_reports(graphs))
+    assert unions == [4] and passes == [300]
+    for g, r in zip(graphs, reports):
+        alone = index_report(g)
+        assert r == alone and r.vertex_diffs.tolist() == alone.vertex_diffs.tolist()
+        assert r.edge_diffs.tolist() == alone.edge_diffs.tolist()
+
+
+@pytest.mark.parametrize("bad", [
+    from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+    from_edge_list(3, [(0, 1)])], ids=["dfs-misses-a-vertex", "too-few-edges"])
+def test_disconnected_graph_in_a_batch(bad):
+    with pytest.raises(NotConnected, match=f"^graph with {bad.n} vertices is not connected$"):
+        list(index_reports([path_graph(3), bad, complete_graph(4)]))
+
+
+def test_exact_sums_beyond_int64():
+    values = np.array([2 ** 62] * 3 + [5], dtype=np.int64)
+    assert indices._exact_sums(values, [0, 3, 3, 4]) == [3 * 2 ** 62, 0, 5]
+    assert indices._exact_sums(values[3:], [0, 0, 1]) == [0, 5]
 
 
 class TestScale:

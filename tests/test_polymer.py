@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from unittest import mock
@@ -12,7 +13,7 @@ from mostar import (DegenerateHandles, GraphError, MonomerHandle, NotATree,
                     NotConnected, PolymerSpec, TooFewMonomers,
                     VertexOutOfRange, complete_graph, compose, cycle_graph,
                     from_edge_list, index_report, is_connected, path_graph,
-                    polymer, spec_from_dict, spec_to_dict)
+                    polymer, spec_from_dict, spec_from_json, spec_to_dict)
 
 from conftest import polymer_specs, random_connected_graph, reference_assemble
 
@@ -226,15 +227,32 @@ class TestTreeAttach:
      "monomer index 0.0 out of range"),
     ("tree", (MonomerHandle(K3, 0),) * 2, ((0, 2, True, 0),), NotATree,
      "monomer index True out of range"),
+    ("tree", (MonomerHandle(K3, 0),) * 2, (5,), NotATree,
+     "tree edge 5 must have 4 entries [monomer a, vertex in a, monomer b, vertex in b]"),
+    ("link", (path_graph(4), path_graph(4)), (), GraphError,
+     "monomer 0 is a Graph, not a MonomerHandle"),
 ], ids=["circuit-of-2", "degenerate-interior", "too-few-edges", "cycle",
         "monomer-out-of-range", "vertex-out-of-range", "float-vertex", "bool-vertex",
-        "float-monomer", "bool-monomer"])
+        "float-monomer", "bool-monomer", "tree-edge-not-a-sequence", "bare-graph-monomer"])
 def test_invalid_spec_fails_at_construction(kind, monomers, tree, error, message):
     """Every check of a kind runs when the spec is made, so no spec that
     exists fails in ``compose``."""
     with pytest.raises(error) as caught:
         PolymerSpec(kind, monomers, tree)
     assert str(caught.value) == message
+
+
+@settings(deadline=None, max_examples=60)
+@given(polymer_specs(), st.booleans())
+def test_spec_json_round_trip(spec, from_numpy):
+    """A spec survives ``json.dumps`` and comes back equal, also when it was
+    built from numpy integers: handles and tree edges hold Python ints."""
+    if from_numpy:
+        spec = PolymerSpec(
+            spec.kind, tuple(MonomerHandle(h.graph, np.int64(h.x), np.int32(h.y))
+                             for h in spec.monomers),
+            tuple(tuple(np.int64(v) for v in e) for e in spec.tree_edges))
+    assert spec_from_json(json.dumps(spec_to_dict(spec))) == spec
 
 
 class TestSpecJson:
