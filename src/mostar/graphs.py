@@ -194,29 +194,35 @@ def _dfs(g: Graph, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
         stack = [root]
         while stack:
             u = stack[-1]
-            i = nxt[u]
-            if i < stop[u]:
+            du, tu, lu = disc[u], tree[u], low[u]
+            i, end = nxt[u], stop[u]
+            while i < end:  # skip u's visited neighbours, noting back edges
+                dw = disc[nbr[i]]
+                if not dw:
+                    break
+                if dw < du and eid[i] != tu:  # back edge up the tree
+                    estack.append(eid[i])
+                    if dw < lu:
+                        lu = dw
+                i += 1
+            low[u] = lu
+            if i < end:  # descend along a tree edge
                 nxt[u] = i + 1
                 w, e = nbr[i], eid[i]
-                if not disc[w]:
-                    t += 1
-                    disc[w] = low[w] = t
-                    tree[w], emark[w] = e, len(estack)
-                    estack.append(e)
-                    stack.append(w)
-                elif disc[w] < disc[u] and e != tree[u]:  # back edge up the tree
-                    estack.append(e)
-                    if disc[w] < low[u]:
-                        low[u] = disc[w]
+                t += 1
+                disc[w] = low[w] = t
+                tree[w], emark[w] = e, len(estack)
+                estack.append(e)
+                stack.append(w)
                 continue
             stack.pop()
-            sub[u] = t - disc[u] + 1
+            sub[u] = t - du + 1
             if not stack:
                 break
             p = stack[-1]
-            if low[u] < disc[p]:
-                if low[u] < low[p]:
-                    low[p] = low[u]
+            if lu < disc[p]:
+                if lu < low[p]:
+                    low[p] = lu
                 continue
             # p cuts u's subtree off: what was pushed since u's tree edge is one block
             popped += estack[emark[u]:]

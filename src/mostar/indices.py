@@ -22,8 +22,9 @@ for an edge ``uv`` of B
   ``E_B`` taken over B's own edges
 * ``W(G) = 1/2 sum_B W_B' D_B W_B``
 
-Blocks of at most ``_FLOYD_MAX`` vertices are stacked by size and get
-``D_B`` from one batched Floyd-Warshall.  A larger block whose BFS from its
+Blocks of at most ``_FLOYD_MAX`` vertices are stacked by size, sizes
+above 8 padded up to a multiple of 8 (``_stack_sizes``), and get ``D_B``
+from one batched Floyd-Warshall.  A larger block whose BFS from its
 first vertex ends within ``_LEVEL_MAX_ECC`` levels takes the level pass,
 the linear-algebra BFS of Kepner and Gilbert: one sparse product per level
 for a batch of sources, and no distance row held.  A deeper block streams
@@ -241,22 +242,30 @@ def _level_transmissions(a, weights: np.ndarray,
 def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
                  s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Edge ids, their vertex and edge diffs, and twice the Wiener share of
-    each of the blocks ``chosen``, each of s vertices."""
+    each of the blocks ``chosen``, each of at most s vertices, padded to s
+    with vertices that no edge touches and nothing hangs at."""
     k = chosen.size
-    at = parts.vertex_start[chosen, None] + np.arange(s)
-    at = np.take_along_axis(at, np.argsort(parts.vertices[at], axis=1), axis=1)
-    weights, hanging = parts.weights[at], parts.hanging[at]
+    size = np.diff(parts.vertex_start)[chosen]
+    real = np.arange(s) < size[:, None]
+    at = np.where(real, parts.vertex_start[chosen, None] + np.arange(s), 0)
+    # pads sort last in their row, as ids n..n+s-1, and weigh nothing
+    ids = np.where(real, parts.vertices[at], g.n + np.arange(s))
+    order = np.argsort(ids, axis=1)
+    at, ids, real = (np.take_along_axis(x, order, axis=1) for x in (at, ids, real))
+    weights, hanging = parts.weights[at] * real, parts.hanging[at] * real
     counts = np.diff(parts.edge_start)[chosen]
     owner = np.repeat(np.arange(k), counts)  # the block of each edge, 0..k-1
     firsts = np.cumsum(counts) - counts  # where each block's edges start
     eids = parts.edges[np.repeat(parts.edge_start[chosen] - firsts, counts)
                        + np.arange(owner.size)]
     # endpoints as positions in the flattened (k, s) arrays, by (block, vertex) key
-    pos = np.searchsorted((parts.vertices[at] + g.n * np.arange(k)[:, None]).ravel(),
-                          g.ends[eids] + g.n * owner[:, None])
+    span = g.n + s
+    pos = np.searchsorted((ids + span * np.arange(k)[:, None]).ravel(),
+                          g.ends[eids] + span * owner[:, None])
     local = pos - s * owner[:, None]
     if s <= _FLOYD_MAX:  # one Floyd-Warshall over the stack
-        d = np.full((k, s, s), s, dtype=np.int64)  # s exceeds every hop count
+        # s exceeds every hop count; the smallest type that holds 2 s
+        d = np.full((k, s, s), s, dtype=np.min_scalar_type(2 * s))
         d[owner, local[:, 0], local[:, 1]] = d[owner, local[:, 1], local[:, 0]] = 1
         d[:, np.arange(s), np.arange(s)] = 0
         for t in range(s):
@@ -264,7 +273,7 @@ def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
         near = np.minimum(d[owner, :, local[:, 0]], d[owner, :, local[:, 1]])
         trans = np.einsum("kij,kj->ki", d, weights).ravel()
         edge_trans = (np.einsum("kij,kj->ki", d, hanging)
-                      + np.add.reduceat(near, firsts)).ravel()
+                      + np.add.reduceat(near, firsts, dtype=np.int64)).ravel()
     else:
         a = _csr(s, local)  # the probe's adjacency, reused by either pass
         if _shallow(a):
@@ -275,6 +284,13 @@ def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
     # weights . D weights of a block is at most n^2 s: far inside int64
     return (eids, np.abs(trans[u] - trans[v]), np.abs(edge_trans[u] - edge_trans[v]),
             (weights * trans.reshape(k, s)).sum(axis=1))
+
+
+def _stack_sizes(sizes: np.ndarray) -> np.ndarray:
+    """The sizes blocks are padded to for Floyd-Warshall: up to 8 exact, then
+    the next multiple of 8, so the blocks of a batch of mixed sizes make a
+    few stacks, not one per size.  Larger blocks go alone, unpadded."""
+    return np.where((sizes > 8) & (sizes <= _FLOYD_MAX), -(-sizes // 8) * 8, sizes)
 
 
 def mostar_index(g: Graph) -> int:
@@ -318,10 +334,10 @@ def _batch_reports(batch: list[Graph]) -> Iterator[IndexReport]:
     g, parts = _blocks(batch)
     vdiffs, ediffs = np.empty(g.m, np.int64), np.empty(g.m, np.int64)
     twice = np.empty(len(parts.edge_start) - 1, np.int64)  # each block's Wiener share
-    sizes = np.diff(parts.vertex_start)
+    sizes = _stack_sizes(np.diff(parts.vertex_start))
     for s in np.unique(sizes).tolist():
         chosen = np.flatnonzero(sizes == s)
-        # k blocks per stack: k s^2 int64 distances and at most k s^3 / 2 edge gathers
+        # k blocks per stack: k s^2 byte distances and at most k s^3 / 2 edge gathers
         step = max(1, _ROW_BUDGET_BYTES // (8 * s ** 3)) if s <= _FLOYD_MAX else 1
         for first in range(0, chosen.size, step):
             some = chosen[first:first + step]

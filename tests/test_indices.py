@@ -320,6 +320,14 @@ class TestBlockEngine:
         assert sorted(np.diff(blocks(g).vertex_start)) == [2, 2, 5, 50, 55]
         check_against_oracle(g)
 
+    def test_blocks_of_mixed_sizes_share_a_padded_stack(self):
+        g = hung(cycle_graph(9), [(0, cycle_graph(13)), (4, complete_graph(10)),
+                                  (2, path_graph(3)), (5, cycle_graph(16))])
+        sizes = np.diff(blocks(g).vertex_start)
+        assert sorted(sizes) == [2, 2, 9, 10, 13, 16]
+        assert set(indices._stack_sizes(sizes[sizes > 2]).tolist()) == {16}
+        check_against_oracle(g)
+
 
 @settings(deadline=None, max_examples=60)
 @given(block_rich_graphs())
