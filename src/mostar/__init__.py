@@ -10,10 +10,9 @@ from .formats import (dump_graph, emit_edge_list, emit_graph_json,
                       parse_edge_list, parse_graph, parse_graph_json)
 from .formulas import (BOUND_KINDS, BoundsReport, MonomerStats, check_bounds,
                        formula_value, has_formula, lower_bound_link2,
-                       lower_bound_link_chain, monomer_stats,
-                       superadditive_bound, upper_bound_bouquet,
-                       upper_bound_chain, upper_bound_circuit,
-                       upper_bound_link)
+                       lower_bound_link_chain, superadditive_bound,
+                       upper_bound_bouquet, upper_bound_chain,
+                       upper_bound_circuit, upper_bound_link)
 from .graphs import (Blocks, Graph, blocks, complete_graph, cycle_graph,
                      distance_rows, from_edge_list, is_connected, path_graph)
 from .indices import (EDGE_MOSTAR, INDEX_NAMES, MOSTAR, WIENER,

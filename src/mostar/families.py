@@ -50,6 +50,8 @@ class FamilySpec:
             raise GraphError(f"unknown family {self.family!r}")
         if not all(map(_is_int, (self.n, self.m, self.inner))):
             raise GraphError("family parameters must be integers")
+        for name in ("n", "m", "inner"):  # stored as Python ints, so no count wraps
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.n < 1 or self.m < 1 or self.inner < 1:
             raise GraphError("family parameters must be >= 1")
 

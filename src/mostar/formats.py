@@ -16,7 +16,7 @@ import json
 import re
 
 from .errors import GraphError
-from .graphs import Graph, from_edge_list
+from .graphs import Graph, _not_an_integer, from_edge_list
 
 
 def _decimal(token: str) -> int:
@@ -55,9 +55,7 @@ def emit_edge_list(g: Graph) -> str:
 def json_integer(value, what: str) -> int:
     """``value`` if it is a JSON integer (bool is not), else GraphError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        shown = repr(value)  # at most 60 characters of it, so the line stays short
-        raise GraphError(f"{what} must be an integer, got "
-                         f"{shown if len(shown) <= 60 else shown[:60] + '...'}")
+        raise _not_an_integer(what, value)
     return value
 
 
@@ -69,11 +67,8 @@ def parse_graph_json(source: str | dict) -> Graph:
     if not isinstance(edges, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in edges):
         raise GraphError("graph JSON 'edges' must be an array of [u, v] pairs")
-    n = json_integer(obj["n"], "graph JSON 'n'")
-    for pair in edges:
-        for x in pair:
-            json_integer(x, "graph JSON vertex id")
-    return from_edge_list(n, edges)
+    # from_edge_list rejects a vertex id that is not an integer
+    return from_edge_list(json_integer(obj["n"], "graph JSON 'n'"), edges)
 
 
 def graph_to_dict(g: Graph) -> dict:

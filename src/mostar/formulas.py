@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .errors import MismatchedConstruction, TooFewMonomers, UnsupportedCombination
 from .families import CHAIN_FAMILIES, FamilySpec
-from .graphs import Graph
-from .indices import EDGE_MOSTAR, MOSTAR, index_report, index_reports
+from .indices import EDGE_MOSTAR, MOSTAR, index_reports
 from .polymer import PolymerSpec, compose
 
 #: (a, b) meaning a*k^2 + b*k, keyed by (family, index, n odd?)
@@ -90,11 +89,6 @@ class MonomerStats:
     edges: int
     mostar: int
     edge_mostar: int
-
-
-def monomer_stats(g: Graph) -> MonomerStats:
-    report = index_report(g)
-    return MonomerStats(g.n, g.m, report.mostar, report.edge_mostar)
 
 
 def _split(stats, index):

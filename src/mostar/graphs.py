@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -71,20 +72,33 @@ class Graph:
         return hash((self.n, self.ends.tobytes()))
 
 
+def _not_an_integer(what: str, value) -> GraphError:
+    shown = repr(value)  # at most 60 characters of it, so the line stays short
+    return GraphError(f"{what} must be an integer, got "
+                      f"{shown if len(shown) <= 60 else shown[:60] + '...'}")
+
+
 def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     """Build a validated Graph from vertex count and unordered vertex pairs.
 
-    Pairs are normalized to ``u < v`` and sorted.  The first pair in input
-    order that is a self-loop or leaves ``0..n-1`` raises, as does the first
-    duplicate in sorted order: a duplicate is an error rather than being
-    silently merged.  ``n`` must fit int64.
+    Pairs are normalized to ``u < v`` and sorted.  In input order, the first
+    of ``n`` and the ids that is not an integer raises, then the first pair
+    that is a self-loop or leaves ``0..n-1``, then the first duplicate in
+    sorted order (an error, never merged).  ``n`` must fit int64.
     """
+    if not _is_int(n):
+        raise _not_an_integer("vertex count", n)
     if n < 1:
         raise VertexOutOfRange(0, n)
     if n > _MAX_N:
         raise GraphError("vertex count does not fit in 64 bits (n >= 2**63)")
-    if not isinstance(pairs, np.ndarray):
-        pairs = list(pairs)
+    if not (isinstance(pairs, np.ndarray) and pairs.dtype == np.int64):  # its dtype says all
+        try:
+            ids = list(chain.from_iterable(pairs := list(pairs)))
+        except TypeError:  # not iterable, or a pair that is not a sequence
+            raise GraphError("edges must be a list of (u, v) pairs") from None
+        if not set(map(type, ids)) <= {int} and (odd := [x for x in ids if not _is_int(x)]):
+            raise _not_an_integer("vertex id", odd[0])
     try:
         raw = np.array(pairs, dtype=np.int64)
     except OverflowError:  # an id beyond int64 is out of range: Python ints find it
@@ -105,7 +119,7 @@ def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     same = np.flatnonzero((ends[1:] == ends[:-1]).all(axis=1))
     if same.size:
         raise DuplicateEdge(*ends[same[0] + 1].tolist())
-    return Graph(n, ends)
+    return Graph(int(n), ends)
 
 
 def path_graph(n: int) -> Graph:
@@ -151,7 +165,8 @@ class Blocks(NamedTuple):
     block ``i`` has ``vertices[vertex_start[i]:vertex_start[i + 1]]``, its top
     vertex first, and the ids ``edges[edge_start[i]:edge_start[i + 1]]`` into
     ``g.edges``.  All that lies outside a block hangs at one of its vertices,
-    ``weights`` vertices (itself included) and ``hanging`` edges."""
+    ``weights`` vertices (itself included) and ``hanging`` edges.  Edge
+    ``edges[j]`` of block i joins ``vertices[vertex_start[i] + local_ends[j]]``."""
 
     vertex_start: np.ndarray
     vertices: np.ndarray
@@ -159,6 +174,7 @@ class Blocks(NamedTuple):
     hanging: np.ndarray
     edge_start: np.ndarray
     edges: np.ndarray
+    local_ends: np.ndarray
 
 
 def _union(graphs: Sequence[Graph]) -> Graph:
@@ -233,12 +249,12 @@ def _dfs(g: Graph, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
     return tuple(np.array(a, dtype=np.int64) for a in (popped, estart, disc, tree, sub))
 
 
-def _blocks(graphs: Sequence[Graph]) -> tuple[Graph, Blocks]:
-    """The disjoint union of the connected ``graphs`` and its blocks, each
-    graph's in the order ``blocks`` gives them, graph after graph.  Built
-    from one ``_dfs`` by array steps: the inner vertices of block B are the
-    vertices whose tree edge is in B, and B's top vertex is the parent of
-    its first.  For an inner vertex x, with y over x's tree children in B,
+def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
+    """The blocks of the union of the connected ``graphs``, graph after graph,
+    each in the order ``blocks`` gives, and where each graph's blocks start.
+    From one ``_dfs`` by array steps: block B's inner vertices, whose tree
+    edge is in B, follow in preorder its top vertex, the parent of the first.
+    For an inner vertex x, with y over x's tree children in B,
 
     * ``weight(x) = sub(x) - sum sub(y)``
     * ``hanging(x) = cnt(x) - sum cnt(y) - #{e in B : x is e's shallower end}``,
@@ -262,6 +278,10 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Graph, Blocks]:
     inner = seq[np.argsort(vlab[seq], kind="stable")]  # block by block, each in preorder
     count = np.bincount(vlab[inner], minlength=nb)  # a block has at least one
     first = np.cumsum(count) - count
+    place = np.zeros(n, np.int64)  # an inner vertex's position in its block
+    place[inner] = np.arange(1, inner.size + 1) - np.repeat(first, count)
+    ends = g.ends[order]  # an end not inner to the edge's block is its top, at 0
+    local_ends = np.where(vlab[ends] == label[order, None], place[ends], 0)
     parent = np.full(n, -1)
     parent[inner] = g.ends[tree[inner]].sum(axis=1) - inner
     top = parent[inner[first]]
@@ -274,7 +294,7 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Graph, Blocks]:
     same = inner[vlab[parent[inner]] == vlab[inner]]  # tree edges inside a block
     np.subtract.at(weight, parent[same], sub[same])
     np.subtract.at(hang, parent[same], cnt[same])
-    part = np.searchsorted(np.cumsum(sizes), top, side="right")
+    part = np.searchsorted(np.cumsum(sizes), top, side="right")  # the graph of each block
     edges_of = np.array([h.m for h in graphs], dtype=np.int64)
     vertex_start = np.concatenate([[0], np.cumsum(count + 1)])
     heads = np.zeros(vertex_start[-1], bool)  # where each block's top vertex goes
@@ -284,14 +304,15 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Graph, Blocks]:
     weights[heads], weights[~heads] = sizes[part] - sub[inner[first]], weight[inner]
     hanging[~heads] = hang[inner]
     hanging[heads] = edges_of[part] - np.diff(estart) - np.add.reduceat(hang[inner], first)
-    return g, Blocks(vertex_start, vertices, weights, hanging, estart, order)
+    return (Blocks(vertex_start, vertices, weights, hanging, estart, order, local_ends),
+            np.searchsorted(part, np.arange(len(graphs) + 1)))
 
 
 def blocks(g: Graph) -> Blocks:
     """The blocks of ``g``, in the order Hopcroft-Tarjan's DFS pops them, each
     with its top vertex first and its other vertices in preorder;
     NotConnected if the DFS misses a vertex (see ``_dfs`` and ``_blocks``)."""
-    return _blocks([g])[1]
+    return _blocks([g])[0]
 
 
 def _csr(n: int, ends: np.ndarray) -> csr_matrix:

@@ -22,15 +22,16 @@ for an edge ``uv`` of B
   ``E_B`` taken over B's own edges
 * ``W(G) = 1/2 sum_B W_B' D_B W_B``
 
-Blocks of at most ``_FLOYD_MAX`` vertices are stacked by size, sizes
-above 8 padded up to a multiple of 8 (``_stack_sizes``), and get ``D_B``
-from one batched Floyd-Warshall.  A larger block whose BFS from its
-first vertex ends within ``_LEVEL_MAX_ECC`` levels takes the level pass,
-the linear-algebra BFS of Kepner and Gilbert: one sparse product per level
-for a batch of sources, and no distance row held.  A deeper block streams
-its BFS rows.  Either way a bounded batch of sources runs at a time, so no
-``n x n`` table is held.
-A graph that is one block is a stack of one, and one vertex has no blocks.
+The ``Blocks`` arrays are the engine's whole input: it reads each edge as
+the positions of its ends in its block (``local_ends``), never a vertex id.
+Blocks of at most ``_FLOYD_MAX`` vertices are stacked by size, sizes above
+8 padded up to a multiple of 8 (``_stack_sizes``), and get ``D_B`` from one
+batched Floyd-Warshall.  A larger block whose BFS from its top vertex ends
+within ``_LEVEL_MAX_ECC`` levels takes the level pass, the linear-algebra
+BFS of Kepner and Gilbert: one sparse product per level for a batch of
+sources, and no distance row held.  A deeper block streams its BFS rows.
+Either way a bounded batch of sources runs at a time, so no ``n x n``
+table is held.  One vertex has no blocks.
 
 ``index_reports`` evaluates graphs in batches: consecutive graphs are
 joined into one disjoint union while their edges stay within
@@ -126,7 +127,7 @@ def _endpoint_rows(g: Graph, e) -> tuple[Edge, np.ndarray, np.ndarray]:
     return (u, v), du, dv
 
 
-def _exact_sums(values: np.ndarray, bounds: list[int]) -> list[int]:
+def _exact_sums(values: np.ndarray, bounds: list[int] | np.ndarray) -> list[int]:
     """The sums of the nonnegative ``values[bounds[i]:bounds[i + 1]]`` as
     Python ints: in int64 when no sum can reach 2^63, else accumulated as
     Python ints (object dtype), so they are exact at any size."""
@@ -203,9 +204,9 @@ def _levels(a, front: np.ndarray):
 
 
 def _shallow(a) -> bool:
-    """The cost test on a block's float32 adjacency ``a``: a BFS from vertex 0
-    ends within ``_LEVEL_MAX_ECC`` products, and every degree is below 2^24,
-    so float32 counts are exact."""
+    """The cost test on a block's float32 adjacency ``a``: a BFS from vertex 0,
+    the top vertex, ends within ``_LEVEL_MAX_ECC`` products, and every degree
+    is below 2^24, so float32 counts are exact."""
     front = np.zeros((a.shape[0], 1), np.float32)
     front[0] = 1
     return bool(np.diff(a.indptr).max() < 1 << 24) and any(
@@ -239,7 +240,7 @@ def _level_transmissions(a, weights: np.ndarray,
     return trans, edge_trans
 
 
-def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
+def _block_diffs(parts: Blocks, chosen: np.ndarray,
                  s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Edge ids, their vertex and edge diffs, and twice the Wiener share of
     each of the blocks ``chosen``, each of at most s vertices, padded to s
@@ -248,21 +249,12 @@ def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
     size = np.diff(parts.vertex_start)[chosen]
     real = np.arange(s) < size[:, None]
     at = np.where(real, parts.vertex_start[chosen, None] + np.arange(s), 0)
-    # pads sort last in their row, as ids n..n+s-1, and weigh nothing
-    ids = np.where(real, parts.vertices[at], g.n + np.arange(s))
-    order = np.argsort(ids, axis=1)
-    at, ids, real = (np.take_along_axis(x, order, axis=1) for x in (at, ids, real))
     weights, hanging = parts.weights[at] * real, parts.hanging[at] * real
     counts = np.diff(parts.edge_start)[chosen]
     owner = np.repeat(np.arange(k), counts)  # the block of each edge, 0..k-1
     firsts = np.cumsum(counts) - counts  # where each block's edges start
-    eids = parts.edges[np.repeat(parts.edge_start[chosen] - firsts, counts)
-                       + np.arange(owner.size)]
-    # endpoints as positions in the flattened (k, s) arrays, by (block, vertex) key
-    span = g.n + s
-    pos = np.searchsorted((ids + span * np.arange(k)[:, None]).ravel(),
-                          g.ends[eids] + span * owner[:, None])
-    local = pos - s * owner[:, None]
+    rows = np.repeat(parts.edge_start[chosen] - firsts, counts) + np.arange(owner.size)
+    eids, local = parts.edges[rows], parts.local_ends[rows]
     if s <= _FLOYD_MAX:  # one Floyd-Warshall over the stack
         # s exceeds every hop count; the smallest type that holds 2 s
         d = np.full((k, s, s), s, dtype=np.min_scalar_type(2 * s))
@@ -280,7 +272,7 @@ def _block_diffs(g: Graph, parts: Blocks, chosen: np.ndarray,
             trans, edge_trans = _level_transmissions(a, weights[0], hanging[0])
         else:
             trans, edge_trans = _transmissions(a, local, weights[0], hanging[0])
-    u, v = pos[:, 0], pos[:, 1]
+    u, v = (local + s * owner[:, None]).T  # as positions in the flattened (k, s) arrays
     # weights . D weights of a block is at most n^2 s: far inside int64
     return (eids, np.abs(trans[u] - trans[v]), np.abs(edge_trans[u] - edge_trans[v]),
             (weights * trans.reshape(k, s)).sum(axis=1))
@@ -331,8 +323,8 @@ def index_report(g: Graph) -> IndexReport:
 def _batch_reports(batch: list[Graph]) -> Iterator[IndexReport]:
     """The reports of ``batch`` from one pass over the blocks of its union:
     blocks of one size are stacked across all its graphs."""
-    g, parts = _blocks(batch)
-    vdiffs, ediffs = np.empty(g.m, np.int64), np.empty(g.m, np.int64)
+    parts, block_at = _blocks(batch)
+    vdiffs, ediffs = np.empty(len(parts.edges), np.int64), np.empty(len(parts.edges), np.int64)
     twice = np.empty(len(parts.edge_start) - 1, np.int64)  # each block's Wiener share
     sizes = _stack_sizes(np.diff(parts.vertex_start))
     for s in np.unique(sizes).tolist():
@@ -341,14 +333,10 @@ def _batch_reports(batch: list[Graph]) -> Iterator[IndexReport]:
         step = max(1, _ROW_BUDGET_BYTES // (8 * s ** 3)) if s <= _FLOYD_MAX else 1
         for first in range(0, chosen.size, step):
             some = chosen[first:first + step]
-            eids, vd, ed, twice[some] = _block_diffs(g, parts, some, s)
+            eids, vd, ed, twice[some] = _block_diffs(parts, some, s)
             vdiffs[eids], ediffs[eids] = vd, ed
     vdiffs.flags.writeable = ediffs.flags.writeable = False
     edge_at = np.cumsum([0] + [h.m for h in batch]).tolist()
-    # blocks come graph by graph: each belongs to the graph of its top vertex
-    owner = np.searchsorted(np.cumsum([h.n for h in batch]),
-                            parts.vertices[parts.vertex_start[:-1]], side="right")
-    block_at = np.searchsorted(owner, np.arange(len(batch) + 1)).tolist()
     totals = zip(_exact_sums(vdiffs, edge_at), _exact_sums(ediffs, edge_at),
                  _exact_sums(twice, block_at))
     for lo, hi, (mostar, edge_mostar, twice_wiener) in zip(edge_at, edge_at[1:], totals):

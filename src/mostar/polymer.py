@@ -59,8 +59,8 @@ class PolymerSpec:
     """A polymer to compose; raises here, not in ``compose``, if its kind's
     conditions fail: every monomer is a ``MonomerHandle``, a circuit has at
     least 3 monomers, no interior chain monomer has x == y, and tree edges
-    form a tree over the monomers.  Tree edges are stored as tuples of 4
-    Python ints."""
+    form a tree over the monomers.  The monomers are stored as a tuple, and
+    the tree edges as a tuple of tuples of 4 Python ints, so a spec hashes."""
 
     kind: str
     monomers: tuple[MonomerHandle, ...]
@@ -69,6 +69,7 @@ class PolymerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise GraphError(f"unknown composition kind {self.kind!r}")
+        object.__setattr__(self, "monomers", tuple(self.monomers))
         if not self.monomers:
             raise GraphError("a polymer needs at least one monomer")
         for i, h in enumerate(self.monomers):
@@ -93,8 +94,7 @@ class PolymerSpec:
                     raise DegenerateHandles(f"interior chain monomer {i} has x == y == {h.x}")
         if self.kind == "tree":
             _check_tree(self.monomers, self.tree_edges)
-            object.__setattr__(self, "tree_edges",
-                               tuple(tuple(map(int, e)) for e in self.tree_edges))
+        object.__setattr__(self, "tree_edges", tuple(tuple(map(int, e)) for e in self.tree_edges))
 
 
 def _check_tree(monomers: tuple[MonomerHandle, ...], tree_edges: tuple[TreeEdge, ...]) -> None:

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from mostar import families
 from mostar import (CHAIN_FAMILIES, FamilySpec, GraphError, MonomerHandle,
@@ -145,6 +146,14 @@ class TestValidation:
     def test_non_integer_parameters(self, params):
         with pytest.raises(GraphError, match="must be integers"):
             FamilySpec("hex-meta", **params)
+
+    def test_numpy_integer_parameters_count_as_python_ints(self):
+        """A numpy n used to wrap: triangulane n=70 counted (-3, -6)."""
+        for family, params in (("triangulane", {"n": 70}),
+                               ("clique-flower", {"m": 2 ** 40, "inner": 2 ** 30})):
+            spec = FamilySpec(family, **{k: np.int64(v) for k, v in params.items()})
+            assert family_counts(spec) == family_counts(FamilySpec(family, **params))
+            assert all(type(getattr(spec, k)) is int for k in ("n", "m", "inner"))
 
     def test_determinism(self):
         for spec in (FamilySpec("hex-ortho", n=5),

@@ -77,10 +77,31 @@ class TestFromEdgeList:
         assert g != from_edge_list(5, [(0, 1), (1, 3)])
         assert g != from_edge_list(4, [(0, 1), (1, 2)])
 
-    @pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0,)], [0, 1]])
+    @pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0,)], [0, 1], None])
     def test_pairs_of_other_lengths_rejected(self, pairs):
         with pytest.raises(GraphError, match=r"\(u, v\) pairs"):
             from_edge_list(3, pairs)
+
+    @pytest.mark.parametrize("n,pairs,shown", [
+        (3, [(0, 1.5)], "vertex id must be an integer, got 1.5"),
+        (3, [("0", "2")], "vertex id must be an integer, got '0'"),
+        (3, [(True, 2)], "vertex id must be an integer, got True"),
+        (3, [(0, 1), (2, None), (1.0, 2)], "vertex id must be an integer, got None"),
+        (3, np.array([[0, 1], [1, 2]], dtype=float),
+         f"vertex id must be an integer, got {np.float64(0)!r}"),
+        (2.5, [(0, 1)], "vertex count must be an integer, got 2.5"),
+        (True, [(0, "x")], "vertex count must be an integer, got True"),
+    ], ids=["float-id", "string-ids", "bool-id", "first-in-input-order", "float-array",
+            "float-n", "bool-n-before-ids"])
+    def test_non_integers_rejected(self, n, pairs, shown):
+        """Each of these used to build a graph, the ids cast to int64."""
+        with pytest.raises(GraphError) as caught:
+            from_edge_list(n, pairs)
+        assert str(caught.value) == shown
+
+    def test_numpy_integers_accepted(self):
+        g = from_edge_list(np.int64(3), [(np.int32(2), 0), (np.uint8(1), np.int64(2))])
+        assert g.edges == ((0, 2), (1, 2)) and type(g.n) is int
 
     def test_vertex_count_must_fit_int64(self):
         with pytest.raises(GraphError, match="64 bits"):
@@ -433,6 +454,8 @@ def check_blocks(g):
         weights = parts.weights[parts.vertex_start[i]:parts.vertex_start[i + 1]].tolist()
         hanging = parts.hanging[parts.vertex_start[i]:parts.vertex_start[i + 1]].tolist()
         own = [g.edges[e] for e in parts.edges[parts.edge_start[i]:parts.edge_start[i + 1]]]
+        local = parts.local_ends[parts.edge_start[i]:parts.edge_start[i + 1]]
+        assert parts.vertices[parts.vertex_start[i] + local].tolist() == [list(e) for e in own]
         assert sorted(vertices) == sorted({x for edge in own for x in edge})
         assert sum(weights) == g.n and sum(hanging) == g.m - len(own)
         assert all(len(set(vertices) & other) <= 1 for other in seen)
@@ -483,6 +506,20 @@ class TestBlocks:
 
     def test_long_path_needs_no_recursion(self):
         assert len(blocks(path_graph(50_000)).edges) == 49_999
+
+    def test_batch_lays_out_each_graph_as_alone(self):
+        """A batch's blocks are each graph's own, graph after graph, a
+        one-vertex graph having none, with the same layout as alone."""
+        bridged = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+        batch = [path_graph(3), from_edge_list(1, []), complete_graph(5), bridged,
+                 complete_graph(2)]
+        parts, block_at = graphs._blocks(batch)
+        alone = [blocks(g) for g in batch]
+        counts = [len(b.edge_start) - 1 for b in alone]
+        assert np.diff(block_at).tolist() == counts == [2, 0, 1, 3, 1]
+        for field in ("weights", "hanging", "local_ends"):
+            assert np.array_equal(getattr(parts, field),
+                                  np.concatenate([getattr(b, field) for b in alone]))
 
 
 @settings(deadline=None, max_examples=60)

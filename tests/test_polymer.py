@@ -255,6 +255,19 @@ def test_spec_json_round_trip(spec, from_numpy):
     assert spec_from_json(json.dumps(spec_to_dict(spec))) == spec
 
 
+H2 = MonomerHandle(K2, 0, 1)
+
+
+@pytest.mark.parametrize("kind,monomers,tree", [
+    ("link", [H2, H2], ()), ("link", (H2, H2), []), ("tree", [H2, H2], [[0, 1, 1, 0]])],
+    ids=["list-of-monomers", "empty-list-of-tree-edges", "tree-edges-as-lists"])
+def test_spec_containers_are_stored_as_tuples(kind, monomers, tree):
+    """A spec made from lists used to keep them, and hash() of it raised."""
+    spec = PolymerSpec(kind, monomers, tree)
+    assert all(type(x) is tuple for x in (spec.monomers, spec.tree_edges, *spec.tree_edges))
+    assert hash(spec) == hash(PolymerSpec(kind, (H2, H2), tuple(map(tuple, tree))))
+
+
 class TestSpecJson:
     def test_round_trip(self):
         spec = PolymerSpec("link", (MonomerHandle(K3, 0, 1), MonomerHandle(K2, 0, 1)))
