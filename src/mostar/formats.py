@@ -60,7 +60,10 @@ def json_integer(value, what: str) -> int:
 
 
 def parse_graph_json(source: str | dict) -> Graph:
-    obj = json.loads(source) if isinstance(source, str) else source
+    try:
+        obj = json.loads(source) if isinstance(source, str) else source
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise GraphError(f"invalid graph JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError("graph JSON must be an object with 'n' and 'edges'")
     edges = obj["edges"]
@@ -83,10 +86,7 @@ def parse_graph(text: str) -> Graph:
     """Sniff JSON versus edge-list text and parse accordingly."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            return parse_graph_json(stripped)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise GraphError(f"invalid graph JSON: {exc}") from exc
+        return parse_graph_json(stripped)
     return parse_edge_list(text)
 
 

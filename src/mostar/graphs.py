@@ -103,6 +103,8 @@ def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
         raw = np.array(pairs, dtype=np.int64)
     except OverflowError:  # an id beyond int64 is out of range: Python ints find it
         raw = np.array(pairs, dtype=object)
+    except ValueError:  # pairs of unequal lengths
+        raise GraphError("edges must be a list of (u, v) pairs") from None
     raw = raw.reshape(-1, 2) if raw.size == 0 else raw
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise GraphError("edges must be a list of (u, v) pairs")
@@ -177,25 +179,15 @@ class Blocks(NamedTuple):
     local_ends: np.ndarray
 
 
-def _union(graphs: Sequence[Graph]) -> Graph:
-    """The disjoint union, each graph's vertices shifted past those before
-    it; its ends stay canonical, since the shifted runs of rows stay sorted."""
-    if len(graphs) == 1:
-        return graphs[0]
-    shift = np.repeat(np.cumsum([0] + [g.n for g in graphs[:-1]]), [g.m for g in graphs])
-    return Graph(sum(g.n for g in graphs),
-                 np.concatenate([g.ends for g in graphs]) + shift[:, None])
-
-
-def _dfs(g: Graph, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Hopcroft-Tarjan over ``g``, a disjoint union of parts of ``sizes``
-    vertices each, one DFS from each part's lowest vertex, with an explicit
-    stack, so no graph is too deep; NotConnected if a DFS misses a vertex of
-    its part.  Gives the edge ids block by block, in the order the blocks
-    pop, with where each block starts, and each vertex's preorder number,
-    tree edge (-1 at a root) and subtree size."""
-    n, m = g.n, g.m
-    flat = g.ends.T.ravel()
+def _dfs(ends: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Hopcroft-Tarjan over the edges ``ends`` of a disjoint union of parts
+    of ``sizes`` vertices each, one DFS from each part's lowest vertex, with
+    an explicit stack, so no graph is too deep; NotConnected if a DFS misses
+    a vertex of its part.  Gives the edge ids block by block, in the order
+    the blocks pop, with where each block starts, and each vertex's
+    preorder number, tree edge (-1 at a root) and subtree size."""
+    n, m = sum(sizes), len(ends)
+    flat = ends.T.ravel()
     slots = np.argsort(flat, kind="stable")  # edge endpoints grouped by vertex
     nbr, eid = flat[(slots + m) % (2 * m)].tolist(), (slots % m).tolist()
     nxt = np.searchsorted(flat[slots], np.arange(n + 1)).tolist()
@@ -250,8 +242,9 @@ def _dfs(g: Graph, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
 
 
 def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
-    """The blocks of the union of the connected ``graphs``, graph after graph,
-    each in the order ``blocks`` gives, and where each graph's blocks start.
+    """The blocks of the connected ``graphs``, graph after graph, each in the
+    order ``blocks`` gives, and where each graph's blocks start; their union
+    is an edge array, each graph's ``ends`` shifted past the graphs before.
     From one ``_dfs`` by array steps: block B's inner vertices, whose tree
     edge is in B, follow in preorder its top vertex, the parent of the first.
     For an inner vertex x, with y over x's tree children in B,
@@ -264,46 +257,44 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     for g in graphs:
         if g.m < g.n - 1:  # too few edges to connect: decided before allocating n of anything
             raise NotConnected(f"graph with {g.n} vertices is not connected")
-    g = _union(graphs)
-    sizes = np.array([h.n for h in graphs], dtype=np.int64)
-    order, estart, disc, tree, sub = _dfs(g, sizes.tolist())
-    n, nb, pre = g.n, len(estart) - 1, disc - 1
-    label = np.empty(g.m, np.int64)
-    label[order] = np.repeat(np.arange(nb), np.diff(estart))
-    seq = np.empty(n, np.int64)
-    seq[pre] = np.arange(n)  # the vertices in preorder
-    seq = seq[tree[seq] >= 0]  # less the roots
-    vlab = np.full(n, -1)  # the block of each vertex's tree edge; -1 at a root
-    vlab[seq] = label[tree[seq]]
-    inner = seq[np.argsort(vlab[seq], kind="stable")]  # block by block, each in preorder
+    sizes = np.array([g.n for g in graphs], dtype=np.int64)
+    edges_of = np.array([g.m for g in graphs], dtype=np.int64)
+    union = np.concatenate([g.ends for g in graphs])
+    union += np.repeat(np.cumsum(sizes) - sizes, edges_of)[:, None]
+    order, estart, disc, tree, sub = _dfs(union, sizes.tolist())
+    n, nb, pre = int(sizes.sum()), len(estart) - 1, disc - 1
+    blab = np.repeat(np.arange(nb), np.diff(estart))  # the block of each edge of ``order``
+    label = np.empty(len(union), np.int64)
+    label[order] = blab
+    vlab = np.append(label, -1)[tree]  # the block of each vertex's tree edge; -1 at a root
+    # the roots sort first, then the rest block by block, each in preorder; the keys are
+    # distinct, and "stable" is the sort _dfs runs (quicksort pages in 0.4 MB more code)
+    inner = np.argsort(vlab * n + pre, kind="stable")[len(graphs):]
     count = np.bincount(vlab[inner], minlength=nb)  # a block has at least one
     first = np.cumsum(count) - count
     place = np.zeros(n, np.int64)  # an inner vertex's position in its block
     place[inner] = np.arange(1, inner.size + 1) - np.repeat(first, count)
-    ends = g.ends[order]  # an end not inner to the edge's block is its top, at 0
-    local_ends = np.where(vlab[ends] == label[order, None], place[ends], 0)
+    ends = union[order]  # an end not inner to the edge's block is its top, at 0
+    local_ends = np.where(vlab[ends] == blab[:, None], place[ends], 0)
     parent = np.full(n, -1)
-    parent[inner] = g.ends[tree[inner]].sum(axis=1) - inner
+    parent[inner] = union[tree[inner]].sum(axis=1) - inner
     top = parent[inner[first]]
-    a, b = g.ends.T
+    a, b = ends.T
     shallow = np.where(pre[a] < pre[b], a, b)
     below = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(pre[shallow], minlength=n), out=below[1:])
     cnt = below[pre + sub] - below[pre]
-    weight, hang = sub.copy(), cnt - np.bincount(shallow[label == vlab[shallow]], minlength=n)
+    weight, hang = sub.copy(), cnt - np.bincount(shallow[blab == vlab[shallow]], minlength=n)
     same = inner[vlab[parent[inner]] == vlab[inner]]  # tree edges inside a block
     np.subtract.at(weight, parent[same], sub[same])
     np.subtract.at(hang, parent[same], cnt[same])
     part = np.searchsorted(np.cumsum(sizes), top, side="right")  # the graph of each block
-    edges_of = np.array([h.m for h in graphs], dtype=np.int64)
-    vertex_start = np.concatenate([[0], np.cumsum(count + 1)])
-    heads = np.zeros(vertex_start[-1], bool)  # where each block's top vertex goes
-    heads[vertex_start[:-1]] = True
-    vertices, weights, hanging = (np.empty(vertex_start[-1], np.int64) for _ in range(3))
-    vertices[heads], vertices[~heads] = top, inner
-    weights[heads], weights[~heads] = sizes[part] - sub[inner[first]], weight[inner]
-    hanging[~heads] = hang[inner]
-    hanging[heads] = edges_of[part] - np.diff(estart) - np.add.reduceat(hang[inner], first)
+    hang = hang[inner]
+    rest = edges_of[part] - np.diff(estart) - np.add.reduceat(hang, first)
+    vertex_start = np.append(first + np.arange(nb), inner.size + nb)
+    vertices = np.insert(inner, first, top)
+    weights = np.insert(weight[inner], first, sizes[part] - sub[inner[first]])
+    hanging = np.insert(hang, first, rest)
     return (Blocks(vertex_start, vertices, weights, hanging, estart, order, local_ends),
             np.searchsorted(part, np.arange(len(graphs) + 1)))
 

@@ -59,17 +59,22 @@ class PolymerSpec:
     """A polymer to compose; raises here, not in ``compose``, if its kind's
     conditions fail: every monomer is a ``MonomerHandle``, a circuit has at
     least 3 monomers, no interior chain monomer has x == y, and tree edges
-    form a tree over the monomers.  The monomers are stored as a tuple, and
-    the tree edges as a tuple of tuples of 4 Python ints, so a spec hashes."""
+    form a tree over the monomers.  The monomers, from any iterable, are
+    stored as a tuple, and the tree edges as a tuple of tuples of 4 Python
+    ints, so a spec hashes."""
 
     kind: str
     monomers: tuple[MonomerHandle, ...]
     tree_edges: tuple[TreeEdge, ...] = ()
 
     def __post_init__(self):
+        for name in ("monomers", "tree_edges"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:  # not iterable
+                raise GraphError(f"{name} must be iterable, got {getattr(self, name)!r}") from None
         if self.kind not in KINDS:
             raise GraphError(f"unknown composition kind {self.kind!r}")
-        object.__setattr__(self, "monomers", tuple(self.monomers))
         if not self.monomers:
             raise GraphError("a polymer needs at least one monomer")
         for i, h in enumerate(self.monomers):

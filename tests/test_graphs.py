@@ -77,7 +77,8 @@ class TestFromEdgeList:
         assert g != from_edge_list(5, [(0, 1), (1, 3)])
         assert g != from_edge_list(4, [(0, 1), (1, 2)])
 
-    @pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0,)], [0, 1], None])
+    @pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0,)], [0, 1], None,
+                                       [(0, 1), (2,)], [(0, 1), (1, 2, 0)]])
     def test_pairs_of_other_lengths_rejected(self, pairs):
         with pytest.raises(GraphError, match=r"\(u, v\) pairs"):
             from_edge_list(3, pairs)
@@ -428,6 +429,12 @@ class TestFormats:
         with pytest.raises(GraphError, match="must be an integer"):
             parse_graph_json(doc)
 
+    @pytest.mark.parametrize("text", ["not json", "{", '{"n": 3, "edges": ' + "[" * 100_000],
+                             ids=["not-json", "unclosed", "too-deep"])
+    def test_json_that_does_not_parse(self, text):
+        with pytest.raises(GraphError, match="^invalid graph JSON: "):
+            parse_graph_json(text)
+
     def test_json_canonical_sorted(self):
         g = from_edge_list(3, [(2, 1), (1, 0)])
         assert emit_graph_json(g) == '{"edges": [[0, 1], [1, 2]], "n": 3}\n'
@@ -507,19 +514,45 @@ class TestBlocks:
     def test_long_path_needs_no_recursion(self):
         assert len(blocks(path_graph(50_000)).edges) == 49_999
 
+    @staticmethod
+    def check_batch_as_alone(batch):
+        """``_blocks(batch)`` is each graph's own blocks, graph after graph:
+        vertex and edge ids shifted past the graphs before, and the starts
+        past the blocks before.  Gives where each graph's blocks start."""
+        parts, block_at = graphs._blocks(batch)
+        alone = [blocks(g) for g in batch]
+
+        def joined(field, shift=(0,) * len(batch)):
+            return np.concatenate([getattr(b, field) + s for b, s in zip(alone, shift)])
+
+        def starts(field, within):
+            shift = np.cumsum([0] + [len(getattr(b, within)) for b in alone])
+            return np.append(
+                np.concatenate([getattr(b, field)[:-1] + s for b, s in zip(alone, shift)]),
+                shift[-1])
+
+        expected = graphs.Blocks(
+            starts("vertex_start", "vertices"),
+            joined("vertices", np.cumsum([0] + [g.n for g in batch])),
+            joined("weights"), joined("hanging"), starts("edge_start", "edges"),
+            joined("edges", np.cumsum([0] + [g.m for g in batch])), joined("local_ends"))
+        for field in graphs.Blocks._fields:
+            assert np.array_equal(getattr(parts, field), getattr(expected, field)), field
+        counts = [len(b.edge_start) - 1 for b in alone]
+        assert block_at.tolist() == np.cumsum([0] + counts).tolist()
+        return block_at
+
     def test_batch_lays_out_each_graph_as_alone(self):
         """A batch's blocks are each graph's own, graph after graph, a
         one-vertex graph having none, with the same layout as alone."""
         bridged = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
         batch = [path_graph(3), from_edge_list(1, []), complete_graph(5), bridged,
                  complete_graph(2)]
-        parts, block_at = graphs._blocks(batch)
-        alone = [blocks(g) for g in batch]
-        counts = [len(b.edge_start) - 1 for b in alone]
-        assert np.diff(block_at).tolist() == counts == [2, 0, 1, 3, 1]
-        for field in ("weights", "hanging", "local_ends"):
-            assert np.array_equal(getattr(parts, field),
-                                  np.concatenate([getattr(b, field) for b in alone]))
+        assert np.diff(self.check_batch_as_alone(batch)).tolist() == [2, 0, 1, 3, 1]
+
+    def test_batch_of_one_vertex_graphs_has_no_blocks(self):
+        block_at = self.check_batch_as_alone([complete_graph(1), complete_graph(1)])
+        assert block_at.tolist() == [0, 0, 0]
 
 
 @settings(deadline=None, max_examples=60)

@@ -231,15 +231,28 @@ class TestTreeAttach:
      "tree edge 5 must have 4 entries [monomer a, vertex in a, monomer b, vertex in b]"),
     ("link", (path_graph(4), path_graph(4)), (), GraphError,
      "monomer 0 is a Graph, not a MonomerHandle"),
+    ("link", 5, (), GraphError, "monomers must be iterable, got 5"),
+    ("tree", (MonomerHandle(K3, 0),) * 2, None, GraphError,
+     "tree_edges must be iterable, got None"),
+    ("tree", (MonomerHandle(K3, 0),) * 2, 7, GraphError, "tree_edges must be iterable, got 7"),
 ], ids=["circuit-of-2", "degenerate-interior", "too-few-edges", "cycle",
         "monomer-out-of-range", "vertex-out-of-range", "float-vertex", "bool-vertex",
-        "float-monomer", "bool-monomer", "tree-edge-not-a-sequence", "bare-graph-monomer"])
+        "float-monomer", "bool-monomer", "tree-edge-not-a-sequence", "bare-graph-monomer",
+        "monomers-not-iterable", "tree-edges-none", "tree-edges-not-iterable"])
 def test_invalid_spec_fails_at_construction(kind, monomers, tree, error, message):
     """Every check of a kind runs when the spec is made, so no spec that
     exists fails in ``compose``."""
     with pytest.raises(error) as caught:
         PolymerSpec(kind, monomers, tree)
     assert str(caught.value) == message
+
+
+def test_spec_from_generators_equals_spec_from_tuples():
+    handles = (MonomerHandle(K3, 0), MonomerHandle(K3, 1), MonomerHandle(K3, 2))
+    tree = ((0, 1, 1, 0), (1, 2, 2, 0))
+    spec = PolymerSpec("tree", (h for h in handles), (e for e in tree))
+    assert spec == PolymerSpec("tree", handles, tree)
+    assert compose(spec).graph == compose(PolymerSpec("tree", handles, tree)).graph
 
 
 @settings(deadline=None, max_examples=60)
@@ -290,6 +303,10 @@ class TestSpecJson:
             PolymerSpec("ring", (MonomerHandle(K2, 0),))
         with pytest.raises(GraphError):
             PolymerSpec("link", ())
+
+    def test_monomer_graph_of_bad_json(self):
+        with pytest.raises(GraphError, match="^invalid graph JSON: "):
+            spec_from_dict({"kind": "link", "monomers": [{"graph": '{"n": 2,', "x": 0}]})
 
     @pytest.mark.parametrize("monomers", [{"a": 1}, [5], "K2", None])
     def test_monomers_not_an_array_of_objects(self, monomers):
