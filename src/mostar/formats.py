@@ -1,8 +1,12 @@
 """Text and JSON serialization of graphs.
 
-Edge-list text format: first line ``n m``, then ``m`` lines ``u v``
-(0-based ASCII decimal integers, whitespace separated).  Lines whose first
-non-blank character is ``#`` are comments; blank lines are skipped.
+Edge-list text format: first line ``n m``, then ``m`` lines ``u v`` of
+0-based vertex ids.  Lines are split as ``str.splitlines`` splits them; lines
+whose first non-blank character is ``#`` are comments, and blank lines are
+skipped.  A count or id is an optional ``+`` or ``-`` sign and one or more
+ASCII digits ``0-9``, leading zeros allowed (``1_0`` and non-ASCII digits
+are rejected); any run of Unicode whitespace separates a line's two tokens.
+An id beyond int64 is reported as out of range.
 
 JSON format: object with integer field ``n`` and field ``edges`` holding an
 array of 2-element integer arrays; any other JSON value (bool, float,
@@ -14,21 +18,38 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import repeat
+
+import numpy as np
 
 from .errors import GraphError
 from .graphs import Graph, _not_an_integer, from_edge_list
 
+# [0-9], never \d: int() alone would also read "1_0" as 10 and non-ASCII digits like "\u0662"
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+#: a well-formed edge line; \s is the whitespace that str.split splits on
+_EDGE_LINE = re.compile(rf"{_DECIMAL.pattern}\s+{_DECIMAL.pattern}")
+
 
 def _decimal(token: str) -> int:
-    # int() alone would also read "1_0" as 10 and non-ASCII digits like "\u0662"
-    if not re.fullmatch(r"[+-]?[0-9]+", token):
+    if not _DECIMAL.fullmatch(token):
         raise GraphError(f"expected a decimal integer, got {token!r}")
     return int(token)
 
 
+def _edge_pairs(lines: list[str]) -> list[tuple[int, int]]:
+    """The edge lines read one by one, so the first bad line or token is named."""
+    pairs = []
+    for ln in lines:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphError(f"expected edge line 'u v', got {ln!r}")
+        pairs.append((_decimal(parts[0]), _decimal(parts[1])))
+    return pairs
+
+
 def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
-             if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise GraphError("empty edge-list input")
     header = lines[0].split()
@@ -37,13 +58,15 @@ def parse_edge_list(text: str) -> Graph:
     n, m = _decimal(header[0]), _decimal(header[1])
     if len(lines) - 1 != m:
         raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"expected edge line 'u v', got {ln!r}")
-        pairs.append((_decimal(parts[0]), _decimal(parts[1])))
-    return from_edge_list(n, pairs)
+    edges = lines[1:]
+    if all(map(_EDGE_LINE.fullmatch, edges)):  # every token checked: convert them all at once
+        try:
+            ids = np.array(" ".join(edges).split(), dtype=np.int64)
+        except (OverflowError, ValueError):  # an id beyond int64: the loop names it
+            pass
+        else:
+            return from_edge_list(n, ids.reshape(-1, 2))
+    return from_edge_list(n, _edge_pairs(edges))
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -67,8 +90,8 @@ def parse_graph_json(source: str | dict) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError("graph JSON must be an object with 'n' and 'edges'")
     edges = obj["edges"]
-    if not isinstance(edges, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in edges):
+    if not (isinstance(edges, list) and all(map(isinstance, edges, repeat(list)))
+            and set(map(len, edges)) <= {2}):
         raise GraphError("graph JSON 'edges' must be an array of [u, v] pairs")
     # from_edge_list rejects a vertex id that is not an integer
     return from_edge_list(json_integer(obj["n"], "graph JSON 'n'"), edges)

@@ -92,19 +92,10 @@ def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
         raise VertexOutOfRange(0, n)
     if n > _MAX_N:
         raise GraphError("vertex count does not fit in 64 bits (n >= 2**63)")
-    if not (isinstance(pairs, np.ndarray) and pairs.dtype == np.int64):  # its dtype says all
-        try:
-            ids = list(chain.from_iterable(pairs := list(pairs)))
-        except TypeError:  # not iterable, or a pair that is not a sequence
-            raise GraphError("edges must be a list of (u, v) pairs") from None
-        if not set(map(type, ids)) <= {int} and (odd := [x for x in ids if not _is_int(x)]):
-            raise _not_an_integer("vertex id", odd[0])
-    try:
+    if isinstance(pairs, np.ndarray) and pairs.dtype == np.int64:  # its dtype says all
         raw = np.array(pairs, dtype=np.int64)
-    except OverflowError:  # an id beyond int64 is out of range: Python ints find it
-        raw = np.array(pairs, dtype=object)
-    except ValueError:  # pairs of unequal lengths
-        raise GraphError("edges must be a list of (u, v) pairs") from None
+    else:
+        raw = _pair_array(pairs)
     raw = raw.reshape(-1, 2) if raw.size == 0 else raw
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise GraphError("edges must be a list of (u, v) pairs")
@@ -122,6 +113,25 @@ def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     if same.size:
         raise DuplicateEdge(*ends[same[0] + 1].tolist())
     return Graph(int(n), ends)
+
+
+def _pair_array(pairs: Iterable[Sequence[int]]) -> np.ndarray:
+    """The ``(m, 2)`` array of any iterable of pairs of integers, converted
+    from the flat list of ids; object dtype if an id is beyond int64, so that
+    the range check names it as the caller wrote it."""
+    try:
+        ids = list(chain.from_iterable(pairs := list(pairs)))
+        paired = set(map(len, pairs)) <= {2}
+    except TypeError:  # not iterable, or a pair that is not a sequence
+        raise GraphError("edges must be a list of (u, v) pairs") from None
+    if not set(map(type, ids)) <= {int} and (odd := [x for x in ids if not _is_int(x)]):
+        raise _not_an_integer("vertex id", odd[0])
+    if not paired:
+        raise GraphError("edges must be a list of (u, v) pairs")
+    try:
+        return np.array(ids, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an id beyond int64: an int, or an np.uint64 that is never wrapped
+        return np.array(ids, dtype=object).reshape(-1, 2)
 
 
 def path_graph(n: int) -> Graph:

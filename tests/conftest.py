@@ -5,20 +5,28 @@ The naive oracle deliberately avoids numpy/scipy and the package's
 vectorized paths, so cross-checks against it exercise two independent
 implementations of every definition.  The reference constructors are the
 per-pair loop and the dict union-find that ``from_edge_list`` and
-``polymer._assemble`` replaced with array code.
+``polymer._assemble`` replaced with array code, and the reference readers
+are the per-line and per-pair parsers that ``formats`` replaced with one
+array conversion.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from collections import deque
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
 
-from mostar import (KINDS, DuplicateEdge, FamilySpec, Graph, MonomerHandle,
-                    PolymerSpec, SelfLoop, VertexOutOfRange, compose,
-                    formula_value, from_edge_list, generate, index_report)
+from mostar import (KINDS, DuplicateEdge, FamilySpec, Graph, GraphError,
+                    MonomerHandle, PolymerSpec, SelfLoop, VertexOutOfRange,
+                    compose, formula_value, from_edge_list, generate,
+                    index_report)
+from mostar.formats import json_integer
+from mostar.graphs import _not_an_integer
 
 Edge = tuple[int, int]
 Slot = tuple[int, int]
@@ -47,6 +55,70 @@ def reference_edges(n: int, pairs) -> tuple[Edge, ...]:
         if prev == cur:
             raise DuplicateEdge(*cur)
     return tuple(normalized)
+
+
+def reference_graph(n, pairs) -> Graph:
+    """``from_edge_list`` of a list of pairs, one check at a time in its order:
+    the vertex count, the first id that is not an integer, a pair that is not
+    two ids, then ``reference_edges``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise _not_an_integer("vertex count", n)
+    if n < 1:
+        raise VertexOutOfRange(0, n)
+    if n >= 2 ** 63:
+        raise GraphError("vertex count does not fit in 64 bits (n >= 2**63)")
+    try:
+        ids = [x for pair in pairs for x in pair]
+    except TypeError:
+        raise GraphError("edges must be a list of (u, v) pairs") from None
+    for x in ids:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise _not_an_integer("vertex id", x)
+    if any(len(pair) != 2 for pair in pairs):
+        raise GraphError("edges must be a list of (u, v) pairs")
+    return Graph(int(n), np.array(reference_edges(n, pairs), dtype=np.int64).reshape(-1, 2))
+
+
+def reference_decimal(token: str) -> int:
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise GraphError(f"expected a decimal integer, got {token!r}")
+    return int(token)
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """``parse_edge_list`` one line and one token at a time."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
+             if ln and not ln.startswith("#")]
+    if not lines:
+        raise GraphError("empty edge-list input")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise GraphError(f"expected header 'n m', got {lines[0]!r}")
+    n, m = reference_decimal(header[0]), reference_decimal(header[1])
+    if len(lines) - 1 != m:
+        raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")
+    pairs = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphError(f"expected edge line 'u v', got {ln!r}")
+        pairs.append((reference_decimal(parts[0]), reference_decimal(parts[1])))
+    return reference_graph(n, pairs)
+
+
+def reference_parse_graph_json(source: str | dict) -> Graph:
+    """``parse_graph_json`` with each pair checked by itself."""
+    try:
+        obj = json.loads(source) if isinstance(source, str) else source
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise GraphError(f"invalid graph JSON: {exc}") from exc
+    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+        raise GraphError("graph JSON must be an object with 'n' and 'edges'")
+    edges = obj["edges"]
+    if not isinstance(edges, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in edges):
+        raise GraphError("graph JSON 'edges' must be an array of [u, v] pairs")
+    return reference_graph(json_integer(obj["n"], "graph JSON 'n'"), edges)
 
 
 def reference_assemble(graphs: list[Graph], identify: list[tuple[Slot, Slot]],

@@ -1,3 +1,5 @@
+import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from mostar import (DuplicateEdge, GraphError, NotConnected, SelfLoop,
                     VertexOutOfRange, blocks, complete_graph, cycle_graph,
                     distance_rows, dump_graph, edge_orientation,
-                    emit_edge_list, emit_graph_json, from_edge_list, graphs,
+                    emit_edge_list, emit_graph_json, formats, from_edge_list, graphs,
                     index_report, indices, is_connected, parse_edge_list,
                     parse_graph, parse_graph_json, path_graph,
                     vertex_orientation)
@@ -16,7 +18,8 @@ from mostar import (DuplicateEdge, GraphError, NotConnected, SelfLoop,
 from conftest import (any_graphs, block_rich_graphs, connected_graphs,
                       naive_all_pairs, naive_bfs, naive_edge_diffs,
                       naive_vertex_diffs, naive_wiener, polymer_composites,
-                      reference_edges)
+                      reference_edges, reference_parse_edge_list,
+                      reference_parse_graph_json)
 
 
 def row_chunks(g, rows):
@@ -71,7 +74,8 @@ class TestFromEdgeList:
     def test_any_pair_container_gives_the_same_graph(self):
         g = from_edge_list(4, [(0, 1), (1, 3)])
         for pairs in ([[1, 3], [1, 0]], ((3, 1), (0, 1)), np.array([[1, 3], [0, 1]]),
-                      iter([(0, 1), (3, 1)]), {(0, 1), (1, 3)}):
+                      np.array([[1, 3], [0, 1]], dtype=np.uint64), iter([(0, 1), (3, 1)]),
+                      {(0, 1), (1, 3)}):
             h = from_edge_list(4, pairs)
             assert h == g and hash(h) == hash(g) and h.edges == g.edges
         assert g != from_edge_list(5, [(0, 1), (1, 3)])
@@ -103,6 +107,17 @@ class TestFromEdgeList:
     def test_numpy_integers_accepted(self):
         g = from_edge_list(np.int64(3), [(np.int32(2), 0), (np.uint8(1), np.int64(2))])
         assert g.edges == ((0, 2), (1, 2)) and type(g.n) is int
+
+    @pytest.mark.parametrize("pairs", [
+        np.array([[2 ** 63, 1]], dtype=np.uint64), [(np.uint64(2 ** 63), np.uint64(1))],
+        np.array([[0, 1], [2, 2 ** 64 - 1]], dtype=np.uint64),
+        [(0, 1), (2, np.uint64(2 ** 64 - 1))]],
+        ids=["uint64-array", "uint64-list", "uint64-array-max", "uint64-in-a-list"])
+    def test_unsigned_id_beyond_int64_is_named_as_written(self, pairs):
+        """A uint64 array used to be cast whole to int64, so 2**63 was named as -2**63."""
+        with pytest.raises(VertexOutOfRange) as caught:
+            from_edge_list(3, pairs)
+        assert caught.value.vertex == max(int(v) for pair in pairs for v in pair)
 
     def test_vertex_count_must_fit_int64(self):
         with pytest.raises(GraphError, match="64 bits"):
@@ -447,6 +462,167 @@ class TestFormats:
     def test_dump_format_validation(self):
         with pytest.raises(GraphError):
             dump_graph(path_graph(2), "yaml")
+
+
+#: ids near a small graph's range, and at and beyond the ends of int64
+text_ids = st.one_of(st.integers(-2, 7), st.sampled_from(
+    [2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 64 + 3, 10 ** 30]))
+#: tokens that int() reads but a decimal is not, and tokens it does not read
+bad_tokens = st.sampled_from(["1_0", "\u0662", "\u0660", "1.0", "0x1", "a", "--1", "+", "\u00b9"])
+line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e",
+                               "\x85", "\u2028", "\u2029"])
+separators = st.sampled_from([" ", "\t", "  ", "\xa0", " \t", "\x1f", "\u3000", "\u2003"])
+padding = st.sampled_from(["", "", " ", "\t", "\xa0"])
+
+
+@st.composite
+def decimals(draw, value: int) -> str:
+    """``value`` as an edge-list token: an optional sign, maybe leading zeros."""
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]))
+    if value == 0:
+        sign = draw(st.sampled_from(["", "+", "-"]))
+    return sign + "0" * draw(st.integers(0, 3)) + str(abs(value))
+
+
+@st.composite
+def simple_pairs(draw, n: int) -> list[list[int]]:
+    """The distinct edges of a simple graph on ``n`` vertices, in random order
+    and orientation."""
+    ids = st.integers(0, n - 1)
+    pairs = st.tuples(ids, ids).filter(lambda p: p[0] != p[1])
+    return [list(p) for p in draw(st.lists(pairs, max_size=8, unique_by=frozenset))]
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge-list texts, most of them well formed, some with one flaw: a bad
+    ``n``, an id out of range, a self-loop, a duplicate, a bad token, a line
+    of 1 or 3 tokens, or a wrong edge count."""
+    n = draw(st.integers(2, 40))
+    pairs = draw(simple_pairs(n))
+    flaw = draw(st.sampled_from(["none"] * 5 + ["n", "id", "loop", "duplicate",
+                                                 "token", "short", "long", "count"]))
+    if flaw == "n":
+        n = draw(st.sampled_from([0, -1, 1, 2 ** 63 - 1, 2 ** 63]))
+    elif flaw == "id" and pairs:
+        draw(st.sampled_from(pairs))[draw(st.integers(0, 1))] = draw(text_ids)
+    elif flaw == "loop":
+        v = draw(st.one_of(st.integers(0, n - 1), text_ids))
+        pairs.insert(draw(st.integers(0, len(pairs))), [v, v])
+    elif flaw == "duplicate" and pairs:
+        u, v = draw(st.sampled_from(pairs))
+        pairs.insert(draw(st.integers(0, len(pairs))), [v, u] if draw(st.booleans()) else [u, v])
+    rows = [[draw(decimals(u)), draw(decimals(v))] for u, v in pairs]
+    header = [draw(decimals(n)), draw(decimals(len(rows)))]
+    if flaw == "token":
+        row = draw(st.sampled_from(rows + [header]))
+        row[draw(st.integers(0, 1))] = draw(bad_tokens)
+    elif flaw == "short" and rows:
+        del draw(st.sampled_from(rows))[1]
+    elif flaw == "long":
+        draw(st.sampled_from(rows + [header])).append(draw(decimals(draw(text_ids))))
+    elif flaw == "count":
+        header[1] = draw(decimals(len(rows) + draw(st.sampled_from([-1, 1, 2]))))
+    lines = [draw(padding) + draw(separators).join(row) + draw(padding)
+             for row in [header] + rows]
+    for _ in range(draw(st.integers(0, 3))):  # comments and blank lines anywhere
+        extra = draw(st.sampled_from(["# a comment", "  # 1 2", "#", "", "  ", "\t"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "".join(line + draw(line_breaks) for line in lines)
+
+
+def same_outcome(read, reference, source):
+    """``read(source)`` gives the graph ``reference(source)`` gives, or raises
+    the same exception class with the same message."""
+    got, want = outcome(lambda: read(source)), outcome(lambda: reference(source))
+    assert got == want
+
+
+@settings(deadline=None, max_examples=300)
+@given(edge_list_texts())
+def test_edge_list_reader_matches_the_line_loop(text):
+    same_outcome(parse_edge_list, reference_parse_edge_list, text)
+    same_outcome(parse_graph, reference_parse_edge_list, text)
+
+
+#: JSON values that are not vertex ids, and ids at and beyond the ends of int64
+json_values = st.one_of(
+    st.booleans(), st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(["0", ""]),
+    st.none(), st.sampled_from([-1, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64 + 3, 10 ** 30]))
+
+
+@st.composite
+def graph_docs(draw) -> dict:
+    """Graph JSON objects, most of them well formed, some with one flaw: a
+    bad ``n``, a bad id, a duplicate, a pair that is not two values, or
+    ``edges`` that is not an array."""
+    n = draw(st.integers(2, 40))
+    edges = draw(simple_pairs(n))
+    flaw = draw(st.sampled_from(["none"] * 3 + ["n", "id", "duplicate", "pair", "edges"]))
+    if flaw == "n":
+        n = draw(json_values)
+    elif flaw == "id" and edges:
+        draw(st.sampled_from(edges))[draw(st.integers(0, 1))] = draw(json_values)
+    elif flaw == "duplicate" and edges:
+        edges.append(draw(st.sampled_from(edges))[::-1])
+    elif flaw == "pair":
+        bad = draw(st.one_of(st.lists(st.one_of(st.integers(0, n - 1), json_values), max_size=3),
+                             st.sampled_from([0, "01", {"u": 0, "v": 1}, None])))
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    elif flaw == "edges":
+        edges = draw(st.sampled_from([{}, "[]", 3, None]))
+    return {"n": n, "edges": edges}
+
+
+@settings(deadline=None, max_examples=300)
+@given(graph_docs())
+def test_graph_json_reader_matches_the_pair_check(doc):
+    same_outcome(parse_graph_json, reference_parse_graph_json, doc)
+    same_outcome(parse_graph, reference_parse_graph_json, json.dumps(doc))
+
+
+def hex_chain_text(rng):
+    """A well-formed edge list of 9,600 edges: a hexagon chain, relabelled
+    and shuffled, half its lines with a signed, zero-padded token and a tab."""
+    n = 8_001  # hexagon h is 5h, ..., 5h + 5, so neighbours share one vertex
+    edges = [(5 * h + i, 5 * h + (i + 1) % 6) for h in range(1_600) for i in range(6)]
+    perm = rng.sample(range(n), n)
+    rng.shuffle(edges)
+    lines = [f"+{perm[u]:05d}\t{perm[v]}" if rng.random() < 0.5 else f"{perm[v]} {perm[u]}"
+             for u, v in edges]
+    return f"# hex chain\n{n} {len(lines)}\n" + "\r\n".join(lines) + "\n"
+
+
+def spy_on_edge_pairs(mp):
+    """The line lists that ``formats._edge_pairs`` reads while patched."""
+    calls = []
+    real = formats._edge_pairs
+
+    def spy(lines):
+        calls.append(len(lines))
+        return real(lines)
+
+    mp.setattr(formats, "_edge_pairs", spy)
+    return calls
+
+
+def test_well_formed_text_takes_the_array_path():
+    text = hex_chain_text(random.Random(7))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on_edge_pairs(mp)
+        g = parse_edge_list(text)
+    assert calls == [] and g.m == 9_600
+    assert g == reference_parse_edge_list(text)
+
+
+def test_id_beyond_int64_falls_back_to_the_line_loop():
+    text = "3 2\n0 1\n1 9223372036854775808\n"
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on_edge_pairs(mp)
+        with pytest.raises(VertexOutOfRange) as caught:
+            parse_edge_list(text)
+    assert calls == [2]
+    assert str(caught.value) == "vertex 9223372036854775808 out of range for n=3"
 
 
 def check_blocks(g):
