@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-from .errors import GraphError, NotConnected
+from .errors import GraphError, NotConnected, quote
 from .families import CHAIN_FAMILIES, FAMILY_NAMES, FamilySpec, family_counts, generate
 from .formats import dump_graph, parse_graph
 from .formulas import BOUND_KINDS, check_bounds, formula_value, has_formula
@@ -57,9 +57,9 @@ def _parse_range(text: str) -> range:
     try:
         values = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
-        raise GraphError(f"invalid range {text!r}, expected 'lo..hi' or 'n'") from None
+        raise GraphError(f"invalid range {quote(text)}, expected 'lo..hi' or 'n'") from None
     if not values:
-        raise GraphError(f"empty range {text!r}: lo must not exceed hi")
+        raise GraphError(f"empty range {quote(text)}: lo must not exceed hi")
     return values
 
 
@@ -130,12 +130,12 @@ def _verify_cells(args) -> Iterator[tuple[FamilySpec, str]]:
         if args.families == "all" else args.families.split(","))]
     for name in names:
         if name not in FAMILY_NAMES:
-            raise GraphError(f"unknown family {name!r}")
+            raise GraphError(f"unknown family {quote(name)}")
         if name == "clique-flower":
             ms, inners = _parse_range(args.m_range), _parse_range(args.inner_range)
             FamilySpec(name, m=ms[0], inner=inners[0])  # the smallest cell checks both ranges
         elif not has_formula(name, MOSTAR):
-            raise GraphError(f"no closed forms to verify for {name!r}")
+            raise GraphError(f"no closed forms to verify for {quote(name)}")
     for name in names:
         if name == "clique-flower":
             specs = (FamilySpec(name, m=m, inner=inner) for m in ms for inner in inners)
@@ -219,7 +219,7 @@ def cmd_compose(args) -> int:
     spec = spec_from_json(Path(args.spec).read_text())
     result = compose(spec)
     _write_output(dump_graph(result.graph, args.format), args.out)
-    vmap = [[i, v, cid] for (i, v), cid in sorted(result.vertex_map.items())]
+    vmap = [[i, v, cid] for (i, v), cid in result.vertex_map.items()]
     map_json = json.dumps({"schema_version": SCHEMA_VERSION, "vertex_map": vmap},
                           sort_keys=True) + "\n"
     if args.out in (None, "-"):

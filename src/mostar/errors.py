@@ -1,5 +1,18 @@
 """Exception hierarchy shared by every module of the package."""
 
+import sys
+
+
+def quote(value, fmt=repr) -> str:
+    """``fmt(value)`` for an error message, cut to its first 60 characters
+    and ``...``, so a line that quotes an input stays short; an int with
+    more digits than ``str`` converts is named by that limit."""
+    try:
+        text = fmt(value)
+    except ValueError:  # an int beyond sys.get_int_max_str_digits()
+        return f"<an integer of more than {sys.get_int_max_str_digits()} digits>"
+    return text if len(text) <= 60 else text[:60] + "..."
+
 
 class GraphError(ValueError):
     """Base class for graph construction and validation failures."""
@@ -7,7 +20,7 @@ class GraphError(ValueError):
 
 class SelfLoop(GraphError):
     def __init__(self, vertex: int):
-        super().__init__(f"self-loop at vertex {vertex}")
+        super().__init__(f"self-loop at vertex {quote(vertex, str)}")
         self.vertex = vertex
 
 
@@ -19,14 +32,14 @@ class DuplicateEdge(GraphError):
 
 class VertexOutOfRange(GraphError):
     def __init__(self, vertex: int, n: int):
-        super().__init__(f"vertex {vertex} out of range for n={n}")
+        super().__init__(f"vertex {quote(vertex, str)} out of range for n={quote(n, str)}")
         self.vertex = vertex
         self.n = n
 
 
 class EdgeNotInGraph(GraphError):
     def __init__(self, u: int, v: int):
-        super().__init__(f"edge ({u}, {v}) not in graph")
+        super().__init__(f"edge ({quote(u, str)}, {quote(v, str)}) not in graph")
         self.edge = (u, v)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable
 
-from .errors import GraphError
+from .errors import GraphError, quote
 from .graphs import Graph, _is_int, complete_graph, cycle_graph
 from .polymer import MonomerHandle, PolymerSpec, compose
 
@@ -47,7 +47,7 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.family not in FAMILY_NAMES:
-            raise GraphError(f"unknown family {self.family!r}")
+            raise GraphError(f"unknown family {quote(self.family)}")
         if not all(map(_is_int, (self.n, self.m, self.inner))):
             raise GraphError("family parameters must be integers")
         for name in ("n", "m", "inner"):  # stored as Python ints, so no count wraps

@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import GraphError, quote
 from .graphs import Graph, _not_an_integer, from_edge_list
 
 # [0-9], never \d: int() alone would also read "1_0" as 10 and non-ASCII digits like "\u0662"
@@ -33,8 +33,11 @@ _EDGE_LINE = re.compile(rf"{_DECIMAL.pattern}\s+{_DECIMAL.pattern}")
 
 def _decimal(token: str) -> int:
     if not _DECIMAL.fullmatch(token):
-        raise GraphError(f"expected a decimal integer, got {token!r}")
-    return int(token)
+        raise GraphError(f"expected a decimal integer, got {quote(token)}")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise GraphError(f"integer {quote(token)} has too many digits") from None
 
 
 def _edge_pairs(lines: list[str]) -> list[tuple[int, int]]:
@@ -43,7 +46,7 @@ def _edge_pairs(lines: list[str]) -> list[tuple[int, int]]:
     for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphError(f"expected edge line 'u v', got {ln!r}")
+            raise GraphError(f"expected edge line 'u v', got {quote(ln)}")
         pairs.append((_decimal(parts[0]), _decimal(parts[1])))
     return pairs
 
@@ -54,7 +57,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError("empty edge-list input")
     header = lines[0].split()
     if len(header) != 2:
-        raise GraphError(f"expected header 'n m', got {lines[0]!r}")
+        raise GraphError(f"expected header 'n m', got {quote(lines[0])}")
     n, m = _decimal(header[0]), _decimal(header[1])
     if len(lines) - 1 != m:
         raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")
@@ -82,11 +85,19 @@ def json_integer(value, what: str) -> int:
     return value
 
 
-def parse_graph_json(source: str | dict) -> Graph:
+def load_json(text: str, what: str):
+    """The JSON value of ``text``; GraphError if it is not JSON, nests too
+    deep or holds an integer of more digits than int() converts."""
     try:
-        obj = json.loads(source) if isinstance(source, str) else source
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise GraphError(f"invalid graph JSON: {exc}") from exc
+        raise GraphError(f"invalid {what} JSON: {exc}") from exc
+    except ValueError:  # json.loads met an integer beyond sys.get_int_max_str_digits()
+        raise GraphError(f"invalid {what} JSON: an integer has too many digits") from None
+
+
+def parse_graph_json(source: str | dict) -> Graph:
+    obj = load_json(source, "graph") if isinstance(source, str) else source
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError("graph JSON must be an object with 'n' and 'edges'")
     edges = obj["edges"]
@@ -118,4 +129,4 @@ def dump_graph(g: Graph, fmt: str) -> str:
         return emit_edge_list(g)
     if fmt == "json":
         return emit_graph_json(g)
-    raise GraphError(f"unknown graph format {fmt!r}")
+    raise GraphError(f"unknown graph format {quote(fmt)}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MismatchedConstruction, TooFewMonomers, UnsupportedCombination
+from .errors import MismatchedConstruction, TooFewMonomers, UnsupportedCombination, quote
 from .families import CHAIN_FAMILIES, FamilySpec
 from .indices import EDGE_MOSTAR, MOSTAR, index_reports
 from .polymer import PolymerSpec, compose
@@ -70,7 +70,7 @@ def formula_value(spec: FamilySpec, index: str) -> int:
     """Closed-form value of the requested index for a family instance."""
     fam = spec.family
     if not has_formula(fam, index):
-        raise UnsupportedCombination(f"no closed form for ({fam}, {index})")
+        raise UnsupportedCombination(f"no closed form for ({fam}, {quote(index, str)})")
     if fam in CHAIN_FAMILIES:
         k, odd = divmod(spec.n, 2)
         a, b = _CHAIN_FORMS[(fam, index, bool(odd))]
@@ -97,7 +97,8 @@ def _split(stats, index):
         return [s.vertices for s in stats], [s.mostar for s in stats]
     if index == EDGE_MOSTAR:
         return [s.edges for s in stats], [s.edge_mostar for s in stats]
-    raise UnsupportedCombination(f"bounds are defined for mostar and edge_mostar, not {index!r}")
+    raise UnsupportedCombination(
+        f"bounds are defined for mostar and edge_mostar, not {quote(index)}")
 
 
 def _composite_size(stats, index, kind) -> int:
@@ -212,11 +213,11 @@ def check_bounds(spec: PolymerSpec, which: str) -> dict[str, BoundsReport]:
     the result maps MOSTAR and EDGE_MOSTAR to their reports.
     """
     if which not in _BOUNDS:
-        raise MismatchedConstruction(f"unknown bound {which!r}")
+        raise MismatchedConstruction(f"unknown bound {quote(which)}")
     evaluator, kinds = _BOUNDS[which]
     if spec.kind not in kinds:
         raise MismatchedConstruction(
-            f"bound {which!r} does not apply to a {spec.kind!r} composition")
+            f"bound {quote(which)} does not apply to a {spec.kind!r} composition")
     if which == "link2-lower" and len(spec.monomers) != 2:
         raise MismatchedConstruction(
             f"link2-lower needs exactly 2 monomers, got {len(spec.monomers)}")

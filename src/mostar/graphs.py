@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (DuplicateEdge, GraphError, NotConnected, SelfLoop,
-                     VertexOutOfRange)
+                     VertexOutOfRange, quote)
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -73,9 +73,14 @@ class Graph:
 
 
 def _not_an_integer(what: str, value) -> GraphError:
-    shown = repr(value)  # at most 60 characters of it, so the line stays short
-    return GraphError(f"{what} must be an integer, got "
-                      f"{shown if len(shown) <= 60 else shown[:60] + '...'}")
+    return GraphError(f"{what} must be an integer, got {quote(value)}")
+
+
+def _vertex_count(n) -> int:
+    """``n`` if it is an integer, else GraphError."""
+    if not _is_int(n):
+        raise _not_an_integer("vertex count", n)
+    return n
 
 
 def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
@@ -86,9 +91,7 @@ def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     that is a self-loop or leaves ``0..n-1``, then the first duplicate in
     sorted order (an error, never merged).  ``n`` must fit int64.
     """
-    if not _is_int(n):
-        raise _not_an_integer("vertex count", n)
-    if n < 1:
+    if _vertex_count(n) < 1:
         raise VertexOutOfRange(0, n)
     if n > _MAX_N:
         raise GraphError("vertex count does not fit in 64 bits (n >= 2**63)")
@@ -135,17 +138,17 @@ def _pair_array(pairs: Iterable[Sequence[int]]) -> np.ndarray:
 
 
 def path_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edge_list(n, [(i, i + 1) for i in range(_vertex_count(n) - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
+    if _vertex_count(n) < 3:
         raise VertexOutOfRange(n, n)
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    return from_edge_list(n, np.column_stack(np.triu_indices(max(n, 0), 1)))
+    return from_edge_list(n, np.column_stack(np.triu_indices(max(_vertex_count(n), 0), 1)))
 
 
 def _components(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -257,13 +260,16 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     is an edge array, each graph's ``ends`` shifted past the graphs before.
     From one ``_dfs`` by array steps: block B's inner vertices, whose tree
     edge is in B, follow in preorder its top vertex, the parent of the first.
-    For an inner vertex x, with y over x's tree children in B,
+    For an inner vertex x, with y over x's tree children whose tree edge
+    begins another block,
 
-    * ``weight(x) = sub(x) - sum sub(y)``
-    * ``hanging(x) = cnt(x) - sum cnt(y) - #{e in B : x is e's shallower end}``,
+    * ``weight(x) = 1 + sum sub(y)``
+    * ``hanging(x) = sum deep(y)``,
 
-    ``cnt(x)`` counting the edges whose shallower end is in x's subtree.
-    The top vertex carries the rest of its graph."""
+    ``deep(y)`` counting the edges whose deeper end is in y's subtree.  The
+    top vertex carries the rest of its graph: ``N - sub(c)`` and ``M -
+    deep(c)``, c the block's first inner vertex, in a graph of N vertices
+    and M edges."""
     for g in graphs:
         if g.m < g.n - 1:  # too few edges to connect: decided before allocating n of anything
             raise NotConnected(f"graph with {g.n} vertices is not connected")
@@ -288,23 +294,19 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     local_ends = np.where(vlab[ends] == blab[:, None], place[ends], 0)
     parent = np.full(n, -1)
     parent[inner] = union[tree[inner]].sum(axis=1) - inner
-    top = parent[inner[first]]
-    a, b = ends.T
-    shallow = np.where(pre[a] < pre[b], a, b)
-    below = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(pre[shallow], minlength=n), out=below[1:])
-    cnt = below[pre + sub] - below[pre]
-    weight, hang = sub.copy(), cnt - np.bincount(shallow[blab == vlab[shallow]], minlength=n)
-    same = inner[vlab[parent[inner]] == vlab[inner]]  # tree edges inside a block
-    np.subtract.at(weight, parent[same], sub[same])
-    np.subtract.at(hang, parent[same], cnt[same])
-    part = np.searchsorted(np.cumsum(sizes), top, side="right")  # the graph of each block
-    hang = hang[inner]
-    rest = edges_of[part] - np.diff(estart) - np.add.reduceat(hang, first)
+    c = inner[first]  # each block's first inner vertex
+    below = np.zeros(n + 1, np.int64)  # edges counted at their deeper end, in preorder
+    np.cumsum(np.bincount(pre[ends].max(axis=1), minlength=n), out=below[1:])
+    deep = below[pre + sub] - below[pre]
+    starter = inner[vlab[parent[inner]] != vlab[inner]]  # tree edges that begin a block
+    weight, hang = np.ones(n, np.int64), np.zeros(n, np.int64)
+    np.add.at(weight, parent[starter], sub[starter])
+    np.add.at(hang, parent[starter], deep[starter])
+    part = np.searchsorted(np.cumsum(sizes), c, side="right")  # the graph of each block
     vertex_start = np.append(first + np.arange(nb), inner.size + nb)
-    vertices = np.insert(inner, first, top)
-    weights = np.insert(weight[inner], first, sizes[part] - sub[inner[first]])
-    hanging = np.insert(hang, first, rest)
+    vertices = np.insert(inner, first, parent[c])
+    weights = np.insert(weight[inner], first, sizes[part] - sub[c])
+    hanging = np.insert(hang[inner], first, edges_of[part] - deep[c])
     return (Blocks(vertex_start, vertices, weights, hanging, estart, order, local_ends),
             np.searchsorted(part, np.arange(len(graphs) + 1)))
 
@@ -345,6 +347,11 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     """int32 hop counts, one row per source; NotConnected if g is disconnected.
 
     Each chunk of the all-pairs table is ``distance_rows(g, range(a, b))``."""
+    try:
+        sources = list(sources)
+    except TypeError:  # not iterable
+        raise GraphError("sources must be a sequence of vertex ids, "
+                         f"got {quote(sources)}") from None
     for s in sources:
         if not (_is_int(s) and 0 <= s < g.n):
             raise VertexOutOfRange(s, g.n)

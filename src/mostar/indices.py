@@ -49,7 +49,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import EdgeNotInGraph, GraphError
+from .errors import EdgeNotInGraph, GraphError, quote
 from .graphs import (Blocks, Edge, Graph, _bfs_rows, _blocks, _csr, _is_int,
                      distance_rows)
 
@@ -118,7 +118,7 @@ def _endpoint_rows(g: Graph, e) -> tuple[Edge, np.ndarray, np.ndarray]:
     except (TypeError, ValueError):
         u = v = None
     if not (_is_int(u) and _is_int(v)):
-        raise GraphError(f"edge must be a pair of integers, got {e!r}")
+        raise GraphError(f"edge must be a pair of integers, got {quote(e)}")
     u, v = int(u), int(v)
     if not g.has_edge(u, v):
         distance_rows(g, (0,))  # a disconnected graph raises NotConnected first

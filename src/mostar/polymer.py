@@ -2,25 +2,24 @@
 
 A ``PolymerSpec`` names a kind and monomers with designated attachment
 vertices; it checks everything its kind requires when made, so every spec
-that exists can be composed.  ``compose`` is the one constructor: the kind
-only picks which attachment slots pair up, and whether each pair is
-identified (chain, bouquet, tree) or joined by a new edge (link, circuit).
-Vertex ids in the composite are assigned in monomer order, so a merged
-vertex inherits the lowest id among its slots and ``vertex_map`` records
-where every original vertex ended up.
+that exists can be composed.  ``compose`` is the one constructor and works
+on flat slot arrays throughout: the kind only picks one array of attachment
+slot pairs, and whether each pair is identified (chain, bouquet, tree) or
+joined by a new edge (link, circuit).  Vertex ids in the composite are
+assigned in monomer order, so a merged vertex inherits the lowest id among
+its slots and ``vertex_map`` records where every original vertex ended up.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (DegenerateHandles, GraphError, NotATree, NotConnected,
-                     TooFewMonomers, VertexOutOfRange)
-from .formats import graph_to_dict, json_integer, parse_graph_json
+                     TooFewMonomers, VertexOutOfRange, quote)
+from .formats import graph_to_dict, json_integer, load_json, parse_graph_json
 from .graphs import Graph, _components, _is_int, from_edge_list, is_connected
 
 KINDS = ("link", "chain", "bouquet", "circuit", "tree")
@@ -69,26 +68,27 @@ class PolymerSpec:
 
     def __post_init__(self):
         for name in ("monomers", "tree_edges"):
+            value = getattr(self, name)
             try:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+                object.__setattr__(self, name, tuple(value))
             except TypeError:  # not iterable
-                raise GraphError(f"{name} must be iterable, got {getattr(self, name)!r}") from None
+                raise GraphError(f"{name} must be iterable, got {quote(value)}") from None
         if self.kind not in KINDS:
-            raise GraphError(f"unknown composition kind {self.kind!r}")
+            raise GraphError(f"unknown composition kind {quote(self.kind)}")
         if not self.monomers:
             raise GraphError("a polymer needs at least one monomer")
         for i, h in enumerate(self.monomers):
             if not isinstance(h, MonomerHandle):
                 raise GraphError(f"monomer {i} is a {type(h).__name__}, not a MonomerHandle")
         if self.tree_edges and self.kind != "tree":
-            raise GraphError(f"tree_edges apply only to kind 'tree', not {self.kind!r}")
+            raise GraphError(f"tree_edges apply only to kind 'tree', not {quote(self.kind)}")
         for e in self.tree_edges:
             try:
                 arity = len(e)
             except TypeError:  # not a sequence at all
                 arity = None
             if arity != 4:
-                raise NotATree(f"tree edge {e if arity is None else list(e)!r} must have "
+                raise NotATree(f"tree edge {quote(e if arity is None else list(e))} must have "
                                "4 entries [monomer a, vertex in a, monomer b, vertex in b]")
         k = len(self.monomers)
         if self.kind == "circuit" and k < 3:
@@ -119,7 +119,7 @@ def _check_tree(monomers: tuple[MonomerHandle, ...], tree_edges: tuple[TreeEdge,
     for a, va, b, vb in tree_edges:
         for mi, v in ((a, va), (b, vb)):
             if not (_is_int(mi) and 0 <= mi < k):
-                raise NotATree(f"monomer index {mi!r} out of range")
+                raise NotATree(f"monomer index {quote(mi)} out of range")
             if not (_is_int(v) and 0 <= v < monomers[mi].graph.n):
                 raise VertexOutOfRange(v, monomers[mi].graph.n)
         if a == b:
@@ -151,48 +151,37 @@ class CompositionResult:
         return dict(zip(zip(owner.tolist(), local.tolist()), self.ids.tolist()))
 
 
-def _assemble(graphs: list[Graph], identify: list[tuple[Slot, Slot]],
-              extra_edges: list[tuple[Slot, Slot]]) -> CompositionResult:
-    """Slot ``(i, v)`` is flat slot ``starts[i] + v``.  Identified slots are
-    united into their lowest slot, and a composite id is the running count
-    of those class roots, so ids follow monomer order and a merged vertex
-    takes the lowest id among its slots."""
-    starts = np.cumsum([0] + [g.n for g in graphs])
-    first = starts.tolist()
-
-    def flat(pairs: list[tuple[Slot, Slot]]) -> np.ndarray:
-        return np.array([(first[i] + v, first[j] + w) for (i, v), (j, w) in pairs],
-                        dtype=np.int64).reshape(-1, 2)
-
-    label = _components(first[-1], flat(identify))
-    roots = label == np.arange(first[-1])
-    ids = (np.cumsum(roots) - 1)[label]
-    arrays = [g.ends for g in graphs]
+def compose(spec: PolymerSpec) -> CompositionResult:
+    """The composite of ``spec``.  Slot ``(i, v)`` is flat slot ``starts[i] +
+    v``, and the kind picks one ``(p, 2)`` array of slot pairs: link and
+    chain pair ``(y_i, x_{i+1})``, bouquet ``(x_0, x_i)``, circuit ``(x_i,
+    x_{i+1 mod k})`` and tree its tree edges.  Link and circuit join each
+    pair by a new edge; the other kinds unite each pair's slots into their
+    lowest slot.  A composite id is the running count of those class roots,
+    so ids follow monomer order and a merged vertex takes the lowest id
+    among its slots."""
+    hs = spec.monomers
+    starts = np.cumsum([0] + [h.graph.n for h in hs])
+    x, y = starts[:-1] + [h.x for h in hs], starts[:-1] + [h.y for h in hs]
+    if spec.kind == "tree":
+        tree = np.array(spec.tree_edges, dtype=np.int64).reshape(-1, 4)
+        pairs = starts[tree[:, [0, 2]]] + tree[:, [1, 3]]
+    elif spec.kind == "bouquet":
+        pairs = np.column_stack([np.full_like(x[1:], x[0]), x[1:]])
+    elif spec.kind == "circuit":
+        pairs = np.column_stack([x, np.roll(x, -1)])
+    else:  # link, chain
+        pairs = np.column_stack([y[:-1], x[1:]])
+    arrays = [h.graph.ends for h in hs]
     ends = np.concatenate(arrays) + np.repeat(starts[:-1], [len(e) for e in arrays])[:, None]
-    ends = ids[np.concatenate([ends, flat(extra_edges)])]
+    if spec.kind in ("link", "circuit"):
+        ends, pairs = np.concatenate([ends, pairs]), pairs[:0]  # new edges; no slot merges
+    label = _components(int(starts[-1]), pairs)
+    roots = label == np.arange(len(label))
+    ids = (np.cumsum(roots) - 1)[label]
     # duplicate edges cannot arise from point-attaching disjoint monomers;
     # from_edge_list raising DuplicateEdge here would expose a compose bug
-    return CompositionResult(from_edge_list(int(roots.sum()), ends), ids, starts)
-
-
-def compose(spec: PolymerSpec) -> CompositionResult:
-    """The composite of ``spec``: its kind names the slot pairs, and whether
-    each pair is identified or joined by a new edge.  Link and chain pair
-    ``(y_i, x_{i+1})``, bouquet ``(x_0, x_i)``, circuit ``(x_i, x_{i+1 mod
-    k})`` and tree its tree edges; link and circuit add edges."""
-    hs, k = spec.monomers, len(spec.monomers)
-    if spec.kind == "tree":
-        pairs = [((a, va), (b, vb)) for a, va, b, vb in spec.tree_edges]
-    elif spec.kind == "bouquet":
-        pairs = [((0, hs[0].x), (i, hs[i].x)) for i in range(1, k)]
-    elif spec.kind == "circuit":
-        pairs = [((i, hs[i].x), ((i + 1) % k, hs[(i + 1) % k].x)) for i in range(k)]
-    else:  # link, chain
-        pairs = [((i, hs[i].y), (i + 1, hs[i + 1].x)) for i in range(k - 1)]
-    graphs = [h.graph for h in hs]
-    if spec.kind in ("link", "circuit"):
-        return _assemble(graphs, identify=[], extra_edges=pairs)
-    return _assemble(graphs, pairs, extra_edges=[])
+    return CompositionResult(from_edge_list(int(roots.sum()), ids[ends]), ids, starts)
 
 
 def spec_to_dict(spec: PolymerSpec) -> dict:
@@ -212,26 +201,22 @@ def spec_from_dict(obj: dict) -> PolymerSpec:
     if not isinstance(obj["monomers"], list) or not all(
             isinstance(mon, dict) for mon in obj["monomers"]):
         raise GraphError("polymer spec 'monomers' must be an array of objects")
-    try:
-        monomers = []
-        for i, mon in enumerate(obj["monomers"]):
-            if missing := [f for f in ("graph", "x") if f not in mon]:
-                raise GraphError(f"polymer spec monomer {i} has no '{missing[0]}'")
-            graph = parse_graph_json(mon["graph"])
-            y = mon.get("y")
-            monomers.append(MonomerHandle(
-                graph, json_integer(mon["x"], "polymer spec 'x'"),
-                None if y is None else json_integer(y, "polymer spec 'y'")))
-        tree_edges = tuple(
-            tuple(json_integer(x, "polymer spec tree edge entry") for x in e)
-            for e in obj.get("tree_edges", []))
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed polymer spec: {exc}") from exc
+    tree_edges = obj.get("tree_edges", [])
+    if not isinstance(tree_edges, list) or not all(isinstance(e, list) for e in tree_edges):
+        raise GraphError("polymer spec 'tree_edges' must be an array of arrays")
+    monomers = []
+    for i, mon in enumerate(obj["monomers"]):
+        if missing := [f for f in ("graph", "x") if f not in mon]:
+            raise GraphError(f"polymer spec monomer {i} has no '{missing[0]}'")
+        graph = parse_graph_json(mon["graph"])
+        y = mon.get("y")
+        monomers.append(MonomerHandle(
+            graph, json_integer(mon["x"], "polymer spec 'x'"),
+            None if y is None else json_integer(y, "polymer spec 'y'")))
+    tree_edges = tuple(tuple(json_integer(x, "polymer spec tree edge entry") for x in e)
+                       for e in tree_edges)
     return PolymerSpec(obj["kind"], tuple(monomers), tree_edges)
 
 
 def spec_from_json(text: str) -> PolymerSpec:
-    try:
-        return spec_from_dict(json.loads(text))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise GraphError(f"invalid polymer spec JSON: {exc}") from exc
+    return spec_from_dict(load_json(text, "polymer spec"))

@@ -5,14 +5,14 @@ The naive oracle deliberately avoids numpy/scipy and the package's
 vectorized paths, so cross-checks against it exercise two independent
 implementations of every definition.  The reference constructors are the
 per-pair loop and the dict union-find that ``from_edge_list`` and
-``polymer._assemble`` replaced with array code, and the reference readers
-are the per-line and per-pair parsers that ``formats`` replaced with one
-array conversion.
+``polymer.compose`` replaced with array code, with the per-kind slot pairs
+that ``compose`` now picks as arrays, and the reference readers are the
+per-line and per-pair parsers that ``formats`` replaced with one array
+conversion.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from collections import deque
@@ -25,7 +25,8 @@ from mostar import (KINDS, DuplicateEdge, FamilySpec, Graph, GraphError,
                     MonomerHandle, PolymerSpec, SelfLoop, VertexOutOfRange,
                     compose, formula_value, from_edge_list, generate,
                     index_report)
-from mostar.formats import json_integer
+from mostar.errors import quote
+from mostar.formats import json_integer, load_json
 from mostar.graphs import _not_an_integer
 
 Edge = tuple[int, int]
@@ -81,8 +82,11 @@ def reference_graph(n, pairs) -> Graph:
 
 def reference_decimal(token: str) -> int:
     if not re.fullmatch(r"[+-]?[0-9]+", token):
-        raise GraphError(f"expected a decimal integer, got {token!r}")
-    return int(token)
+        raise GraphError(f"expected a decimal integer, got {quote(token)}")
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphError(f"integer {quote(token)} has too many digits") from None
 
 
 def reference_parse_edge_list(text: str) -> Graph:
@@ -93,7 +97,7 @@ def reference_parse_edge_list(text: str) -> Graph:
         raise GraphError("empty edge-list input")
     header = lines[0].split()
     if len(header) != 2:
-        raise GraphError(f"expected header 'n m', got {lines[0]!r}")
+        raise GraphError(f"expected header 'n m', got {quote(lines[0])}")
     n, m = reference_decimal(header[0]), reference_decimal(header[1])
     if len(lines) - 1 != m:
         raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")
@@ -101,17 +105,14 @@ def reference_parse_edge_list(text: str) -> Graph:
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphError(f"expected edge line 'u v', got {ln!r}")
+            raise GraphError(f"expected edge line 'u v', got {quote(ln)}")
         pairs.append((reference_decimal(parts[0]), reference_decimal(parts[1])))
     return reference_graph(n, pairs)
 
 
 def reference_parse_graph_json(source: str | dict) -> Graph:
     """``parse_graph_json`` with each pair checked by itself."""
-    try:
-        obj = json.loads(source) if isinstance(source, str) else source
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise GraphError(f"invalid graph JSON: {exc}") from exc
+    obj = load_json(source, "graph") if isinstance(source, str) else source
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError("graph JSON must be an object with 'n' and 'edges'")
     edges = obj["edges"]
@@ -152,6 +153,24 @@ def reference_assemble(graphs: list[Graph], identify: list[tuple[Slot, Slot]],
              for i, g in enumerate(graphs) for u, v in g.edges]
     edges.extend((vertex_map[a], vertex_map[b]) for a, b in extra_edges)
     return len(ids), reference_edges(len(ids), edges), vertex_map
+
+
+def reference_slot_pairs(spec: PolymerSpec
+                         ) -> tuple[list[tuple[Slot, Slot]], list[tuple[Slot, Slot]]]:
+    """``(identify, extra_edges)`` of ``spec``, one slot pair at a time: link
+    and chain pair ``(y_i, x_{i+1})``, bouquet ``(x_0, x_i)``, circuit
+    ``(x_i, x_{i+1 mod k})`` and tree its tree edges; link and circuit join
+    their pairs by new edges."""
+    hs, k = spec.monomers, len(spec.monomers)
+    if spec.kind == "tree":
+        pairs = [((a, va), (b, vb)) for a, va, b, vb in spec.tree_edges]
+    elif spec.kind == "bouquet":
+        pairs = [((0, hs[0].x), (i, hs[i].x)) for i in range(1, k)]
+    elif spec.kind == "circuit":
+        pairs = [((i, hs[i].x), ((i + 1) % k, hs[(i + 1) % k].x)) for i in range(k)]
+    else:  # link, chain
+        pairs = [((i, hs[i].y), (i + 1, hs[i + 1].x)) for i in range(k - 1)]
+    return ([], pairs) if spec.kind in ("link", "circuit") else (pairs, [])
 
 
 def neighbour_lists(g: Graph, without=None) -> list[list[int]]:
@@ -268,13 +287,13 @@ def any_graphs(draw, max_n: int = 12):
 
 
 @st.composite
-def polymer_specs(draw):
-    """A spec of 2-4 small random monomers, of any of the five kinds.  Tree
-    edges come in any order and either orientation, so a pair's smaller
-    slot may be on either side."""
+def polymer_specs(draw, min_monomers: int = 2):
+    """A spec of ``min_monomers``-4 small random monomers (a circuit has at
+    least 3), of any of the five kinds.  Tree edges come in any order and
+    either orientation, so a pair's smaller slot may be on either side."""
     kind = draw(st.sampled_from(KINDS))
     monomers = []
-    for _ in range(draw(st.integers(3 if kind == "circuit" else 2, 4))):
+    for _ in range(draw(st.integers(max(min_monomers, 3 if kind == "circuit" else 1), 4))):
         mono = draw(connected_graphs(min_n=2, max_n=5))
         x = draw(st.integers(0, mono.n - 1))
         y = (x + draw(st.integers(1, mono.n - 1))) % mono.n

@@ -176,7 +176,10 @@ class TestVerify:
         (["--families", "hex-para,clique-flower", "--m-range", "3..1"],
          "empty range '3..1': lo must not exceed hi"),
         (["--families", "hex-para,clique-flower", "--m-range", "0..2"],
-         "family parameters must be >= 1")])
+         "family parameters must be >= 1"),
+        (["--families", "hex-para", "--from", "0"], "--from must be >= 1"),
+        (["--families", "hex-para,triangulane-aux"],
+         "no closed forms to verify for 'triangulane-aux'")])
     def test_bad_names_and_ranges_come_before_the_size_check(self, capsys, args, message):
         # hex-para is oversized from n=129 on, before the later family in sweep order
         assert main(["verify", *args, "--to", "200"]) == 2
@@ -362,6 +365,60 @@ def test_bad_tree_edges_exit_2(tmp_path, capsys, name, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: tree") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+#: (kind, value) of a ``tree_edges`` field that is not a JSON array of arrays
+BAD_TREE_EDGES_FIELDS = {
+    "int": ("tree", 5), "null": ("tree", None), "object": ("tree", {"a": 1}),
+    "string": ("tree", "abcd"), "array-of-objects": ("tree", [{"a": 1, "b": 2, "c": 3, "d": 4}]),
+    "link-string": ("link", "abc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TREE_EDGES_FIELDS))
+@pytest.mark.parametrize("argv", [["compose"], ["bounds", "--which", "superadditive"]],
+                         ids=["compose", "bounds"])
+def test_tree_edges_not_an_array_of_arrays_exit_2(tmp_path, capsys, name, argv):
+    """Python's "'int' object is not iterable" used to reach the user, and a
+    string or object was read entry by entry as if it were a tree edge."""
+    kind, value = BAD_TREE_EDGES_FIELDS[name]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": kind, "monomers": [{"graph": K2_JSON, "x": 0}] * 2,
+                                "tree_edges": value}))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: polymer spec 'tree_edges' must be an array of arrays\n"
+
+
+def _long_kind_spec() -> str:
+    return json.dumps({"kind": "k" * 200_000, "monomers": [{"graph": K2_JSON, "x": 0}]})
+
+
+#: (argv, file name, text) whose error line quotes a long input value
+LONG_QUOTED_INPUTS = {
+    "compose-kind": (["compose"], "spec.json", _long_kind_spec()),
+    "bounds-kind": (["bounds", "--which", "superadditive"], "spec.json", _long_kind_spec()),
+    "tree-edge": (["compose"], "spec.json", json.dumps({
+        "kind": "tree", "monomers": [{"graph": K2_JSON, "x": 0}] * 2,
+        "tree_edges": [[0] * 50_007]})),
+    "edge-list-header": (["compute"], "g.txt", "3 " + "1 " * 50_000 + "\n0 1\n"),
+    "edge-list-line": (["compute"], "g.txt", "3 1\n0 " + "1 " * 50_000 + "\n"),
+    "edge-list-token": (["compute"], "g.txt", "3 1\n0 1" + "x" * 100_000 + "\n"),
+    "vertex-id": (["compute"], "g.txt", "3 1\n0 1" + "0" * 4_000 + "\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_QUOTED_INPUTS))
+def test_quoted_input_value_is_cut_short(tmp_path, capsys, name):
+    argv, file_name, text = LONG_QUOTED_INPUTS[name]
+    path = tmp_path / file_name
+    path.write_text(text)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "..." in captured.err and len(captured.err) < 200
 
 
 LONG = "x" * 1_000_000

@@ -59,6 +59,34 @@ class TestFromEdgeList:
         with pytest.raises(VertexOutOfRange):
             from_edge_list(0, [])
 
+    def test_out_of_range_message_quotes_at_most_60_digits(self):
+        with pytest.raises(VertexOutOfRange) as caught:
+            from_edge_list(3, [(0, 5)])
+        assert str(caught.value) == "vertex 5 out of range for n=3"
+        with pytest.raises(VertexOutOfRange) as caught:
+            from_edge_list(3, [(0, 10 ** 3999)])
+        assert str(caught.value) == f"vertex 1{'0' * 59}... out of range for n=3"
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: from_edge_list(3, [(0, 10 ** 5000)]), "vertex {} out of range for n=3"),
+        (lambda: from_edge_list(3, [(10 ** 5000,) * 2]), "self-loop at vertex {}"),
+        (lambda: vertex_orientation(path_graph(3), (0, 10 ** 5000)), "edge (0, {}) not in graph"),
+    ], ids=["out-of-range", "self-loop", "not-in-graph"])
+    def test_id_of_more_digits_than_int_prints(self, build, message):
+        """Formatting the message used to raise a bare ValueError (4300 digits)."""
+        with pytest.raises(GraphError) as caught:
+            build()
+        assert str(caught.value) == message.format("<an integer of more than 4300 digits>")
+
+    @pytest.mark.parametrize("make", [path_graph, cycle_graph, complete_graph])
+    @pytest.mark.parametrize("n", [1.5, 2.5, 4.0, "3"])
+    def test_generator_vertex_count_not_an_integer(self, make, n):
+        """Most used to raise a bare TypeError, and cycle_graph(2.5) said
+        'vertex 2.5 out of range for n=2.5'."""
+        with pytest.raises(GraphError) as caught:
+            make(n)
+        assert str(caught.value) == f"vertex count must be an integer, got {n!r}"
+
     def test_edge_list_round_trips_normalized_input(self):
         pairs = [(4, 2), (0, 1), (3, 0)]
         g = from_edge_list(5, pairs)
@@ -179,6 +207,16 @@ class TestBfs:
 
     def test_numpy_integer_source(self):
         assert distance_rows(path_graph(3), [np.int64(2)]).tolist() == [[2, 1, 0]]
+
+    def test_sources_from_a_generator(self):
+        """The range check used to exhaust it before the BFS read it."""
+        rows = distance_rows(path_graph(3), (s for s in (0, 2)))
+        assert rows.tolist() == [[0, 1, 2], [2, 1, 0]]
+
+    def test_sources_not_iterable(self):
+        """A bare vertex used to raise TypeError: 'int' object is not iterable."""
+        with pytest.raises(GraphError, match=r"^sources must be a sequence of vertex ids, got 5$"):
+            distance_rows(path_graph(3), 5)
 
 
 class TestAllPairs:
@@ -418,6 +456,17 @@ def test_streamed_pass_on_polymer_composites(g):
 
 
 class TestFormats:
+    @pytest.mark.parametrize("parse,text", [
+        (parse_edge_list, "1" * 5000 + " 0\n"),
+        (parse_edge_list, "3 1\n0 " + "1" * 5000 + "\n"),
+        (parse_graph_json, '{"n": ' + "1" * 5000 + ', "edges": []}'),
+    ], ids=["header", "id", "json"])
+    def test_integer_of_more_digits_than_int_converts(self, parse, text):
+        """int() and json.loads used to raise a bare ValueError."""
+        with pytest.raises(GraphError, match="too many digits") as caught:
+            parse(text)
+        assert len(str(caught.value)) < 100
+
     def test_edge_list_round_trip(self):
         g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         assert parse_edge_list(emit_edge_list(g)) == g

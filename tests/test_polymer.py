@@ -1,7 +1,6 @@
 import json
 import random
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +12,10 @@ from mostar import (DegenerateHandles, GraphError, MonomerHandle, NotATree,
                     NotConnected, PolymerSpec, TooFewMonomers,
                     VertexOutOfRange, complete_graph, compose, cycle_graph,
                     from_edge_list, index_report, is_connected, path_graph,
-                    polymer, spec_from_dict, spec_from_json, spec_to_dict)
+                    spec_from_dict, spec_from_json, spec_to_dict)
 
-from conftest import polymer_specs, random_connected_graph, reference_assemble
+from conftest import (polymer_specs, random_connected_graph, reference_assemble,
+                      reference_slot_pairs)
 
 K1 = complete_graph(1)
 K2 = complete_graph(2)
@@ -48,6 +48,11 @@ class TestHandles:
     def test_monomer_must_be_connected(self):
         with pytest.raises(NotConnected):
             MonomerHandle(from_edge_list(3, [(0, 1)]), 0)
+
+    def test_vertex_of_more_digits_than_int_prints(self):
+        """Formatting the message used to raise a bare ValueError (4300 digits)."""
+        with pytest.raises(VertexOutOfRange, match=r"^vertex <an integer of more than 4300 "):
+            MonomerHandle(K3, 10 ** 5000)
 
 
 class TestPointAttach:
@@ -304,6 +309,13 @@ class TestSpecJson:
         with pytest.raises(GraphError):
             PolymerSpec("link", ())
 
+    def test_integer_of_more_digits_than_int_converts(self):
+        """json.loads used to raise a bare ValueError."""
+        text = '{"kind": "link", "monomers": [], "x": ' + "1" * 5000 + "}"
+        with pytest.raises(GraphError) as caught:
+            spec_from_json(text)
+        assert str(caught.value) == "invalid polymer spec JSON: an integer has too many digits"
+
     def test_monomer_graph_of_bad_json(self):
         with pytest.raises(GraphError, match="^invalid graph JSON: "):
             spec_from_dict({"kind": "link", "monomers": [{"graph": '{"n": 2,', "x": 0}]})
@@ -366,18 +378,21 @@ def test_chain_equals_tree_attach_path(rnd, k):
 
 
 def assert_matches_reference(spec):
-    """compose(spec) against the dict union-find run on the same arguments."""
-    with mock.patch.object(polymer, "_assemble", wraps=polymer._assemble) as spy:
-        res = compose(spec)
-    n, edges, vertex_map = reference_assemble(*spy.call_args.args, **spy.call_args.kwargs)
+    """compose(spec) against the dict union-find over the reference slot pairs."""
+    res = compose(spec)
+    graphs = [h.graph for h in spec.monomers]
+    n, edges, vertex_map = reference_assemble(graphs, *reference_slot_pairs(spec))
     assert (res.graph.n, res.graph.edges) == (n, edges)
     assert list(res.vertex_map.items()) == list(vertex_map.items())
+    assert res.ids.tolist() == list(vertex_map.values())
+    assert res.starts.tolist() == np.cumsum([0] + [g.n for g in graphs]).tolist()
     assert all(res.vertex(i, v) == cid for (i, v), cid in vertex_map.items())
 
 
 @settings(deadline=None, max_examples=150)
-@given(polymer_specs())
-def test_assemble_matches_the_reference_union_find(spec):
+@given(polymer_specs(min_monomers=1))
+def test_compose_matches_the_reference_union_find(spec):
+    """Every kind, one monomer and a tree without edges included."""
     assert_matches_reference(spec)
 
 
@@ -387,6 +402,8 @@ def test_long_chain_and_shared_tree_slots_match_the_reference():
     # slot (1, 0) is in three tree edges and slot (0, 0) in two: one class of five slots
     tree = ((1, 0, 0, 0), (2, 1, 1, 0), (0, 0, 3, 2), (1, 0, 4, 1), (4, 2, 5, 0))
     assert_matches_reference(PolymerSpec("tree", (hexagon,) * 6, tree))
+    for kind in ("link", "chain", "bouquet", "tree"):  # one monomer; no tree edges
+        assert_matches_reference(PolymerSpec(kind, (hexagon,)))
 
 
 def test_tree_star_on_the_last_monomer_composes_fast():
@@ -409,4 +426,4 @@ def test_one_way_in():
                  "gen_triangulane_aux"):
         assert not hasattr(mostar, name)
         assert not hasattr(mostar.polymer, name) and not hasattr(mostar.families, name)
-    assert not hasattr(mostar.polymer, "_COMPOSERS")
+    assert not hasattr(mostar.polymer, "_COMPOSERS") and not hasattr(mostar.polymer, "_assemble")
