@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -230,8 +231,17 @@ def cmd_compose(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors cut each argv value as ``errors.quote`` does:
+    a quoted value (a ``repr``), or any run of over 60 characters without a space."""
+
+    def error(self, message):
+        super().error(re.sub(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S{61,}""",
+                             lambda value: quote(value[0], str), message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mostar",
         description="Distance-based bond-additive graph indices, polymer "
                     "compositions, and formula-vs-oracle verification.")

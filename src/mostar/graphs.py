@@ -54,6 +54,11 @@ class Graph:
     def m(self) -> int:
         return len(self.ends)
 
+    @property
+    def blocks(self) -> Blocks:
+        """Set by the construction that knows them, else the DFS's (``_blocks``)."""
+        return _known_blocks(self) or _set_blocks(self, _blocks([self])[0])
+
     def has_edge(self, u: int, v: int) -> bool:
         u, v = min(u, v), max(u, v)
         if not 0 <= u < v < self.n:
@@ -102,6 +107,12 @@ def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     raw = raw.reshape(-1, 2) if raw.size == 0 else raw
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise GraphError("edges must be a list of (u, v) pairs")
+    return _from_array(n, raw)[0]
+
+
+def _from_array(n: int, raw: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """``from_edge_list``'s Graph of the ``(m, 2)`` array ``raw``, checked
+    as there, and the order that sorts ``raw``'s rows into ``ends``."""
     lo, hi = np.minimum(raw[:, 0], raw[:, 1]), np.maximum(raw[:, 0], raw[:, 1])
     bad = (lo == hi) | (lo < 0) | (hi >= n)
     if bad.any():
@@ -115,7 +126,7 @@ def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     same = np.flatnonzero((ends[1:] == ends[:-1]).all(axis=1))
     if same.size:
         raise DuplicateEdge(*ends[same[0] + 1].tolist())
-    return Graph(int(n), ends)
+    return Graph(int(n), ends), order
 
 
 def _pair_array(pairs: Iterable[Sequence[int]]) -> np.ndarray:
@@ -144,11 +155,33 @@ def path_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if _vertex_count(n) < 3:
         raise VertexOutOfRange(n, n)
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return _one_block(from_edge_list(n, [(i, (i + 1) % n) for i in range(n)]))
 
 
 def complete_graph(n: int) -> Graph:
-    return from_edge_list(n, np.column_stack(np.triu_indices(max(_vertex_count(n), 0), 1)))
+    return _one_block(from_edge_list(
+        n, np.column_stack(np.triu_indices(max(_vertex_count(n), 0), 1))))
+
+
+def _one_block(g: Graph) -> Graph:
+    """``g``, a cycle or a clique, with one block laid out as itself (none for K1)."""
+    n, m = (g.n, g.m) if g.n > 1 else (0, 0)
+    _set_blocks(g, Blocks(np.unique([0, n]), np.arange(n), np.ones(n, np.int64),
+                          np.zeros(n, np.int64), np.unique([0, m]), np.arange(m), g.ends))
+    return g
+
+
+def _set_blocks(g: Graph, parts: Blocks) -> Blocks:
+    """``parts``, made read-only, kept as ``g.blocks``."""
+    for a in parts:
+        a.flags.writeable = False
+    g.__dict__["_blocks"] = parts
+    return parts
+
+
+def _known_blocks(g: Graph) -> Blocks | None:
+    """``g.blocks`` if they are set already, else None: never a DFS."""
+    return g.__dict__.get("_blocks")
 
 
 def _components(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -176,12 +209,15 @@ def is_connected(g: Graph) -> bool:
 
 
 class Blocks(NamedTuple):
-    """The blocks (bridges and 2-connected pieces) of a connected graph:
-    block ``i`` has ``vertices[vertex_start[i]:vertex_start[i + 1]]``, its top
-    vertex first, and the ids ``edges[edge_start[i]:edge_start[i + 1]]`` into
-    ``g.edges``.  All that lies outside a block hangs at one of its vertices,
-    ``weights`` vertices (itself included) and ``hanging`` edges.  Edge
-    ``edges[j]`` of block i joins ``vertices[vertex_start[i] + local_ends[j]]``."""
+    """The blocks (bridges and 2-connected pieces) of a connected graph, from
+    its construction where that knows them, else from the DFS (``_blocks``):
+    block ``i`` has ``vertices[vertex_start[i]:vertex_start[i + 1]]`` and the
+    ids ``edges[edge_start[i]:edge_start[i + 1]]`` into ``g.edges``.  All that
+    lies outside a block hangs at one of its vertices, ``weights`` vertices
+    (itself included) and ``hanging`` edges.  Edge ``edges[j]`` of block i
+    joins ``vertices[vertex_start[i] + local_ends[j]]``, in ``g.ends`` order.
+    Position 0 is a vertex of the block: its top vertex in the DFS's layout,
+    a monomer's vertex 0 in a construction's (``polymer.compose``)."""
 
     vertex_start: np.ndarray
     vertices: np.ndarray
@@ -269,7 +305,10 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     ``deep(y)`` counting the edges whose deeper end is in y's subtree.  The
     top vertex carries the rest of its graph: ``N - sub(c)`` and ``M -
     deep(c)``, c the block's first inner vertex, in a graph of N vertices
-    and M edges."""
+    and M edges.  Blocks known already (``Graph.blocks``) are only joined."""
+    known = [_known_blocks(g) for g in graphs]
+    if None not in known:
+        return _joined(graphs, known)
     for g in graphs:
         if g.m < g.n - 1:  # too few edges to connect: decided before allocating n of anything
             raise NotConnected(f"graph with {g.n} vertices is not connected")
@@ -311,11 +350,30 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
             np.searchsorted(part, np.arange(len(graphs) + 1)))
 
 
+def _joined(graphs: Sequence[Graph], known: list[Blocks]) -> tuple[Blocks, np.ndarray]:
+    """``_blocks`` of ``graphs`` from their ``known`` blocks, graph after graph:
+    ids shifted past the graphs before, starts past the blocks before."""
+    if len(known) == 1:
+        return known[0], np.array([0, len(known[0].edge_start) - 1])
+    vstart, vertices, weights, hanging, estart, edges, local_ends = zip(*known)
+
+    def join(parts, sizes) -> np.ndarray:  # each part shifted past the sizes before it
+        return np.concatenate([p + s for p, s in zip(parts, np.cumsum([0, *sizes[:-1]]))])
+
+    def starts(parts) -> np.ndarray:
+        return np.append(join([s[:-1] for s in parts], [s[-1] for s in parts]),
+                         sum(s[-1] for s in parts))
+
+    return (Blocks(starts(vstart), join(vertices, [g.n for g in graphs]),
+                   np.concatenate(weights), np.concatenate(hanging), starts(estart),
+                   join(edges, [g.m for g in graphs]), np.concatenate(local_ends)),
+            np.cumsum([0] + [len(s) - 1 for s in vstart]))
+
+
 def blocks(g: Graph) -> Blocks:
-    """The blocks of ``g``, in the order Hopcroft-Tarjan's DFS pops them, each
-    with its top vertex first and its other vertices in preorder;
-    NotConnected if the DFS misses a vertex (see ``_dfs`` and ``_blocks``)."""
-    return _blocks([g])[0]
+    """``g.blocks``: its construction's, else the DFS's, in the order it pops
+    them; NotConnected if the DFS misses a vertex (see ``_blocks``)."""
+    return _graph_arg(g, "g").blocks
 
 
 def _csr(n: int, ends: np.ndarray) -> csr_matrix:
@@ -336,6 +394,13 @@ def _bfs_rows(mat: csr_matrix, sources: np.ndarray) -> np.ndarray:
     if not np.isfinite(raw[:1]).all():
         raise NotConnected(f"graph with {mat.shape[0]} vertices is not connected")
     return raw.astype(np.int32)
+
+
+def _graph_arg(g, name: str) -> Graph:
+    """``g`` if it is a Graph, else a GraphError that names the argument."""
+    if not isinstance(g, Graph):
+        raise GraphError(f"{name} is a {type(g).__name__}, not a Graph")
+    return g
 
 
 def _is_int(x) -> bool:

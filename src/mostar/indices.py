@@ -13,7 +13,7 @@ With the transmission ``T(x) = sum_w d(x, w)`` and the edge transmission
 ``E(x) = sum_{ab} min(d(x, a), d(x, b))``, and since every distance changes
 by at most one along an edge, ``n_u - n_v = T(v) - T(u)``,
 ``m_u - m_v = E(v) - E(u)`` and ``W = sum T / 2``.  These sums are taken
-block by block (``graphs.blocks``): all that lies outside a block B hangs
+block by block (``Graph.blocks``): all that lies outside a block B hangs
 at one of its vertices ``a``, ``W_B(a)`` vertices and ``H_B(a)`` edges, so
 for an edge ``uv`` of B
 
@@ -35,7 +35,9 @@ table is held.  One vertex has no blocks.
 
 ``index_reports`` evaluates graphs in batches: consecutive graphs are
 joined into one disjoint union while their edges stay within
-``_BATCH_EDGES``, so one DFS splits them all and blocks of one size are
+``_BATCH_EDGES`` and their blocks are all known (a polymer of one-block
+monomers knows them from ``polymer.compose``), to be joined, or all
+unknown, for one DFS to split their union.  Blocks of one size are
 stacked across the whole batch.  A graph's totals are sums over its own
 slice of the per-edge diffs and of the per-block Wiener shares.
 ``index_report`` is a batch of one.  Totals are exact Python integers at
@@ -50,8 +52,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import EdgeNotInGraph, GraphError, quote
-from .graphs import (Blocks, Edge, Graph, _bfs_rows, _blocks, _csr, _is_int,
-                     distance_rows)
+from .graphs import (Blocks, Edge, Graph, _bfs_rows, _blocks, _csr, _graph_arg,
+                     _is_int, _known_blocks, distance_rows)
 
 MOSTAR = "mostar"
 EDGE_MOSTAR = "edge_mostar"
@@ -204,9 +206,9 @@ def _levels(a, front: np.ndarray):
 
 
 def _shallow(a) -> bool:
-    """The cost test on a block's float32 adjacency ``a``: a BFS from vertex 0,
-    the top vertex, ends within ``_LEVEL_MAX_ECC`` products, and every degree
-    is below 2^24, so float32 counts are exact."""
+    """The cost test on a block's float32 adjacency ``a``: a BFS from position
+    0 (the top vertex in a DFS layout) ends within ``_LEVEL_MAX_ECC``
+    products, and every degree is below 2^24, so float32 counts are exact."""
     front = np.zeros((a.shape[0], 1), np.float32)
     front[0] = 1
     return bool(np.diff(a.indptr).max() < 1 << 24) and any(
@@ -303,21 +305,25 @@ def wiener_index(g: Graph) -> int:
 def index_reports(graphs: Iterable[Graph]) -> Iterator[IndexReport]:
     """``index_report`` of each graph, in order.  Consecutive graphs are
     evaluated together, as one disjoint union, while their edges stay within
-    ``_BATCH_EDGES``; a larger graph is evaluated alone."""
-    batch, edges = [], 0
-    for g in graphs:
-        if batch and edges + g.m > _BATCH_EDGES:
+    ``_BATCH_EDGES`` and their blocks are all known (``Graph.blocks``) or
+    all unknown; a larger graph is evaluated alone."""
+    if not isinstance(graphs, Iterable):
+        raise GraphError(f"graphs is a {type(graphs).__name__}, not an iterable of Graphs")
+    batch, edges, known = [], 0, False
+    for i, g in enumerate(graphs):
+        this = _known_blocks(_graph_arg(g, f"graphs[{i}]")) is not None
+        if batch and (edges + g.m > _BATCH_EDGES or this != known):
             yield from _batch_reports(batch)
             batch, edges = [], 0
         batch.append(g)
-        edges += g.m
+        edges, known = edges + g.m, this
     if batch:
         yield from _batch_reports(batch)
 
 
 def index_report(g: Graph) -> IndexReport:
     """All three indices and the per-edge diffs, block by block (see above)."""
-    return next(index_reports([g]))
+    return next(index_reports([_graph_arg(g, "g")]))
 
 
 def _batch_reports(batch: list[Graph]) -> Iterator[IndexReport]:

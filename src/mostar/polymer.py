@@ -8,6 +8,12 @@ slot pairs, and whether each pair is identified (chain, bouquet, tree) or
 joined by a new edge (link, circuit).  Vertex ids in the composite are
 assigned in monomer order, so a merged vertex inherits the lowest id among
 its slots and ``vertex_map`` records where every original vertex ended up.
+
+Point-attaching merges no blocks: an identified vertex is a cut vertex.  So
+when every monomer's blocks are known (``Graph.blocks``) and at most one,
+``compose`` sets the composite's: each monomer of two or more vertices is a
+block laid out as itself, and link adds a block per bridge, circuit one
+cycle.  Any other composite's blocks come from the DFS when first read.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ import numpy as np
 from .errors import (DegenerateHandles, GraphError, NotATree, NotConnected,
                      TooFewMonomers, VertexOutOfRange, quote)
 from .formats import graph_to_dict, json_integer, load_json, parse_graph_json
-from .graphs import Graph, _components, _is_int, from_edge_list, is_connected
+from .graphs import (Blocks, Graph, _components, _from_array, _is_int, _known_blocks,
+                     _set_blocks, is_connected)
 
 KINDS = ("link", "chain", "bouquet", "circuit", "tree")
 
@@ -159,7 +166,9 @@ def compose(spec: PolymerSpec) -> CompositionResult:
     pair by a new edge; the other kinds unite each pair's slots into their
     lowest slot.  A composite id is the running count of those class roots,
     so ids follow monomer order and a merged vertex takes the lowest id
-    among its slots."""
+    among its slots.  Sets the composite's blocks where it can (see above)."""
+    if not isinstance(spec, PolymerSpec):
+        raise GraphError(f"spec is a {type(spec).__name__}, not a PolymerSpec")
     hs = spec.monomers
     starts = np.cumsum([0] + [h.graph.n for h in hs])
     x, y = starts[:-1] + [h.x for h in hs], starts[:-1] + [h.y for h in hs]
@@ -173,15 +182,106 @@ def compose(spec: PolymerSpec) -> CompositionResult:
     else:  # link, chain
         pairs = np.column_stack([y[:-1], x[1:]])
     arrays = [h.graph.ends for h in hs]
-    ends = np.concatenate(arrays) + np.repeat(starts[:-1], [len(e) for e in arrays])[:, None]
-    if spec.kind in ("link", "circuit"):
-        ends, pairs = np.concatenate([ends, pairs]), pairs[:0]  # new edges; no slot merges
-    label = _components(int(starts[-1]), pairs)
+    m = np.array([len(e) for e in arrays])
+    local = np.concatenate(arrays)
+    ends = local + np.repeat(starts[:-1], m)[:, None]
+    joins = spec.kind in ("link", "circuit")
+    if joins:
+        ends = np.concatenate([ends, pairs])  # new edges; no slot merges
+    label = _components(int(starts[-1]), pairs[:0] if joins else pairs)
     roots = label == np.arange(len(label))
     ids = (np.cumsum(roots) - 1)[label]
     # duplicate edges cannot arise from point-attaching disjoint monomers;
-    # from_edge_list raising DuplicateEdge here would expose a compose bug
-    return CompositionResult(from_edge_list(int(roots.sum()), ids[ends]), ids, starts)
+    # _from_array raising DuplicateEdge here would expose a compose bug
+    raw = ids[ends]
+    graph, order = _from_array(int(roots.sum()), raw)
+    known = [_known_blocks(g) for g in {id(h.graph): h.graph for h in hs}.values()]
+    if None not in known and max(len(b.edge_start) for b in known) <= 2:
+        _set_blocks(graph, _construction_blocks(spec, graph, order, ids, starts, m, pairs,
+                                                local, raw))
+    return CompositionResult(graph, ids, starts)
+
+
+def _construction_blocks(spec: PolymerSpec, graph: Graph, order: np.ndarray,
+                         ids: np.ndarray, starts: np.ndarray, m: np.ndarray,
+                         pairs: np.ndarray, local: np.ndarray, raw: np.ndarray) -> Blocks:
+    """``graph``'s blocks when no monomer of ``spec`` has two (see above): a
+    monomer vertex carries itself and what hangs at its slot outside the
+    monomer.  For a slot pair (a, b) whose b side holds ``vb`` vertices and
+    ``eb`` edges, a gains ``vb - 1`` and ``eb`` (across a link's bridge, ``vb``
+    and ``eb + 1``), and b the rest; on a circuit, ``x_i`` gains all but
+    monomer i.  Rows of ``local`` are flipped where ``raw`` reverses them."""
+    kind, k, N, M = spec.kind, len(m), graph.n, graph.m
+    n = starts[1:] - starts[:-1]
+    weights, hanging = np.ones(starts[-1], np.int64), np.zeros(starts[-1], np.int64)
+    extra = None  # the blocks of link's bridges or circuit's cycle
+    if kind == "circuit":
+        weights[pairs[:, 0]] += N - n
+        hanging[pairs[:, 0]] += M - m
+        extra = ([k], [k], ids[pairs[:, 0]], n, m, (np.arange(k)[:, None] + [0, 1]) % k)
+    else:
+        if kind == "bouquet":
+            vb, eb = n[1:], m[1:]
+        elif kind == "tree":
+            vb, eb, swap = _child_sides(spec.tree_edges, n, m)
+            pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
+        else:  # pair p's a side: monomers 0 .. p, the p pairs among them
+            p, left = np.arange(k - 1), np.cumsum(m[:-1])
+            vb, eb = ((N - starts[1:-1], M - left - p - 1) if kind == "link"
+                      else (N + 1 - starts[1:-1] + p, M - left))
+        shared = int(kind != "link")
+        a, b = pairs.T  # b is a different slot in every pair; a need not be
+        np.add.at(weights, a, vb - shared)
+        np.add.at(hanging, a, eb + 1 - shared)
+        weights[b] += N - vb
+        hanging[b] += M - eb
+        if kind == "link":
+            extra = (np.full(k - 1, 2), np.ones(k - 1, np.int64), ids[pairs].ravel(),
+                     np.column_stack([N - vb, vb]).ravel(),
+                     np.column_stack([M - eb - 1, eb]).ravel(), np.tile([0, 1], (k - 1, 1)))
+    parts = [n, m, ids, weights, hanging, local]
+    if n.min() == 1:  # a one-vertex monomer has no block
+        big, keep = n > 1, np.repeat(n > 1, n)
+        parts = [n[big], m[big], ids[keep], weights[keep], hanging[keep], local]
+    if extra:
+        parts = [np.concatenate(both) for both in zip(parts, extra)]
+    sizes, counts, vertices, weights, hanging, rows = parts
+    flip = raw[:, 0] > raw[:, 1]
+    if flip.any():
+        rows[flip] = rows[flip, ::-1]
+    eids = np.empty_like(order)
+    eids[order] = np.arange(len(order))
+    vertex_start, edge_start = np.zeros((2, len(sizes) + 1), np.int64)
+    np.cumsum(sizes, out=vertex_start[1:])
+    np.cumsum(counts, out=edge_start[1:])
+    return Blocks(vertex_start, vertices, weights, hanging, edge_start, eids, rows)
+
+
+def _child_sides(tree_edges: tuple[TreeEdge, ...], n: np.ndarray,
+                 m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """With the monomer tree rooted at monomer 0, each tree edge's child
+    side: its vertices and edges, and whether the child is the edge's first
+    monomer.  Monomers S hold ``sum_S (n_j - 1) + 1`` vertices: |S| - 1
+    pairs merge."""
+    nbrs = [[] for _ in n]
+    for j, (a, _, b, _) in enumerate(tree_edges):
+        nbrs[a].append((b, j))
+        nbrs[b].append((a, j))
+    up, order = {0: (0, 0)}, [0]
+    for a in order:  # breadth first
+        for b, j in nbrs[a]:
+            if b not in up:
+                up[b] = a, j
+                order.append(b)
+    below, edges, child = (n - 1).tolist(), m.tolist(), [0] * len(tree_edges)
+    for c in reversed(order[1:]):
+        a, j = up[c]
+        child[j] = c
+        below[a] += below[c]
+        edges[a] += edges[c]
+    child = np.array(child, dtype=np.int64)
+    return (np.array(below)[child] + 1, np.array(edges)[child],
+            child == [e[0] for e in tree_edges])
 
 
 def spec_to_dict(spec: PolymerSpec) -> dict:

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 from mostar import (KINDS, DuplicateEdge, FamilySpec, Graph, GraphError,
                     MonomerHandle, PolymerSpec, SelfLoop, VertexOutOfRange,
-                    compose, formula_value, from_edge_list, generate,
-                    index_report)
+                    blocks, complete_graph, compose, cycle_graph,
+                    formula_value, from_edge_list, generate, index_report)
 from mostar.errors import quote
 from mostar.formats import json_integer, load_json
 from mostar.graphs import _not_an_integer
@@ -302,6 +302,50 @@ def polymer_specs(draw, min_monomers: int = 2):
     for b in range(1, len(monomers) if kind == "tree" else 1):
         a = draw(st.integers(0, b - 1))
         edge = (a, draw(st.integers(0, monomers[a].graph.n - 1)),
+                b, draw(st.integers(0, monomers[b].graph.n - 1)))
+        tree_edges.append(edge[2:] + edge[:2] if draw(st.booleans()) else edge)
+    return PolymerSpec(kind, tuple(monomers), tuple(draw(st.permutations(tree_edges))))
+
+
+@st.composite
+def one_block_monomers(draw, min_n: int = 1):
+    """A monomer of at most one block whose blocks are known before it is
+    composed: a cycle or a clique (K1 and K2 included) as built, or a
+    relabelled cycle with chords whose blocks a DFS has read."""
+    shape = draw(st.sampled_from(["cycle", "clique", "chorded"]))
+    if shape == "cycle":
+        return cycle_graph(draw(st.integers(3, 7)))
+    if shape == "clique":
+        return complete_graph(draw(st.integers(min_n, 5)))
+    n = draw(st.integers(4, 8))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           min_size=1, max_size=3))
+    pairs = {(i, (i + 1) % n) for i in range(n)} | {c for c in chords if c[0] != c[1]}
+    g = permute_graph(from_edge_list(n, {(min(c), max(c)) for c in pairs}),
+                      draw(st.permutations(range(n))))
+    blocks(g)
+    return g
+
+
+@st.composite
+def one_block_specs(draw):
+    """A spec of 1-5 ``one_block_monomers`` (a circuit has at least 3), of
+    any kind; tree edges pick their slots among few vertices, so several
+    pairs often share one slot."""
+    kind = draw(st.sampled_from(KINDS))
+    k = draw(st.integers(3 if kind == "circuit" else 1, 5))
+    monomers = []
+    for i in range(k):
+        interior = kind == "chain" and 0 < i < k - 1
+        g = draw(one_block_monomers(min_n=2 if interior else 1))
+        x = draw(st.integers(0, g.n - 1))
+        y = (x + draw(st.integers(1, g.n - 1))) % g.n if interior else draw(
+            st.integers(0, g.n - 1))
+        monomers.append(MonomerHandle(g, x, y))
+    tree_edges = []
+    for b in range(1, k if kind == "tree" else 1):
+        a = draw(st.integers(0, b - 1))
+        edge = (a, draw(st.integers(0, min(1, monomers[a].graph.n - 1))),
                 b, draw(st.integers(0, monomers[b].graph.n - 1)))
         tree_edges.append(edge[2:] + edge[:2] if draw(st.booleans()) else edge)
     return PolymerSpec(kind, tuple(monomers), tuple(draw(st.permutations(tree_edges))))

@@ -421,6 +421,24 @@ def test_quoted_input_value_is_cut_short(tmp_path, capsys, name):
     assert "..." in captured.err and len(captured.err) < 200
 
 
+@pytest.mark.parametrize("argv,shown", [
+    (["verify", "--from", "x" * 100_000], "invalid int value: 'xxx"),
+    (["gen", "--family", "y" * 100_000], "invalid choice: 'yyy"),
+    (["gen", "--family", "triangular", "z" * 100_000], "unrecognized arguments: zzz"),
+    (["gen", "--family", "it's" * 25_000], 'invalid choice: "it\'sit\'s'),
+], ids=["int", "choice", "unrecognized", "double-quoted"])
+def test_usage_error_cuts_the_argv_value(capsys, argv, shown):
+    """argparse used to quote the value whole: 100,276 bytes of stderr for
+    the first case."""
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    error = captured.err.splitlines()[-1]
+    assert captured.out == "" and shown in error and len(captured.err) < 700
+    assert error.count("...") == 1 and len(error) < 300
+
+
 LONG = "x" * 1_000_000
 
 

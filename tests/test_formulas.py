@@ -7,7 +7,8 @@ from mostar import (EDGE_MOSTAR, FAMILY_NAMES, INDEX_NAMES, MOSTAR,
                     UnsupportedCombination, check_bounds, complete_graph,
                     compose, cycle_graph, edge_mostar_index, formula_value,
                     has_formula, index_report, lower_bound_link2,
-                    lower_bound_link_chain, mostar_index, superadditive_bound,
+                    lower_bound_link_chain, mostar_index, path_graph,
+                    superadditive_bound,
                     upper_bound_bouquet, upper_bound_chain,
                     upper_bound_circuit, upper_bound_link)
 from mostar import formulas
@@ -292,3 +293,20 @@ def test_superadditivity_is_strict_on_compositions_with_edges():
         assert mostar_index(composite) > total
         total_e = sum(index_report(h.graph).edge_mostar for h in spec.monomers)
         assert edge_mostar_index(composite) > total_e
+
+
+@pytest.mark.parametrize("kind", ["chain", "bouquet"])
+def test_k1_monomer_meets_the_strict_superadditive_bound(kind):
+    """A chain or bouquet of K1 and P3 is P3 itself, so the strict bound
+    Mo(G) > Mo(K1) + Mo(P3) reads 2 > 2 and is reported VIOLATED for both
+    indices: the K1 finding of README's "Composition bounds with a K1
+    monomer"."""
+    spec = PolymerSpec(kind, (MonomerHandle(K1, 0), MonomerHandle(path_graph(3), 0)))
+    for report in check_bounds(spec, "superadditive").values():
+        assert (report.actual, report.bound, report.strict, report.holds) == (2, 2, True, False)
+
+
+def test_k1_monomer_linked_by_a_bridge_keeps_the_bound():
+    spec = PolymerSpec("link", (MonomerHandle(K1, 0), MonomerHandle(path_graph(3), 0)))
+    for report in check_bounds(spec, "superadditive").values():
+        assert (report.actual, report.bound, report.holds) == (4, 2, True)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mostar import (DuplicateEdge, GraphError, NotConnected, SelfLoop,
-                    VertexOutOfRange, blocks, complete_graph, cycle_graph,
+from mostar import (DuplicateEdge, GraphError, MonomerHandle, NotConnected,
+                    PolymerSpec, SelfLoop, VertexOutOfRange, blocks,
+                    complete_graph, compose, cycle_graph,
                     distance_rows, dump_graph, edge_orientation,
                     emit_edge_list, emit_graph_json, formats, from_edge_list, graphs,
                     index_report, indices, is_connected, parse_edge_list,
@@ -17,7 +18,8 @@ from mostar import (DuplicateEdge, GraphError, NotConnected, SelfLoop,
 
 from conftest import (any_graphs, block_rich_graphs, connected_graphs,
                       naive_all_pairs, naive_bfs, naive_edge_diffs,
-                      naive_vertex_diffs, naive_wiener, polymer_composites,
+                      naive_vertex_diffs, naive_wiener, one_block_specs,
+                      polymer_composites,
                       reference_edges, reference_parse_edge_list,
                       reference_parse_graph_json)
 
@@ -743,9 +745,11 @@ class TestBlocks:
     def check_batch_as_alone(batch):
         """``_blocks(batch)`` is each graph's own blocks, graph after graph:
         vertex and edge ids shifted past the graphs before, and the starts
-        past the blocks before.  Gives where each graph's blocks start."""
+        past the blocks before: their known blocks if all are known, else
+        each one's DFS.  Gives where each graph's blocks start."""
         parts, block_at = graphs._blocks(batch)
-        alone = [blocks(g) for g in batch]
+        known = all(graphs._known_blocks(g) is not None for g in batch)
+        alone = [blocks(g if known else graphs.Graph(g.n, g.ends)) for g in batch]
 
         def joined(field, shift=(0,) * len(batch)):
             return np.concatenate([getattr(b, field) + s for b, s in zip(alone, shift)])
@@ -775,6 +779,13 @@ class TestBlocks:
                  complete_graph(2)]
         assert np.diff(self.check_batch_as_alone(batch)).tolist() == [2, 0, 1, 3, 1]
 
+    def test_batch_of_known_blocks_joins_them(self, monkeypatch):
+        """Graphs whose blocks are all known are joined as they are, no DFS."""
+        monkeypatch.setattr(graphs, "_dfs", None)
+        chain = compose(PolymerSpec("chain", (MonomerHandle(cycle_graph(4), 0, 2),) * 3))
+        batch = [complete_graph(5), complete_graph(1), chain.graph, cycle_graph(7)]
+        assert np.diff(self.check_batch_as_alone(batch)).tolist() == [1, 0, 3, 1]
+
     def test_batch_of_one_vertex_graphs_has_no_blocks(self):
         block_at = self.check_batch_as_alone([complete_graph(1), complete_graph(1)])
         assert block_at.tolist() == [0, 0, 0]
@@ -796,3 +807,71 @@ def test_blocks_on_block_rich_graphs(g):
 @given(polymer_composites())
 def test_blocks_on_polymer_composites(g):
     check_blocks(g)
+
+
+def dfs_blocks(g):
+    """The DFS's blocks of ``g``, read on a copy whose blocks are not set."""
+    return blocks(graphs.Graph(g.n, g.ends))
+
+
+def block_set(parts):
+    """Each block as its (vertex, weight, hanging) triples and its edge ids,
+    sorted: the blocks up to their order and their in-block layout."""
+    spans = zip(parts.vertex_start, parts.vertex_start[1:], parts.edge_start,
+                parts.edge_start[1:])
+    return sorted((sorted(zip(parts.vertices[a:b].tolist(), parts.weights[a:b].tolist(),
+                              parts.hanging[a:b].tolist())), sorted(parts.edges[c:d].tolist()))
+                  for a, b, c, d in spans)
+
+
+def check_construction_blocks(spec):
+    """``compose`` sets blocks that pass ``check_blocks``, are the DFS's up to
+    order and layout, and give the naive oracle's per-edge diffs."""
+    g = compose(spec).graph
+    assert graphs._known_blocks(g) is not None
+    check_blocks(g)
+    assert block_set(blocks(g)) == block_set(dfs_blocks(g))
+    r = index_report(g)
+    assert r.vertex_diffs.tolist() == naive_vertex_diffs(g)
+    assert r.edge_diffs.tolist() == naive_edge_diffs(g)
+
+
+@settings(deadline=None, max_examples=200)
+@given(one_block_specs())
+def test_construction_blocks_match_the_dfs(spec):
+    check_construction_blocks(spec)
+
+
+@pytest.mark.parametrize("kind,tree", [
+    ("tree", ((0, 0, 1, 0), (2, 1, 0, 0), (0, 0, 3, 0))),  # three pairs on slot (0, 0)
+    ("tree", ((1, 0, 0, 2), (2, 4, 1, 1), (3, 0, 2, 4))),  # a path, two pairs on (2, 4)
+    ("link", ()), ("chain", ()), ("bouquet", ()), ("circuit", ())])
+def test_construction_blocks_with_k1_and_shared_slots(kind, tree):
+    monomers = (MonomerHandle(complete_graph(4), 0, 2), MonomerHandle(complete_graph(2), 0, 1),
+                MonomerHandle(cycle_graph(5), 1, 3), MonomerHandle(complete_graph(1), 0))
+    if kind == "chain":  # K1 may only end a chain
+        monomers = monomers[3:] + monomers[:3]
+    check_construction_blocks(PolymerSpec(kind, monomers, tree))
+
+
+def test_blocks_of_a_lone_monomer_are_set_too():
+    for g in (complete_graph(1), complete_graph(2), cycle_graph(6)):
+        for kind in ("link", "chain", "bouquet", "tree"):
+            check_construction_blocks(PolymerSpec(kind, (MonomerHandle(g, 0),)))
+
+
+@pytest.mark.parametrize("monomer", [
+    path_graph(3),  # two blocks
+    from_edge_list(3, [(0, 1), (0, 2), (1, 2)]),  # blocks not read yet
+], ids=["two-blocks", "unknown"])
+def test_a_monomer_without_one_known_block_leaves_the_dfs(monomer):
+    g = compose(PolymerSpec("chain", (MonomerHandle(complete_graph(3), 0, 1),
+                                      MonomerHandle(monomer, 0, 2)))).graph
+    assert graphs._known_blocks(g) is None
+    check_blocks(g)
+
+
+def test_set_blocks_are_read_only():
+    link = PolymerSpec("link", (MonomerHandle(cycle_graph(3), 0),) * 2)
+    for g in (cycle_graph(5), compose(link).graph, path_graph(4)):
+        assert not any(a.flags.writeable for a in blocks(g))

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from mostar import (CHAIN_FAMILIES, EdgeNotInGraph, FamilySpec, GraphError,
                     MonomerHandle, NotConnected, PolymerSpec, blocks,
-                    complete_graph, compose, cycle_graph, edge_mostar_index,
-                    edge_orientation, formula_value, from_edge_list, generate,
-                    index_report, index_reports, indices, is_connected,
-                    mostar_index, path_graph, vertex_orientation, wiener_index)
+                    complete_graph, compose, cycle_graph, dump_graph,
+                    edge_mostar_index, edge_orientation, formula_value,
+                    from_edge_list, generate, graphs, index_report,
+                    index_reports, indices, is_connected, mostar_index,
+                    parse_edge_list, parse_graph_json, path_graph,
+                    vertex_orientation, wiener_index)
+from mostar.cli import main
 
 from conftest import (block_rich_graphs, connected_graphs, naive_all_pairs,
                       naive_edge_diffs, naive_edge_mostar, naive_mostar,
@@ -443,7 +446,9 @@ def spy_on_batches(mp):
     return unions
 
 
-@pytest.mark.parametrize("cap,batches", [(1, 20), (10 ** 9, 1)], ids=["one-edge", "huge"])
+# a huge cap still splits where known blocks meet unknown: 18 chains, the
+# one-vertex graph of from_edge_list, the cycle
+@pytest.mark.parametrize("cap,batches", [(1, 20), (10 ** 9, 3)], ids=["one-edge", "huge"])
 def test_batch_cap_changes_no_report(cap, batches):
     graphs = [generate(FamilySpec(family, n=n)).graph
               for family in CHAIN_FAMILIES for n in (1, 7, 40)] + [from_edge_list(1, []),
@@ -460,6 +465,61 @@ def test_batch_cap_changes_no_report(cap, batches):
         assert r.edge_diffs.tolist() == want.edge_diffs.tolist()
 
 
+def spy_on_dfs(mp):
+    """The number of graphs in each union that ``graphs._dfs`` splits."""
+    calls = []
+    real = graphs._dfs
+
+    def run(ends, sizes):
+        calls.append(len(sizes))
+        return real(ends, sizes)
+    mp.setattr(graphs, "_dfs", run)
+    return calls
+
+
+def test_verify_over_the_chain_families_runs_no_dfs(capsys):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on_dfs(mp)
+        code = main(["verify", "--families", ",".join(CHAIN_FAMILIES), "--to", "40"])
+    assert code == 1 and calls == []  # hex-meta and hex-ortho disagree, as recorded
+    assert capsys.readouterr().err == "76 of 480 cells disagree\n"
+
+
+def test_batch_of_known_and_unknown_blocks():
+    """Graphs whose blocks the construction set and graphs read from text
+    or built from pairs, one-vertex graphs of both sorts among them, give
+    the reports of one call per graph, with one DFS per run of unknown."""
+    chain = generate(FamilySpec("hex-meta", n=5)).graph
+    flower = generate(FamilySpec("clique-flower", m=4, inner=3)).graph
+    read = parse_edge_list(dump_graph(chain, "edgelist"))
+    batch = [chain, read, from_edge_list(1, []), complete_graph(1), flower,
+             parse_graph_json(dump_graph(flower, "json")), t2(), path_graph(5), cycle_graph(9)]
+    alone = [index_report(graphs.Graph(g.n, g.ends)) for g in batch]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on_dfs(mp)
+        reports = list(index_reports(batch))
+    assert calls == [2, 1, 1]
+    for r, want in zip(reports, alone, strict=True):
+        assert r == want
+        assert r.vertex_diffs.tolist() == want.vertex_diffs.tolist()
+        assert r.edge_diffs.tolist() == want.edge_diffs.tolist()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: index_report(None), "g is a NoneType, not a Graph"),
+    (lambda: list(index_reports(None)), "graphs is a NoneType, not an iterable of Graphs"),
+    (lambda: list(index_reports([path_graph(2), 5])), "graphs[1] is a int, not a Graph"),
+    (lambda: blocks(3), "g is a int, not a Graph"),
+    (lambda: compose(None), "spec is a NoneType, not a PolymerSpec"),
+], ids=["index_report-None", "index_reports-None", "index_reports-int", "blocks-int",
+        "compose-None"])
+def test_entry_point_names_its_bad_argument(call, message):
+    """Each used to raise a bare AttributeError or TypeError."""
+    with pytest.raises(GraphError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def test_deep_block_in_a_batch_takes_the_rows_pass():
     deep = permute_graph(chorded_cycle(300, 50), random.Random(5).sample(range(300), 300))
     graphs = [path_graph(4), deep, t2(), complete_graph(5)]
@@ -474,7 +534,7 @@ def test_deep_block_in_a_batch_takes_the_rows_pass():
         mp.setattr(indices, "_transmissions", spy)
         unions = spy_on_batches(mp)
         reports = list(index_reports(graphs))
-    assert unions == [4] and passes == [300]
+    assert unions == [2, 2] and passes == [300]  # unknown blocks, then known
     for g, r in zip(graphs, reports):
         alone = index_report(g)
         assert r == alone and r.vertex_diffs.tolist() == alone.vertex_diffs.tolist()

@@ -1,0 +1,128 @@
+"""One sha256 of the totals and per-edge diffs that ``mostar`` gives.
+
+The hash covers, for every graph of a fixed set, its vertex and edge
+counts, its three totals, and its vertex and edge diffs in ``g.ends``
+order, all evaluated through ``index_reports``:
+
+* the 600 chains of ``verify`` (six chain families, n = 1..100)
+* triangulanes and their building blocks, and clique flowers
+* seeded random composites of every kind, from cycles, cliques (K1 and K2
+  included), cycles with chords and random connected monomers
+* the graphs of the four benchmark workloads at seeds 1 and 4242, as
+  ``bench/workloads.py`` builds them
+
+Two checkouts that print the same hash give the same numbers on all of
+them.  Run from the repository root; ``--src`` picks the checkout to
+measure, ``--tiny`` a small set that runs in a few seconds::
+
+    python tools/output_hash.py
+    python tools/output_hash.py --src ../other-checkout/src
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+KINDS = ("link", "chain", "bouquet", "circuit", "tree")
+
+
+def family_graphs(mostar, tiny: bool):
+    top, depth, petals = (4, 3, 3) if tiny else (100, 7, 6)
+    for family in mostar.CHAIN_FAMILIES:
+        for n in range(1, top + 1):
+            yield mostar.generate(mostar.FamilySpec(family, n=n)).graph
+    for family in ("triangulane-aux", "triangulane"):
+        for n in range(1, depth + 1):
+            yield mostar.generate(mostar.FamilySpec(family, n=n)).graph
+    for m in range(1, petals + 1):
+        for inner in range(1, petals + 1):
+            yield mostar.generate(mostar.FamilySpec("clique-flower", m=m, inner=inner)).graph
+
+
+def random_monomer(mostar, rng: random.Random):
+    shape = rng.choice(("cycle", "clique", "chorded", "random"))
+    if shape == "cycle":
+        return mostar.cycle_graph(rng.randrange(3, 9))
+    if shape == "clique":
+        return mostar.complete_graph(rng.randrange(1, 6))
+    n = rng.randrange(4, 10)
+    if shape == "chorded":  # one block; its blocks are read once, as a caller might
+        pairs = {(i, (i + 1) % n) for i in range(n)}
+        pairs |= {tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(1, 4))}
+        perm = rng.sample(range(n), n)
+        g = mostar.from_edge_list(n, {tuple(sorted((perm[a], perm[b]))) for a, b in pairs})
+        mostar.blocks(g)
+        return g
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(n))}
+    return mostar.from_edge_list(n, pairs)
+
+
+def random_composites(mostar, count: int):
+    rng = random.Random(20260)
+    for _ in range(count):
+        kind = rng.choice(KINDS)
+        k = rng.randrange(3 if kind == "circuit" else 1, 8)
+        handles = []
+        for i in range(k):
+            g = random_monomer(mostar, rng)
+            while kind == "chain" and 0 < i < k - 1 and g.n < 2:
+                g = random_monomer(mostar, rng)
+            x = rng.randrange(g.n)
+            y = rng.choice([v for v in range(g.n) if v != x] or [x])
+            handles.append(mostar.MonomerHandle(g, x, y))
+        tree = []
+        for b in range(1, k if kind == "tree" else 1):
+            a = rng.randrange(b)
+            tree.append((a, rng.randrange(handles[a].graph.n), b,
+                         rng.randrange(handles[b].graph.n)))
+        yield mostar.compose(mostar.PolymerSpec(kind, tuple(handles), tuple(tree))).graph
+
+
+def workload_graphs(mostar, tiny: bool):
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as work:
+        for name in workloads.SIZES:
+            for seed in (1, 4242):
+                w = workloads.Workload(name, seed, Path(work) / f"{name}-{seed}",
+                                       "tiny" if tiny else "full")
+                for n, edges in w.graphs:
+                    yield mostar.from_edge_list(n, [tuple(e) for e in edges])
+
+
+def output_hash(mostar, tiny: bool) -> tuple[str, int]:
+    """The hex digest and the number of graphs it covers."""
+    graphs = [*family_graphs(mostar, tiny), *random_composites(mostar, 20 if tiny else 400),
+              *workload_graphs(mostar, tiny)]
+    digest = hashlib.sha256()
+    for g, r in zip(graphs, mostar.index_reports(graphs), strict=True):
+        digest.update(f"{g.n} {g.m} {r.mostar} {r.edge_mostar} {r.wiener}\n".encode())
+        digest.update(r.vertex_diffs.astype("<i8").tobytes())
+        digest.update(r.edge_diffs.astype("<i8").tobytes())
+    return digest.hexdigest(), len(graphs)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory that holds the mostar package to measure")
+    parser.add_argument("--tiny", action="store_true", help="a small set, for a smoke test")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import mostar
+
+    digest, count = output_hash(mostar, args.tiny)
+    print(f"{digest}  {count} graphs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
