@@ -216,8 +216,9 @@ class Blocks(NamedTuple):
     lies outside a block hangs at one of its vertices, ``weights`` vertices
     (itself included) and ``hanging`` edges.  Edge ``edges[j]`` of block i
     joins ``vertices[vertex_start[i] + local_ends[j]]``, in ``g.ends`` order.
-    Position 0 is a vertex of the block: its top vertex in the DFS's layout,
-    a monomer's vertex 0 in a construction's (``polymer.compose``)."""
+    Position 0 is a vertex of the block: its top vertex in the DFS's layout
+    (blocks in preorder of their first inner vertex, edge ids ascending), a
+    monomer's vertex 0 in a construction's (``polymer.compose``)."""
 
     vertex_start: np.ndarray
     vertices: np.ndarray
@@ -229,21 +230,20 @@ class Blocks(NamedTuple):
 
 
 def _dfs(ends: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Hopcroft-Tarjan over the edges ``ends`` of a disjoint union of parts
-    of ``sizes`` vertices each, one DFS from each part's lowest vertex, with
-    an explicit stack, so no graph is too deep; NotConnected if a DFS misses
-    a vertex of its part.  Gives the edge ids block by block, in the order
-    the blocks pop, with where each block starts, and each vertex's
-    preorder number, tree edge (-1 at a root) and subtree size."""
+    """A DFS over the edges ``ends`` of a disjoint union of parts of ``sizes``
+    vertices each, one from each part's lowest vertex, with an explicit
+    stack, so no graph is too deep; NotConnected if a DFS misses a vertex of
+    its part.  Gives each vertex's preorder number (from 1), low point,
+    parent (a root is its own) and subtree size.  The tree edge back to the
+    parent is skipped by vertex: ``from_edge_list`` rejects duplicate edges."""
     n, m = sum(sizes), len(ends)
     flat = ends.T.ravel()
     slots = np.argsort(flat, kind="stable")  # edge endpoints grouped by vertex
-    nbr, eid = flat[(slots + m) % (2 * m)].tolist(), (slots % m).tolist()
+    nbr = flat[(slots + m) % (2 * m)].tolist()
     nxt = np.searchsorted(flat[slots], np.arange(n + 1)).tolist()
     stop = nxt[1:]
-    disc, low, emark, sub = ([0] * n for _ in range(4))
-    tree = [-1] * n
-    estack, popped, estart, t = [], [], [0], 0
+    disc, low, sub = ([0] * n for _ in range(3))
+    parent, t = list(range(n)), 0
     for size in sizes:
         root = t
         t += 1
@@ -251,61 +251,51 @@ def _dfs(ends: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
         stack = [root]
         while stack:
             u = stack[-1]
-            du, tu, lu = disc[u], tree[u], low[u]
+            pu, lu = parent[u], low[u]
             i, end = nxt[u], stop[u]
-            while i < end:  # skip u's visited neighbours, noting back edges
-                dw = disc[nbr[i]]
+            while i < end:  # skip u's visited neighbours, lowering lu by back edges
+                w = nbr[i]
+                dw = disc[w]
                 if not dw:
                     break
-                if dw < du and eid[i] != tu:  # back edge up the tree
-                    estack.append(eid[i])
-                    if dw < lu:
-                        lu = dw
+                if dw < lu and w != pu:
+                    lu = dw
                 i += 1
             low[u] = lu
-            if i < end:  # descend along a tree edge
+            if i < end:  # descend to w, the unvisited neighbour the scan stopped at
                 nxt[u] = i + 1
-                w, e = nbr[i], eid[i]
                 t += 1
                 disc[w] = low[w] = t
-                tree[w], emark[w] = e, len(estack)
-                estack.append(e)
+                parent[w] = u
                 stack.append(w)
                 continue
             stack.pop()
-            sub[u] = t - du + 1
-            if not stack:
-                break
-            p = stack[-1]
-            if lu < disc[p]:
-                if lu < low[p]:
-                    low[p] = lu
-                continue
-            # p cuts u's subtree off: what was pushed since u's tree edge is one block
-            popped += estack[emark[u]:]
-            del estack[emark[u]:]
-            estart.append(len(popped))
+            sub[u] = t - disc[u] + 1
+            if stack and lu < low[pu]:
+                low[pu] = lu
         if t - root < size:
             raise NotConnected(f"graph with {size} vertices is not connected")
-    return tuple(np.array(a, dtype=np.int64) for a in (popped, estart, disc, tree, sub))
+    return tuple(np.array(a, dtype=np.int64) for a in (disc, low, parent, sub))
 
 
 def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     """The blocks of the connected ``graphs``, graph after graph, each in the
     order ``blocks`` gives, and where each graph's blocks start; their union
     is an edge array, each graph's ``ends`` shifted past the graphs before.
-    From one ``_dfs`` by array steps: block B's inner vertices, whose tree
-    edge is in B, follow in preorder its top vertex, the parent of the first.
-    For an inner vertex x, with y over x's tree children whose tree edge
-    begins another block,
+    From one ``_dfs`` by array steps: the tree edge p -> c begins a block,
+    with top p and first inner vertex c, iff ``low(c) >= pre(p)`` (Tarjan);
+    a vertex's tree edge is in the block of the nearest such c above it (by
+    pointer jumping), any other edge in its deeper end's (Tarjan-Vishkin).
+    Blocks go in preorder of c, inner vertices in preorder after the top.
+    For an inner vertex x, with y over x's tree children that begin a block,
 
     * ``weight(x) = 1 + sum sub(y)``
     * ``hanging(x) = sum deep(y)``,
 
     ``deep(y)`` counting the edges whose deeper end is in y's subtree.  The
     top vertex carries the rest of its graph: ``N - sub(c)`` and ``M -
-    deep(c)``, c the block's first inner vertex, in a graph of N vertices
-    and M edges.  Blocks known already (``Graph.blocks``) are only joined."""
+    deep(c)``, in a graph of N vertices and M edges.  Blocks known already
+    (``Graph.blocks``) are only joined."""
     known = [_known_blocks(g) for g in graphs]
     if None not in known:
         return _joined(graphs, known)
@@ -316,14 +306,21 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     edges_of = np.array([g.m for g in graphs], dtype=np.int64)
     union = np.concatenate([g.ends for g in graphs])
     union += np.repeat(np.cumsum(sizes) - sizes, edges_of)[:, None]
-    order, estart, disc, tree, sub = _dfs(union, sizes.tolist())
-    n, nb, pre = int(sizes.sum()), len(estart) - 1, disc - 1
-    blab = np.repeat(np.arange(nb), np.diff(estart))  # the block of each edge of ``order``
-    label = np.empty(len(union), np.int64)
-    label[order] = blab
-    vlab = np.append(label, -1)[tree]  # the block of each vertex's tree edge; -1 at a root
-    # the roots sort first, then the rest block by block, each in preorder; the keys are
-    # distinct, and "stable" is the sort _dfs runs (quicksort pages in 0.4 MB more code)
+    disc, low, parent, sub = _dfs(union, sizes.tolist())
+    n, pre, v = int(sizes.sum()), disc - 1, np.arange(len(disc))
+    begins = (low >= disc[parent]) & (parent != v)  # the tree edge into v begins a block
+    rep = np.where(begins, v, parent)
+    while not np.array_equal(up := rep[rep], rep):
+        rep = up
+    heads = np.sort(pre[begins], kind="stable")  # each block's first inner vertex, in preorder
+    nb = len(heads)
+    vlab = np.where(parent == v, -1, np.searchsorted(heads, pre[rep]))  # -1 at a root
+    label = vlab[union].max(axis=1)  # the deeper end's; the other end's is it, or earlier at a top
+    # "stable" keeps each block's edges by id here; the next sort's keys are distinct, roots
+    # first, then block by block in preorder (quicksort pages in 0.4 MB more code)
+    order = np.argsort(label, kind="stable")
+    blab = label[order]
+    estart = np.searchsorted(blab, np.arange(nb + 1))
     inner = np.argsort(vlab * n + pre, kind="stable")[len(graphs):]
     count = np.bincount(vlab[inner], minlength=nb)  # a block has at least one
     first = np.cumsum(count) - count
@@ -331,13 +328,11 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     place[inner] = np.arange(1, inner.size + 1) - np.repeat(first, count)
     ends = union[order]  # an end not inner to the edge's block is its top, at 0
     local_ends = np.where(vlab[ends] == blab[:, None], place[ends], 0)
-    parent = np.full(n, -1)
-    parent[inner] = union[tree[inner]].sum(axis=1) - inner
     c = inner[first]  # each block's first inner vertex
     below = np.zeros(n + 1, np.int64)  # edges counted at their deeper end, in preorder
     np.cumsum(np.bincount(pre[ends].max(axis=1), minlength=n), out=below[1:])
     deep = below[pre + sub] - below[pre]
-    starter = inner[vlab[parent[inner]] != vlab[inner]]  # tree edges that begin a block
+    starter = inner[begins[inner]]  # tree edges that begin a block
     weight, hang = np.ones(n, np.int64), np.zeros(n, np.int64)
     np.add.at(weight, parent[starter], sub[starter])
     np.add.at(hang, parent[starter], deep[starter])
@@ -371,8 +366,9 @@ def _joined(graphs: Sequence[Graph], known: list[Blocks]) -> tuple[Blocks, np.nd
 
 
 def blocks(g: Graph) -> Blocks:
-    """``g.blocks``: its construction's, else the DFS's, in the order it pops
-    them; NotConnected if the DFS misses a vertex (see ``_blocks``)."""
+    """``g.blocks``: its construction's, else the DFS's, in preorder of their
+    first inner vertex; NotConnected if the DFS misses a vertex (see
+    ``_blocks``)."""
     return _graph_arg(g, "g").blocks
 
 

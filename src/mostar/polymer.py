@@ -146,6 +146,9 @@ class CompositionResult:
     ids: np.ndarray = field(compare=False, repr=False)
     starts: np.ndarray = field(compare=False, repr=False)
 
+    def __post_init__(self):  # read-only, as Graph.ends is
+        self.ids.flags.writeable = self.starts.flags.writeable = False
+
     def vertex(self, i: int, v: int) -> int:
         """The composite vertex of slot ``(i, v)``."""
         return int(self.ids[self.starts[i] + v])

@@ -8,21 +8,22 @@ per-pair loop and the dict union-find that ``from_edge_list`` and
 ``polymer.compose`` replaced with array code, with the per-kind slot pairs
 that ``compose`` now picks as arrays, and the reference readers are the
 per-line and per-pair parsers that ``formats`` replaced with one array
-conversion.
+conversion.  The reference block finder is the Hopcroft-Tarjan DFS with an
+edge stack that ``graphs._dfs`` replaced with the low-point rule.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
 from mostar import (KINDS, DuplicateEdge, FamilySpec, Graph, GraphError,
-                    MonomerHandle, PolymerSpec, SelfLoop, VertexOutOfRange,
+                    MonomerHandle, NotConnected, PolymerSpec, SelfLoop, VertexOutOfRange,
                     blocks, complete_graph, compose, cycle_graph,
                     formula_value, from_edge_list, generate, index_report)
 from mostar.errors import quote
@@ -173,6 +174,80 @@ def reference_slot_pairs(spec: PolymerSpec
     return ([], pairs) if spec.kind in ("link", "circuit") else (pairs, [])
 
 
+def reference_block_partition(g: Graph) -> tuple[list[list[int]], list[int]]:
+    """The blocks of a connected ``g`` as lists of edge ids, in the order they
+    pop off Hopcroft and Tarjan's edge stack, and each vertex's preorder
+    number (from 0).  One DFS from vertex 0 with an explicit stack, taking
+    each vertex's neighbours in ``g.ends`` order as ``graphs._dfs`` does;
+    NotConnected if it misses a vertex."""
+    n, m, ends = g.n, g.m, g.ends
+    flat = ends.T.ravel()
+    slots = np.argsort(flat, kind="stable")  # edge endpoints grouped by vertex
+    nbr, eid = flat[(slots + m) % (2 * m)].tolist(), (slots % m).tolist()
+    nxt = np.searchsorted(flat[slots], np.arange(n + 1)).tolist()
+    stop = nxt[1:]
+    disc, low, emark = ([0] * n for _ in range(3))
+    tree = [-1] * n
+    estack, parts, t = [], [], 1
+    disc[0] = low[0] = t
+    stack = [0]
+    while stack:
+        u = stack[-1]
+        du, tu, lu = disc[u], tree[u], low[u]
+        i, end = nxt[u], stop[u]
+        while i < end:  # skip u's visited neighbours, noting back edges
+            dw = disc[nbr[i]]
+            if not dw:
+                break
+            if dw < du and eid[i] != tu:  # back edge up the tree
+                estack.append(eid[i])
+                lu = min(lu, dw)
+            i += 1
+        low[u] = lu
+        if i < end:  # descend along a tree edge
+            nxt[u] = i + 1
+            w, e = nbr[i], eid[i]
+            t += 1
+            disc[w] = low[w] = t
+            tree[w], emark[w] = e, len(estack)
+            estack.append(e)
+            stack.append(w)
+            continue
+        stack.pop()
+        if not stack:
+            break
+        p = stack[-1]
+        if lu < disc[p]:
+            low[p] = min(low[p], lu)
+            continue
+        # p cuts u's subtree off: what was pushed since u's tree edge is one block
+        parts.append(estack[emark[u]:])
+        del estack[emark[u]:]
+    if t < n:
+        raise NotConnected(f"graph with {n} vertices is not connected")
+    return parts, [d - 1 for d in disc]
+
+
+def reference_block_weights(g: Graph, edge_ids) -> list[tuple[int, int, int]]:
+    """Sorted ``(vertex, weight, hanging)`` of the block of ``g`` made of
+    ``edge_ids``: with the block's edges gone, the vertices and edges left
+    joined to each of its vertices, by a dict union-find."""
+    own = set(edge_ids)
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    rest = [e for i, e in enumerate(g.edges) if i not in own]
+    for u, v in rest:
+        parent[find(u)] = find(v)
+    weight, hanging = Counter(find(x) for x in range(g.n)), Counter(find(u) for u, _ in rest)
+    block = {x for i in own for x in g.edges[i]}
+    return sorted((x, weight[find(x)], hanging[find(x)]) for x in block)
+
+
 def neighbour_lists(g: Graph, without=None) -> list[list[int]]:
     """Neighbours of each vertex, read off ``g.edges``, minus edge ``without``."""
     neighbours: list[list[int]] = [[] for _ in range(g.n)]
@@ -317,14 +392,21 @@ def one_block_monomers(draw, min_n: int = 1):
         return cycle_graph(draw(st.integers(3, 7)))
     if shape == "clique":
         return complete_graph(draw(st.integers(min_n, 5)))
-    n = draw(st.integers(4, 8))
-    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                           min_size=1, max_size=3))
-    pairs = {(i, (i + 1) % n) for i in range(n)} | {c for c in chords if c[0] != c[1]}
-    g = permute_graph(from_edge_list(n, {(min(c), max(c)) for c in pairs}),
-                      draw(st.permutations(range(n))))
+    g = draw(chorded_cycles())
     blocks(g)
     return g
+
+
+@st.composite
+def chorded_cycles(draw, min_n: int = 4, max_n: int = 8, max_chords: int = 3):
+    """A cycle of ``min_n``-``max_n`` vertices with up to ``max_chords``
+    chords, relabelled: one block."""
+    n = draw(st.integers(min_n, max_n))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           min_size=1, max_size=max_chords))
+    pairs = {(i, (i + 1) % n) for i in range(n)} | {c for c in chords if c[0] != c[1]}
+    return permute_graph(from_edge_list(n, {(min(c), max(c)) for c in pairs}),
+                         draw(st.permutations(range(n))))
 
 
 @st.composite

@@ -11,9 +11,9 @@ import mostar
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mostar import (BOUND_KINDS, KINDS, FamilySpec, MonomerHandle, PolymerSpec,
-                    complete_graph, generate, index_report, parse_edge_list,
-                    parse_graph_json, spec_to_dict)
+from mostar import (BOUND_KINDS, FAMILY_NAMES, KINDS, FamilySpec, MonomerHandle,
+                    PolymerSpec, complete_graph, generate, index_report,
+                    parse_edge_list, parse_graph_json, spec_to_dict)
 from mostar.cli import main
 
 K2_JSON = {"n": 2, "edges": [[0, 1]]}
@@ -640,6 +640,83 @@ def test_fuzz_compute_graph_json(fuzz_dir, doc, argv):
     + [["bounds", "--which", which, "--index", "both"] for which in BOUND_KINDS]))
 def test_fuzz_compose_and_bounds(fuzz_dir, doc, argv):
     _run_fuzz_case(fuzz_dir / "spec.json", json.dumps(doc), argv)
+
+
+def _run_argv_case(argv: list[str]) -> None:
+    """``main(argv)``, usage errors included, exits 0, 1 or 2 with at most one
+    ``error:`` line on stderr and no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("error:") == (code == 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def mostly(good, bad):
+    """``good`` three times in four, else ``bad``."""
+    return st.integers(0, 3).flatmap(lambda k: bad if k == 3 else good)
+
+
+def int_args(top: int):
+    """Mostly an integer argument in ``1..top``, else 0, -1 or not an integer."""
+    return mostly(st.integers(1, top).map(str), st.sampled_from(["0", "-1", "x", "1.5", ""]))
+
+
+bad_names = st.sampled_from(["bogus", "", "Hex-para", "hex-para "])
+
+
+@st.composite
+def gen_argvs(draw):
+    """``gen`` of any family name, at most 50 polygons or depth 6 (about
+    400 vertices at most)."""
+    family = draw(mostly(st.sampled_from(FAMILY_NAMES), bad_names))
+    argv = ["gen", "--family", family,
+            "--n", draw(int_args(6 if family.startswith("triangulane") else 50))]
+    if family == "clique-flower" or draw(st.booleans()):
+        argv += ["--m", draw(int_args(8)), "--inner", draw(int_args(8))]
+    return argv + ["--format", draw(mostly(st.sampled_from(["edgelist", "json"]),
+                                           st.just("csv")))]
+
+
+clique_ranges = mostly(
+    st.lists(st.integers(1, 8), min_size=2, max_size=2).map(lambda p: "{}..{}".format(*sorted(p))),
+    st.sampled_from(["3..1", "0..2", "a..3", "..", "", "2.."]))
+
+
+@st.composite
+def verify_argvs(draw):
+    """``verify`` over family lists with bad names, ranges and ``--max-size``
+    values: to n = 50 on the chains, depth 6 where a triangulane is swept,
+    and clique flowers to 8 x 8, so no graph has more than about 10^4
+    vertices whatever ``--max-size`` allows."""
+    names = draw(st.lists(mostly(st.sampled_from(FAMILY_NAMES), bad_names),
+                          min_size=1, max_size=3))
+    families = draw(st.sampled_from(["all", ",".join(names)]))
+    top = 6 if families == "all" or "triangulane" in names else 50
+    n_from, n_to = sorted(draw(st.lists(st.integers(1, top), min_size=2, max_size=2)))
+    n_from, n_to = draw(mostly(st.just((str(n_from), str(n_to))), st.sampled_from(
+        [(str(n_to + 1), str(n_to)), ("0", str(n_to)), ("x", str(n_to)), (str(n_from), "")])))
+    return ["verify", "--families", families, "--from", n_from, "--to", n_to,
+            "--m-range", draw(clique_ranges), "--inner-range", draw(clique_ranges),
+            "--max-size", draw(mostly(st.sampled_from(["10000", "500000", "10000000"]),
+                                      st.sampled_from(["-1", "0", "50", "x"]))),
+            "--format", draw(st.sampled_from(["csv", "json", "text"]))]
+
+
+@settings(deadline=None, max_examples=100)
+@given(gen_argvs())
+def test_fuzz_gen(argv):
+    _run_argv_case(argv)
+
+
+@settings(deadline=None, max_examples=60)
+@given(verify_argvs())
+def test_fuzz_verify(argv):
+    _run_argv_case(argv)
 
 
 #: whether scipy (or its csgraph) is loaded after each step, printed by a

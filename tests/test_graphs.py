@@ -16,10 +16,11 @@ from mostar import (DuplicateEdge, GraphError, MonomerHandle, NotConnected,
                     parse_graph, parse_graph_json, path_graph,
                     vertex_orientation)
 
-from conftest import (any_graphs, block_rich_graphs, connected_graphs,
-                      naive_all_pairs, naive_bfs, naive_edge_diffs,
-                      naive_vertex_diffs, naive_wiener, one_block_specs,
-                      polymer_composites,
+from conftest import (any_graphs, block_rich_graphs, chorded_cycles,
+                      connected_graphs, naive_all_pairs, naive_bfs,
+                      naive_edge_diffs, naive_vertex_diffs, naive_wiener,
+                      one_block_specs, polymer_composites,
+                      reference_block_partition, reference_block_weights,
                       reference_edges, reference_parse_edge_list,
                       reference_parse_graph_json)
 
@@ -741,6 +742,18 @@ class TestBlocks:
     def test_long_path_needs_no_recursion(self):
         assert len(blocks(path_graph(50_000)).edges) == 49_999
 
+    def test_long_relabelled_cycle_is_one_block(self):
+        """One block whose first inner vertex is about 50,000 tree edges
+        above the deepest: pointer jumping climbs the whole chain."""
+        n = 50_000
+        perm = random.Random(8).sample(range(n), n)
+        pairs = [(perm[i], perm[(i + 1) % n]) for i in range(n)] + [(perm[0], perm[n // 2])]
+        parts = blocks(from_edge_list(n, pairs))
+        assert parts.vertex_start.tolist() == [0, n]
+        assert parts.edges.tolist() == list(range(n + 1))
+        assert sorted(parts.vertices.tolist()) == list(range(n))
+        assert set(parts.weights.tolist()) == {1} and set(parts.hanging.tolist()) == {0}
+
     @staticmethod
     def check_batch_as_alone(batch):
         """``_blocks(batch)`` is each graph's own blocks, graph after graph:
@@ -807,6 +820,42 @@ def test_blocks_on_block_rich_graphs(g):
 @given(polymer_composites())
 def test_blocks_on_polymer_composites(g):
     check_blocks(g)
+
+
+def check_against_reference(batch):
+    """``_blocks`` of fresh copies of ``batch`` has the edge-stack DFS's
+    blocks, with the same weight and hanging count at each (block, vertex),
+    up to order; its blocks come in preorder of their first inner vertex,
+    graph after graph, and each block's edges by id."""
+    parts, _ = graphs._blocks([graphs.Graph(g.n, g.ends) for g in batch])
+    expected, pre, n0, m0 = [], [], 0, 0
+    for g in batch:
+        found, order = reference_block_partition(g)
+        expected += [([(x + n0, w, h) for x, w, h in reference_block_weights(g, ids)],
+                      sorted(e + m0 for e in ids)) for ids in found]
+        pre += [p + n0 for p in order]
+        n0, m0 = n0 + g.n, m0 + g.m
+    assert block_set(parts) == sorted(expected)
+    first = np.array(pre, dtype=np.int64)[parts.vertices[parts.vertex_start[:-1] + 1]]
+    assert (np.diff(first) > 0).all()
+    for a, b in zip(parts.edge_start, parts.edge_start[1:]):
+        assert (np.diff(parts.edges[a:b]) > 0).all()
+
+
+unknown_graphs = st.one_of(connected_graphs(), block_rich_graphs(),
+                           chorded_cycles(min_n=3, max_n=12, max_chords=4))
+
+
+@settings(deadline=None, max_examples=150)
+@given(unknown_graphs)
+def test_blocks_match_the_edge_stack_reference(g):
+    check_against_reference([g])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(unknown_graphs, min_size=1, max_size=6))
+def test_batched_blocks_match_the_edge_stack_reference(batch):
+    check_against_reference(batch)
 
 
 def dfs_blocks(g):

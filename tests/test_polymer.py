@@ -427,3 +427,16 @@ def test_one_way_in():
         assert not hasattr(mostar, name)
         assert not hasattr(mostar.polymer, name) and not hasattr(mostar.families, name)
     assert not hasattr(mostar.polymer, "_COMPOSERS") and not hasattr(mostar.polymer, "_assemble")
+
+
+@pytest.mark.parametrize("kind,monomer", [
+    *((kind, cycle_graph(4)) for kind in ("link", "chain", "bouquet", "circuit", "tree")),
+    ("link", path_graph(3)),  # two blocks: the composite's come from the DFS
+])
+def test_composition_ids_and_starts_are_read_only(kind, monomer):
+    tree = ((0, 0, 1, 1), (1, 2, 2, 0)) if kind == "tree" else ()
+    res = compose(PolymerSpec(kind, (MonomerHandle(monomer, 0, 2),) * 3, tree))
+    for a in (res.ids, res.starts):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 7

@@ -1,8 +1,11 @@
-"""One sha256 of the totals and per-edge diffs that ``mostar`` gives.
+"""Two sha256 digests of what ``mostar`` gives: totals and diffs, and blocks.
 
-The hash covers, for every graph of a fixed set, its vertex and edge
+The first hash covers, for every graph of a fixed set, its vertex and edge
 counts, its three totals, and its vertex and edge diffs in ``g.ends``
-order, all evaluated through ``index_reports``:
+order, all evaluated through ``index_reports``.  The second covers every
+graph's blocks up to order and layout: each block as its sorted (vertex,
+weight, hanging) triples and its sorted edge ids, the blocks sorted.  The
+set:
 
 * the 600 chains of ``verify`` (six chain families, n = 1..100)
 * triangulanes and their building blocks, and clique flowers
@@ -10,10 +13,14 @@ order, all evaluated through ``index_reports``:
   included), cycles with chords and random connected monomers
 * the graphs of the four benchmark workloads at seeds 1 and 4242, as
   ``bench/workloads.py`` builds them
+* outside ``--tiny``, deep blocks read from edge lists: relabelled cycles
+  of 500-3,000 vertices with 0-3 chords and a relabelled 2 x 1,000
+  ladder, which the streamed BFS rows pass evaluates
 
-Two checkouts that print the same hash give the same numbers on all of
-them.  Run from the repository root; ``--src`` picks the checkout to
-measure, ``--tiny`` a small set that runs in a few seconds::
+Two checkouts that print the same hashes give the same numbers and the
+same blocks on all of them.  Run from the repository root; ``--src`` picks
+the checkout to measure, ``--tiny`` a small set that runs in a few
+seconds::
 
     python tools/output_hash.py
     python tools/output_hash.py --src ../other-checkout/src
@@ -98,16 +105,47 @@ def workload_graphs(mostar, tiny: bool):
                     yield mostar.from_edge_list(n, [tuple(e) for e in edges])
 
 
-def output_hash(mostar, tiny: bool) -> tuple[str, int]:
-    """The hex digest and the number of graphs it covers."""
+def deep_blocks(mostar):
+    """Relabelled cycles with chords and a relabelled 2 x 1,000 ladder: each
+    one deep block, found by the DFS."""
+    rng = random.Random(31)
+    shapes = []
+    for _ in range(6):
+        n = rng.randrange(500, 3001)
+        pairs = {(i, (i + 1) % n) for i in range(n)}
+        pairs |= {tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(4))}
+        shapes.append((n, pairs))
+    rails = {(s + i, s + i + 1) for s in (0, 1000) for i in range(999)}
+    shapes.append((2000, rails | {(i, 1000 + i) for i in range(1000)}))
+    for n, pairs in shapes:
+        perm = rng.sample(range(n), n)
+        yield mostar.from_edge_list(n, {tuple(sorted((perm[a], perm[b]))) for a, b in pairs})
+
+
+def block_set(parts) -> list:
+    """Each block as its sorted (vertex, weight, hanging) triples and its
+    sorted edge ids, the blocks sorted: ``parts`` up to order and layout."""
+    spans = zip(parts.vertex_start, parts.vertex_start[1:], parts.edge_start,
+                parts.edge_start[1:])
+    return sorted((sorted(zip(parts.vertices[a:b].tolist(), parts.weights[a:b].tolist(),
+                              parts.hanging[a:b].tolist())), sorted(parts.edges[c:d].tolist()))
+                  for a, b, c, d in spans)
+
+
+def output_hash(mostar, tiny: bool) -> tuple[str, str, int]:
+    """The totals digest, the blocks digest and the number of graphs they cover."""
     graphs = [*family_graphs(mostar, tiny), *random_composites(mostar, 20 if tiny else 400),
-              *workload_graphs(mostar, tiny)]
+              *workload_graphs(mostar, tiny), *([] if tiny else deep_blocks(mostar))]
     digest = hashlib.sha256()
     for g, r in zip(graphs, mostar.index_reports(graphs), strict=True):
         digest.update(f"{g.n} {g.m} {r.mostar} {r.edge_mostar} {r.wiener}\n".encode())
         digest.update(r.vertex_diffs.astype("<i8").tobytes())
         digest.update(r.edge_diffs.astype("<i8").tobytes())
-    return digest.hexdigest(), len(graphs)
+    # only now: blocks(g) keeps the DFS's blocks on g, which changes how index_reports batches
+    blocks = hashlib.sha256()
+    for g in graphs:
+        blocks.update(f"{block_set(mostar.blocks(g))}\n".encode())
+    return digest.hexdigest(), blocks.hexdigest(), len(graphs)
 
 
 def main(argv=None) -> int:
@@ -119,8 +157,9 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import mostar
 
-    digest, count = output_hash(mostar, args.tiny)
+    digest, blocks, count = output_hash(mostar, args.tiny)
     print(f"{digest}  {count} graphs")
+    print(f"{blocks}  blocks of {count} graphs")
     return 0
 
 
