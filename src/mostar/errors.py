@@ -26,7 +26,7 @@ class SelfLoop(GraphError):
 
 class DuplicateEdge(GraphError):
     def __init__(self, u: int, v: int):
-        super().__init__(f"duplicate edge ({u}, {v})")
+        super().__init__(f"duplicate edge ({quote(u, str)}, {quote(v, str)})")
         self.edge = (u, v)
 
 

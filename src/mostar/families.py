@@ -14,7 +14,7 @@ from functools import cache, cached_property
 from typing import Callable
 
 from .errors import GraphError, quote
-from .graphs import Graph, _is_int, complete_graph, cycle_graph
+from .graphs import Graph, _is_int, _typed, complete_graph, cycle_graph
 from .polymer import MonomerHandle, PolymerSpec, compose
 
 CHAIN_FAMILIES = ("triangular", "square-para", "square-ortho",
@@ -99,7 +99,7 @@ def generate(spec: FamilySpec) -> FamilyGraph:
     """The family instance ``spec`` selects, with its landmark vertices: a
     triangulane is a circuit of three depth-n building blocks over a
     triangle of hubs."""
-    fam, n = spec.family, spec.n
+    fam, n = _typed(spec, FamilySpec, "spec").family, spec.n
     if fam in CHAIN_SHAPE:
         return _polygon_chain(n, *CHAIN_SHAPE[fam])
     if fam == "clique-flower":  # K_m with every vertex merged into its own K_inner
@@ -117,7 +117,7 @@ def generate(spec: FamilySpec) -> FamilyGraph:
 
 def family_counts(spec: FamilySpec) -> tuple[int, int]:
     """Closed-form (vertices, edges) for a family instance."""
-    fam, n = spec.family, spec.n
+    fam, n = _typed(spec, FamilySpec, "spec").family, spec.n
     if fam in CHAIN_SHAPE:
         sides, _ = CHAIN_SHAPE[fam]
         return ((sides - 1) * n + 1, sides * n)

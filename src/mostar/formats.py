@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import GraphError, quote
-from .graphs import Graph, _not_an_integer, from_edge_list
+from .graphs import Graph, _graph_arg, _not_an_integer, _typed, from_edge_list
 
 # [0-9], never \d: int() alone would also read "1_0" as 10 and non-ASCII digits like "\u0662"
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -52,7 +52,8 @@ def _edge_pairs(lines: list[str]) -> list[tuple[int, int]]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    lines = [ln for ln in map(str.strip, _typed(text, str, "text").splitlines())
+             if ln and ln[0] != "#"]
     if not lines:
         raise GraphError("empty edge-list input")
     header = lines[0].split()
@@ -73,6 +74,7 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def emit_edge_list(g: Graph) -> str:
+    g = _graph_arg(g, "g")
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.ends.tolist())
     return "\n".join(lines) + "\n"
@@ -87,9 +89,12 @@ def json_integer(value, what: str) -> int:
 
 def load_json(text: str, what: str):
     """The JSON value of ``text``; GraphError if it is not JSON, nests too
-    deep or holds an integer of more digits than int() converts."""
+    deep or holds an integer of more digits than int() converts, or if
+    ``text`` is not text at all."""
     try:
         return json.loads(text)
+    except TypeError:  # not a str, bytes or bytearray
+        raise GraphError(f"text is a {type(text).__name__}, not a str") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid {what} JSON: {exc}") from exc
     except ValueError:  # json.loads met an integer beyond sys.get_int_max_str_digits()
@@ -113,18 +118,19 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def emit_graph_json(g: Graph) -> str:
-    return json.dumps(graph_to_dict(g), sort_keys=True) + "\n"
+    return json.dumps(graph_to_dict(_graph_arg(g, "g")), sort_keys=True) + "\n"
 
 
 def parse_graph(text: str) -> Graph:
     """Sniff JSON versus edge-list text and parse accordingly."""
-    stripped = text.lstrip()
+    stripped = _typed(text, str, "text").lstrip()
     if stripped.startswith("{"):
         return parse_graph_json(stripped)
     return parse_edge_list(text)
 
 
 def dump_graph(g: Graph, fmt: str) -> str:
+    _graph_arg(g, "g")
     if fmt == "edgelist":
         return emit_edge_list(g)
     if fmt == "json":

@@ -11,10 +11,13 @@ evaluated once.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import MismatchedConstruction, TooFewMonomers, UnsupportedCombination, quote
+from .errors import (GraphError, MismatchedConstruction, TooFewMonomers,
+                     UnsupportedCombination, quote)
 from .families import CHAIN_FAMILIES, FamilySpec
+from .graphs import _typed
 from .indices import EDGE_MOSTAR, MOSTAR, index_reports
 from .polymer import PolymerSpec, compose
 
@@ -68,7 +71,7 @@ def has_formula(family: str, index: str) -> bool:
 
 def formula_value(spec: FamilySpec, index: str) -> int:
     """Closed-form value of the requested index for a family instance."""
-    fam = spec.family
+    fam = _typed(spec, FamilySpec, "spec").family
     if not has_formula(fam, index):
         raise UnsupportedCombination(f"no closed form for ({fam}, {quote(index, str)})")
     if fam in CHAIN_FAMILIES:
@@ -92,7 +95,10 @@ class MonomerStats:
 
 
 def _split(stats, index):
-    """(per-monomer sizes, per-monomer index values) for the chosen index."""
+    """(per-monomer sizes, per-monomer index values) for the chosen index;
+    GraphError unless ``stats`` is a sequence of MonomerStats."""
+    if not (isinstance(stats, Sequence) and all(isinstance(s, MonomerStats) for s in stats)):
+        raise GraphError(f"stats must be a sequence of MonomerStats, got {quote(stats)}")
     if index == MOSTAR:
         return [s.vertices for s in stats], [s.mostar for s in stats]
     if index == EDGE_MOSTAR:
@@ -144,10 +150,10 @@ def upper_bound_bouquet(stats: list[MonomerStats], index: str) -> int:
 
 
 def upper_bound_circuit(stats: list[MonomerStats], index: str) -> int:
+    sizes, _ = _split(stats, index)
     n = len(stats)
     if n < 3:
         raise TooFewMonomers(f"circuit bound needs at least 3 monomers, got {n}")
-    sizes, _ = _split(stats, index)
     if n % 2 == 0:
         t = n // 2
         extra = n * sum(abs(sizes[i] - sizes[t + i]) for i in range(t))
@@ -212,7 +218,8 @@ def check_bounds(spec: PolymerSpec, which: str) -> dict[str, BoundsReport]:
     monomers and the composite are evaluated in one ``index_reports`` call;
     the result maps MOSTAR and EDGE_MOSTAR to their reports.
     """
-    if which not in _BOUNDS:
+    _typed(spec, PolymerSpec, "spec")
+    if _typed(which, str, "which") not in _BOUNDS:
         raise MismatchedConstruction(f"unknown bound {quote(which)}")
     evaluator, kinds = _BOUNDS[which]
     if spec.kind not in kinds:

@@ -44,7 +44,7 @@ class Graph:
     ends: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.ends.flags.writeable = False
+        _typed(self.ends, np.ndarray, "ends").flags.writeable = False
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -53,11 +53,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.ends)
-
-    @property
-    def blocks(self) -> Blocks:
-        """Set by the construction that knows them, else the DFS's (``_blocks``)."""
-        return _known_blocks(self) or _set_blocks(self, _blocks([self])[0])
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = min(u, v), max(u, v)
@@ -82,9 +77,12 @@ def _not_an_integer(what: str, value) -> GraphError:
 
 
 def _vertex_count(n) -> int:
-    """``n`` if it is an integer, else GraphError."""
+    """``n`` if it is an integer that fits int64, else GraphError: checked
+    before a builder makes anything of size n."""
     if not _is_int(n):
         raise _not_an_integer("vertex count", n)
+    if n > _MAX_N:
+        raise GraphError("vertex count does not fit in 64 bits (n >= 2**63)")
     return n
 
 
@@ -98,8 +96,6 @@ def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     """
     if _vertex_count(n) < 1:
         raise VertexOutOfRange(0, n)
-    if n > _MAX_N:
-        raise GraphError("vertex count does not fit in 64 bits (n >= 2**63)")
     if isinstance(pairs, np.ndarray) and pairs.dtype == np.int64:  # its dtype says all
         raw = np.array(pairs, dtype=np.int64)
     else:
@@ -171,17 +167,23 @@ def _one_block(g: Graph) -> Graph:
     return g
 
 
-def _set_blocks(g: Graph, parts: Blocks) -> Blocks:
-    """``parts``, made read-only, kept as ``g.blocks``."""
-    for a in parts:
-        a.flags.writeable = False
-    g.__dict__["_blocks"] = parts
-    return parts
+def _set_blocks(g: Graph, parts: Blocks) -> None:
+    """Keep ``parts``, made read-only, as the blocks ``g`` was built with.
+    In the package only constructions call this, so how a graph was built
+    alone decides its path through ``indices.index_reports``."""
+    g.__dict__["_blocks"] = _read_only(parts)
 
 
 def _known_blocks(g: Graph) -> Blocks | None:
-    """``g.blocks`` if they are set already, else None: never a DFS."""
+    """The blocks ``g`` was built with (``_set_blocks``), else None: never a DFS."""
     return g.__dict__.get("_blocks")
+
+
+def _read_only(parts: Blocks) -> Blocks:
+    """``parts``, each array made read-only."""
+    for a in parts:
+        a.flags.writeable = False
+    return parts
 
 
 def _components(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -203,6 +205,7 @@ def _components(n: int, pairs: np.ndarray) -> np.ndarray:
 
 def is_connected(g: Graph) -> bool:
     """True iff the edges join all n vertices into one component."""
+    g = _graph_arg(g, "g")
     if g.m < g.n - 1:  # too few edges to connect: decided before allocating n of anything
         return False
     return not _components(g.n, g.ends).any()
@@ -294,8 +297,8 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
 
     ``deep(y)`` counting the edges whose deeper end is in y's subtree.  The
     top vertex carries the rest of its graph: ``N - sub(c)`` and ``M -
-    deep(c)``, in a graph of N vertices and M edges.  Blocks known already
-    (``Graph.blocks``) are only joined."""
+    deep(c)``, in a graph of N vertices and M edges.  If every graph was
+    built with its blocks (``_set_blocks``), they are only joined."""
     known = [_known_blocks(g) for g in graphs]
     if None not in known:
         return _joined(graphs, known)
@@ -366,10 +369,10 @@ def _joined(graphs: Sequence[Graph], known: list[Blocks]) -> tuple[Blocks, np.nd
 
 
 def blocks(g: Graph) -> Blocks:
-    """``g.blocks``: its construction's, else the DFS's, in preorder of their
-    first inner vertex; NotConnected if the DFS misses a vertex (see
-    ``_blocks``)."""
-    return _graph_arg(g, "g").blocks
+    """The blocks ``g`` was built with, else a fresh DFS's, in preorder of
+    their first inner vertex, which it does not keep; read-only either way.
+    NotConnected if the DFS misses a vertex (see ``_blocks``)."""
+    return _known_blocks(_graph_arg(g, "g")) or _read_only(_blocks([g])[0])
 
 
 def _csr(n: int, ends: np.ndarray) -> csr_matrix:
@@ -394,9 +397,14 @@ def _bfs_rows(mat: csr_matrix, sources: np.ndarray) -> np.ndarray:
 
 def _graph_arg(g, name: str) -> Graph:
     """``g`` if it is a Graph, else a GraphError that names the argument."""
-    if not isinstance(g, Graph):
-        raise GraphError(f"{name} is a {type(g).__name__}, not a Graph")
-    return g
+    return _typed(g, Graph, name)
+
+
+def _typed(value, cls: type, name: str):
+    """``value`` if it is a ``cls``, else a GraphError that names the argument."""
+    if not isinstance(value, cls):
+        raise GraphError(f"{name} is a {type(value).__name__}, not a {cls.__name__}")
+    return value
 
 
 def _is_int(x) -> bool:
@@ -408,6 +416,7 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     """int32 hop counts, one row per source; NotConnected if g is disconnected.
 
     Each chunk of the all-pairs table is ``distance_rows(g, range(a, b))``."""
+    _graph_arg(g, "g")
     try:
         sources = list(sources)
     except TypeError:  # not iterable

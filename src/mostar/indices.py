@@ -13,7 +13,7 @@ With the transmission ``T(x) = sum_w d(x, w)`` and the edge transmission
 ``E(x) = sum_{ab} min(d(x, a), d(x, b))``, and since every distance changes
 by at most one along an edge, ``n_u - n_v = T(v) - T(u)``,
 ``m_u - m_v = E(v) - E(u)`` and ``W = sum T / 2``.  These sums are taken
-block by block (``Graph.blocks``): all that lies outside a block B hangs
+block by block (``graphs.blocks``): all that lies outside a block B hangs
 at one of its vertices ``a``, ``W_B(a)`` vertices and ``H_B(a)`` edges, so
 for an edge ``uv`` of B
 
@@ -35,11 +35,13 @@ table is held.  One vertex has no blocks.
 
 ``index_reports`` evaluates graphs in batches: consecutive graphs are
 joined into one disjoint union while their edges stay within
-``_BATCH_EDGES`` and their blocks are all known (a polymer of one-block
-monomers knows them from ``polymer.compose``), to be joined, or all
-unknown, for one DFS to split their union.  Blocks of one size are
-stacked across the whole batch.  A graph's totals are sums over its own
-slice of the per-edge diffs and of the per-block Wiener shares.
+``_BATCH_EDGES`` and they were all built with their blocks (a cycle, a
+clique, or a polymer of one-block monomers from ``polymer.compose``), to
+be joined, or all built without, for one DFS to split their union.  So
+how a graph was built alone decides its path: reading ``blocks(g)``
+stores nothing on ``g``.  Blocks of one size are stacked across the whole
+batch.  A graph's totals are sums over its own slice of the per-edge
+diffs and of the per-block Wiener shares.
 ``index_report`` is a batch of one.  Totals are exact Python integers at
 any size.
 """
@@ -115,6 +117,7 @@ class IndexReport:
 
 
 def _endpoint_rows(g: Graph, e) -> tuple[Edge, np.ndarray, np.ndarray]:
+    _graph_arg(g, "g")
     try:
         u, v = e
     except (TypeError, ValueError):
@@ -305,8 +308,9 @@ def wiener_index(g: Graph) -> int:
 def index_reports(graphs: Iterable[Graph]) -> Iterator[IndexReport]:
     """``index_report`` of each graph, in order.  Consecutive graphs are
     evaluated together, as one disjoint union, while their edges stay within
-    ``_BATCH_EDGES`` and their blocks are all known (``Graph.blocks``) or
-    all unknown; a larger graph is evaluated alone."""
+    ``_BATCH_EDGES`` and they were all built with their blocks
+    (``graphs._set_blocks``) or all without; a larger graph is evaluated
+    alone."""
     if not isinstance(graphs, Iterable):
         raise GraphError(f"graphs is a {type(graphs).__name__}, not an iterable of Graphs")
     batch, edges, known = [], 0, False

@@ -3,18 +3,18 @@
 A ``PolymerSpec`` names a kind and monomers with designated attachment
 vertices; it checks everything its kind requires when made, so every spec
 that exists can be composed.  ``compose`` is the one constructor and works
-on flat slot arrays throughout: the kind only picks one array of attachment
-slot pairs, and whether each pair is identified (chain, bouquet, tree) or
-joined by a new edge (link, circuit).  Vertex ids in the composite are
-assigned in monomer order, so a merged vertex inherits the lowest id among
-its slots and ``vertex_map`` records where every original vertex ended up.
+on flat slot arrays throughout.  It only identifies vertices, as the
+paper's point-attaching does: a link's bridges are K2 units and a
+circuit's new edges a cycle unit, each identified with the monomers they
+join.  Vertex ids in the composite are assigned in monomer order, so a
+merged vertex inherits the lowest id among its slots and ``vertex_map``
+records where every original monomer vertex ended up.
 
 Point-attaching merges no blocks: an identified vertex is a cut vertex.  So
-when every monomer's blocks are known (``Graph.blocks``) and at most one,
-``compose`` sets the composite's: each monomer of two or more vertices is a
-block laid out as itself, and link adds a block per bridge, circuit one
-cycle.  Any other composite's blocks come from the DFS when first read.
-"""
+when every monomer was built with its blocks (a cycle, a clique, or such a
+composite) and has at most one, ``compose`` sets the composite's: each unit
+of two or more vertices is a block laid out as itself.  Any other
+composite's blocks come from a DFS whenever they are read."""
 
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ import numpy as np
 from .errors import (DegenerateHandles, GraphError, NotATree, NotConnected,
                      TooFewMonomers, VertexOutOfRange, quote)
 from .formats import graph_to_dict, json_integer, load_json, parse_graph_json
-from .graphs import (Blocks, Graph, _components, _from_array, _is_int, _known_blocks,
-                     _set_blocks, is_connected)
+from .graphs import (Blocks, Graph, _components, _from_array, _graph_arg, _is_int,
+                     _known_blocks, _set_blocks, _typed, is_connected)
 
 KINDS = ("link", "chain", "bouquet", "circuit", "tree")
 
@@ -49,6 +49,7 @@ class MonomerHandle:
     y: int | None = None
 
     def __post_init__(self):
+        _graph_arg(self.graph, "graph")
         if self.y is None:
             object.__setattr__(self, "y", self.x)
         for name in ("x", "y"):
@@ -147,7 +148,8 @@ class CompositionResult:
     starts: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):  # read-only, as Graph.ends is
-        self.ids.flags.writeable = self.starts.flags.writeable = False
+        for name in ("ids", "starts"):
+            _typed(getattr(self, name), np.ndarray, name).flags.writeable = False
 
     def vertex(self, i: int, v: int) -> int:
         """The composite vertex of slot ``(i, v)``."""
@@ -162,92 +164,83 @@ class CompositionResult:
 
 
 def compose(spec: PolymerSpec) -> CompositionResult:
-    """The composite of ``spec``.  Slot ``(i, v)`` is flat slot ``starts[i] +
-    v``, and the kind picks one ``(p, 2)`` array of slot pairs: link and
-    chain pair ``(y_i, x_{i+1})``, bouquet ``(x_0, x_i)``, circuit ``(x_i,
-    x_{i+1 mod k})`` and tree its tree edges.  Link and circuit join each
-    pair by a new edge; the other kinds unite each pair's slots into their
-    lowest slot.  A composite id is the running count of those class roots,
-    so ids follow monomer order and a merged vertex takes the lowest id
-    among its slots.  Sets the composite's blocks where it can (see above)."""
-    if not isinstance(spec, PolymerSpec):
-        raise GraphError(f"spec is a {type(spec).__name__}, not a PolymerSpec")
-    hs = spec.monomers
-    starts = np.cumsum([0] + [h.graph.n for h in hs])
-    x, y = starts[:-1] + [h.x for h in hs], starts[:-1] + [h.y for h in hs]
+    """The composite of ``spec``, by identifying slot pairs only.  Slot ``(i,
+    v)`` is flat slot ``starts[i] + v``; a link's k - 1 bridges (K2 units) and
+    a circuit's cycle (one k-cycle unit) take the slots after the monomers'.
+    The kind picks one ``(p, 2)`` array of slot pairs: chain ``(y_i,
+    x_{i+1})``, link ``(y_i, bridge_i.0)`` and ``(bridge_i.1, x_{i+1})``,
+    bouquet ``(x_0, x_i)``, circuit ``(cycle.i, x_i)`` and tree its tree
+    edges.  Each pair's slots unite into their lowest slot, a monomer's.  A
+    composite id is the running count of those class roots, so ids follow
+    monomer order and a merged vertex takes the lowest id among its slots.
+    Sets the composite's blocks where it can (see above)."""
+    hs, k = _typed(spec, PolymerSpec, "spec").monomers, len(spec.monomers)
+    arrays, sizes = [h.graph.ends for h in hs], [h.graph.n for h in hs]
+    if spec.kind == "link":
+        arrays, sizes = arrays + [np.array([[0, 1]])] * (k - 1), sizes + [2] * (k - 1)
+    elif spec.kind == "circuit":
+        arrays, sizes = arrays + [(np.arange(k)[:, None] + [0, 1]) % k], sizes + [k]
+    starts = np.cumsum([0] + sizes)
+    x, y = starts[:k] + [h.x for h in hs], starts[:k] + [h.y for h in hs]
     if spec.kind == "tree":
         tree = np.array(spec.tree_edges, dtype=np.int64).reshape(-1, 4)
         pairs = starts[tree[:, [0, 2]]] + tree[:, [1, 3]]
     elif spec.kind == "bouquet":
         pairs = np.column_stack([np.full_like(x[1:], x[0]), x[1:]])
     elif spec.kind == "circuit":
-        pairs = np.column_stack([x, np.roll(x, -1)])
-    else:  # link, chain
+        pairs = np.column_stack([starts[k] + np.arange(k), x])
+    elif spec.kind == "link":  # in path order: monomer i, then bridge i
+        bridge = starts[k:-1]
+        pairs = np.column_stack([y[:-1], bridge, bridge + 1, x[1:]]).reshape(-1, 2)
+    else:  # chain
         pairs = np.column_stack([y[:-1], x[1:]])
-    arrays = [h.graph.ends for h in hs]
     m = np.array([len(e) for e in arrays])
     local = np.concatenate(arrays)
-    ends = local + np.repeat(starts[:-1], m)[:, None]
-    joins = spec.kind in ("link", "circuit")
-    if joins:
-        ends = np.concatenate([ends, pairs])  # new edges; no slot merges
-    label = _components(int(starts[-1]), pairs[:0] if joins else pairs)
+    label = _components(int(starts[-1]), pairs)
     roots = label == np.arange(len(label))
     ids = (np.cumsum(roots) - 1)[label]
     # duplicate edges cannot arise from point-attaching disjoint monomers;
     # _from_array raising DuplicateEdge here would expose a compose bug
-    raw = ids[ends]
+    raw = ids[local + np.repeat(starts[:-1], m)[:, None]]
     graph, order = _from_array(int(roots.sum()), raw)
     known = [_known_blocks(g) for g in {id(h.graph): h.graph for h in hs}.values()]
     if None not in known and max(len(b.edge_start) for b in known) <= 2:
         _set_blocks(graph, _construction_blocks(spec, graph, order, ids, starts, m, pairs,
                                                 local, raw))
-    return CompositionResult(graph, ids, starts)
+    return CompositionResult(graph, ids[:starts[k]], starts[:k + 1])
 
 
 def _construction_blocks(spec: PolymerSpec, graph: Graph, order: np.ndarray,
                          ids: np.ndarray, starts: np.ndarray, m: np.ndarray,
                          pairs: np.ndarray, local: np.ndarray, raw: np.ndarray) -> Blocks:
     """``graph``'s blocks when no monomer of ``spec`` has two (see above): a
-    monomer vertex carries itself and what hangs at its slot outside the
-    monomer.  For a slot pair (a, b) whose b side holds ``vb`` vertices and
-    ``eb`` edges, a gains ``vb - 1`` and ``eb`` (across a link's bridge, ``vb``
-    and ``eb + 1``), and b the rest; on a circuit, ``x_i`` gains all but
-    monomer i.  Rows of ``local`` are flipped where ``raw`` reverses them."""
-    kind, k, N, M = spec.kind, len(m), graph.n, graph.m
-    n = starts[1:] - starts[:-1]
+    unit's vertex carries itself and what hangs at its slot outside the
+    unit.  For a slot pair (a, b) whose b side holds ``vb`` vertices and
+    ``eb`` edges, a gains ``vb - 1`` and ``eb``, and b the rest.  The units
+    form a path (chain, link), a star (bouquet around monomer 0, circuit
+    around its cycle) or a tree.  Rows of ``local`` are flipped where
+    ``raw`` reverses them."""
+    k, N, M = len(spec.monomers), graph.n, graph.m
+    n = np.diff(starts)
+    if spec.kind == "tree":
+        vb, eb, swap = _child_sides(spec.tree_edges, n, m)
+        pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
+    elif spec.kind in ("bouquet", "circuit"):  # a star: b is a whole leaf monomer
+        vb, eb = n[k - len(pairs):k], m[k - len(pairs):k]
+    else:  # a path: b is every unit after the pair; a link's runs monomer i, bridge i
+        path = (np.insert(np.arange(k), np.arange(1, k), np.arange(k, 2 * k - 1))
+                if spec.kind == "link" else slice(None))
+        vb, eb = N - np.cumsum(n[path] - 1)[:-1], M - np.cumsum(m[path])[:-1]
     weights, hanging = np.ones(starts[-1], np.int64), np.zeros(starts[-1], np.int64)
-    extra = None  # the blocks of link's bridges or circuit's cycle
-    if kind == "circuit":
-        weights[pairs[:, 0]] += N - n
-        hanging[pairs[:, 0]] += M - m
-        extra = ([k], [k], ids[pairs[:, 0]], n, m, (np.arange(k)[:, None] + [0, 1]) % k)
-    else:
-        if kind == "bouquet":
-            vb, eb = n[1:], m[1:]
-        elif kind == "tree":
-            vb, eb, swap = _child_sides(spec.tree_edges, n, m)
-            pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
-        else:  # pair p's a side: monomers 0 .. p, the p pairs among them
-            p, left = np.arange(k - 1), np.cumsum(m[:-1])
-            vb, eb = ((N - starts[1:-1], M - left - p - 1) if kind == "link"
-                      else (N + 1 - starts[1:-1] + p, M - left))
-        shared = int(kind != "link")
-        a, b = pairs.T  # b is a different slot in every pair; a need not be
-        np.add.at(weights, a, vb - shared)
-        np.add.at(hanging, a, eb + 1 - shared)
-        weights[b] += N - vb
-        hanging[b] += M - eb
-        if kind == "link":
-            extra = (np.full(k - 1, 2), np.ones(k - 1, np.int64), ids[pairs].ravel(),
-                     np.column_stack([N - vb, vb]).ravel(),
-                     np.column_stack([M - eb - 1, eb]).ravel(), np.tile([0, 1], (k - 1, 1)))
+    a, b = pairs.T  # b is a different slot in every pair; a need not be
+    np.add.at(weights, a, vb - 1)
+    np.add.at(hanging, a, eb)
+    weights[b] += N - vb
+    hanging[b] += M - eb
     parts = [n, m, ids, weights, hanging, local]
     if n.min() == 1:  # a one-vertex monomer has no block
         big, keep = n > 1, np.repeat(n > 1, n)
         parts = [n[big], m[big], ids[keep], weights[keep], hanging[keep], local]
-    if extra:
-        parts = [np.concatenate(both) for both in zip(parts, extra)]
     sizes, counts, vertices, weights, hanging, rows = parts
     flip = raw[:, 0] > raw[:, 1]
     if flip.any():
@@ -288,6 +281,7 @@ def _child_sides(tree_edges: tuple[TreeEdge, ...], n: np.ndarray,
 
 
 def spec_to_dict(spec: PolymerSpec) -> dict:
+    _typed(spec, PolymerSpec, "spec")
     out: dict = {
         "kind": spec.kind,
         "monomers": [{"graph": graph_to_dict(h.graph), "x": h.x, "y": h.y}

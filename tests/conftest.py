@@ -28,7 +28,7 @@ from mostar import (KINDS, DuplicateEdge, FamilySpec, Graph, GraphError,
                     formula_value, from_edge_list, generate, index_report)
 from mostar.errors import quote
 from mostar.formats import json_integer, load_json
-from mostar.graphs import _not_an_integer
+from mostar.graphs import _not_an_integer, _set_blocks
 
 Edge = tuple[int, int]
 Slot = tuple[int, int]
@@ -386,14 +386,14 @@ def polymer_specs(draw, min_monomers: int = 2):
 def one_block_monomers(draw, min_n: int = 1):
     """A monomer of at most one block whose blocks are known before it is
     composed: a cycle or a clique (K1 and K2 included) as built, or a
-    relabelled cycle with chords whose blocks a DFS has read."""
+    relabelled cycle with chords given the DFS's blocks as if built so."""
     shape = draw(st.sampled_from(["cycle", "clique", "chorded"]))
     if shape == "cycle":
         return cycle_graph(draw(st.integers(3, 7)))
     if shape == "clique":
         return complete_graph(draw(st.integers(min_n, 5)))
     g = draw(chorded_cycles())
-    blocks(g)
+    _set_blocks(g, blocks(g))
     return g
 
 

@@ -156,6 +156,13 @@ class TestFromEdgeList:
         g = from_edge_list(2 ** 63 - 1, [(0, 2 ** 63 - 2)])
         assert g.edges == ((0, 2 ** 63 - 2),) and not is_connected(g)
 
+    @pytest.mark.parametrize("build", [path_graph, cycle_graph, complete_graph])
+    def test_builder_checks_the_count_before_any_work(self, build):
+        """path_graph(2**63) used to list about 2**63 pairs before from_edge_list
+        rejected the count, and ended in MemoryError."""
+        with pytest.raises(GraphError, match=r"^vertex count does not fit in 64 bits"):
+            build(2 ** 63)
+
 
 #: mostly ids of a small graph, some just outside it, some beyond int64
 vertex_ids = st.one_of(st.integers(0, 5), st.integers(-2, 7),

@@ -13,6 +13,7 @@ from mostar import (CHAIN_FAMILIES, EdgeNotInGraph, FamilySpec, GraphError,
                     index_reports, indices, is_connected, mostar_index,
                     parse_edge_list, parse_graph_json, path_graph,
                     vertex_orientation, wiener_index)
+import mostar
 from mostar.cli import main
 
 from conftest import (block_rich_graphs, connected_graphs, naive_all_pairs,
@@ -505,14 +506,57 @@ def test_batch_of_known_and_unknown_blocks():
         assert r.edge_diffs.tolist() == want.edge_diffs.tolist()
 
 
+def test_reading_blocks_stores_nothing():
+    """blocks(g) used to keep the DFS's blocks on g, which moved g, and every
+    chain of it, from the DFS path to the join path."""
+    triangle = from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
+    assert not any(a.flags.writeable for a in blocks(triangle))
+    assert graphs._known_blocks(triangle) is None
+    chain = compose(PolymerSpec("chain", (MonomerHandle(triangle, 0, 1),) * 3)).graph
+    assert graphs._known_blocks(chain) is None
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on_dfs(mp)
+        index_report(triangle)
+        index_report(chain)
+        list(index_reports([triangle, chain]))
+    assert calls == [1, 1, 2]
+    assert not any(a.flags.writeable for a in blocks(path_graph(4)))
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: index_report(None), "g is a NoneType, not a Graph"),
     (lambda: list(index_reports(None)), "graphs is a NoneType, not an iterable of Graphs"),
     (lambda: list(index_reports([path_graph(2), 5])), "graphs[1] is a int, not a Graph"),
     (lambda: blocks(3), "g is a int, not a Graph"),
     (lambda: compose(None), "spec is a NoneType, not a PolymerSpec"),
+    (lambda: is_connected(5), "g is a int, not a Graph"),
+    (lambda: mostar.distance_rows(5, [0]), "g is a int, not a Graph"),
+    (lambda: dump_graph(5, "json"), "g is a int, not a Graph"),
+    (lambda: mostar.emit_edge_list(5), "g is a int, not a Graph"),
+    (lambda: mostar.emit_graph_json(5), "g is a int, not a Graph"),
+    (lambda: vertex_orientation(5, (0, 1)), "g is a int, not a Graph"),
+    (lambda: edge_orientation(None, (0, 1)), "g is a NoneType, not a Graph"),
+    (lambda: MonomerHandle("g", 0), "graph is a str, not a Graph"),
+    (lambda: mostar.Graph(2, [[0, 1]]), "ends is a list, not a ndarray"),
+    (lambda: generate("hex-para"), "spec is a str, not a FamilySpec"),
+    (lambda: mostar.family_counts("hex-para"), "spec is a str, not a FamilySpec"),
+    (lambda: formula_value("hex-para", "mostar"), "spec is a str, not a FamilySpec"),
+    (lambda: mostar.check_bounds(5, "link-upper"), "spec is a int, not a PolymerSpec"),
+    (lambda: mostar.check_bounds(PolymerSpec("link", (MonomerHandle(path_graph(2), 0),) * 2),
+                                 ["x"]), "which is a list, not a str"),
+    (lambda: mostar.spec_to_dict(5), "spec is a int, not a PolymerSpec"),
+    (lambda: mostar.parse_graph(5), "text is a int, not a str"),
+    (lambda: parse_edge_list(None), "text is a NoneType, not a str"),
+    (lambda: mostar.spec_from_json(5), "text is a int, not a str"),
+    (lambda: mostar.upper_bound_link([5], "mostar"),
+     "stats must be a sequence of MonomerStats, got [5]"),
 ], ids=["index_report-None", "index_reports-None", "index_reports-int", "blocks-int",
-        "compose-None"])
+        "compose-None", "is_connected-int", "distance_rows-int", "dump_graph-int",
+        "emit_edge_list-int", "emit_graph_json-int", "vertex_orientation-int",
+        "edge_orientation-None", "MonomerHandle-str", "Graph-list", "generate-str",
+        "family_counts-str", "formula_value-str", "check_bounds-int", "check_bounds-which-list",
+        "spec_to_dict-int", "parse_graph-int", "parse_edge_list-None", "spec_from_json-int",
+        "upper_bound_link-ints"])
 def test_entry_point_names_its_bad_argument(call, message):
     """Each used to raise a bare AttributeError or TypeError."""
     with pytest.raises(GraphError) as caught:

@@ -406,6 +406,32 @@ def test_long_chain_and_shared_tree_slots_match_the_reference():
         assert_matches_reference(PolymerSpec(kind, (hexagon,)))
 
 
+def check_monomer_slots_only(spec):
+    """The result keeps only the monomer slots, whatever units ``compose``
+    added after them."""
+    res = compose(spec)
+    sizes = [h.graph.n for h in spec.monomers]
+    assert len(res.ids) == sum(sizes) and len(res.starts) == len(sizes) + 1
+    assert list(res.vertex_map) == [(i, v) for i, n in enumerate(sizes) for v in range(n)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["link", "circuit"]).flatmap(
+    lambda kind: polymer_specs(min_monomers=3 if kind == "circuit" else 1).filter(
+        lambda spec: spec.kind == kind)))
+def test_bridges_and_cycle_units_keep_only_monomer_slots(spec):
+    check_monomer_slots_only(spec)
+
+
+@pytest.mark.parametrize("kind", ["link", "circuit"])
+def test_units_with_k1_monomers_keep_only_monomer_slots(kind):
+    monomers = (MonomerHandle(K1, 0), MonomerHandle(cycle_graph(4), 1, 3), MonomerHandle(K1, 0),
+                MonomerHandle(K2, 1, 0))
+    check_monomer_slots_only(PolymerSpec(kind, monomers))
+    g = compose(PolymerSpec(kind, monomers)).graph
+    assert (g.n, g.m) == (8, 5 + (3 if kind == "link" else 4))
+
+
 def test_tree_star_on_the_last_monomer_composes_fast():
     """20,000 one-vertex monomers, each attached to the last: every pair shares
     the larger root, so hooking one root per round would take 20,000 rounds."""

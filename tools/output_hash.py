@@ -59,12 +59,12 @@ def random_monomer(mostar, rng: random.Random):
     if shape == "clique":
         return mostar.complete_graph(rng.randrange(1, 6))
     n = rng.randrange(4, 10)
-    if shape == "chorded":  # one block; its blocks are read once, as a caller might
+    if shape == "chorded":  # one block, given the DFS's blocks as if built with them
         pairs = {(i, (i + 1) % n) for i in range(n)}
         pairs |= {tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(1, 4))}
         perm = rng.sample(range(n), n)
         g = mostar.from_edge_list(n, {tuple(sorted((perm[a], perm[b]))) for a, b in pairs})
-        mostar.blocks(g)
+        mostar.graphs._set_blocks(g, mostar.blocks(g))
         return g
     pairs = {(rng.randrange(v), v) for v in range(1, n)}
     pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(n))}
@@ -141,7 +141,6 @@ def output_hash(mostar, tiny: bool) -> tuple[str, str, int]:
         digest.update(f"{g.n} {g.m} {r.mostar} {r.edge_mostar} {r.wiener}\n".encode())
         digest.update(r.vertex_diffs.astype("<i8").tobytes())
         digest.update(r.edge_diffs.astype("<i8").tobytes())
-    # only now: blocks(g) keeps the DFS's blocks on g, which changes how index_reports batches
     blocks = hashlib.sha256()
     for g in graphs:
         blocks.update(f"{block_set(mostar.blocks(g))}\n".encode())
