@@ -51,9 +51,8 @@ def _edge_pairs(lines: list[str]) -> list[tuple[int, int]]:
     return pairs
 
 
-def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in map(str.strip, _typed(text, str, "text").splitlines())
-             if ln and ln[0] != "#"]
+def _parse_edge_list(text: str) -> Graph:
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise GraphError("empty edge-list input")
     header = lines[0].split()
@@ -71,13 +70,6 @@ def parse_edge_list(text: str) -> Graph:
         else:
             return from_edge_list(n, ids.reshape(-1, 2))
     return from_edge_list(n, _edge_pairs(edges))
-
-
-def emit_edge_list(g: Graph) -> str:
-    g = _graph_arg(g, "g")
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.ends.tolist())
-    return "\n".join(lines) + "\n"
 
 
 def json_integer(value, what: str) -> int:
@@ -101,7 +93,7 @@ def load_json(text: str, what: str):
         raise GraphError(f"invalid {what} JSON: an integer has too many digits") from None
 
 
-def parse_graph_json(source: str | dict) -> Graph:
+def _parse_graph_json(source: str | dict) -> Graph:
     obj = load_json(source, "graph") if isinstance(source, str) else source
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError("graph JSON must be an object with 'n' and 'edges'")
@@ -117,22 +109,21 @@ def graph_to_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": g.ends.tolist()}
 
 
-def emit_graph_json(g: Graph) -> str:
-    return json.dumps(graph_to_dict(_graph_arg(g, "g")), sort_keys=True) + "\n"
-
-
 def parse_graph(text: str) -> Graph:
     """Sniff JSON versus edge-list text and parse accordingly."""
     stripped = _typed(text, str, "text").lstrip()
     if stripped.startswith("{"):
-        return parse_graph_json(stripped)
-    return parse_edge_list(text)
+        return _parse_graph_json(stripped)
+    return _parse_edge_list(text)
 
 
 def dump_graph(g: Graph, fmt: str) -> str:
+    """``g`` as edge-list text (``"edgelist"``) or JSON (``"json"``)."""
     _graph_arg(g, "g")
     if fmt == "edgelist":
-        return emit_edge_list(g)
+        lines = [f"{g.n} {g.m}"]
+        lines.extend(f"{u} {v}" for u, v in g.ends.tolist())
+        return "\n".join(lines) + "\n"
     if fmt == "json":
-        return emit_graph_json(g)
+        return json.dumps(graph_to_dict(g), sort_keys=True) + "\n"
     raise GraphError(f"unknown graph format {quote(fmt)}")

@@ -2,20 +2,18 @@
 
 Chain formulas are quadratic in k with an even/odd split (n = 2k or
 n = 2k + 1) and are evaluated exactly as stated, in exact integer
-arithmetic.  Bound evaluators work on per-monomer statistics so they can be
-unit-tested against hand arithmetic; ``check_bounds`` (which ``bounds``
-uses) composes the spec, derives the statistics from its real monomers and
-compares them against the brute-force indices of the composite, each graph
-evaluated once.
+arithmetic.  The bounds are reached only through ``check_bounds`` (which
+``bounds`` uses): it composes the spec, derives per-monomer statistics from
+its real monomers, applies the private evaluator of the chosen bound to them
+and compares the result against the brute-force indices of the composite,
+each graph evaluated once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import (GraphError, MismatchedConstruction, TooFewMonomers,
-                     UnsupportedCombination, quote)
+from .errors import MismatchedConstruction, UnsupportedCombination, quote
 from .families import CHAIN_FAMILIES, FamilySpec
 from .graphs import _typed
 from .indices import EDGE_MOSTAR, MOSTAR, index_reports
@@ -87,7 +85,7 @@ def formula_value(spec: FamilySpec, index: str) -> int:
 
 
 @dataclass(frozen=True)
-class MonomerStats:
+class _MonomerStats:
     vertices: int
     edges: int
     mostar: int
@@ -95,16 +93,10 @@ class MonomerStats:
 
 
 def _split(stats, index):
-    """(per-monomer sizes, per-monomer index values) for the chosen index;
-    GraphError unless ``stats`` is a sequence of MonomerStats."""
-    if not (isinstance(stats, Sequence) and all(isinstance(s, MonomerStats) for s in stats)):
-        raise GraphError(f"stats must be a sequence of MonomerStats, got {quote(stats)}")
+    """(per-monomer sizes, per-monomer index values) for MOSTAR or EDGE_MOSTAR."""
     if index == MOSTAR:
         return [s.vertices for s in stats], [s.mostar for s in stats]
-    if index == EDGE_MOSTAR:
-        return [s.edges for s in stats], [s.edge_mostar for s in stats]
-    raise UnsupportedCombination(
-        f"bounds are defined for mostar and edge_mostar, not {quote(index)}")
+    return [s.edges for s in stats], [s.edge_mostar for s in stats]
 
 
 def _composite_size(stats, index, kind) -> int:
@@ -118,7 +110,7 @@ def _composite_size(stats, index, kind) -> int:
     return sum(sizes) + added[kind]
 
 
-def superadditive_bound(stats: list[MonomerStats], index: str) -> int:
+def _superadditive_bound(stats: list[_MonomerStats], index: str) -> int:
     """Sum of monomer index values; the composite strictly exceeds it."""
     _, values = _split(stats, index)
     return sum(values)
@@ -134,26 +126,24 @@ def _upper_base(stats, index, kind) -> int:
     return sum(values) + sum(st.edges * (total - s) for st, s in zip(stats, sizes))
 
 
-def upper_bound_link(stats: list[MonomerStats], index: str) -> int:
+def _upper_bound_link(stats: list[_MonomerStats], index: str) -> int:
     sizes, _ = _split(stats, index)
     prefix_term = sum(
         abs(sum(sizes[:i]) - sum(sizes[i:])) for i in range(1, len(stats)))
     return _upper_base(stats, index, "link") + prefix_term
 
 
-def upper_bound_chain(stats: list[MonomerStats], index: str) -> int:
+def _upper_bound_chain(stats: list[_MonomerStats], index: str) -> int:
     return _upper_base(stats, index, "chain")
 
 
-def upper_bound_bouquet(stats: list[MonomerStats], index: str) -> int:
+def _upper_bound_bouquet(stats: list[_MonomerStats], index: str) -> int:
     return _upper_base(stats, index, "bouquet")
 
 
-def upper_bound_circuit(stats: list[MonomerStats], index: str) -> int:
+def _upper_bound_circuit(stats: list[_MonomerStats], index: str) -> int:
     sizes, _ = _split(stats, index)
     n = len(stats)
-    if n < 3:
-        raise TooFewMonomers(f"circuit bound needs at least 3 monomers, got {n}")
     if n % 2 == 0:
         t = n // 2
         extra = n * sum(abs(sizes[i] - sizes[t + i]) for i in range(t))
@@ -162,13 +152,13 @@ def upper_bound_circuit(stats: list[MonomerStats], index: str) -> int:
     return _upper_base(stats, index, "circuit") + extra
 
 
-def lower_bound_link2(s1: MonomerStats, s2: MonomerStats, index: str) -> int:
+def _lower_bound_link2(stats: list[_MonomerStats], index: str) -> int:
     """Strict lower bound for the link of exactly two monomers."""
-    sizes, values = _split([s1, s2], index)
+    sizes, values = _split(stats, index)
     return values[0] + values[1] + abs(sizes[0] - sizes[1])
 
 
-def lower_bound_link_chain(stats: list[MonomerStats], index: str) -> int:
+def _lower_bound_link_chain(stats: list[_MonomerStats], index: str) -> int:
     """Strict lower bound for a link of n monomers.
 
     The t-th term is |remaining size after the first t monomers - size of
@@ -198,14 +188,13 @@ class BoundsReport:
 #: bound name -> (evaluator over monomer stats, composition kinds it applies
 #: to); the order is the order of the ``bounds --which`` choices
 _BOUNDS = {
-    "link-upper": (upper_bound_link, {"link"}),
-    "chain-upper": (upper_bound_chain, {"chain"}),
-    "bouquet-upper": (upper_bound_bouquet, {"bouquet"}),
-    "circuit-upper": (upper_bound_circuit, {"circuit"}),
-    "link2-lower": (lambda stats, index: lower_bound_link2(stats[0], stats[1], index),
-                    {"link"}),
-    "polymer-lower": (lower_bound_link_chain, {"link"}),
-    "superadditive": (superadditive_bound, {"link", "chain", "bouquet", "circuit", "tree"}),
+    "link-upper": (_upper_bound_link, {"link"}),
+    "chain-upper": (_upper_bound_chain, {"chain"}),
+    "bouquet-upper": (_upper_bound_bouquet, {"bouquet"}),
+    "circuit-upper": (_upper_bound_circuit, {"circuit"}),
+    "link2-lower": (_lower_bound_link2, {"link"}),
+    "polymer-lower": (_lower_bound_link_chain, {"link"}),
+    "superadditive": (_superadditive_bound, {"link", "chain", "bouquet", "circuit", "tree"}),
 }
 
 BOUND_KINDS = tuple(_BOUNDS)
@@ -229,7 +218,7 @@ def check_bounds(spec: PolymerSpec, which: str) -> dict[str, BoundsReport]:
         raise MismatchedConstruction(
             f"link2-lower needs exactly 2 monomers, got {len(spec.monomers)}")
     *monomers, report = index_reports([h.graph for h in spec.monomers] + [compose(spec).graph])
-    stats = [MonomerStats(h.graph.n, h.graph.m, r.mostar, r.edge_mostar)
+    stats = [_MonomerStats(h.graph.n, h.graph.m, r.mostar, r.edge_mostar)
              for h, r in zip(spec.monomers, monomers)]
     actuals = {MOSTAR: report.mostar, EDGE_MOSTAR: report.edge_mostar}
     reports = {}

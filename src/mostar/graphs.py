@@ -55,6 +55,9 @@ class Graph:
         return len(self.ends)
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether ``uv`` is an edge; False unless both are integers (a bool is not)."""
+        if not (_is_int(u) and _is_int(v)):
+            return False
         u, v = min(u, v), max(u, v)
         if not 0 <= u < v < self.n:
             return False

@@ -290,6 +290,8 @@ def _stack_sizes(sizes: np.ndarray) -> np.ndarray:
     return np.where((sizes > 8) & (sizes <= _FLOYD_MAX), -(-sizes // 8) * 8, sizes)
 
 
+# The three wrappers below are not exported: bench/run.py's stage replay
+# calls them by name.
 def mostar_index(g: Graph) -> int:
     """Sum of ``|n_u - n_v|`` over all edges."""
     return index_report(g).mostar

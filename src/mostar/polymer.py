@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (DegenerateHandles, GraphError, NotATree, NotConnected,
                      TooFewMonomers, VertexOutOfRange, quote)
-from .formats import graph_to_dict, json_integer, load_json, parse_graph_json
+from .formats import _parse_graph_json, graph_to_dict, json_integer, load_json
 from .graphs import (Blocks, Graph, _components, _from_array, _graph_arg, _is_int,
                      _known_blocks, _set_blocks, _typed, is_connected)
 
@@ -152,7 +152,15 @@ class CompositionResult:
             _typed(getattr(self, name), np.ndarray, name).flags.writeable = False
 
     def vertex(self, i: int, v: int) -> int:
-        """The composite vertex of slot ``(i, v)``."""
+        """The composite vertex of slot ``(i, v)``; GraphError unless ``i`` is
+        an integer monomer index, VertexOutOfRange unless ``v`` is an
+        integer vertex of monomer i."""
+        k = len(self.starts) - 1
+        if not (_is_int(i) and 0 <= i < k):
+            raise GraphError(f"monomer index {quote(i)} out of range for k={k}")
+        n = int(self.starts[i + 1] - self.starts[i])
+        if not (_is_int(v) and 0 <= v < n):
+            raise VertexOutOfRange(v, n)
         return int(self.ids[self.starts[i] + v])
 
     @cached_property
@@ -292,7 +300,8 @@ def spec_to_dict(spec: PolymerSpec) -> dict:
     return out
 
 
-def spec_from_dict(obj: dict) -> PolymerSpec:
+def spec_from_json(text: str) -> PolymerSpec:
+    obj = load_json(text, "polymer spec")
     if not isinstance(obj, dict) or "kind" not in obj or "monomers" not in obj:
         raise GraphError("polymer spec JSON must have 'kind' and 'monomers'")
     if not isinstance(obj["monomers"], list) or not all(
@@ -305,7 +314,7 @@ def spec_from_dict(obj: dict) -> PolymerSpec:
     for i, mon in enumerate(obj["monomers"]):
         if missing := [f for f in ("graph", "x") if f not in mon]:
             raise GraphError(f"polymer spec monomer {i} has no '{missing[0]}'")
-        graph = parse_graph_json(mon["graph"])
+        graph = _parse_graph_json(mon["graph"])
         y = mon.get("y")
         monomers.append(MonomerHandle(
             graph, json_integer(mon["x"], "polymer spec 'x'"),
@@ -313,7 +322,3 @@ def spec_from_dict(obj: dict) -> PolymerSpec:
     tree_edges = tuple(tuple(json_integer(x, "polymer spec tree edge entry") for x in e)
                        for e in tree_edges)
     return PolymerSpec(obj["kind"], tuple(monomers), tree_edges)
-
-
-def spec_from_json(text: str) -> PolymerSpec:
-    return spec_from_dict(load_json(text, "polymer spec"))

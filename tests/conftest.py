@@ -22,13 +22,13 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from mostar import (KINDS, DuplicateEdge, FamilySpec, Graph, GraphError,
+from mostar import (KINDS, DuplicateEdge, FamilySpec, GraphError,
                     MonomerHandle, NotConnected, PolymerSpec, SelfLoop, VertexOutOfRange,
                     blocks, complete_graph, compose, cycle_graph,
                     formula_value, from_edge_list, generate, index_report)
 from mostar.errors import quote
 from mostar.formats import json_integer, load_json
-from mostar.graphs import _not_an_integer, _set_blocks
+from mostar.graphs import Graph, _not_an_integer, _set_blocks
 
 Edge = tuple[int, int]
 Slot = tuple[int, int]
@@ -91,7 +91,7 @@ def reference_decimal(token: str) -> int:
 
 
 def reference_parse_edge_list(text: str) -> Graph:
-    """``parse_edge_list`` one line and one token at a time."""
+    """``formats._parse_edge_list`` one line and one token at a time."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
     if not lines:
@@ -112,7 +112,7 @@ def reference_parse_edge_list(text: str) -> Graph:
 
 
 def reference_parse_graph_json(source: str | dict) -> Graph:
-    """``parse_graph_json`` with each pair checked by itself."""
+    """``formats._parse_graph_json`` with each pair checked by itself."""
     obj = load_json(source, "graph") if isinstance(source, str) else source
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError("graph JSON must be an object with 'n' and 'edges'")

@@ -15,9 +15,8 @@ from contextlib import contextmanager
 
 from mostar import (CHAIN_FAMILIES, EDGE_MOSTAR, MOSTAR, FamilySpec,
                     MonomerHandle, PolymerSpec, check_bounds, complete_graph,
-                    compose, cycle_graph, edge_mostar_index, edge_orientation,
-                    family_counts, generate, index_report, mostar_index,
-                    path_graph, vertex_orientation, wiener_index)
+                    compose, cycle_graph, edge_orientation, family_counts,
+                    generate, index_report, path_graph, vertex_orientation)
 from mostar.cli import main
 
 from conftest import (formula_and_oracle, naive_wiener, permute_graph,
@@ -43,20 +42,21 @@ def test_criterion_1_hand_derived_anchors():
     with criterion("1 hand-derived oracle anchors"):
         start = time.perf_counter()
         t2 = t2_graph()
-        assert mostar_index(t2) == 8
-        assert edge_mostar_index(t2) == 12
+        r = index_report(t2)
+        assert r.mostar == 8
+        assert r.edge_mostar == 12
         # hand enumeration and the naive oracle both give 14 for W(T_2):
         # 6 pairs at distance 1 plus 4 pairs at distance 2
         assert naive_wiener(t2) == 14
-        assert wiener_index(t2) == 14
-        assert mostar_index(path_graph(4)) == 4
+        assert r.wiener == 14
+        assert index_report(path_graph(4)).mostar == 4
         star = compose(PolymerSpec("bouquet", (MonomerHandle(complete_graph(2), 0),) * 3)).graph
-        assert mostar_index(star) == 6
+        assert index_report(star).mostar == 6
         for k in range(3, 11):
-            assert mostar_index(cycle_graph(k)) == 0
+            assert index_report(cycle_graph(k)).mostar == 0
         for n in range(2, 9):
-            assert edge_mostar_index(complete_graph(n)) == 0
-        assert mostar_index(generate(FamilySpec("triangulane", n=1)).graph) == 36
+            assert index_report(complete_graph(n)).edge_mostar == 0
+        assert index_report(generate(FamilySpec("triangulane", n=1)).graph).mostar == 36
         assert time.perf_counter() - start < 1.0
 
 
@@ -196,9 +196,7 @@ def test_criterion_4_structural_invariants():
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = permute_graph(g, perm)
-            assert mostar_index(h) == mostar_index(g)
-            assert edge_mostar_index(h) == edge_mostar_index(g)
-            assert wiener_index(h) == wiener_index(g)
+            assert index_report(h) == index_report(g)  # compares the three totals
 
         # per-edge triples sum to |V| and |E| on every tested graph
         tested = [t2_graph(), cycle_graph(8), complete_graph(6), path_graph(7),

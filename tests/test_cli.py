@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mostar import (BOUND_KINDS, FAMILY_NAMES, KINDS, FamilySpec, MonomerHandle,
                     PolymerSpec, complete_graph, generate, index_report,
-                    parse_edge_list, parse_graph_json, spec_to_dict)
+                    parse_graph, spec_to_dict)
 from mostar.cli import main
 
 K2_JSON = {"n": 2, "edges": [[0, 1]]}
@@ -30,7 +30,7 @@ class TestGen:
         out = tmp_path / "t2.txt"
         assert main(["gen", "--family", "triangular", "--n", "2",
                      "--out", str(out)]) == 0
-        g = parse_edge_list(out.read_text())
+        g = parse_graph(out.read_text())
         assert (g.n, g.m) == (5, 6)
         err = capsys.readouterr().err
         assert "landmarks" in err and "n=5" in err
@@ -38,12 +38,12 @@ class TestGen:
     def test_clique_flower_json(self, capsys):
         assert main(["gen", "--family", "clique-flower", "--m", "5",
                      "--inner", "4", "--format", "json"]) == 0
-        g = parse_graph_json(capsys.readouterr().out)
+        g = parse_graph(capsys.readouterr().out)
         assert (g.n, g.m) == (20, 40)
 
     def test_triangulane(self, capsys):
         assert main(["gen", "--family", "triangulane", "--n", "1"]) == 0
-        g = parse_edge_list(capsys.readouterr().out)
+        g = parse_graph(capsys.readouterr().out)
         assert (g.n, g.m) == (9, 12)
 
     def test_invalid_params_exit_2(self):
@@ -261,7 +261,7 @@ class TestCompose:
         spec_path = write_spec(tmp_path, "p4.json", spec)
         out = tmp_path / "p4.txt"
         assert main(["compose", spec_path, "--out", str(out)]) == 0
-        g = parse_edge_list(out.read_text())
+        g = parse_graph(out.read_text())
         assert g.edges == ((0, 1), (1, 2), (2, 3))
         vmap = json.loads((tmp_path / "p4.txt.map.json").read_text())
         assert vmap["vertex_map"] == [[0, 0, 0], [0, 1, 1], [1, 0, 2], [1, 1, 3]]
@@ -270,7 +270,7 @@ class TestCompose:
         spec = PolymerSpec("bouquet", (MonomerHandle(complete_graph(2), 0, 1),) * 3)
         spec_path = write_spec(tmp_path, "star.json", spec)
         assert main(["compose", spec_path]) == 0
-        g = parse_edge_list(capsys.readouterr().out)
+        g = parse_graph(capsys.readouterr().out)
         assert g.edges == ((0, 1), (0, 2), (0, 3))
 
     def test_tree_of_triangles(self, tmp_path, capsys):
@@ -279,7 +279,7 @@ class TestCompose:
             ((0, 1, 1, 0), (1, 1, 2, 0)))
         spec_path = write_spec(tmp_path, "t3.json", spec)
         assert main(["compose", spec_path, "--format", "json"]) == 0
-        g = parse_graph_json(capsys.readouterr().out)
+        g = parse_graph(capsys.readouterr().out)
         assert (g.n, g.m) == (7, 9)
 
     def test_invalid_spec_exit_2(self, tmp_path):

@@ -5,8 +5,7 @@ import pytest
 from mostar import families
 from mostar import (CHAIN_FAMILIES, FamilySpec, GraphError, MonomerHandle,
                     PolymerSpec, complete_graph, compose, cycle_graph,
-                    family_counts, generate, index_report, is_connected,
-                    mostar_index)
+                    family_counts, generate, index_report, is_connected)
 from mostar.families import CHAIN_SHAPE
 
 
@@ -44,7 +43,7 @@ class TestCounts:
             assert fam.graph.n == nv
             assert (fam.graph.n, fam.graph.m) == family_counts(
                 FamilySpec("triangulane", n=n))
-        assert mostar_index(generate(FamilySpec("triangulane", n=1)).graph) == 36
+        assert index_report(generate(FamilySpec("triangulane", n=1)).graph).mostar == 36
 
     def test_clique_flower_counts(self):
         fam = generate(FamilySpec("clique-flower", m=5, inner=4))

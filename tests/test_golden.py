@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from mostar import FamilySpec, emit_edge_list, emit_graph_json, from_edge_list, generate
+from mostar import FamilySpec, dump_graph, from_edge_list, generate
 from mostar.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -74,7 +74,7 @@ def shuffled_block(n: int) -> str:
     """A cycle of n vertices with two chords, one block, its labels scrambled."""
     label = sorted(range(n), key=lambda i: i * 7919 % 10007)
     edges = [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2), (1, n // 3)]
-    return emit_edge_list(from_edge_list(n, [(label[u], label[v]) for u, v in edges]))
+    return dump_graph(from_edge_list(n, [(label[u], label[v]) for u, v in edges]), "edgelist")
 
 
 def input_files() -> dict[str, str]:
@@ -89,11 +89,11 @@ def input_files() -> dict[str, str]:
         "bad-json.json": "{\"n\": 3,",
         "bad-spec.json": "{not json",
     }
-    files["hex-meta3.txt"] = emit_edge_list(generate(FamilySpec("hex-meta", n=3)).graph)
-    files["triangular2.txt"] = emit_edge_list(generate(FamilySpec("triangular", n=2)).graph)
-    files["flower33.json"] = emit_graph_json(
-        generate(FamilySpec("clique-flower", m=3, inner=3)).graph)
-    files["triangulane1.json"] = emit_graph_json(generate(FamilySpec("triangulane", n=1)).graph)
+    for name, spec, fmt in (("hex-meta3.txt", FamilySpec("hex-meta", n=3), "edgelist"),
+                            ("triangular2.txt", FamilySpec("triangular", n=2), "edgelist"),
+                            ("flower33.json", FamilySpec("clique-flower", m=3, inner=3), "json"),
+                            ("triangulane1.json", FamilySpec("triangulane", n=1), "json")):
+        files[name] = dump_graph(generate(spec).graph, fmt)
     for n in (48, 60):
         files[f"block{n}.txt"] = shuffled_block(n)
     for name, spec in SPECS.items():

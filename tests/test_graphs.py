@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from mostar import (DuplicateEdge, GraphError, MonomerHandle, NotConnected,
                     PolymerSpec, SelfLoop, VertexOutOfRange, blocks,
                     complete_graph, compose, cycle_graph,
-                    distance_rows, dump_graph, edge_orientation,
-                    emit_edge_list, emit_graph_json, formats, from_edge_list, graphs,
-                    index_report, indices, is_connected, parse_edge_list,
-                    parse_graph, parse_graph_json, path_graph,
-                    vertex_orientation)
+                    distance_rows, dump_graph, edge_orientation, formats,
+                    from_edge_list, graphs, index_report, indices, is_connected,
+                    parse_graph, path_graph, vertex_orientation)
 
 from conftest import (any_graphs, block_rich_graphs, chorded_cycles,
                       connected_graphs, naive_all_pairs, naive_bfs,
@@ -324,6 +322,16 @@ def test_has_edge_matches_edge_set(g, queries):
         assert g.has_edge(u, v) == expected and g.has_edge(v, u) == expected
 
 
+@pytest.mark.parametrize("u,v", [(True, 2), (0.0, 1), (1, 2.0), ("a", 1), (None, 1)],
+                         ids=["bool", "float", "float-v", "str", "none"])
+def test_has_edge_is_false_for_a_non_integer(u, v):
+    """A bool or a float used to match an edge, and a str or None raised a
+    bare TypeError."""
+    g = cycle_graph(4)
+    assert not g.has_edge(u, v) and not g.has_edge(v, u)
+    assert g.has_edge(np.int64(0), np.int32(1))
+
+
 @settings(deadline=None)
 @given(connected_graphs())
 def test_distance_table_matches_naive_bfs(g):
@@ -466,33 +474,33 @@ def test_streamed_pass_on_polymer_composites(g):
 
 
 class TestFormats:
-    @pytest.mark.parametrize("parse,text", [
-        (parse_edge_list, "1" * 5000 + " 0\n"),
-        (parse_edge_list, "3 1\n0 " + "1" * 5000 + "\n"),
-        (parse_graph_json, '{"n": ' + "1" * 5000 + ', "edges": []}'),
+    @pytest.mark.parametrize("text", [
+        "1" * 5000 + " 0\n",
+        "3 1\n0 " + "1" * 5000 + "\n",
+        '{"n": ' + "1" * 5000 + ', "edges": []}',
     ], ids=["header", "id", "json"])
-    def test_integer_of_more_digits_than_int_converts(self, parse, text):
+    def test_integer_of_more_digits_than_int_converts(self, text):
         """int() and json.loads used to raise a bare ValueError."""
         with pytest.raises(GraphError, match="too many digits") as caught:
-            parse(text)
+            parse_graph(text)
         assert len(str(caught.value)) < 100
 
     def test_edge_list_round_trip(self):
         g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        assert parse_edge_list(emit_edge_list(g)) == g
+        assert parse_graph(dump_graph(g, "edgelist")) == g
 
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n3 2\n\n0 1\n# another\n1 2\n"
-        g = parse_edge_list(text)
+        g = parse_graph(text)
         assert g.edges == ((0, 1), (1, 2))
 
     def test_header_count_mismatch(self):
         with pytest.raises(GraphError):
-            parse_edge_list("3 2\n0 1\n")
+            parse_graph("3 2\n0 1\n")
 
     def test_json_round_trip(self):
         g = cycle_graph(5)
-        assert parse_graph_json(emit_graph_json(g)) == g
+        assert parse_graph(dump_graph(g, "json")) == g
 
     @pytest.mark.parametrize("doc", [
         {"n": "3", "edges": [[0, 1]]}, {"n": 3.0, "edges": [[0, 1]]},
@@ -501,22 +509,22 @@ class TestFormats:
         {"n": 3, "edges": [[False, 1]]}])
     def test_json_accepts_only_integers(self, doc):
         with pytest.raises(GraphError, match="must be an integer"):
-            parse_graph_json(doc)
+            parse_graph(json.dumps(doc))
 
     @pytest.mark.parametrize("text", ["not json", "{", '{"n": 3, "edges": ' + "[" * 100_000],
                              ids=["not-json", "unclosed", "too-deep"])
     def test_json_that_does_not_parse(self, text):
         with pytest.raises(GraphError, match="^invalid graph JSON: "):
-            parse_graph_json(text)
+            formats._parse_graph_json(text)
 
     def test_json_canonical_sorted(self):
         g = from_edge_list(3, [(2, 1), (1, 0)])
-        assert emit_graph_json(g) == '{"edges": [[0, 1], [1, 2]], "n": 3}\n'
+        assert dump_graph(g, "json") == '{"edges": [[0, 1], [1, 2]], "n": 3}\n'
 
     def test_sniffing(self):
         g = path_graph(3)
-        assert parse_graph(emit_graph_json(g)) == g
-        assert parse_graph(emit_edge_list(g)) == g
+        assert parse_graph(dump_graph(g, "json")) == g
+        assert parse_graph(dump_graph(g, "edgelist")) == g
 
     def test_dump_format_validation(self):
         with pytest.raises(GraphError):
@@ -600,7 +608,7 @@ def same_outcome(read, reference, source):
 @settings(deadline=None, max_examples=300)
 @given(edge_list_texts())
 def test_edge_list_reader_matches_the_line_loop(text):
-    same_outcome(parse_edge_list, reference_parse_edge_list, text)
+    same_outcome(formats._parse_edge_list, reference_parse_edge_list, text)
     same_outcome(parse_graph, reference_parse_edge_list, text)
 
 
@@ -636,7 +644,7 @@ def graph_docs(draw) -> dict:
 @settings(deadline=None, max_examples=300)
 @given(graph_docs())
 def test_graph_json_reader_matches_the_pair_check(doc):
-    same_outcome(parse_graph_json, reference_parse_graph_json, doc)
+    same_outcome(formats._parse_graph_json, reference_parse_graph_json, doc)
     same_outcome(parse_graph, reference_parse_graph_json, json.dumps(doc))
 
 
@@ -669,7 +677,7 @@ def test_well_formed_text_takes_the_array_path():
     text = hex_chain_text(random.Random(7))
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on_edge_pairs(mp)
-        g = parse_edge_list(text)
+        g = parse_graph(text)
     assert calls == [] and g.m == 9_600
     assert g == reference_parse_edge_list(text)
 
@@ -679,7 +687,7 @@ def test_id_beyond_int64_falls_back_to_the_line_loop():
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on_edge_pairs(mp)
         with pytest.raises(VertexOutOfRange) as caught:
-            parse_edge_list(text)
+            parse_graph(text)
     assert calls == [2]
     assert str(caught.value) == "vertex 9223372036854775808 out of range for n=3"
 

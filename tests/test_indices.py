@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from mostar import (CHAIN_FAMILIES, EdgeNotInGraph, FamilySpec, GraphError,
                     MonomerHandle, NotConnected, PolymerSpec, blocks,
                     complete_graph, compose, cycle_graph, dump_graph,
-                    edge_mostar_index, edge_orientation, formula_value,
-                    from_edge_list, generate, graphs, index_report,
-                    index_reports, indices, is_connected, mostar_index,
-                    parse_edge_list, parse_graph_json, path_graph,
-                    vertex_orientation, wiener_index)
+                    edge_orientation, formula_value, from_edge_list, generate,
+                    graphs, index_report, index_reports, indices, is_connected,
+                    parse_graph, path_graph, vertex_orientation)
 import mostar
 from mostar.cli import main
 
@@ -97,37 +95,33 @@ class TestEdgeOrientation:
 class TestIndexValues:
     def test_cycles_have_zero_mostar(self):
         for k in range(3, 11):
-            assert mostar_index(cycle_graph(k)) == 0
+            assert index_report(cycle_graph(k)).mostar == 0
 
     def test_complete_graphs_have_zero_mostar(self):
         for n in range(2, 9):
-            assert mostar_index(complete_graph(n)) == 0
+            assert index_report(complete_graph(n)).mostar == 0
 
     def test_complete_graphs_have_zero_edge_mostar(self):
         for n in range(2, 9):
-            assert edge_mostar_index(complete_graph(n)) == 0
+            assert index_report(complete_graph(n)).edge_mostar == 0
 
     def test_t2(self):
-        g = t2()
-        assert mostar_index(g) == 8
-        assert edge_mostar_index(g) == 12
-        assert wiener_index(g) == 14
+        r = index_report(t2())
+        assert (r.mostar, r.edge_mostar, r.wiener) == (8, 12, 14)
 
     def test_clique_flower_5_4(self):
-        g = generate(FamilySpec("clique-flower", m=5, inner=4)).graph
-        assert mostar_index(g) == 240
-        assert edge_mostar_index(g) == 510
+        r = index_report(generate(FamilySpec("clique-flower", m=5, inner=4)).graph)
+        assert (r.mostar, r.edge_mostar) == (240, 510)
 
     def test_wiener_small(self):
-        assert wiener_index(complete_graph(2)) == 1
-        assert wiener_index(path_graph(3)) == 4
-        assert wiener_index(cycle_graph(5)) == 15
+        assert index_report(complete_graph(2)).wiener == 1
+        assert index_report(path_graph(3)).wiener == 4
+        assert index_report(cycle_graph(5)).wiener == 15
 
     def test_not_connected(self):
         g = from_edge_list(4, [(0, 1), (2, 3)])
-        for fn in (mostar_index, edge_mostar_index, wiener_index):
-            with pytest.raises(NotConnected):
-                fn(g)
+        with pytest.raises(NotConnected):
+            index_report(g)
 
 
 class TestIndexReport:
@@ -258,17 +252,16 @@ def test_relabeling_invariance(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     h = permute_graph(g, perm)
-    assert mostar_index(h) == mostar_index(g)
-    assert edge_mostar_index(h) == edge_mostar_index(g)
-    assert wiener_index(h) == wiener_index(g)
+    assert index_report(h) == index_report(g)  # compares the three totals
 
 
 @settings(deadline=None, max_examples=60)
 @given(connected_graphs(max_n=9))
 def test_indices_match_naive_oracle(g):
-    assert mostar_index(g) == naive_mostar(g)
-    assert edge_mostar_index(g) == naive_edge_mostar(g)
-    assert wiener_index(g) == naive_wiener(g)
+    r = index_report(g)
+    assert r.mostar == naive_mostar(g)
+    assert r.edge_mostar == naive_edge_mostar(g)
+    assert r.wiener == naive_wiener(g)
 
 
 @settings(deadline=None, max_examples=60)
@@ -492,9 +485,9 @@ def test_batch_of_known_and_unknown_blocks():
     the reports of one call per graph, with one DFS per run of unknown."""
     chain = generate(FamilySpec("hex-meta", n=5)).graph
     flower = generate(FamilySpec("clique-flower", m=4, inner=3)).graph
-    read = parse_edge_list(dump_graph(chain, "edgelist"))
+    read = parse_graph(dump_graph(chain, "edgelist"))
     batch = [chain, read, from_edge_list(1, []), complete_graph(1), flower,
-             parse_graph_json(dump_graph(flower, "json")), t2(), path_graph(5), cycle_graph(9)]
+             parse_graph(dump_graph(flower, "json")), t2(), path_graph(5), cycle_graph(9)]
     alone = [index_report(graphs.Graph(g.n, g.ends)) for g in batch]
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on_dfs(mp)
@@ -532,12 +525,10 @@ def test_reading_blocks_stores_nothing():
     (lambda: is_connected(5), "g is a int, not a Graph"),
     (lambda: mostar.distance_rows(5, [0]), "g is a int, not a Graph"),
     (lambda: dump_graph(5, "json"), "g is a int, not a Graph"),
-    (lambda: mostar.emit_edge_list(5), "g is a int, not a Graph"),
-    (lambda: mostar.emit_graph_json(5), "g is a int, not a Graph"),
     (lambda: vertex_orientation(5, (0, 1)), "g is a int, not a Graph"),
     (lambda: edge_orientation(None, (0, 1)), "g is a NoneType, not a Graph"),
     (lambda: MonomerHandle("g", 0), "graph is a str, not a Graph"),
-    (lambda: mostar.Graph(2, [[0, 1]]), "ends is a list, not a ndarray"),
+    (lambda: graphs.Graph(2, [[0, 1]]), "ends is a list, not a ndarray"),
     (lambda: generate("hex-para"), "spec is a str, not a FamilySpec"),
     (lambda: mostar.family_counts("hex-para"), "spec is a str, not a FamilySpec"),
     (lambda: formula_value("hex-para", "mostar"), "spec is a str, not a FamilySpec"),
@@ -546,17 +537,14 @@ def test_reading_blocks_stores_nothing():
                                  ["x"]), "which is a list, not a str"),
     (lambda: mostar.spec_to_dict(5), "spec is a int, not a PolymerSpec"),
     (lambda: mostar.parse_graph(5), "text is a int, not a str"),
-    (lambda: parse_edge_list(None), "text is a NoneType, not a str"),
+    (lambda: parse_graph(None), "text is a NoneType, not a str"),
     (lambda: mostar.spec_from_json(5), "text is a int, not a str"),
-    (lambda: mostar.upper_bound_link([5], "mostar"),
-     "stats must be a sequence of MonomerStats, got [5]"),
 ], ids=["index_report-None", "index_reports-None", "index_reports-int", "blocks-int",
         "compose-None", "is_connected-int", "distance_rows-int", "dump_graph-int",
-        "emit_edge_list-int", "emit_graph_json-int", "vertex_orientation-int",
-        "edge_orientation-None", "MonomerHandle-str", "Graph-list", "generate-str",
-        "family_counts-str", "formula_value-str", "check_bounds-int", "check_bounds-which-list",
-        "spec_to_dict-int", "parse_graph-int", "parse_edge_list-None", "spec_from_json-int",
-        "upper_bound_link-ints"])
+        "vertex_orientation-int", "edge_orientation-None", "MonomerHandle-str", "Graph-list",
+        "generate-str", "family_counts-str", "formula_value-str", "check_bounds-int",
+        "check_bounds-which-list", "spec_to_dict-int", "parse_graph-int", "parse_graph-None",
+        "spec_from_json-int"])
 def test_entry_point_names_its_bad_argument(call, message):
     """Each used to raise a bare AttributeError or TypeError."""
     with pytest.raises(GraphError) as caught:

@@ -12,7 +12,7 @@ from mostar import (DegenerateHandles, GraphError, MonomerHandle, NotATree,
                     NotConnected, PolymerSpec, TooFewMonomers,
                     VertexOutOfRange, complete_graph, compose, cycle_graph,
                     from_edge_list, index_report, is_connected, path_graph,
-                    spec_from_dict, spec_from_json, spec_to_dict)
+                    spec_from_json, spec_to_dict)
 
 from conftest import (polymer_specs, random_connected_graph, reference_assemble,
                       reference_slot_pairs)
@@ -289,21 +289,21 @@ def test_spec_containers_are_stored_as_tuples(kind, monomers, tree):
 class TestSpecJson:
     def test_round_trip(self):
         spec = PolymerSpec("link", (MonomerHandle(K3, 0, 1), MonomerHandle(K2, 0, 1)))
-        again = spec_from_dict(spec_to_dict(spec))
+        again = spec_from_json(json.dumps(spec_to_dict(spec)))
         assert compose(again).graph == compose(spec).graph
 
     def test_tree_round_trip(self):
         spec = PolymerSpec("tree", (MonomerHandle(K3, 0), MonomerHandle(K2, 0)),
                            ((0, 0, 1, 0),))
-        again = spec_from_dict(spec_to_dict(spec))
+        again = spec_from_json(json.dumps(spec_to_dict(spec)))
         assert compose(again).graph == compose(spec).graph
 
     def test_invalid(self):
         with pytest.raises(GraphError):
-            spec_from_dict({"monomers": []})
+            spec_from_json(json.dumps({"monomers": []}))
         with pytest.raises(GraphError):
-            spec_from_dict({"kind": "link", "monomers": [
-                {"graph": {"n": 2, "edges": [[0, 1]]}, "y": 1}]})
+            spec_from_json(json.dumps({"kind": "link", "monomers": [
+                {"graph": {"n": 2, "edges": [[0, 1]]}, "y": 1}]}))
         with pytest.raises(GraphError):
             PolymerSpec("ring", (MonomerHandle(K2, 0),))
         with pytest.raises(GraphError):
@@ -318,13 +318,14 @@ class TestSpecJson:
 
     def test_monomer_graph_of_bad_json(self):
         with pytest.raises(GraphError, match="^invalid graph JSON: "):
-            spec_from_dict({"kind": "link", "monomers": [{"graph": '{"n": 2,', "x": 0}]})
+            spec_from_json(json.dumps(
+                {"kind": "link", "monomers": [{"graph": '{"n": 2,', "x": 0}]}))
 
     @pytest.mark.parametrize("monomers", [{"a": 1}, [5], "K2", None])
     def test_monomers_not_an_array_of_objects(self, monomers):
         with pytest.raises(GraphError, match=r"^polymer spec 'monomers' must be an "
                                              r"array of objects$"):
-            spec_from_dict({"kind": "link", "monomers": monomers})
+            spec_from_json(json.dumps({"kind": "link", "monomers": monomers}))
 
 
 def _random_handles(rng, count, min_n=2):
@@ -375,6 +376,31 @@ def test_chain_equals_tree_attach_path(rnd, k):
     via_chain = compose(PolymerSpec("chain", handles))
     via_tree = compose(PolymerSpec("tree", handles, tree))
     assert index_report(via_chain.graph) == index_report(via_tree.graph)
+
+
+def test_composition_vertex_takes_numpy_integers():
+    res = compose(PolymerSpec("link", (MonomerHandle(cycle_graph(3), 0),) * 2))
+    assert res.vertex(np.int64(1), np.int32(0)) == res.vertex_map[(1, 0)] == 3
+
+
+@pytest.mark.parametrize("i,v,error,message", [
+    (0, 3, VertexOutOfRange, "vertex 3 out of range for n=3"),
+    (0, -1, VertexOutOfRange, "vertex -1 out of range for n=3"),
+    (0, "a", VertexOutOfRange, "vertex a out of range for n=3"),
+    (0, 1.0, VertexOutOfRange, "vertex 1.0 out of range for n=3"),
+    (2, 0, GraphError, "monomer index 2 out of range for k=2"),
+    (-1, 0, GraphError, "monomer index -1 out of range for k=2"),
+    (True, 0, GraphError, "monomer index True out of range for k=2"),
+    (None, 0, GraphError, "monomer index None out of range for k=2"),
+], ids=["past-the-monomer", "negative-vertex", "str-vertex", "float-vertex",
+        "past-the-last-monomer", "negative-monomer", "bool-monomer", "none-monomer"])
+def test_composition_vertex_checks_its_slot(i, v, error, message):
+    """vertex(0, 3) used to give monomer 1's vertex 0 and vertex(0, -1) the
+    last slot; a bad monomer or a str vertex raised a bare numpy error."""
+    res = compose(PolymerSpec("link", (MonomerHandle(cycle_graph(3), 0),) * 2))
+    with pytest.raises(GraphError) as caught:
+        res.vertex(i, v)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def assert_matches_reference(spec):
