@@ -74,6 +74,18 @@ def test_export_returns_or_raises_a_graph_error(name, data):
         pass
 
 
+def test_every_export_is_covered():
+    """The one way in per job is among the callables the property test calls,
+    and the second ways that folded into them are not."""
+    assert {"compose", "index_reports", "index_report", "check_bounds", "spec_from_json",
+            "parse_graph", "generate", "MonomerHandle", "distance_rows",
+            "dump_graph"} <= set(EXPORTS)
+    assert not {"Graph", "emit_edge_list", "emit_graph_json", "parse_edge_list",
+                "parse_graph_json", "spec_from_dict", "MonomerStats", "mostar_index",
+                "edge_mostar_index", "wiener_index", "upper_bound_link",
+                "superadditive_bound"} & set(PUBLIC)
+
+
 def readme_names() -> list[str]:
     """The names in backticks in README's "Public names" section."""
     text = README.read_text()

@@ -525,6 +525,8 @@ def test_reading_blocks_stores_nothing():
     (lambda: is_connected(5), "g is a int, not a Graph"),
     (lambda: mostar.distance_rows(5, [0]), "g is a int, not a Graph"),
     (lambda: dump_graph(5, "json"), "g is a int, not a Graph"),
+    (lambda: dump_graph(5, "edgelist"), "g is a int, not a Graph"),
+    (lambda: dump_graph(path_graph(2), 5), "unknown graph format 5"),
     (lambda: vertex_orientation(5, (0, 1)), "g is a int, not a Graph"),
     (lambda: edge_orientation(None, (0, 1)), "g is a NoneType, not a Graph"),
     (lambda: MonomerHandle("g", 0), "graph is a str, not a Graph"),
@@ -535,21 +537,39 @@ def test_reading_blocks_stores_nothing():
     (lambda: mostar.check_bounds(5, "link-upper"), "spec is a int, not a PolymerSpec"),
     (lambda: mostar.check_bounds(PolymerSpec("link", (MonomerHandle(path_graph(2), 0),) * 2),
                                  ["x"]), "which is a list, not a str"),
+    (lambda: mostar.check_bounds(PolymerSpec("link", (MonomerHandle(path_graph(2), 0),) * 2),
+                                 "x"), "unknown bound 'x'"),
     (lambda: mostar.spec_to_dict(5), "spec is a int, not a PolymerSpec"),
     (lambda: mostar.parse_graph(5), "text is a int, not a str"),
     (lambda: parse_graph(None), "text is a NoneType, not a str"),
     (lambda: mostar.spec_from_json(5), "text is a int, not a str"),
 ], ids=["index_report-None", "index_reports-None", "index_reports-int", "blocks-int",
         "compose-None", "is_connected-int", "distance_rows-int", "dump_graph-int",
-        "vertex_orientation-int", "edge_orientation-None", "MonomerHandle-str", "Graph-list",
-        "generate-str", "family_counts-str", "formula_value-str", "check_bounds-int",
-        "check_bounds-which-list", "spec_to_dict-int", "parse_graph-int", "parse_graph-None",
+        "dump_graph-edgelist-int", "dump_graph-format-int", "vertex_orientation-int",
+        "edge_orientation-None", "MonomerHandle-str", "Graph-list", "generate-str",
+        "family_counts-str", "formula_value-str", "check_bounds-int", "check_bounds-which-list",
+        "check_bounds-which-unknown", "spec_to_dict-int", "parse_graph-int", "parse_graph-None",
         "spec_from_json-int"])
 def test_entry_point_names_its_bad_argument(call, message):
     """Each used to raise a bare AttributeError or TypeError."""
     with pytest.raises(GraphError) as caught:
         call()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("name,field", [("mostar_index", "mostar"),
+                                        ("edge_mostar_index", "edge_mostar"),
+                                        ("wiener_index", "wiener")])
+def test_bench_stage_wrapper_agrees_with_index_report(name, field):
+    """The benchmark's stage replay calls these three by name from ``indices``,
+    which no longer exports them to the package."""
+    wrapper = getattr(indices, name)
+    assert not hasattr(mostar, name)
+    for g in (t2(), path_graph(5), cycle_graph(7), complete_graph(5),
+              generate(FamilySpec("clique-flower", m=3, inner=4)).graph):
+        assert wrapper(g) == getattr(index_report(g), field)
+    with pytest.raises(NotConnected):
+        wrapper(from_edge_list(4, [(0, 1), (2, 3)]))
 
 
 def test_deep_block_in_a_batch_takes_the_rows_pass():
