@@ -22,11 +22,12 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import GraphError, NotConnected, quote
-from .families import CHAIN_FAMILIES, FAMILY_NAMES, FamilySpec, family_counts, generate
+from .families import (CHAIN_FAMILIES, FAMILY_NAMES, FamilySpec, _polymer, family_counts,
+                       generate)
 from .formats import dump_graph, parse_graph
 from .formulas import BOUND_KINDS, check_bounds, formula_value, has_formula
-from .indices import EDGE_MOSTAR, MOSTAR, index_report, index_reports
-from .polymer import compose, spec_from_json
+from .indices import _BATCH_EDGES, EDGE_MOSTAR, MOSTAR, _reports, index_report
+from .polymer import _compose_all, compose, spec_from_json
 
 SCHEMA_VERSION = "1"
 
@@ -118,10 +119,11 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _verify_cells(args) -> Iterator[tuple[FamilySpec, str]]:
-    """The sweep's cells in output order, made one at a time, so a size check
-    stops at the first one over ``--max-size``; ``--from``/``--to`` and every
-    family name and range are checked before the first cell."""
+def _verify_cells(args) -> Iterator[tuple[FamilySpec, str, int]]:
+    """The sweep's cells in output order, each with its instance's edge
+    count, made one at a time, so a size check stops at the first one over
+    ``--max-size``; ``--from``/``--to`` and every family name and range are
+    checked before the first cell."""
     if args.n_from < 1:
         raise GraphError("--from must be >= 1")
     if args.n_from > args.n_to:
@@ -150,7 +152,7 @@ def _verify_cells(args) -> Iterator[tuple[FamilySpec, str]]:
                     f"{nv * ne} > --max-size {args.max_size}")
             for index in (MOSTAR, EDGE_MOSTAR):
                 if has_formula(name, index):
-                    yield spec, index
+                    yield spec, index, ne
 
 
 def _spec_label(spec: FamilySpec) -> str:
@@ -159,14 +161,32 @@ def _spec_label(spec: FamilySpec) -> str:
     return str(spec.n)
 
 
+def _batches(edges: dict[FamilySpec, int]) -> Iterator[list[FamilySpec]]:
+    """The specs of ``edges`` in order, cut into runs of at most
+    ``_BATCH_EDGES`` edges; a larger instance runs alone."""
+    batch, total = [], 0
+    for spec, m in edges.items():
+        if batch and total + m > _BATCH_EDGES:
+            yield batch
+            batch, total = [], 0
+        batch.append(spec)
+        total += m
+    if batch:
+        yield batch
+
+
 def cmd_verify(args) -> int:
+    """Each batch of distinct instances (``_batches``) is composed as one
+    disjoint union of their polymers and evaluated in one pass over its
+    blocks, the construction's or one DFS's: no per-instance graph."""
     cells = list(_verify_cells(args))  # all checked before the first graph is built
-    specs = list(dict.fromkeys(spec for spec, _ in cells))
-    reports = index_reports(generate(spec).graph for spec in specs)
-    oracles = {spec: {MOSTAR: r.mostar, EDGE_MOSTAR: r.edge_mostar}
-               for spec, r in zip(specs, reports)}
+    oracles = {}
+    for batch in _batches({spec: m for spec, _, m in cells}):
+        union = _compose_all([_polymer(spec) for spec in batch])
+        for spec, r in zip(batch, _reports(*union.blocks(), union.edge_at)):
+            oracles[spec] = {MOSTAR: r.mostar, EDGE_MOSTAR: r.edge_mostar}
     rows = [(spec, index, formula_value(spec, index), oracles[spec][index])
-            for spec, index in cells]
+            for spec, index, _ in cells]
 
     all_agree = all(formula == oracle for _, _, formula, oracle in rows)
     if args.format == "csv":

@@ -1,10 +1,12 @@
 """Deterministic generators for the chemical graph families.
 
 Six polygon chains (triangles, squares, hexagons, each with its cut-vertex
-spacing), the clique flower Q(m, n), and the recursive triangulane.  Every
-generator returns the graph together with named landmark vertices, which
-are worked out only when first read.
-Identical parameters always produce a byte-identical canonical edge list.
+spacing), the clique flower Q(m, n), and the recursive triangulane.  Each
+instance is the composite of one polymer, which ``_polymer`` spells out:
+``generate`` composes it and names its landmark vertices, worked out only
+when first read, and ``cli.cmd_verify`` composes many at once
+(``polymer._compose_all``).  Identical parameters always produce a
+byte-identical canonical edge list.
 """
 
 from __future__ import annotations
@@ -75,42 +77,56 @@ def _polygon(sides: int, spacing: int) -> MonomerHandle:
     return MonomerHandle(cycle_graph(sides), 0, spacing)
 
 
-def _polygon_chain(n: int, sides: int, spacing: int) -> FamilyGraph:
-    comp = compose(PolymerSpec("chain", (_polygon(sides, spacing),) * n))
-
-    def marks() -> dict[str, int]:
-        entries = comp.starts[:-1]
-        xs, ys = comp.ids[entries].tolist(), comp.ids[entries + spacing].tolist()
-        return {name: v for i, (x, y) in enumerate(zip(xs, ys), 1)
-                for name, v in ((f"x_{i}", x), (f"y_{i}", y))}
-    return FamilyGraph(comp.graph, marks)
+def _hub(n: int) -> MonomerHandle:
+    """The depth-n triangulane building block at its hub vertex y_n."""
+    if n == 1:
+        return MonomerHandle(cycle_graph(3), 0)
+    comp = compose(_polymer(FamilySpec("triangulane-aux", n=n)))
+    return MonomerHandle(comp.graph, comp.vertex(2, 0))
 
 
-def _triangulane_aux(k: int) -> tuple[Graph, int]:
-    """The depth-k building block and its hub vertex y_k."""
-    if k == 1:
-        return cycle_graph(3), 0
-    sub = MonomerHandle(*_triangulane_aux(k - 1))
-    comp = compose(PolymerSpec("circuit", (sub, sub, MonomerHandle(complete_graph(1), 0))))
-    return comp.graph, comp.vertex(2, 0)
+def _polymer(spec: FamilySpec) -> PolymerSpec:
+    """The polymer of the family instance ``spec``: a chain of n polygons, a
+    clique flower's K_m with every vertex merged into its own K_inner, a
+    triangulane's circuit of three depth-n building blocks over a triangle
+    of hubs, or the depth-n building block: a circuit of two of depth n - 1
+    and a K1 whose vertex is the new hub, the lone triangle at depth 1."""
+    fam, n = spec.family, spec.n
+    if fam in CHAIN_SHAPE:
+        return PolymerSpec("chain", (_polygon(*CHAIN_SHAPE[fam]),) * n)
+    if fam == "clique-flower":
+        m, petal = spec.m, MonomerHandle(complete_graph(spec.inner), 0)
+        return PolymerSpec("tree", (MonomerHandle(complete_graph(m), 0),) + (petal,) * m,
+                           tuple((0, i, i + 1, 0) for i in range(m)))
+    if fam == "triangulane":
+        return PolymerSpec("circuit", (_hub(n),) * 3)
+    if n == 1:
+        return PolymerSpec("chain", (_hub(1),))
+    sub = _hub(n - 1)
+    return PolymerSpec("circuit", (sub, sub, MonomerHandle(complete_graph(1), 0)))
 
 
 def generate(spec: FamilySpec) -> FamilyGraph:
-    """The family instance ``spec`` selects, with its landmark vertices: a
-    triangulane is a circuit of three depth-n building blocks over a
-    triangle of hubs."""
+    """The family instance ``spec`` selects, the composite of its polymer
+    (``_polymer``), with its landmark vertices."""
     fam, n = _typed(spec, FamilySpec, "spec").family, spec.n
+    polymer = _polymer(spec)
+    comp = compose(polymer)
     if fam in CHAIN_SHAPE:
-        return _polygon_chain(n, *CHAIN_SHAPE[fam])
-    if fam == "clique-flower":  # K_m with every vertex merged into its own K_inner
-        m, petal = spec.m, MonomerHandle(complete_graph(spec.inner), 0)
-        comp = compose(PolymerSpec("tree", (MonomerHandle(complete_graph(m), 0),) + (petal,) * m,
-                                   tuple((0, i, i + 1, 0) for i in range(m))))
-        return FamilyGraph(comp.graph, lambda: {f"u_{i + 1}": comp.vertex(0, i) for i in range(m)})
-    sub, y = _triangulane_aux(n)
+        spacing = CHAIN_SHAPE[fam][1]
+
+        def marks() -> dict[str, int]:
+            entries = comp.starts[:-1]
+            xs, ys = comp.ids[entries].tolist(), comp.ids[entries + spacing].tolist()
+            return {name: v for i, (x, y) in enumerate(zip(xs, ys), 1)
+                    for name, v in ((f"x_{i}", x), (f"y_{i}", y))}
+        return FamilyGraph(comp.graph, marks)
+    if fam == "clique-flower":
+        return FamilyGraph(comp.graph, lambda: {f"u_{i + 1}": comp.vertex(0, i)
+                                                for i in range(spec.m)})
     if fam == "triangulane-aux":
-        return FamilyGraph(sub, lambda: {f"y_{n}": y})
-    comp = compose(PolymerSpec("circuit", (MonomerHandle(sub, y),) * 3))
+        return FamilyGraph(comp.graph, lambda: {f"y_{n}": comp.vertex(2, 0) if n > 1 else 0})
+    y = polymer.monomers[0].x
     return FamilyGraph(comp.graph, lambda: {"x_0": comp.vertex(0, y), "u": comp.vertex(1, y),
                                             "v": comp.vertex(2, y)})
 

@@ -286,22 +286,10 @@ def _dfs(ends: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
 
 def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     """The blocks of the connected ``graphs``, graph after graph, each in the
-    order ``blocks`` gives, and where each graph's blocks start; their union
-    is an edge array, each graph's ``ends`` shifted past the graphs before.
-    From one ``_dfs`` by array steps: the tree edge p -> c begins a block,
-    with top p and first inner vertex c, iff ``low(c) >= pre(p)`` (Tarjan);
-    a vertex's tree edge is in the block of the nearest such c above it (by
-    pointer jumping), any other edge in its deeper end's (Tarjan-Vishkin).
-    Blocks go in preorder of c, inner vertices in preorder after the top.
-    For an inner vertex x, with y over x's tree children that begin a block,
-
-    * ``weight(x) = 1 + sum sub(y)``
-    * ``hanging(x) = sum deep(y)``,
-
-    ``deep(y)`` counting the edges whose deeper end is in y's subtree.  The
-    top vertex carries the rest of its graph: ``N - sub(c)`` and ``M -
-    deep(c)``, in a graph of N vertices and M edges.  If every graph was
-    built with its blocks (``_set_blocks``), they are only joined."""
+    order ``blocks`` gives, and where each graph's blocks start.  If every
+    graph was built with its blocks (``_set_blocks``), they are only joined;
+    else their union, each graph's ``ends`` shifted past the graphs before,
+    goes to ``_union_blocks``."""
     known = [_known_blocks(g) for g in graphs]
     if None not in known:
         return _joined(graphs, known)
@@ -312,6 +300,27 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     edges_of = np.array([g.m for g in graphs], dtype=np.int64)
     union = np.concatenate([g.ends for g in graphs])
     union += np.repeat(np.cumsum(sizes) - sizes, edges_of)[:, None]
+    return _union_blocks(union, sizes, edges_of)
+
+
+def _union_blocks(union: np.ndarray, sizes: np.ndarray,
+                  edges_of: np.ndarray) -> tuple[Blocks, np.ndarray]:
+    """``_blocks`` of the edge array ``union``, the disjoint union of
+    connected parts of ``sizes`` vertices and ``edges_of`` edges each, part
+    after part.  From one ``_dfs`` by array steps: the tree edge p -> c
+    begins a block, with top p and first inner vertex c, iff ``low(c) >=
+    pre(p)`` (Tarjan); a vertex's tree edge is in the block of the nearest
+    such c above it (by pointer jumping), any other edge in its deeper end's
+    (Tarjan-Vishkin).
+    Blocks go in preorder of c, inner vertices in preorder after the top.
+    For an inner vertex x, with y over x's tree children that begin a block,
+
+    * ``weight(x) = 1 + sum sub(y)``
+    * ``hanging(x) = sum deep(y)``,
+
+    ``deep(y)`` counting the edges whose deeper end is in y's subtree.  The
+    top vertex carries the rest of its graph: ``N - sub(c)`` and ``M -
+    deep(c)``, in a part of N vertices and M edges."""
     disc, low, parent, sub = _dfs(union, sizes.tolist())
     n, pre, v = int(sizes.sum()), disc - 1, np.arange(len(disc))
     begins = (low >= disc[parent]) & (parent != v)  # the tree edge into v begins a block
@@ -327,7 +336,7 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     order = np.argsort(label, kind="stable")
     blab = label[order]
     estart = np.searchsorted(blab, np.arange(nb + 1))
-    inner = np.argsort(vlab * n + pre, kind="stable")[len(graphs):]
+    inner = np.argsort(vlab * n + pre, kind="stable")[len(sizes):]
     count = np.bincount(vlab[inner], minlength=nb)  # a block has at least one
     first = np.cumsum(count) - count
     place = np.zeros(n, np.int64)  # an inner vertex's position in its block
@@ -348,7 +357,7 @@ def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     weights = np.insert(weight[inner], first, sizes[part] - sub[c])
     hanging = np.insert(hang[inner], first, edges_of[part] - deep[c])
     return (Blocks(vertex_start, vertices, weights, hanging, estart, order, local_ends),
-            np.searchsorted(part, np.arange(len(graphs) + 1)))
+            np.searchsorted(part, np.arange(len(sizes) + 1)))
 
 
 def _joined(graphs: Sequence[Graph], known: list[Blocks]) -> tuple[Blocks, np.ndarray]:
@@ -428,4 +437,6 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     for s in sources:
         if not (_is_int(s) and 0 <= s < g.n):
             raise VertexOutOfRange(s, g.n)
+    if not sources and not is_connected(g):  # no row to show it
+        raise NotConnected(f"graph with {g.n} vertices is not connected")
     return _bfs_rows(_csr(g.n, g.ends), np.asarray(sources, dtype=np.intp))

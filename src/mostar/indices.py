@@ -43,7 +43,11 @@ stores nothing on ``g``.  Blocks of one size are stacked across the whole
 batch.  A graph's totals are sums over its own slice of the per-edge
 diffs and of the per-block Wiener shares.
 ``index_report`` is a batch of one.  Totals are exact Python integers at
-any size.
+any size.  The core, ``_reports``, needs only a union's blocks and where
+each graph's blocks and edges start: ``index_reports`` gives it those of
+each batch of graphs, and ``cli.cmd_verify`` those of each batch of
+polymers that ``polymer._compose_all`` builds as one union, with no graph
+per polymer.
 """
 
 from __future__ import annotations
@@ -333,9 +337,15 @@ def index_report(g: Graph) -> IndexReport:
 
 
 def _batch_reports(batch: list[Graph]) -> Iterator[IndexReport]:
-    """The reports of ``batch`` from one pass over the blocks of its union:
-    blocks of one size are stacked across all its graphs."""
-    parts, block_at = _blocks(batch)
+    """The reports of ``batch`` from the blocks of its union."""
+    return _reports(*_blocks(batch), np.cumsum([0] + [g.m for g in batch]).tolist())
+
+
+def _reports(parts: Blocks, block_at, edge_at: list[int]) -> Iterator[IndexReport]:
+    """The reports of the graphs of a disjoint union from one pass over its
+    blocks ``parts``: graph i's blocks are ``block_at[i]:block_at[i + 1]``
+    and its edges ``edge_at[i]:edge_at[i + 1]``.  Blocks of one size are
+    stacked across all the graphs."""
     vdiffs, ediffs = np.empty(len(parts.edges), np.int64), np.empty(len(parts.edges), np.int64)
     twice = np.empty(len(parts.edge_start) - 1, np.int64)  # each block's Wiener share
     sizes = _stack_sizes(np.diff(parts.vertex_start))
@@ -348,7 +358,6 @@ def _batch_reports(batch: list[Graph]) -> Iterator[IndexReport]:
             eids, vd, ed, twice[some] = _block_diffs(parts, some, s)
             vdiffs[eids], ediffs[eids] = vd, ed
     vdiffs.flags.writeable = ediffs.flags.writeable = False
-    edge_at = np.cumsum([0] + [h.m for h in batch]).tolist()
     totals = zip(_exact_sums(vdiffs, edge_at), _exact_sums(ediffs, edge_at),
                  _exact_sums(twice, block_at))
     for lo, hi, (mostar, edge_mostar, twice_wiener) in zip(edge_at, edge_at[1:], totals):

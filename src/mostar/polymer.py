@@ -2,24 +2,29 @@
 
 A ``PolymerSpec`` names a kind and monomers with designated attachment
 vertices; it checks everything its kind requires when made, so every spec
-that exists can be composed.  ``compose`` is the one constructor and works
-on flat slot arrays throughout.  It only identifies vertices, as the
-paper's point-attaching does: a link's bridges are K2 units and a
-circuit's new edges a cycle unit, each identified with the monomers they
-join.  Vertex ids in the composite are assigned in monomer order, so a
-merged vertex inherits the lowest id among its slots and ``vertex_map``
-records where every original monomer vertex ended up.
+that exists can be composed.  ``_compose_all`` builds the composites of
+many specs as one disjoint union in one array pass, and ``compose``, the
+one public constructor, is its batch of one.  It only identifies
+vertices, as the paper's point-attaching does: a link's bridges are K2
+units and a circuit's new edges a cycle unit, each identified with the
+monomers they join.  Vertex ids in the composite are assigned in monomer
+order, so a merged vertex inherits the lowest id among its slots and
+``vertex_map`` records where every original monomer vertex ended up.
 
 Point-attaching merges no blocks: an identified vertex is a cut vertex.  So
-when every monomer was built with its blocks (a cycle, a clique, or such a
-composite) and has at most one, ``compose`` sets the composite's: each unit
-of two or more vertices is a block laid out as itself.  Any other
-composite's blocks come from a DFS whenever they are read."""
+when every monomer of a batch was built with its blocks (a cycle, a clique,
+or such a composite) and has at most one, the union's blocks are the
+construction's: each unit of two or more vertices is a block laid out as
+itself.  ``compose`` sets them on its composite; ``cli.cmd_verify`` hands a
+union's straight to the engine.  Any other composite's blocks come from a
+DFS whenever they are read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +32,8 @@ from .errors import (DegenerateHandles, GraphError, NotATree, NotConnected,
                      TooFewMonomers, VertexOutOfRange, quote)
 from .formats import _parse_graph_json, graph_to_dict, json_integer, load_json
 from .graphs import (Blocks, Graph, _components, _from_array, _graph_arg, _is_int,
-                     _known_blocks, _set_blocks, _typed, is_connected)
+                     _known_blocks, _set_blocks, _typed, _union_blocks,
+                     is_connected)
 
 KINDS = ("link", "chain", "bouquet", "circuit", "tree")
 
@@ -141,15 +147,33 @@ def _check_tree(monomers: tuple[MonomerHandle, ...], tree_edges: tuple[TreeEdge,
 @dataclass(frozen=True)
 class CompositionResult:
     """The composite and where every monomer vertex went: slot ``(i, v)``,
-    vertex v of monomer i, is composite vertex ``ids[starts[i] + v]``."""
+    vertex v of monomer i, is composite vertex ``ids[starts[i] + v]``.
+    GraphError, naming the field, unless ``ids`` and ``starts`` are 1-D
+    integer arrays, ``starts`` begins at 0 and never decreases, ``ids`` has
+    ``starts[-1]`` entries and each is a vertex of ``graph``.  Both are kept
+    as read-only int64 arrays, as ``Graph.ends`` is."""
 
     graph: Graph
     ids: np.ndarray = field(compare=False, repr=False)
     starts: np.ndarray = field(compare=False, repr=False)
 
-    def __post_init__(self):  # read-only, as Graph.ends is
+    def __post_init__(self):
+        n = _graph_arg(self.graph, "graph").n
         for name in ("ids", "starts"):
-            _typed(getattr(self, name), np.ndarray, name).flags.writeable = False
+            a = _typed(getattr(self, name), np.ndarray, name)
+            if a.ndim != 1 or a.dtype.kind not in "iu":
+                raise GraphError(f"{name} must be a 1-D integer array, not {a.ndim}-D {a.dtype}")
+        ids, starts = self.ids, self.starts
+        if not (len(starts) and starts[0] == 0 and (starts[1:] >= starts[:-1]).all()):
+            raise GraphError("starts must begin at 0 and never decrease")
+        if len(ids) != starts[-1]:
+            raise GraphError(f"ids has {len(ids)} entries, not starts[-1] = {starts[-1]}")
+        if len(ids) and not (ids.min() >= 0 and ids.max() < n):
+            raise GraphError(f"ids must be vertices of the graph, 0..{n - 1}")
+        for name, a in (("ids", ids), ("starts", starts)):
+            a = a.astype(np.int64, copy=False)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def vertex(self, i: int, v: int) -> int:
         """The composite vertex of slot ``(i, v)``; GraphError unless ``i`` is
@@ -172,120 +196,200 @@ class CompositionResult:
 
 
 def compose(spec: PolymerSpec) -> CompositionResult:
-    """The composite of ``spec``, by identifying slot pairs only.  Slot ``(i,
-    v)`` is flat slot ``starts[i] + v``; a link's k - 1 bridges (K2 units) and
-    a circuit's cycle (one k-cycle unit) take the slots after the monomers'.
-    The kind picks one ``(p, 2)`` array of slot pairs: chain ``(y_i,
-    x_{i+1})``, link ``(y_i, bridge_i.0)`` and ``(bridge_i.1, x_{i+1})``,
-    bouquet ``(x_0, x_i)``, circuit ``(cycle.i, x_i)`` and tree its tree
-    edges.  Each pair's slots unite into their lowest slot, a monomer's.  A
-    composite id is the running count of those class roots, so ids follow
-    monomer order and a merged vertex takes the lowest id among its slots.
-    Sets the composite's blocks where it can (see above)."""
-    hs, k = _typed(spec, PolymerSpec, "spec").monomers, len(spec.monomers)
-    arrays, sizes = [h.graph.ends for h in hs], [h.graph.n for h in hs]
-    if spec.kind == "link":
-        arrays, sizes = arrays + [np.array([[0, 1]])] * (k - 1), sizes + [2] * (k - 1)
-    elif spec.kind == "circuit":
-        arrays, sizes = arrays + [(np.arange(k)[:, None] + [0, 1]) % k], sizes + [k]
-    starts = np.cumsum([0] + sizes)
-    x, y = starts[:k] + [h.x for h in hs], starts[:k] + [h.y for h in hs]
-    if spec.kind == "tree":
-        tree = np.array(spec.tree_edges, dtype=np.int64).reshape(-1, 4)
-        pairs = starts[tree[:, [0, 2]]] + tree[:, [1, 3]]
-    elif spec.kind == "bouquet":
-        pairs = np.column_stack([np.full_like(x[1:], x[0]), x[1:]])
-    elif spec.kind == "circuit":
-        pairs = np.column_stack([starts[k] + np.arange(k), x])
-    elif spec.kind == "link":  # in path order: monomer i, then bridge i
-        bridge = starts[k:-1]
-        pairs = np.column_stack([y[:-1], bridge, bridge + 1, x[1:]]).reshape(-1, 2)
-    else:  # chain
-        pairs = np.column_stack([y[:-1], x[1:]])
-    m = np.array([len(e) for e in arrays])
-    local = np.concatenate(arrays)
-    label = _components(int(starts[-1]), pairs)
-    roots = label == np.arange(len(label))
-    ids = (np.cumsum(roots) - 1)[label]
+    """The composite of ``spec``: ``_compose_all`` of it alone, with its
+    blocks set where the construction knows them (see above)."""
+    union = _compose_all([_typed(spec, PolymerSpec, "spec")])
+    if union.parts is not None:
+        _set_blocks(union.graph, union.parts)
+    k = len(spec.monomers)
+    return CompositionResult(union.graph, union.ids[:union.starts[k]], union.starts[:k + 1])
+
+
+class _Union(NamedTuple):
+    """The disjoint union of composites that ``_compose_all`` builds: spec
+    j's vertices are ``vertex_at[j]:vertex_at[j + 1]`` of ``graph`` and its
+    edges ``edge_at[j]:edge_at[j + 1]``, its own canonical edges shifted by
+    ``vertex_at[j]``.  Vertex v of unit u is flat slot ``starts[u] + v`` and
+    union vertex ``ids[starts[u] + v]``.  ``parts`` are the union's
+    construction blocks, spec j's from ``block_at[j]`` on, or None."""
+
+    graph: Graph
+    vertex_at: np.ndarray
+    edge_at: list[int]
+    ids: np.ndarray
+    starts: np.ndarray
+    parts: Blocks | None
+    block_at: np.ndarray | None
+
+    def blocks(self) -> tuple[Blocks, np.ndarray]:
+        """``parts`` and ``block_at``, else those of one DFS over the union."""
+        if self.parts is not None:
+            return self.parts, self.block_at
+        return _union_blocks(self.graph.ends, np.diff(self.vertex_at), np.diff(self.edge_at))
+
+
+def _compose_all(specs: Sequence[PolymerSpec]) -> _Union:
+    """The composites of ``specs``, spec after spec, as one disjoint union
+    built in one array pass by identifying slot pairs only.  A spec's units
+    are its monomers, then a link's k - 1 bridges (K2 units) or a circuit's
+    cycle (one k-cycle unit), and vertex v of unit u is flat slot
+    ``starts[u] + v``; ``_pair_runs`` gives the slot pairs.  Each pair's
+    slots unite into their lowest slot, a monomer's.  A vertex id is the
+    running count of those class roots, so ids follow monomer order, a
+    merged vertex takes the lowest id among its slots, and each spec's ids
+    follow those of the specs before.  Each distinct monomer handle is read
+    once; per monomer, only its identity is looked up."""
+    index, distinct, code, last = {}, [], [], None  # the distinct handles; each monomer's
+    for h in chain.from_iterable(s.monomers for s in specs):
+        if h is not last:  # a polymer often repeats one handle: look it up once per run
+            last, i = h, index.setdefault(id(h), len(distinct))
+            if i == len(distinct):
+                distinct.append(h)
+        code.append(i)
+    code = np.array(code, np.intp)
+    known = [_known_blocks(h.graph) for h in distinct]
+    joined = None not in known and max(len(p.edge_start) for p in known) <= 2
+    # each unit's edges are a source's: a distinct monomer's, the bridge's or a cycle's
+    sources = [h.graph.ends for h in distinct] + [np.array([[0, 1]])]
+    table = [(h.graph.n, h.graph.m, h.x, h.y) for h in distinct] + [(2, 1, 0, 0)]
+    extra_at, extra, runs, ranked, unit_end, first, pairs = [], [], [], [], [0], 0, 0
+    for j, s in enumerate(specs):
+        k, u = len(s.monomers), unit_end[-1]
+        if s.kind == "link":
+            extra_at += [first + k] * (k - 1)
+            extra += [len(distinct)] * (k - 1)
+        elif s.kind == "circuit":
+            extra_at.append(first + k)
+            extra.append(len(sources))
+            sources.append((np.arange(k)[:, None] + [0, 1]) % k)
+            table.append((k, k, 0, 0))
+        first += k
+        unit_end.append(first + len(extra))
+        spec_runs, spec_ranks = _pair_runs(s, j, u, unit_end[-1], first - k, len(code), joined)
+        for run in spec_runs:  # kept with where its pairs start, after the runs before
+            runs.append((run[0], pairs, *run[1:]))
+            pairs += run[0]
+        ranked += spec_ranks
+    sizes, edges, xs, ys = np.fromiter(chain.from_iterable(table), np.int64,
+                                       4 * len(table)).reshape(-1, 4).T
+    unit_source = np.insert(code, extra_at, extra) if extra else code
+    n, m = sizes[unit_source], edges[unit_source]  # of each unit
+    bounds = np.zeros((2, len(n) + 1), np.int64)
+    np.cumsum([n, m], axis=1, out=bounds[:, 1:])
+    starts, edge_start = bounds
+    runs = np.array(runs, np.int64).reshape(-1, 15)
+    row = np.repeat(runs, runs[:, 0], axis=0)  # each pair's run
+    cols = row[:, 3::2] + row[:, 4::2] * (np.arange(pairs) - row[:, 1])[:, None]
+    vertex = np.concatenate([xs[code], ys[code], np.arange(sizes.max())])
+    slots = starts[cols[:, 0:4:2]] + vertex[cols[:, 1:4:2]]
+    label = _components(int(starts[-1]), slots)
+    roots = np.zeros(len(label) + 1, np.int64)  # class roots before each slot
+    np.cumsum(label == np.arange(len(label)), out=roots[1:])
+    ids = roots[label]
+    sourced = np.cumsum(edges) - edges  # where each source's edges start
+    local = np.concatenate(sources).take(
+        np.repeat(sourced[unit_source] - edge_start[:-1], m) + np.arange(edge_start[-1]), axis=0)
     # duplicate edges cannot arise from point-attaching disjoint monomers;
     # _from_array raising DuplicateEdge here would expose a compose bug
-    raw = ids[local + np.repeat(starts[:-1], m)[:, None]]
-    graph, order = _from_array(int(roots.sum()), raw)
-    known = [_known_blocks(g) for g in {id(h.graph): h.graph for h in hs}.values()]
-    if None not in known and max(len(b.edge_start) for b in known) <= 2:
-        _set_blocks(graph, _construction_blocks(spec, graph, order, ids, starts, m, pairs,
-                                                local, raw))
-    return CompositionResult(graph, ids[:starts[k]], starts[:k + 1])
-
-
-def _construction_blocks(spec: PolymerSpec, graph: Graph, order: np.ndarray,
-                         ids: np.ndarray, starts: np.ndarray, m: np.ndarray,
-                         pairs: np.ndarray, local: np.ndarray, raw: np.ndarray) -> Blocks:
-    """``graph``'s blocks when no monomer of ``spec`` has two (see above): a
-    unit's vertex carries itself and what hangs at its slot outside the
-    unit.  For a slot pair (a, b) whose b side holds ``vb`` vertices and
-    ``eb`` edges, a gains ``vb - 1`` and ``eb``, and b the rest.  The units
-    form a path (chain, link), a star (bouquet around monomer 0, circuit
-    around its cycle) or a tree.  Rows of ``local`` are flipped where
-    ``raw`` reverses them."""
-    k, N, M = len(spec.monomers), graph.n, graph.m
-    n = np.diff(starts)
-    if spec.kind == "tree":
-        vb, eb, swap = _child_sides(spec.tree_edges, n, m)
-        pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
-    elif spec.kind in ("bouquet", "circuit"):  # a star: b is a whole leaf monomer
-        vb, eb = n[k - len(pairs):k], m[k - len(pairs):k]
-    else:  # a path: b is every unit after the pair; a link's runs monomer i, bridge i
-        path = (np.insert(np.arange(k), np.arange(1, k), np.arange(k, 2 * k - 1))
-                if spec.kind == "link" else slice(None))
-        vb, eb = N - np.cumsum(n[path] - 1)[:-1], M - np.cumsum(m[path])[:-1]
-    weights, hanging = np.ones(starts[-1], np.int64), np.zeros(starts[-1], np.int64)
-    a, b = pairs.T  # b is a different slot in every pair; a need not be
+    raw = ids[local + np.repeat(starts[:-1], 2 * m).reshape(-1, 2)]
+    graph, order = _from_array(int(roots[-1]), raw)
+    vertex_at, edge_at = roots[starts[unit_end]], edge_start[unit_end].tolist()
+    if not joined:
+        return _Union(graph, vertex_at, edge_at, ids, starts, None, None)
+    # a unit's vertex carries itself and what hangs at its slot outside the unit: for a
+    # slot pair (a, b) whose b side holds vb vertices and eb edges, a gains vb - 1 and eb,
+    # and b the rest of its composite
+    placed = np.arange(len(n))  # the unit at each rank
+    if ranked:
+        at, to = np.array(ranked).T
+        placed[to] = at
+    ranked_sums = np.zeros((2, len(n) + 1), np.int64)  # of n - 1 and m, in rank order
+    np.cumsum([n[placed] - 1, m[placed]], axis=1, out=ranked_sums[:, 1:])
+    (lo, hi), (vs, es), (a, b) = cols[:, 4:].T, ranked_sums, slots.T
+    vb, eb = vs[hi] - vs[lo] + 1, es[hi] - es[lo]
+    weights, hanging = np.ones(len(ids), np.int64), np.zeros(len(ids), np.int64)
     np.add.at(weights, a, vb - 1)
     np.add.at(hanging, a, eb)
-    weights[b] += N - vb
-    hanging[b] += M - eb
-    parts = [n, m, ids, weights, hanging, local]
-    if n.min() == 1:  # a one-vertex monomer has no block
-        big, keep = n > 1, np.repeat(n > 1, n)
-        parts = [n[big], m[big], ids[keep], weights[keep], hanging[keep], local]
-    sizes, counts, vertices, weights, hanging, rows = parts
-    flip = raw[:, 0] > raw[:, 1]
-    if flip.any():
-        rows[flip] = rows[flip, ::-1]
+    owner = row[:, 2]
+    weights[b] += np.diff(vertex_at)[owner] - vb  # b is a different slot in every pair
+    hanging[b] += np.diff(edge_at)[owner] - eb
+    big = n > 1  # a one-vertex unit has no block
+    keep = np.repeat(big, n)
+    flip = raw[:, 0] > raw[:, 1]  # rows of local where raw reverses them
+    local[flip] = local[flip, ::-1]
     eids = np.empty_like(order)
     eids[order] = np.arange(len(order))
-    vertex_start, edge_start = np.zeros((2, len(sizes) + 1), np.int64)
-    np.cumsum(sizes, out=vertex_start[1:])
-    np.cumsum(counts, out=edge_start[1:])
-    return Blocks(vertex_start, vertices, weights, hanging, edge_start, eids, rows)
+    block_bounds = np.zeros((2, big.sum() + 1), np.int64)
+    np.cumsum([n[big], m[big]], axis=1, out=block_bounds[:, 1:])
+    blocks_at = np.zeros(len(n) + 1, np.int64)
+    np.cumsum(big, out=blocks_at[1:])
+    parts = Blocks(block_bounds[0], ids[keep], weights[keep], hanging[keep], block_bounds[1],
+                   eids, local)
+    return _Union(graph, vertex_at, edge_at, ids, starts, parts, blocks_at[unit_end])
 
 
-def _child_sides(tree_edges: tuple[TreeEdge, ...], n: np.ndarray,
-                 m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """With the monomer tree rooted at monomer 0, each tree edge's child
-    side: its vertices and edges, and whether the child is the edge's first
-    monomer.  Monomers S hold ``sum_S (n_j - 1) + 1`` vertices: |S| - 1
-    pairs merge."""
-    nbrs = [[] for _ in n]
-    for j, (a, _, b, _) in enumerate(tree_edges):
-        nbrs[a].append((b, j))
-        nbrs[b].append((a, j))
-    up, order = {0: (0, 0)}, [0]
-    for a in order:  # breadth first
-        for b, j in nbrs[a]:
-            if b not in up:
-                up[b] = a, j
-                order.append(b)
-    below, edges, child = (n - 1).tolist(), m.tolist(), [0] * len(tree_edges)
+def _pair_runs(spec: PolymerSpec, j: int, u: int, end: int, first: int, monomers: int,
+               joined: bool) -> tuple[list[tuple[int, ...]], Iterable[tuple[int, int]]]:
+    """The slot pairs of ``specs[j]``, whose units are flat units ``u:end``
+    and whose monomers start at ``first`` of all ``monomers``, as runs, and
+    the ranks of its units that differ from their index, as (unit, rank).
+    A run is a count c, then j, then a base and a step for each of six
+    columns: the unit and the vertex of slot a, the unit and the vertex of
+    slot b, and b's side of the pair, the units ranked ``lo:hi``; pair i of
+    the run holds ``base + step * i``.  A vertex column picks a monomer's x
+    (from 0), its y (from ``monomers``) or a literal vertex (from ``2 *
+    monomers``).  Ranks order the units so that every side is a run of
+    ranks.  A chain pairs ``(y_i, x_{i+1})`` and a link ``(y_i,
+    bridge_i.0)`` and ``(bridge_i.1, x_{i+1})``, ranked in path order
+    (monomer i, then bridge i): b's side is every unit after the pair.  A
+    bouquet pairs ``(x_0, x_i)`` and a circuit ``(cycle.i, x_i)``: b's side
+    is monomer i.  A tree pairs its tree edges; when the sides count
+    (``joined``), each runs from parent to child with the tree rooted at
+    monomer 0 and ranked in preorder, and b's side is the child's
+    subtree."""
+    k, x, y, lit = len(spec.monomers), first, monomers + first, 2 * monomers
+    if spec.kind == "chain":
+        return [(k - 1, j, u, 1, y, 1, u + 1, 1, x + 1, 1, u + 1, 1, end, 0)], ()
+    if spec.kind == "link":
+        return ([(k - 1, j, u, 1, y, 1, u + k, 1, lit, 0, u + 1, 2, end, 0),
+                 (k - 1, j, u + k, 1, lit + 1, 0, u + 1, 1, x + 1, 1, u + 2, 2, end, 0)],
+                zip(range(u, end), [*range(u, end, 2), *range(u + 1, end, 2)]))
+    if spec.kind == "bouquet":
+        return [(k - 1, j, u, 0, x, 0, u + 1, 1, x + 1, 1, u + 1, 1, u + 2, 1)], ()
+    if spec.kind == "circuit":
+        return [(k, j, end - 1, 0, lit, 1, u, 1, x, 1, u, 1, u + 1, 1)], ()
+    if not joined:
+        return [(1, j, u + a, 0, lit + va, 0, u + b, 0, lit + vb, 0, 0, 0, 0, 0)
+                for a, va, b, vb in spec.tree_edges], ()
+    pre, below, edges = _tree_order(spec.tree_edges, k)
+    return ([(1, j, u + a, 0, lit + va, 0, u + b, 0, lit + vb, 0, u + pre[b], 0,
+              u + pre[b] + below[b], 0) for a, va, b, vb in edges],
+            zip(range(u, end), [u + r for r in pre]))
+
+
+def _tree_order(tree_edges: tuple[TreeEdge, ...], k: int) -> tuple[list, list, list]:
+    """With the monomer tree rooted at monomer 0: each monomer's rank in a
+    depth-first preorder and the size of its subtree, and the tree edges,
+    each turned to run from parent to child."""
+    nbrs = [[] for _ in range(k)]
+    for a, va, b, vb in tree_edges:
+        nbrs[a].append((b, vb, va))
+        nbrs[b].append((a, va, vb))
+    up, order, stack, edges = [-1] * k, [], [0], []
+    while stack:
+        a = stack.pop()
+        order.append(a)
+        for b, vb, va in nbrs[a]:
+            if b != up[a]:  # two tree edges never join the same two monomers
+                up[b] = a
+                edges.append((a, va, b, vb))
+                stack.append(b)
+    below, pre = [1] * k, [0] * k
+    for i, c in enumerate(order):
+        pre[c] = i
     for c in reversed(order[1:]):
-        a, j = up[c]
-        child[j] = c
-        below[a] += below[c]
-        edges[a] += edges[c]
-    child = np.array(child, dtype=np.int64)
-    return (np.array(below)[child] + 1, np.array(edges)[child],
-            child == [e[0] for e in tree_edges])
+        below[up[c]] += below[c]
+    return pre, below, edges
 
 
 def spec_to_dict(spec: PolymerSpec) -> dict:

@@ -258,13 +258,16 @@ class TestConnectivity:
         assert not is_connected(from_edge_list(2, []))
         assert not is_connected(two_triangles())
 
-    @pytest.mark.parametrize("g", [two_triangles(), from_edge_list(2, [])],
-                             ids=["two-triangles", "two-isolated"])
+    @pytest.mark.parametrize("g", [two_triangles(), from_edge_list(2, []),
+                                   from_edge_list(4, [(0, 1), (2, 3)])],
+                             ids=["two-triangles", "two-isolated", "two-edges"])
     def test_distance_pass_raises_not_connected(self, g):
         with pytest.raises(NotConnected, match=f"graph with {g.n} vertices"):
             distance_rows(g, range(min(4, g.n)))
         with pytest.raises(NotConnected):
             distance_rows(g, [g.n - 1])
+        with pytest.raises(NotConnected, match=f"graph with {g.n} vertices"):
+            distance_rows(g, [])  # no row to show it
         with pytest.raises(NotConnected):
             index_report(g)
         for orientation in (vertex_orientation, edge_orientation):

@@ -12,6 +12,7 @@ from mostar import (CHAIN_FAMILIES, EdgeNotInGraph, FamilySpec, GraphError,
                     graphs, index_report, index_reports, indices, is_connected,
                     parse_graph, path_graph, vertex_orientation)
 import mostar
+from mostar import cli
 from mostar.cli import main
 
 from conftest import (block_rich_graphs, connected_graphs, naive_all_pairs,
@@ -472,11 +473,24 @@ def spy_on_dfs(mp):
 
 
 def test_verify_over_the_chain_families_runs_no_dfs(capsys):
+    """verify composes each batch of chains as one union, whose construction
+    blocks go straight to the engine: no DFS, and no join of per-chain blocks."""
+    unions, joins = [], []
+    real = cli._compose_all
+
+    def compose_all(specs):
+        union = real(specs)
+        unions.append((len(specs), union.edge_at[-1]))
+        return union
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on_dfs(mp)
+        mp.setattr(cli, "_compose_all", compose_all)
+        mp.setattr(graphs, "_joined", lambda *args: joins.append(args))
         code = main(["verify", "--families", ",".join(CHAIN_FAMILIES), "--to", "40"])
     assert code == 1 and calls == []  # hex-meta and hex-ortho disagree, as recorded
     assert capsys.readouterr().err == "76 of 480 cells disagree\n"
+    assert joins == [] and sum(k for k, _ in unions) == 6 * 40
+    assert all(edges <= indices._BATCH_EDGES or k == 1 for k, edges in unions)
 
 
 def test_batch_of_known_and_unknown_blocks():

@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mostar
-from mostar import (DegenerateHandles, GraphError, MonomerHandle, NotATree,
-                    NotConnected, PolymerSpec, TooFewMonomers,
-                    VertexOutOfRange, complete_graph, compose, cycle_graph,
-                    from_edge_list, index_report, is_connected, path_graph,
-                    spec_from_json, spec_to_dict)
+from mostar import (KINDS, CompositionResult, DegenerateHandles, GraphError,
+                    MonomerHandle, NotATree, NotConnected, PolymerSpec,
+                    TooFewMonomers, VertexOutOfRange, complete_graph, compose,
+                    cycle_graph, from_edge_list, index_report, index_reports,
+                    is_connected, path_graph, spec_from_json, spec_to_dict)
+from mostar.graphs import _known_blocks
+from mostar.indices import _reports
+from mostar.polymer import _compose_all
 
-from conftest import (polymer_specs, random_connected_graph, reference_assemble,
-                      reference_slot_pairs)
+from conftest import (one_block_specs, polymer_specs, random_connected_graph,
+                      reference_assemble, reference_slot_pairs)
 
 K1 = complete_graph(1)
 K2 = complete_graph(2)
@@ -492,3 +495,83 @@ def test_composition_ids_and_starts_are_read_only(kind, monomer):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 7
+
+
+@pytest.mark.parametrize("ids,starts,field", [
+    (np.array([], dtype=np.int64), np.array([0, 5]), "ids"),
+    (np.array([0, 1]), np.array([0, 2, 1]), "starts"),
+    (np.array([0.5, 1.0]), np.array([0, 2]), "ids"),
+    (np.array([7, 9]), np.array([0, 2]), "ids"),
+], ids=["ids-shorter-than-starts", "starts-decrease", "float-ids", "ids-past-the-graph"])
+def test_composition_result_checks_ids_and_starts(ids, starts, field):
+    """Each was taken as given: vertex(0, 1) raised a bare IndexError or
+    returned 9, vertex_map a bare ValueError or float ids."""
+    with pytest.raises(GraphError, match=f"^{field} "):
+        CompositionResult(path_graph(2), ids, starts)
+
+
+@st.composite
+def composite_specs(draw):
+    """A spec whose 1-3 monomers are one composite, a ``one_block_specs``
+    spec's, which carries its construction's blocks: one or many."""
+    g = compose(draw(one_block_specs())).graph
+    kind = draw(st.sampled_from(KINDS if g.n > 1 else ("link", "bouquet", "circuit", "tree")))
+    x = draw(st.integers(0, g.n - 1))
+    handle = MonomerHandle(g, x, (x + draw(st.integers(1, g.n - 1))) % g.n if g.n > 1 else x)
+    k = draw(st.integers(3 if kind == "circuit" else 1, 3))
+    tree = [(draw(st.integers(0, b - 1)), draw(st.integers(0, g.n - 1)), b,
+             draw(st.integers(0, g.n - 1))) for b in range(1, k if kind == "tree" else 1)]
+    return PolymerSpec(kind, (handle,) * k, tree)
+
+
+def spec_slices(spec, union, j, unit):
+    """Spec j's own ``(ends, ids, starts, blocks)`` in ``union``, shifted
+    back, its units starting at ``unit``."""
+    lo, k = union.vertex_at[j], len(spec.monomers)
+    ends = union.graph.ends[union.edge_at[j]:union.edge_at[j + 1]] - lo
+    first = union.starts[unit]
+    ids = union.ids[first:union.starts[unit + k]] - lo
+    parts = None
+    if union.parts is not None:
+        b0, b1 = union.block_at[j], union.block_at[j + 1]
+        vs, es = union.parts.vertex_start, union.parts.edge_start
+        parts = (vs[b0:b1 + 1] - vs[b0], union.parts.vertices[vs[b0]:vs[b1]] - lo,
+                 union.parts.weights[vs[b0]:vs[b1]], union.parts.hanging[vs[b0]:vs[b1]],
+                 es[b0:b1 + 1] - es[b0], union.parts.edges[es[b0]:es[b1]] - union.edge_at[j],
+                 union.parts.local_ends[es[b0]:es[b1]])
+    return ends, ids, union.starts[unit:unit + k + 1] - first, parts
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.one_of(polymer_specs(min_monomers=1), one_block_specs(), composite_specs()),
+                min_size=1, max_size=5), st.integers(0, 2))
+def test_compose_all_is_compose_spec_by_spec(specs, repeats):
+    """One union of specs of every kind, k = 1 and K1 monomers included,
+    some specs twice, holds each spec as ``compose`` builds it alone and as
+    the reference union-find does, and its blocks give the reports of the
+    specs' graphs."""
+    specs = specs + specs[:repeats]  # the same monomers in several specs
+    union = _compose_all(specs)
+    alone = [compose(s) for s in specs]
+    unit = 0
+    for j, (spec, res) in enumerate(zip(specs, alone)):
+        ends, ids, starts, parts = spec_slices(spec, union, j, unit)
+        assert ends.tolist() == res.graph.ends.tolist()
+        assert ids.tolist() == res.ids.tolist() and starts.tolist() == res.starts.tolist()
+        graphs = [h.graph for h in spec.monomers]
+        n, edges, vertex_map = reference_assemble(graphs, *reference_slot_pairs(spec))
+        assert union.vertex_at[j + 1] - union.vertex_at[j] == n
+        assert list(map(tuple, ends.tolist())) == list(edges)
+        assert ids.tolist() == list(vertex_map.values())
+        if parts is not None:  # a union joins blocks only if every spec would alone
+            assert all(a.tolist() == b.tolist()
+                       for a, b in zip(parts, _known_blocks(res.graph), strict=True))
+        k = len(spec.monomers)  # and a link's k - 1 bridges or a circuit's cycle
+        unit += k + {"link": k - 1, "circuit": 1}.get(spec.kind, 0)
+    if union.parts is None:
+        assert any(_known_blocks(res.graph) is None for res in alone)
+    reports = list(_reports(*union.blocks(), union.edge_at))
+    for r, want in zip(reports, index_reports([res.graph for res in alone]), strict=True):
+        assert r == want
+        assert r.vertex_diffs.tolist() == want.vertex_diffs.tolist()
+        assert r.edge_diffs.tolist() == want.edge_diffs.tolist()
