@@ -341,7 +341,7 @@ def _union_blocks(union: np.ndarray, sizes: np.ndarray,
     first = np.cumsum(count) - count
     place = np.zeros(n, np.int64)  # an inner vertex's position in its block
     place[inner] = np.arange(1, inner.size + 1) - np.repeat(first, count)
-    ends = union[order]  # an end not inner to the edge's block is its top, at 0
+    ends = np.take(union, order, axis=0)  # an end not inner to the edge's block is its top, at 0
     local_ends = np.where(vlab[ends] == blab[:, None], place[ends], 0)
     c = inner[first]  # each block's first inner vertex
     below = np.zeros(n + 1, np.int64)  # edges counted at their deeper end, in preorder

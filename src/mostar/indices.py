@@ -29,9 +29,10 @@ Blocks of at most ``_FLOYD_MAX`` vertices are stacked by size, sizes above
 batched Floyd-Warshall.  A larger block whose BFS from its top vertex ends
 within ``_LEVEL_MAX_ECC`` levels takes the level pass, the linear-algebra
 BFS of Kepner and Gilbert: one sparse product per level for a batch of
-sources, and no distance row held.  A deeper block streams its BFS rows.
-Either way a bounded batch of sources runs at a time, so no ``n x n``
-table is held.  One vertex has no blocks.
+sources, but none at level 0, gathered from the adjacency, or at the last
+level, where nothing lies ahead; no distance row is held.  A deeper block
+streams its BFS rows.  Either way a bounded batch of sources runs at a
+time, so no ``n x n`` table is held.  One vertex has no blocks.
 
 ``index_reports`` evaluates graphs in batches: consecutive graphs are
 joined into one disjoint union while their edges stay within
@@ -53,6 +54,7 @@ per polymer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -199,49 +201,68 @@ def _transmissions(a, ends: np.ndarray, weights: np.ndarray,
     return np.concatenate(vertex_sums)[relabel], np.concatenate(edge_sums)[relabel]
 
 
-def _levels(a, front: np.ndarray):
-    """BFS from the sources marked in the float32 ``front``'s columns: yields
-    each level's frontiers, ``a @`` them and whether it is the last level."""
-    unseen, last = front == 0, False
-    while not last:
-        q = a @ front
+def _levels(a, sources: np.ndarray):
+    """BFS over the float32 adjacency ``a`` from each of ``sources``, one
+    column each: yields each level's frontiers and ``a @`` them, or None at
+    the last level, the first after which no column has a vertex unseen.
+    No product is run whose result is known: level 0's is the sources'
+    columns of ``a``, scattered from their CSR rows (``a`` is symmetric), and
+    the last level's would find nothing ahead, so a batch whose sources' top
+    eccentricity is e runs e - 1 sparse products.  It stops only once every
+    vertex is seen: the pass runs on blocks whose probe got there."""
+    n, k = a.shape[0], sources.size
+    cols = np.arange(k)
+    front = np.zeros((n, k), np.float32)
+    front[sources, cols] = 1
+    starts, counts = a.indptr[sources], np.diff(a.indptr)[sources]
+    slots = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    q = np.zeros((n, k), np.float32)
+    q[a.indices[slots], np.repeat(cols, counts)] = 1
+    unseen = front == 0
+    while q is not None:
         ahead = (q > 0) & unseen
         unseen ^= ahead
-        last = not ahead.any()
-        yield front, q, last
+        yield front, q
         front = ahead.astype(np.float32)
+        q = a @ front if unseen.any() else None
+    yield front, None
 
 
 def _shallow(a) -> bool:
     """The cost test on a block's float32 adjacency ``a``: a BFS from position
-    0 (the top vertex in a DFS layout) ends within ``_LEVEL_MAX_ECC``
-    products, and every degree is below 2^24, so float32 counts are exact."""
-    front = np.zeros((a.shape[0], 1), np.float32)
-    front[0] = 1
-    return bool(np.diff(a.indptr).max() < 1 << 24) and any(
-        last for _, (_, _, last) in zip(range(_LEVEL_MAX_ECC), _levels(a, front)))
+    0 (the top vertex in a DFS layout) reaches its last level within
+    ``_LEVEL_MAX_ECC`` levels (its eccentricity is below that), and every
+    degree is below 2^24, so float32 counts are exact."""
+    levels = zip(range(_LEVEL_MAX_ECC), _levels(a, np.zeros(1, np.intp)))
+    return bool(np.diff(a.indptr).max() < 1 << 24) and any(q is None for _, (_, q) in levels)
 
 
 def _level_transmissions(a, weights: np.ndarray,
                          hanging: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(T, E)`` as ``_transmissions`` gives them, from one sparse product per
-    BFS level of a batch of sources over the float32 adjacency ``a``.  Level
-    d's ``deg`` edge ends split into ``back`` (to level d-1), ``within`` (two
-    per edge inside d) and ``ahead``, so ``ahead + within / 2`` edges have
-    their nearer end at level d."""
+    """``(T, E)`` as ``_transmissions`` gives them, from the BFS levels
+    (``_levels``) of a batch of sources over the float32 adjacency ``a``.
+    Level d's ``deg`` edge ends split as ``deg = back + within + ahead``:
+    ``back`` to level d-1, ``within`` two per edge inside d, and ``ahead``,
+    so ``ahead + within / 2`` edges have their nearer end at level d.
+    ``within`` is read off the level's product, except at the last level,
+    where nothing lies ahead and it is ``deg - back``.  Level 0 adds nothing
+    to either sum; all its edge ends lie ahead."""
     n = a.shape[0]
-    # rows: weights, degrees, hanging; integer sums below 2^53, exact
+    # rows: weights, degrees, hanging.  Each sum below adds nonnegative
+    # integers up to at most a row's total, so it is exact in float32 while
+    # every total is below 2^24, and in float64 below 2^53
     mass = np.array([weights, np.diff(a.indptr), hanging], dtype=np.float64)
+    if mass.sum(axis=1).max() < 1 << 24:
+        mass = mass.astype(np.float32)
     trans, edge_trans = np.zeros(n, np.int64), np.zeros(n, np.int64)
     k = max(1, _ROW_BUDGET_BYTES // (24 * n))
     for start in range(0, n, k):
         cols = np.arange(start, min(start + k, n))
-        front = np.zeros((n, cols.size), np.float32)
-        front[cols, np.arange(cols.size)] = 1
-        back = 0
-        for d, (f, q, _) in enumerate(_levels(a, front)):
+        back = mass[1, cols].astype(np.int64)
+        for d, (f, q) in enumerate(islice(_levels(a, cols), 1, None), 1):
             at = (mass @ f).astype(np.int64)
-            within = (q * f).sum(axis=0, dtype=np.float64).astype(np.int64)
+            within = (at[1] - back if q is None else
+                      (q * f).sum(axis=0, dtype=mass.dtype).astype(np.int64))
             ahead = at[1] - within - back
             trans[cols] += d * at[0]
             edge_trans[cols] += d * (ahead + within // 2 + at[2])
@@ -263,7 +284,7 @@ def _block_diffs(parts: Blocks, chosen: np.ndarray,
     owner = np.repeat(np.arange(k), counts)  # the block of each edge, 0..k-1
     firsts = np.cumsum(counts) - counts  # where each block's edges start
     rows = np.repeat(parts.edge_start[chosen] - firsts, counts) + np.arange(owner.size)
-    eids, local = parts.edges[rows], parts.local_ends[rows]
+    eids, local = parts.edges[rows], np.take(parts.local_ends, rows, axis=0)
     if s <= _FLOYD_MAX:  # one Floyd-Warshall over the stack
         # s exceeds every hop count; the smallest type that holds 2 s
         d = np.full((k, s, s), s, dtype=np.min_scalar_type(2 * s))

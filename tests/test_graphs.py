@@ -405,9 +405,9 @@ def check_streamed_pass(g):
             passes.append(a.shape[0])
             return level_pass(a, weights, hanging)
 
-        def spy_levels(a, front):
-            fronts.append(front.shape)
-            return levels(a, front)
+        def spy_levels(a, sources):
+            fronts.append((a.shape[0], len(sources)))
+            return levels(a, sources)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(indices, "_ROW_BUDGET_BYTES", budget)
@@ -436,8 +436,8 @@ def test_streamed_pass_smallest_graphs(g):
                          ids=["K60", "C200"])
 def test_cost_test_picks_the_pass(g, taken):
     """K60 ends its probe BFS at level 1 and takes the level pass; C200 is
-    still going after ``_LEVEL_MAX_ECC`` products and streams rows."""
-    passes, products = [], []
+    still going after ``_LEVEL_MAX_ECC`` levels and streams rows."""
+    passes, widths = [], []  # widths: the sources of each BFS level run
     levels = indices._levels
 
     def spy(name):
@@ -448,9 +448,9 @@ def test_cost_test_picks_the_pass(g, taken):
             return real(*args)
         return run
 
-    def spy_levels(a, front):
-        for level in levels(a, front):
-            products.append(front.shape[1])
+    def spy_levels(a, sources):
+        for level in levels(a, sources):
+            widths.append(len(sources))
             yield level
 
     with pytest.MonkeyPatch.context() as mp:
@@ -460,8 +460,8 @@ def test_cost_test_picks_the_pass(g, taken):
         index_report(g)
     assert passes == [taken]
     if taken == "_transmissions":
-        assert products == [1] * len(products)  # the probe's one source
-        assert 0 < len(products) <= indices._LEVEL_MAX_ECC
+        assert widths == [1] * len(widths)  # the probe's one source
+        assert 0 < len(widths) <= indices._LEVEL_MAX_ECC
 
 
 @settings(deadline=None, max_examples=50)

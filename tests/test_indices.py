@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from mostar import (CHAIN_FAMILIES, EdgeNotInGraph, FamilySpec, GraphError,
                     MonomerHandle, NotConnected, PolymerSpec, blocks,
@@ -368,7 +369,20 @@ PASS_CASES = {
     "C48-chords-hung": (hung(chorded_cycle(48, 6), [
         (0, complete_graph(4)), (3, cycle_graph(3)), (7, path_graph(5)),
         (30, cycle_graph(6))]), 16),
+    "K8-C31-hung": (hung(from_edge_list(37, list(complete_graph(8).edges) + [(1, 8), (36, 0)]
+                                        + [(i, i + 1) for i in range(8, 36)]), [
+        (2, complete_graph(4)), (20, cycle_graph(5)), (9, path_graph(4))]), 18),
+    "C48-chord-hung": (hung(chorded_cycle(48, 24), [
+        (1, complete_graph(5)), (13, cycle_graph(4)), (25, path_graph(3)),
+        (40, complete_graph(3))]), 25),
 }
+
+#: Cases whose largest block's vertices differ in eccentricity, so the sources
+#: of one batch reach their last level at different depths: a K8 and a C31
+#: sharing an edge (the K8's other vertices lie one level deeper than any
+#: cycle vertex), and a C48 with one chord (eccentricities 12 to 24), each
+#: with pieces hung on it, so weights and hanging counts are nonzero
+RAGGED = ("K8-C31-hung", "C48-chord-hung")
 
 
 def test_deep_relabelled_block_takes_the_rows_pass():
@@ -392,28 +406,146 @@ def test_deep_relabelled_block_takes_the_rows_pass():
 @pytest.mark.parametrize("name", list(PASS_CASES))
 def test_level_and_rows_passes_match_the_oracle(name):
     """Every block forced through the level pass, then through the streamed
-    rows: both give the naive oracle's per-edge diffs and totals."""
+    rows, with a budget of 1, 2 or 3 sources a batch in the largest block,
+    or of all of them: both give the naive oracle's per-edge diffs and
+    totals."""
     g, diameter = PASS_CASES[name]
     assert max(map(max, naive_all_pairs(g))) == diameter
     vertex_diffs, edge_diffs = naive_vertex_diffs(g), naive_edge_diffs(g)
     totals = (sum(vertex_diffs), sum(edge_diffs), naive_wiener(g))
-    for level_max, taken in ((g.n, "_level_transmissions"), (0, "_transmissions")):
-        passes = []
+    parts = blocks(g)
+    sizes = np.diff(parts.vertex_start)
+    big = int(np.argmax(sizes))
+    n, m = int(sizes[big]), int(parts.edge_start[big + 1] - parts.edge_start[big])
+    if name in RAGGED:
+        local = parts.local_ends[parts.edge_start[big]:parts.edge_start[big + 1]]
+        ecc = graphs._bfs_rows(graphs._csr(n, local), np.arange(n)).max(axis=1)
+        assert ecc.min() < ecc.max()
+    for level_max, taken, per_source in ((g.n, "_level_transmissions", 24 * n),
+                                         (0, "_transmissions", 8 * max(n, m))):
         real = getattr(indices, taken)
 
         def spy(*args):  # the block's adjacency, its edges for the rows pass, then the masses
             passes.append(args[-2].size)
             return real(*args)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(indices, "_FLOYD_MAX", 0)
-            mp.setattr(indices, "_LEVEL_MAX_ECC", level_max)
-            mp.setattr(indices, taken, spy)
-            r = index_report(g)
-        assert sorted(passes) == sorted(np.diff(blocks(g).vertex_start).tolist())
-        assert r.vertex_diffs.tolist() == vertex_diffs
-        assert r.edge_diffs.tolist() == edge_diffs
-        assert (r.mostar, r.edge_mostar, r.wiener) == totals
+        for rows in (1, 2, 3, n):
+            passes = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(indices, "_ROW_BUDGET_BYTES", rows * per_source)
+                mp.setattr(indices, "_FLOYD_MAX", 0)
+                mp.setattr(indices, "_LEVEL_MAX_ECC", level_max)
+                mp.setattr(indices, taken, spy)
+                r = index_report(g)
+            assert sorted(passes) == sorted(sizes.tolist())
+            assert r.vertex_diffs.tolist() == vertex_diffs
+            assert r.edge_diffs.tolist() == edge_diffs
+            assert (r.mostar, r.edge_mostar, r.wiener) == totals
+
+
+def count_products(g, **settings):
+    """``index_report(g)`` with the ``indices`` constants ``settings``,
+    counting the sparse products of every block adjacency.  Gives the
+    report, the passes taken, each ``_levels`` call as ``[adjacency,
+    sources, levels yielded, products run]``, and the products run before
+    any such call."""
+    passes, calls, before = [], [], []
+    levels, csr = indices._levels, indices._csr
+
+    class Counting(csr_matrix):
+        def __matmul__(self, other):
+            if calls:
+                calls[-1][3] += 1
+            else:
+                before.append(other.shape)
+            return super().__matmul__(other)
+
+    def spy_levels(a, sources):
+        call = [csr_matrix(a), sources, 0, 0]
+        calls.append(call)
+        for level in levels(a, sources):
+            call[2] += 1
+            yield level
+
+    def spy(name):
+        real = getattr(indices, name)
+
+        def run(*args):
+            passes.append(name)
+            return real(*args)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in settings.items():
+            mp.setattr(indices, name, value)
+        for name in ("_level_transmissions", "_transmissions"):
+            mp.setattr(indices, name, spy(name))
+        mp.setattr(indices, "_csr", lambda n, ends: Counting(csr(n, ends)))
+        mp.setattr(indices, "_levels", spy_levels)
+        r = index_report(g)
+    return r, passes, calls, before
+
+
+def test_clique_runs_no_sparse_product():
+    """K60's probe and its level pass both end at level 1: level 0's product
+    is gathered and level 1 is the last, so no sparse product runs."""
+    r, passes, calls, before = count_products(complete_graph(60))
+    assert (r.mostar, r.edge_mostar, r.wiener) == (0, 0, 60 * 59 // 2)
+    assert passes == ["_level_transmissions"]
+    assert [(len(s), levels, products) for _, s, levels, products in calls] == [
+        (1, 2, 0), (60, 2, 0)]
+    assert before == []
+
+
+def test_each_batch_runs_its_eccentricity_less_one_products():
+    """A seeded Hamiltonian 300-cycle with chords, forced through the level
+    pass in batches of 7 sources: the probe and each batch run one product
+    fewer than the largest eccentricity among their sources, and the
+    batches do not all end at one depth."""
+    rng = random.Random(30)
+    order = rng.sample(range(300), 300)
+    edges = {tuple(sorted((order[i], order[i - 1]))) for i in range(300)}
+    while len(edges) < 450:
+        edges.add(tuple(sorted(rng.sample(range(300), 2))))
+    g = from_edge_list(300, sorted(edges))
+    r, passes, calls, before = count_products(g, _LEVEL_MAX_ECC=g.n,
+                                              _ROW_BUDGET_BYTES=7 * 24 * g.n)
+    check_report(g, r)
+    assert passes == ["_level_transmissions"] and before == []
+    assert [len(s) for _, s, _, _ in calls] == [1] + [7] * 42 + [6]
+    tops = [int(graphs._bfs_rows(a, s).max()) for a, s, _, _ in calls]
+    assert [products for *_, products in calls] == [top - 1 for top in tops]
+    assert [levels for _, _, levels, _ in calls] == [top + 1 for top in tops]
+    assert len(set(tops[1:])) > 1
+
+
+@pytest.mark.parametrize("heavy", [(1 << 23) - 41, (1 << 23) + 1])
+def test_level_pass_sums_stay_exact_around_float32(heavy):
+    """Two of vertex 0's neighbours weigh ``heavy`` and hang ``heavy`` edges,
+    every other vertex one: the totals sit just below 2^24 (the level pass
+    sums in float32) or just above it (in float64, as level 1 from vertex 0
+    alone then sums to the odd 2^24 + 3).  T and E equal the rows pass's
+    int64 sums."""
+    g = chorded_cycle(60, 3)
+    ends = np.array(g.ends)
+    a = graphs._csr(g.n, ends)
+    mass = np.ones(g.n, np.int64)
+    mass[a.indices[a.indptr[0]:a.indptr[0] + 2]] = heavy
+    assert (mass.sum() < 1 << 24) == (heavy < 1 << 23)
+    level = indices._level_transmissions(a, mass, mass)
+    rows = indices._transmissions(a, ends, mass, mass)
+    assert all(np.array_equal(x, y) for x, y in zip(level, rows))
+
+
+def test_deep_probe_stops_at_the_level_cap():
+    """C200's probe yields ``_LEVEL_MAX_ECC`` levels, runs a product at each
+    but level 0, and the block streams rows."""
+    r, passes, calls, before = count_products(cycle_graph(200))
+    assert r.wiener == 200 * 100 * 100 // 2
+    assert passes == ["_transmissions"]
+    assert [(len(s), levels, products) for _, s, levels, products in calls] == [
+        (1, indices._LEVEL_MAX_ECC, indices._LEVEL_MAX_ECC - 1)]
+    assert before == []
 
 
 @settings(deadline=None, max_examples=40)
