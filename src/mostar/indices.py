@@ -203,38 +203,42 @@ def _transmissions(a, ends: np.ndarray, weights: np.ndarray,
 
 def _levels(a, sources: np.ndarray):
     """BFS over the float32 adjacency ``a`` from each of ``sources``, one
-    column each: yields each level's frontiers and ``a @`` them, or None at
-    the last level, the first after which no column has a vertex unseen.
-    No product is run whose result is known: level 0's is the sources'
-    columns of ``a``, scattered from their CSR rows (``a`` is symmetric), and
-    the last level's would find nothing ahead, so a batch whose sources' top
-    eccentricity is e runs e - 1 sparse products.  It stops only once every
-    vertex is seen: the pass runs on blocks whose probe got there."""
+    column each: yields each level's frontiers with ``a @`` the level
+    before's (None at level 0), and stops after the last level, the first
+    after which no column has a vertex unseen.  It runs a product only when
+    the caller asks for the next level and a vertex is still unseen, and
+    level 0's is the sources' columns of ``a``, scattered from their CSR rows
+    (``a`` is symmetric): a batch whose sources' top eccentricity is e runs
+    e - 1 sparse products.  It stops only once every vertex is seen: the
+    pass runs on blocks whose probe got there."""
     n, k = a.shape[0], sources.size
     cols = np.arange(k)
     front = np.zeros((n, k), np.float32)
     front[sources, cols] = 1
+    unseen = front == 0
+    yield front, None
     starts, counts = a.indptr[sources], np.diff(a.indptr)[sources]
     slots = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
     q = np.zeros((n, k), np.float32)
     q[a.indices[slots], np.repeat(cols, counts)] = 1
-    unseen = front == 0
-    while q is not None:
+    while True:
         ahead = (q > 0) & unseen
         unseen ^= ahead
-        yield front, q
         front = ahead.astype(np.float32)
-        q = a @ front if unseen.any() else None
-    yield front, None
+        yield front, q
+        if not unseen.any():
+            return
+        q = a @ front
 
 
 def _shallow(a) -> bool:
     """The cost test on a block's float32 adjacency ``a``: a BFS from position
-    0 (the top vertex in a DFS layout) reaches its last level within
+    0 (the top vertex in a DFS layout) sees every vertex within
     ``_LEVEL_MAX_ECC`` levels (its eccentricity is below that), and every
     degree is below 2^24, so float32 counts are exact."""
-    levels = zip(range(_LEVEL_MAX_ECC), _levels(a, np.zeros(1, np.intp)))
-    return bool(np.diff(a.indptr).max() < 1 << 24) and any(q is None for _, (_, q) in levels)
+    levels = islice(_levels(a, np.zeros(1, np.intp)), _LEVEL_MAX_ECC)
+    return bool(np.diff(a.indptr).max() < 1 << 24) and (
+        sum(np.count_nonzero(f) for f, _ in levels) == a.shape[0])
 
 
 def _level_transmissions(a, weights: np.ndarray,
@@ -243,31 +247,26 @@ def _level_transmissions(a, weights: np.ndarray,
     (``_levels``) of a batch of sources over the float32 adjacency ``a``.
     Level d's ``deg`` edge ends split as ``deg = back + within + ahead``:
     ``back`` to level d-1, ``within`` two per edge inside d, and ``ahead``,
-    so ``ahead + within / 2`` edges have their nearer end at level d.
-    ``within`` is read off the level's product, except at the last level,
-    where nothing lies ahead and it is ``deg - back``.  Level 0 adds nothing
-    to either sum; all its edge ends lie ahead."""
+    the next level's ``back``.  An edge has its nearer end at its lower
+    level, so ``2 E = sum_d d (deg + 2 hanging) - sum_d back``: an edge
+    inside a level counts its level twice, one across levels its lower
+    level plus one.  Level d's ``back`` is its frontiers times the level
+    before's product, so neither ``within`` nor the last level's product is
+    needed.  Level 0 adds nothing to either sum."""
     n = a.shape[0]
-    # rows: weights, degrees, hanging.  Each sum below adds nonnegative
-    # integers up to at most a row's total, so it is exact in float32 while
-    # every total is below 2^24, and in float64 below 2^53
-    mass = np.array([weights, np.diff(a.indptr), hanging], dtype=np.float64)
-    if mass.sum(axis=1).max() < 1 << 24:
-        mass = mass.astype(np.float32)
-    trans, edge_trans = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    # rows: weights, degrees plus twice the hanging counts; integer sums
+    # below 2^53, exact
+    mass = np.array([weights, np.diff(a.indptr) + 2 * hanging], dtype=np.float64)
+    trans, twice_edge = np.zeros(n, np.int64), np.zeros(n, np.int64)
     k = max(1, _ROW_BUDGET_BYTES // (24 * n))
     for start in range(0, n, k):
         cols = np.arange(start, min(start + k, n))
-        back = mass[1, cols].astype(np.int64)
         for d, (f, q) in enumerate(islice(_levels(a, cols), 1, None), 1):
             at = (mass @ f).astype(np.int64)
-            within = (at[1] - back if q is None else
-                      (q * f).sum(axis=0, dtype=mass.dtype).astype(np.int64))
-            ahead = at[1] - within - back
+            back = (q * f).sum(axis=0, dtype=np.float64).astype(np.int64)
             trans[cols] += d * at[0]
-            edge_trans[cols] += d * (ahead + within // 2 + at[2])
-            back = ahead
-    return trans, edge_trans
+            twice_edge[cols] += d * at[1] - back
+    return trans, twice_edge // 2
 
 
 def _block_diffs(parts: Blocks, chosen: np.ndarray,

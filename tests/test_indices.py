@@ -522,10 +522,9 @@ def test_each_batch_runs_its_eccentricity_less_one_products():
 @pytest.mark.parametrize("heavy", [(1 << 23) - 41, (1 << 23) + 1])
 def test_level_pass_sums_stay_exact_around_float32(heavy):
     """Two of vertex 0's neighbours weigh ``heavy`` and hang ``heavy`` edges,
-    every other vertex one: the totals sit just below 2^24 (the level pass
-    sums in float32) or just above it (in float64, as level 1 from vertex 0
-    alone then sums to the odd 2^24 + 3).  T and E equal the rows pass's
-    int64 sums."""
+    every other vertex one: the totals sit just below 2^24 or just above it,
+    where float32 sums would round (level 1 from vertex 0 alone sums to the
+    odd 2^24 + 3).  T and E equal the rows pass's int64 sums."""
     g = chorded_cycle(60, 3)
     ends = np.array(g.ends)
     a = graphs._csr(g.n, ends)
@@ -538,13 +537,15 @@ def test_level_pass_sums_stay_exact_around_float32(heavy):
 
 
 def test_deep_probe_stops_at_the_level_cap():
-    """C200's probe yields ``_LEVEL_MAX_ECC`` levels, runs a product at each
-    but level 0, and the block streams rows."""
+    """C200's probe yields ``_LEVEL_MAX_ECC`` levels and stops there: level
+    1 comes from level 0's gathered columns and each later level from a
+    product of the level before, so it runs ``_LEVEL_MAX_ECC - 2``, none
+    for the level past the cap.  The block streams rows."""
     r, passes, calls, before = count_products(cycle_graph(200))
     assert r.wiener == 200 * 100 * 100 // 2
     assert passes == ["_transmissions"]
     assert [(len(s), levels, products) for _, s, levels, products in calls] == [
-        (1, indices._LEVEL_MAX_ECC, indices._LEVEL_MAX_ECC - 1)]
+        (1, indices._LEVEL_MAX_ECC, indices._LEVEL_MAX_ECC - 2)]
     assert before == []
 
 
