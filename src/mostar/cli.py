@@ -26,7 +26,7 @@ from .families import (CHAIN_FAMILIES, FAMILY_NAMES, FamilySpec, _polymer, famil
                        generate)
 from .formats import dump_graph, parse_graph
 from .formulas import BOUND_KINDS, check_bounds, formula_value, has_formula
-from .indices import _BATCH_EDGES, EDGE_MOSTAR, MOSTAR, _reports, index_report
+from .indices import EDGE_MOSTAR, MOSTAR, _batches, _reports, index_report
 from .polymer import _compose_all, compose, spec_from_json
 
 SCHEMA_VERSION = "1"
@@ -161,27 +161,14 @@ def _spec_label(spec: FamilySpec) -> str:
     return str(spec.n)
 
 
-def _batches(edges: dict[FamilySpec, int]) -> Iterator[list[FamilySpec]]:
-    """The specs of ``edges`` in order, cut into runs of at most
-    ``_BATCH_EDGES`` edges; a larger instance runs alone."""
-    batch, total = [], 0
-    for spec, m in edges.items():
-        if batch and total + m > _BATCH_EDGES:
-            yield batch
-            batch, total = [], 0
-        batch.append(spec)
-        total += m
-    if batch:
-        yield batch
-
-
 def cmd_verify(args) -> int:
-    """Each batch of distinct instances (``_batches``) is composed as one
-    disjoint union of their polymers and evaluated in one pass over its
-    blocks, the construction's or one DFS's: no per-instance graph."""
+    """Each batch of distinct instances, cut as ``index_reports`` cuts
+    graphs (``indices._batches``), is composed as one disjoint union of
+    their polymers and evaluated in one pass over its blocks, the
+    construction's or one DFS's: no per-instance graph."""
     cells = list(_verify_cells(args))  # all checked before the first graph is built
-    oracles = {}
-    for batch in _batches({spec: m for spec, _, m in cells}):
+    oracles, edges = {}, {spec: m for spec, _, m in cells}
+    for batch in _batches(edges, edges.get):
         union = _compose_all([_polymer(spec) for spec in batch])
         for spec, r in zip(batch, _reports(*union.blocks(), union.edge_at)):
             oracles[spec] = {MOSTAR: r.mostar, EDGE_MOSTAR: r.edge_mostar}

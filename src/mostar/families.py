@@ -3,17 +3,15 @@
 Six polygon chains (triangles, squares, hexagons, each with its cut-vertex
 spacing), the clique flower Q(m, n), and the recursive triangulane.  Each
 instance is the composite of one polymer, which ``_polymer`` spells out:
-``generate`` composes it and names its landmark vertices, worked out only
-when first read, and ``cli.cmd_verify`` composes many at once
-(``polymer._compose_all``).  Identical parameters always produce a
-byte-identical canonical edge list.
+``generate`` composes it and names its landmark vertices, and
+``cli.cmd_verify`` composes many at once (``polymer._compose_all``).
+Identical parameters always produce a byte-identical canonical edge list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Callable
+from functools import cache
 
 from .errors import GraphError, quote
 from .graphs import Graph, _is_int, _typed, complete_graph, cycle_graph
@@ -60,14 +58,10 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class FamilyGraph:
-    """A family instance; ``marks`` names its landmark vertices when called."""
+    """A family instance and its landmark vertices, by name."""
 
     graph: Graph
-    marks: Callable[[], dict[str, int]] = field(compare=False, repr=False)
-
-    @cached_property
-    def landmarks(self) -> dict[str, int]:
-        return self.marks()
+    landmarks: dict[str, int] = field(compare=False, repr=False)
 
 
 @cache
@@ -113,22 +107,18 @@ def generate(spec: FamilySpec) -> FamilyGraph:
     polymer = _polymer(spec)
     comp = compose(polymer)
     if fam in CHAIN_SHAPE:
-        spacing = CHAIN_SHAPE[fam][1]
-
-        def marks() -> dict[str, int]:
-            entries = comp.starts[:-1]
-            xs, ys = comp.ids[entries].tolist(), comp.ids[entries + spacing].tolist()
-            return {name: v for i, (x, y) in enumerate(zip(xs, ys), 1)
-                    for name, v in ((f"x_{i}", x), (f"y_{i}", y))}
-        return FamilyGraph(comp.graph, marks)
+        entries = comp.starts[:-1]
+        xs = comp.ids[entries].tolist()
+        ys = comp.ids[entries + CHAIN_SHAPE[fam][1]].tolist()
+        return FamilyGraph(comp.graph, {name: v for i, (x, y) in enumerate(zip(xs, ys), 1)
+                                        for name, v in ((f"x_{i}", x), (f"y_{i}", y))})
     if fam == "clique-flower":
-        return FamilyGraph(comp.graph, lambda: {f"u_{i + 1}": comp.vertex(0, i)
-                                                for i in range(spec.m)})
+        return FamilyGraph(comp.graph, {f"u_{i + 1}": comp.vertex(0, i) for i in range(spec.m)})
     if fam == "triangulane-aux":
-        return FamilyGraph(comp.graph, lambda: {f"y_{n}": comp.vertex(2, 0) if n > 1 else 0})
+        return FamilyGraph(comp.graph, {f"y_{n}": comp.vertex(2, 0) if n > 1 else 0})
     y = polymer.monomers[0].x
-    return FamilyGraph(comp.graph, lambda: {"x_0": comp.vertex(0, y), "u": comp.vertex(1, y),
-                                            "v": comp.vertex(2, y)})
+    return FamilyGraph(comp.graph, {"x_0": comp.vertex(0, y), "u": comp.vertex(1, y),
+                                    "v": comp.vertex(2, y)})
 
 
 def family_counts(spec: FamilySpec) -> tuple[int, int]:

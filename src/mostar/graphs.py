@@ -35,16 +35,23 @@ class Graph:
     ``ends`` is the read-only ``(m, 2)`` int64 array of edge endpoints, in
     canonical order: each row has ``u < v`` and the rows are sorted
     lexicographically.  ``edges`` is the same list as a tuple of ``(u, v)``
-    Python ints, built on first use.  Build graphs with ``from_edge_list``;
-    the constructor trusts ``ends`` to be canonical.  Instances are
-    immutable and safe to share across threads.
+    Python ints, built on first use.  ``parts`` are the blocks a
+    construction built the graph with (a cycle, a clique, or a
+    ``polymer.compose`` composite of one-block monomers), else None; they
+    are made read-only, as ``ends`` is.  Build graphs with
+    ``from_edge_list``; the constructor trusts ``ends`` to be canonical and
+    ``parts`` to be its blocks.  Instances are immutable and safe to share
+    across threads.
     """
 
     n: int
     ends: np.ndarray = field(repr=False)
+    parts: Blocks | None = field(default=None, repr=False)
 
     def __post_init__(self):
         _typed(self.ends, np.ndarray, "ends").flags.writeable = False
+        if self.parts is not None:
+            _read_only(self.parts)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -153,7 +160,7 @@ def path_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     if _vertex_count(n) < 3:
-        raise VertexOutOfRange(n, n)
+        raise GraphError(f"a cycle needs at least 3 vertices, got {n}")
     return _one_block(from_edge_list(n, [(i, (i + 1) % n) for i in range(n)]))
 
 
@@ -165,21 +172,9 @@ def complete_graph(n: int) -> Graph:
 def _one_block(g: Graph) -> Graph:
     """``g``, a cycle or a clique, with one block laid out as itself (none for K1)."""
     n, m = (g.n, g.m) if g.n > 1 else (0, 0)
-    _set_blocks(g, Blocks(np.unique([0, n]), np.arange(n), np.ones(n, np.int64),
-                          np.zeros(n, np.int64), np.unique([0, m]), np.arange(m), g.ends))
-    return g
-
-
-def _set_blocks(g: Graph, parts: Blocks) -> None:
-    """Keep ``parts``, made read-only, as the blocks ``g`` was built with.
-    In the package only constructions call this, so how a graph was built
-    alone decides its path through ``indices.index_reports``."""
-    g.__dict__["_blocks"] = _read_only(parts)
-
-
-def _known_blocks(g: Graph) -> Blocks | None:
-    """The blocks ``g`` was built with (``_set_blocks``), else None: never a DFS."""
-    return g.__dict__.get("_blocks")
+    return Graph(g.n, g.ends, Blocks(np.unique([0, n]), np.arange(n), np.ones(n, np.int64),
+                                     np.zeros(n, np.int64), np.unique([0, m]), np.arange(m),
+                                     g.ends))
 
 
 def _read_only(parts: Blocks) -> Blocks:
@@ -216,7 +211,7 @@ def is_connected(g: Graph) -> bool:
 
 class Blocks(NamedTuple):
     """The blocks (bridges and 2-connected pieces) of a connected graph, from
-    its construction where that knows them, else from the DFS (``_blocks``):
+    its construction (``Graph.parts``) or from one DFS (``_union_blocks``):
     block ``i`` has ``vertices[vertex_start[i]:vertex_start[i + 1]]`` and the
     ids ``edges[edge_start[i]:edge_start[i + 1]]`` into ``g.edges``.  All that
     lies outside a block hangs at one of its vertices, ``weights`` vertices
@@ -286,13 +281,13 @@ def _dfs(ends: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
 
 def _blocks(graphs: Sequence[Graph]) -> tuple[Blocks, np.ndarray]:
     """The blocks of the connected ``graphs``, graph after graph, each in the
-    order ``blocks`` gives, and where each graph's blocks start.  If every
-    graph was built with its blocks (``_set_blocks``), they are only joined;
-    else their union, each graph's ``ends`` shifted past the graphs before,
-    goes to ``_union_blocks``."""
-    known = [_known_blocks(g) for g in graphs]
-    if None not in known:
-        return _joined(graphs, known)
+    order ``blocks`` gives, and where each graph's blocks start.  A lone
+    graph built with its blocks (``Graph.parts``) gives those; any other
+    batch is one DFS over its union, each graph's ``ends`` shifted past the
+    graphs before (``_union_blocks``)."""
+    if len(graphs) == 1 and graphs[0].parts is not None:
+        parts = graphs[0].parts
+        return parts, np.array([0, len(parts.edge_start) - 1])
     for g in graphs:
         if g.m < g.n - 1:  # too few edges to connect: decided before allocating n of anything
             raise NotConnected(f"graph with {g.n} vertices is not connected")
@@ -360,31 +355,11 @@ def _union_blocks(union: np.ndarray, sizes: np.ndarray,
             np.searchsorted(part, np.arange(len(sizes) + 1)))
 
 
-def _joined(graphs: Sequence[Graph], known: list[Blocks]) -> tuple[Blocks, np.ndarray]:
-    """``_blocks`` of ``graphs`` from their ``known`` blocks, graph after graph:
-    ids shifted past the graphs before, starts past the blocks before."""
-    if len(known) == 1:
-        return known[0], np.array([0, len(known[0].edge_start) - 1])
-    vstart, vertices, weights, hanging, estart, edges, local_ends = zip(*known)
-
-    def join(parts, sizes) -> np.ndarray:  # each part shifted past the sizes before it
-        return np.concatenate([p + s for p, s in zip(parts, np.cumsum([0, *sizes[:-1]]))])
-
-    def starts(parts) -> np.ndarray:
-        return np.append(join([s[:-1] for s in parts], [s[-1] for s in parts]),
-                         sum(s[-1] for s in parts))
-
-    return (Blocks(starts(vstart), join(vertices, [g.n for g in graphs]),
-                   np.concatenate(weights), np.concatenate(hanging), starts(estart),
-                   join(edges, [g.m for g in graphs]), np.concatenate(local_ends)),
-            np.cumsum([0] + [len(s) - 1 for s in vstart]))
-
-
 def blocks(g: Graph) -> Blocks:
     """The blocks ``g`` was built with, else a fresh DFS's, in preorder of
     their first inner vertex, which it does not keep; read-only either way.
     NotConnected if the DFS misses a vertex (see ``_blocks``)."""
-    return _known_blocks(_graph_arg(g, "g")) or _read_only(_blocks([g])[0])
+    return _read_only(_blocks([_graph_arg(g, "g")])[0])
 
 
 def _csr(n: int, ends: np.ndarray) -> csr_matrix:

@@ -34,34 +34,32 @@ level, where nothing lies ahead; no distance row is held.  A deeper block
 streams its BFS rows.  Either way a bounded batch of sources runs at a
 time, so no ``n x n`` table is held.  One vertex has no blocks.
 
-``index_reports`` evaluates graphs in batches: consecutive graphs are
-joined into one disjoint union while their edges stay within
-``_BATCH_EDGES`` and they were all built with their blocks (a cycle, a
-clique, or a polymer of one-block monomers from ``polymer.compose``), to
-be joined, or all built without, for one DFS to split their union.  So
-how a graph was built alone decides its path: reading ``blocks(g)``
-stores nothing on ``g``.  Blocks of one size are stacked across the whole
-batch.  A graph's totals are sums over its own slice of the per-edge
-diffs and of the per-block Wiener shares.
+``index_reports`` evaluates graphs in batches, cut by edges alone
+(``_batches``): a batch of one graph built with its blocks (a cycle, a
+clique, or a polymer of one-block monomers from ``polymer.compose``) uses
+those, and any other batch takes one DFS over its union.  Reading
+``blocks(g)`` stores nothing on ``g``.  Blocks of one size are stacked
+across the whole batch.  A graph's totals are sums over its own slice of
+the per-edge diffs and of the per-block Wiener shares.
 ``index_report`` is a batch of one.  Totals are exact Python integers at
 any size.  The core, ``_reports``, needs only a union's blocks and where
 each graph's blocks and edges start: ``index_reports`` gives it those of
 each batch of graphs, and ``cli.cmd_verify`` those of each batch of
-polymers that ``polymer._compose_all`` builds as one union, with no graph
-per polymer.
+polymers, cut by the same rule, that ``polymer._compose_all`` builds as
+one union, with no graph per polymer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import EdgeNotInGraph, GraphError, quote
 from .graphs import (Blocks, Edge, Graph, _bfs_rows, _blocks, _csr, _graph_arg,
-                     _is_int, _known_blocks, distance_rows)
+                     _is_int, distance_rows)
 
 MOSTAR = "mostar"
 EDGE_MOSTAR = "edge_mostar"
@@ -76,7 +74,7 @@ INDEX_NAMES = (MOSTAR, EDGE_MOSTAR, WIENER)
 #: ``(n, k)`` frontiers, products and masks take at most 24 bytes an entry.
 _ROW_BUDGET_BYTES = 4 << 20
 
-#: Edges of the graphs that ``index_reports`` evaluates together.  A batch's
+#: Edges of the graphs evaluated together (``_batches``).  A batch's
 #: DFS lists and block arrays take about 360 bytes an edge, so this holds a
 #: batch to a fifth of the row budget: 4096 edges cost verify-chains 5 % more
 #: peak RSS for no clear speed-up over 2048 (CHANGES.md).
@@ -333,22 +331,30 @@ def wiener_index(g: Graph) -> int:
 
 def index_reports(graphs: Iterable[Graph]) -> Iterator[IndexReport]:
     """``index_report`` of each graph, in order.  Consecutive graphs are
-    evaluated together, as one disjoint union, while their edges stay within
-    ``_BATCH_EDGES`` and they were all built with their blocks
-    (``graphs._set_blocks``) or all without; a larger graph is evaluated
-    alone."""
+    evaluated together, as one disjoint union, in the batches of
+    ``_batches``: a batch of one graph built with its blocks uses them, and
+    any other batch takes one DFS over its union (``graphs._blocks``)."""
     if not isinstance(graphs, Iterable):
         raise GraphError(f"graphs is a {type(graphs).__name__}, not an iterable of Graphs")
-    batch, edges, known = [], 0, False
-    for i, g in enumerate(graphs):
-        this = _known_blocks(_graph_arg(g, f"graphs[{i}]")) is not None
-        if batch and (edges + g.m > _BATCH_EDGES or this != known):
-            yield from _batch_reports(batch)
-            batch, edges = [], 0
-        batch.append(g)
-        edges, known = edges + g.m, this
-    if batch:
+    checked = (_graph_arg(g, f"graphs[{i}]") for i, g in enumerate(graphs))
+    for batch in _batches(checked, lambda g: g.m):
         yield from _batch_reports(batch)
+
+
+def _batches(items: Iterable, edges: Callable[..., int]) -> Iterator[list]:
+    """``items`` in order, cut into runs of at most ``_BATCH_EDGES`` edges in
+    all, item x having ``edges(x)``; a larger item runs alone.  It cuts
+    ``index_reports``' graphs and ``cli.cmd_verify``'s family instances."""
+    batch, total = [], 0
+    for x in items:
+        m = edges(x)
+        if batch and total + m > _BATCH_EDGES:
+            yield batch
+            batch, total = [], 0
+        batch.append(x)
+        total += m
+    if batch:
+        yield batch
 
 
 def index_report(g: Graph) -> IndexReport:

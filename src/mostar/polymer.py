@@ -15,9 +15,10 @@ Point-attaching merges no blocks: an identified vertex is a cut vertex.  So
 when every monomer of a batch was built with its blocks (a cycle, a clique,
 or such a composite) and has at most one, the union's blocks are the
 construction's: each unit of two or more vertices is a block laid out as
-itself.  ``compose`` sets them on its composite; ``cli.cmd_verify`` hands a
-union's straight to the engine.  Any other composite's blocks come from a
-DFS whenever they are read."""
+itself, and the union's graph is built with them (``Graph.parts``).
+``compose``'s composite keeps them; ``cli.cmd_verify`` hands a union's
+straight to the engine.  Any other composite's blocks come from a DFS
+whenever they are read."""
 
 from __future__ import annotations
 
@@ -32,8 +33,7 @@ from .errors import (DegenerateHandles, GraphError, NotATree, NotConnected,
                      TooFewMonomers, VertexOutOfRange, quote)
 from .formats import _parse_graph_json, graph_to_dict, json_integer, load_json
 from .graphs import (Blocks, Graph, _components, _from_array, _graph_arg, _is_int,
-                     _known_blocks, _set_blocks, _typed, _union_blocks,
-                     is_connected)
+                     _typed, _union_blocks, is_connected)
 
 KINDS = ("link", "chain", "bouquet", "circuit", "tree")
 
@@ -196,11 +196,9 @@ class CompositionResult:
 
 
 def compose(spec: PolymerSpec) -> CompositionResult:
-    """The composite of ``spec``: ``_compose_all`` of it alone, with its
-    blocks set where the construction knows them (see above)."""
+    """The composite of ``spec``: ``_compose_all`` of it alone, built with
+    its blocks where the construction knows them (see above)."""
     union = _compose_all([_typed(spec, PolymerSpec, "spec")])
-    if union.parts is not None:
-        _set_blocks(union.graph, union.parts)
     k = len(spec.monomers)
     return CompositionResult(union.graph, union.ids[:union.starts[k]], union.starts[:k + 1])
 
@@ -210,21 +208,20 @@ class _Union(NamedTuple):
     j's vertices are ``vertex_at[j]:vertex_at[j + 1]`` of ``graph`` and its
     edges ``edge_at[j]:edge_at[j + 1]``, its own canonical edges shifted by
     ``vertex_at[j]``.  Vertex v of unit u is flat slot ``starts[u] + v`` and
-    union vertex ``ids[starts[u] + v]``.  ``parts`` are the union's
-    construction blocks, spec j's from ``block_at[j]`` on, or None."""
+    union vertex ``ids[starts[u] + v]``.  Where ``graph`` was built with
+    its blocks (``graph.parts``), spec j's start at ``block_at[j]``."""
 
     graph: Graph
     vertex_at: np.ndarray
     edge_at: list[int]
     ids: np.ndarray
     starts: np.ndarray
-    parts: Blocks | None
     block_at: np.ndarray | None
 
     def blocks(self) -> tuple[Blocks, np.ndarray]:
-        """``parts`` and ``block_at``, else those of one DFS over the union."""
-        if self.parts is not None:
-            return self.parts, self.block_at
+        """``graph.parts`` and ``block_at``, else those of one DFS over the union."""
+        if self.graph.parts is not None:
+            return self.graph.parts, self.block_at
         return _union_blocks(self.graph.ends, np.diff(self.vertex_at), np.diff(self.edge_at))
 
 
@@ -247,7 +244,7 @@ def _compose_all(specs: Sequence[PolymerSpec]) -> _Union:
                 distinct.append(h)
         code.append(i)
     code = np.array(code, np.intp)
-    known = [_known_blocks(h.graph) for h in distinct]
+    known = [h.graph.parts for h in distinct]
     joined = None not in known and max(len(p.edge_start) for p in known) <= 2
     # each unit's edges are a source's: a distinct monomer's, the bridge's or a cycle's
     sources = [h.graph.ends for h in distinct] + [np.array([[0, 1]])]
@@ -265,7 +262,7 @@ def _compose_all(specs: Sequence[PolymerSpec]) -> _Union:
             table.append((k, k, 0, 0))
         first += k
         unit_end.append(first + len(extra))
-        spec_runs, spec_ranks = _pair_runs(s, j, u, unit_end[-1], first - k, len(code), joined)
+        spec_runs, spec_ranks = _pair_runs(s, j, u, unit_end[-1], first - k, len(code))
         for run in spec_runs:  # kept with where its pairs start, after the runs before
             runs.append((run[0], pairs, *run[1:]))
             pairs += run[0]
@@ -295,7 +292,7 @@ def _compose_all(specs: Sequence[PolymerSpec]) -> _Union:
     graph, order = _from_array(int(roots[-1]), raw)
     vertex_at, edge_at = roots[starts[unit_end]], edge_start[unit_end].tolist()
     if not joined:
-        return _Union(graph, vertex_at, edge_at, ids, starts, None, None)
+        return _Union(graph, vertex_at, edge_at, ids, starts, None)
     # a unit's vertex carries itself and what hangs at its slot outside the unit: for a
     # slot pair (a, b) whose b side holds vb vertices and eb edges, a gains vb - 1 and eb,
     # and b the rest of its composite
@@ -325,11 +322,12 @@ def _compose_all(specs: Sequence[PolymerSpec]) -> _Union:
     np.cumsum(big, out=blocks_at[1:])
     parts = Blocks(block_bounds[0], ids[keep], weights[keep], hanging[keep], block_bounds[1],
                    eids, local)
-    return _Union(graph, vertex_at, edge_at, ids, starts, parts, blocks_at[unit_end])
+    return _Union(Graph(graph.n, graph.ends, parts), vertex_at, edge_at, ids, starts,
+                  blocks_at[unit_end])
 
 
-def _pair_runs(spec: PolymerSpec, j: int, u: int, end: int, first: int, monomers: int,
-               joined: bool) -> tuple[list[tuple[int, ...]], Iterable[tuple[int, int]]]:
+def _pair_runs(spec: PolymerSpec, j: int, u: int, end: int, first: int,
+               monomers: int) -> tuple[list[tuple[int, ...]], Iterable[tuple[int, int]]]:
     """The slot pairs of ``specs[j]``, whose units are flat units ``u:end``
     and whose monomers start at ``first`` of all ``monomers``, as runs, and
     the ranks of its units that differ from their index, as (unit, rank).
@@ -343,10 +341,9 @@ def _pair_runs(spec: PolymerSpec, j: int, u: int, end: int, first: int, monomers
     bridge_i.0)`` and ``(bridge_i.1, x_{i+1})``, ranked in path order
     (monomer i, then bridge i): b's side is every unit after the pair.  A
     bouquet pairs ``(x_0, x_i)`` and a circuit ``(cycle.i, x_i)``: b's side
-    is monomer i.  A tree pairs its tree edges; when the sides count
-    (``joined``), each runs from parent to child with the tree rooted at
-    monomer 0 and ranked in preorder, and b's side is the child's
-    subtree."""
+    is monomer i.  A tree pairs its tree edges, each run from parent to
+    child with the tree rooted at monomer 0 and ranked in preorder: b's
+    side is the child's subtree."""
     k, x, y, lit = len(spec.monomers), first, monomers + first, 2 * monomers
     if spec.kind == "chain":
         return [(k - 1, j, u, 1, y, 1, u + 1, 1, x + 1, 1, u + 1, 1, end, 0)], ()
@@ -358,9 +355,6 @@ def _pair_runs(spec: PolymerSpec, j: int, u: int, end: int, first: int, monomers
         return [(k - 1, j, u, 0, x, 0, u + 1, 1, x + 1, 1, u + 1, 1, u + 2, 1)], ()
     if spec.kind == "circuit":
         return [(k, j, end - 1, 0, lit, 1, u, 1, x, 1, u, 1, u + 1, 1)], ()
-    if not joined:
-        return [(1, j, u + a, 0, lit + va, 0, u + b, 0, lit + vb, 0, 0, 0, 0, 0)
-                for a, va, b, vb in spec.tree_edges], ()
     pre, below, edges = _tree_order(spec.tree_edges, k)
     return ([(1, j, u + a, 0, lit + va, 0, u + b, 0, lit + vb, 0, u + pre[b], 0,
               u + pre[b] + below[b], 0) for a, va, b, vb in edges],

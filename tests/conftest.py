@@ -28,7 +28,7 @@ from mostar import (KINDS, DuplicateEdge, FamilySpec, GraphError,
                     formula_value, from_edge_list, generate, index_report)
 from mostar.errors import quote
 from mostar.formats import json_integer, load_json
-from mostar.graphs import Graph, _not_an_integer, _set_blocks
+from mostar.graphs import Graph, _not_an_integer
 
 Edge = tuple[int, int]
 Slot = tuple[int, int]
@@ -393,8 +393,7 @@ def one_block_monomers(draw, min_n: int = 1):
     if shape == "clique":
         return complete_graph(draw(st.integers(min_n, 5)))
     g = draw(chorded_cycles())
-    _set_blocks(g, blocks(g))
-    return g
+    return Graph(g.n, g.ends, blocks(g))
 
 
 @st.composite

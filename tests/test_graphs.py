@@ -109,12 +109,21 @@ class TestFromEdgeList:
             assert h == g and hash(h) == hash(g) and h.edges == g.edges
         assert g != from_edge_list(5, [(0, 1), (1, 3)])
         assert g != from_edge_list(4, [(0, 1), (1, 2)])
+        assert g.__eq__((4, g.edges)) is NotImplemented and g != 4
 
     @pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0,)], [0, 1], None,
-                                       [(0, 1), (2,)], [(0, 1), (1, 2, 0)]])
+                                       [(0, 1), (2,)], [(0, 1), (1, 2, 0)],
+                                       np.array([0, 1], dtype=np.int64)])
     def test_pairs_of_other_lengths_rejected(self, pairs):
         with pytest.raises(GraphError, match=r"\(u, v\) pairs"):
             from_edge_list(3, pairs)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2])
+    def test_cycle_needs_three_vertices(self, n):
+        """cycle_graph(2) used to say 'vertex 2 out of range for n=2'."""
+        with pytest.raises(GraphError) as caught:
+            cycle_graph(n)
+        assert str(caught.value) == f"a cycle needs at least 3 vertices, got {n}"
 
     @pytest.mark.parametrize("n,pairs,shown", [
         (3, [(0, 1.5)], "vertex id must be an integer, got 1.5"),
@@ -776,10 +785,11 @@ class TestBlocks:
     def check_batch_as_alone(batch):
         """``_blocks(batch)`` is each graph's own blocks, graph after graph:
         vertex and edge ids shifted past the graphs before, and the starts
-        past the blocks before: their known blocks if all are known, else
-        each one's DFS.  Gives where each graph's blocks start."""
+        past the blocks before: a lone graph's construction blocks if it
+        has them, else each one's DFS.  Gives where each graph's blocks
+        start."""
         parts, block_at = graphs._blocks(batch)
-        known = all(graphs._known_blocks(g) is not None for g in batch)
+        known = len(batch) == 1 and batch[0].parts is not None
         alone = [blocks(g if known else graphs.Graph(g.n, g.ends)) for g in batch]
 
         def joined(field, shift=(0,) * len(batch)):
@@ -811,11 +821,16 @@ class TestBlocks:
         assert np.diff(self.check_batch_as_alone(batch)).tolist() == [2, 0, 1, 3, 1]
 
     def test_batch_of_known_blocks_joins_them(self, monkeypatch):
-        """Graphs whose blocks are all known are joined as they are, no DFS."""
-        monkeypatch.setattr(graphs, "_dfs", None)
+        """Graphs whose blocks are all known take one DFS over their union
+        when batched together, as any batch of several graphs does."""
+        calls = []
+        real = graphs._dfs
+        monkeypatch.setattr(graphs, "_dfs", lambda ends, sizes: calls.append(len(sizes))
+                            or real(ends, sizes))
         chain = compose(PolymerSpec("chain", (MonomerHandle(cycle_graph(4), 0, 2),) * 3))
         batch = [complete_graph(5), complete_graph(1), chain.graph, cycle_graph(7)]
         assert np.diff(self.check_batch_as_alone(batch)).tolist() == [1, 0, 3, 1]
+        assert calls == [4, 1, 1, 1, 1]  # the batch's, then each copy's alone
 
     def test_batch_of_one_vertex_graphs_has_no_blocks(self):
         block_at = self.check_batch_as_alone([complete_graph(1), complete_graph(1)])
@@ -895,7 +910,7 @@ def check_construction_blocks(spec):
     """``compose`` sets blocks that pass ``check_blocks``, are the DFS's up to
     order and layout, and give the naive oracle's per-edge diffs."""
     g = compose(spec).graph
-    assert graphs._known_blocks(g) is not None
+    assert g.parts is not None
     check_blocks(g)
     assert block_set(blocks(g)) == block_set(dfs_blocks(g))
     r = index_report(g)
@@ -934,7 +949,7 @@ def test_blocks_of_a_lone_monomer_are_set_too():
 def test_a_monomer_without_one_known_block_leaves_the_dfs(monomer):
     g = compose(PolymerSpec("chain", (MonomerHandle(complete_graph(3), 0, 1),
                                       MonomerHandle(monomer, 0, 2)))).graph
-    assert graphs._known_blocks(g) is None
+    assert g.parts is None
     check_blocks(g)
 
 

@@ -19,7 +19,7 @@ from mostar.cli import main
 from conftest import (block_rich_graphs, connected_graphs, naive_all_pairs,
                       naive_edge_diffs, naive_edge_mostar, naive_mostar,
                       naive_vertex_diffs,
-                      naive_wiener, neighbour_lists, permute_graph,
+                      naive_wiener, neighbour_lists, one_block_specs, permute_graph,
                       polymer_composites, random_connected_graph)
 
 
@@ -574,9 +574,9 @@ def spy_on_batches(mp):
     return unions
 
 
-# a huge cap still splits where known blocks meet unknown: 18 chains, the
-# one-vertex graph of from_edge_list, the cycle
-@pytest.mark.parametrize("cap,batches", [(1, 20), (10 ** 9, 3)], ids=["one-edge", "huge"])
+# a huge cap takes all 20 graphs, constructions and the one-vertex graph
+# of from_edge_list alike, in one batch
+@pytest.mark.parametrize("cap,batches", [(1, 20), (10 ** 9, 1)], ids=["one-edge", "huge"])
 def test_batch_cap_changes_no_report(cap, batches):
     graphs = [generate(FamilySpec(family, n=n)).graph
               for family in CHAIN_FAMILIES for n in (1, 7, 40)] + [from_edge_list(1, []),
@@ -607,8 +607,8 @@ def spy_on_dfs(mp):
 
 def test_verify_over_the_chain_families_runs_no_dfs(capsys):
     """verify composes each batch of chains as one union, whose construction
-    blocks go straight to the engine: no DFS, and no join of per-chain blocks."""
-    unions, joins = [], []
+    blocks go straight to the engine: no DFS."""
+    unions = []
     real = cli._compose_all
 
     def compose_all(specs):
@@ -618,18 +618,17 @@ def test_verify_over_the_chain_families_runs_no_dfs(capsys):
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on_dfs(mp)
         mp.setattr(cli, "_compose_all", compose_all)
-        mp.setattr(graphs, "_joined", lambda *args: joins.append(args))
         code = main(["verify", "--families", ",".join(CHAIN_FAMILIES), "--to", "40"])
     assert code == 1 and calls == []  # hex-meta and hex-ortho disagree, as recorded
     assert capsys.readouterr().err == "76 of 480 cells disagree\n"
-    assert joins == [] and sum(k for k, _ in unions) == 6 * 40
+    assert sum(k for k, _ in unions) == 6 * 40
     assert all(edges <= indices._BATCH_EDGES or k == 1 for k, edges in unions)
 
 
 def test_batch_of_known_and_unknown_blocks():
     """Graphs whose blocks the construction set and graphs read from text
     or built from pairs, one-vertex graphs of both sorts among them, give
-    the reports of one call per graph, with one DFS per run of unknown."""
+    the reports of one call per graph, with one DFS over the batch."""
     chain = generate(FamilySpec("hex-meta", n=5)).graph
     flower = generate(FamilySpec("clique-flower", m=4, inner=3)).graph
     read = parse_graph(dump_graph(chain, "edgelist"))
@@ -639,11 +638,46 @@ def test_batch_of_known_and_unknown_blocks():
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on_dfs(mp)
         reports = list(index_reports(batch))
-    assert calls == [2, 1, 1]
+    assert calls == [9]
     for r, want in zip(reports, alone, strict=True):
         assert r == want
         assert r.vertex_diffs.tolist() == want.vertex_diffs.tolist()
         assert r.edge_diffs.tolist() == want.edge_diffs.tolist()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generate(FamilySpec("hex-meta", n=40)).graph,
+    lambda: generate(FamilySpec("clique-flower", m=4, inner=5)).graph,
+    lambda: compose(PolymerSpec("link", (MonomerHandle(cycle_graph(5), 0, 2),
+                                         MonomerHandle(cycle_graph(7), 1, 4)) * 2)).graph,
+], ids=["hex-meta", "clique-flower", "link-of-cycles"])
+def test_lone_construction_runs_no_dfs(build):
+    """A graph built with its blocks and evaluated alone uses them: no DFS.
+    A copy built without them takes one and gives the same report."""
+    g = build()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on_dfs(mp)
+        r = index_report(g)
+        assert calls == []
+        copy = index_report(graphs.Graph(g.n, g.ends))
+    assert calls == [1]
+    assert r == copy and r.vertex_diffs.tolist() == copy.vertex_diffs.tolist()
+    assert r.edge_diffs.tolist() == copy.edge_diffs.tolist()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(one_block_specs(), min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_batch_of_constructions_and_read_graphs(specs, rng):
+    """Composites built with their blocks, batched with their copies read
+    back from text, in any order, each get the report they get alone: the
+    construction's blocks for a composite, a DFS for a copy."""
+    built = [compose(s).graph for s in specs]
+    batch = built + [parse_graph(dump_graph(g, "edgelist")) for g in built]
+    rng.shuffle(batch)
+    for g, r in zip(batch, index_reports(batch), strict=True):
+        alone = index_report(g)
+        assert r == alone and r.vertex_diffs.tolist() == alone.vertex_diffs.tolist()
+        assert r.edge_diffs.tolist() == alone.edge_diffs.tolist()
 
 
 def test_reading_blocks_stores_nothing():
@@ -651,9 +685,9 @@ def test_reading_blocks_stores_nothing():
     chain of it, from the DFS path to the join path."""
     triangle = from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
     assert not any(a.flags.writeable for a in blocks(triangle))
-    assert graphs._known_blocks(triangle) is None
+    assert triangle.parts is None
     chain = compose(PolymerSpec("chain", (MonomerHandle(triangle, 0, 1),) * 3)).graph
-    assert graphs._known_blocks(chain) is None
+    assert chain.parts is None
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on_dfs(mp)
         index_report(triangle)
@@ -733,7 +767,7 @@ def test_deep_block_in_a_batch_takes_the_rows_pass():
         mp.setattr(indices, "_transmissions", spy)
         unions = spy_on_batches(mp)
         reports = list(index_reports(graphs))
-    assert unions == [2, 2] and passes == [300]  # unknown blocks, then known
+    assert unions == [4] and passes == [300]  # one batch, built and read alike
     for g, r in zip(graphs, reports):
         alone = index_report(g)
         assert r == alone and r.vertex_diffs.tolist() == alone.vertex_diffs.tolist()

@@ -13,7 +13,6 @@ from mostar import (KINDS, CompositionResult, DegenerateHandles, GraphError,
                     TooFewMonomers, VertexOutOfRange, complete_graph, compose,
                     cycle_graph, from_edge_list, index_report, index_reports,
                     is_connected, path_graph, spec_from_json, spec_to_dict)
-from mostar.graphs import _known_blocks
 from mostar.indices import _reports
 from mostar.polymer import _compose_all
 
@@ -531,14 +530,14 @@ def spec_slices(spec, union, j, unit):
     ends = union.graph.ends[union.edge_at[j]:union.edge_at[j + 1]] - lo
     first = union.starts[unit]
     ids = union.ids[first:union.starts[unit + k]] - lo
-    parts = None
-    if union.parts is not None:
+    parts, known = None, union.graph.parts
+    if known is not None:
         b0, b1 = union.block_at[j], union.block_at[j + 1]
-        vs, es = union.parts.vertex_start, union.parts.edge_start
-        parts = (vs[b0:b1 + 1] - vs[b0], union.parts.vertices[vs[b0]:vs[b1]] - lo,
-                 union.parts.weights[vs[b0]:vs[b1]], union.parts.hanging[vs[b0]:vs[b1]],
-                 es[b0:b1 + 1] - es[b0], union.parts.edges[es[b0]:es[b1]] - union.edge_at[j],
-                 union.parts.local_ends[es[b0]:es[b1]])
+        vs, es = known.vertex_start, known.edge_start
+        parts = (vs[b0:b1 + 1] - vs[b0], known.vertices[vs[b0]:vs[b1]] - lo,
+                 known.weights[vs[b0]:vs[b1]], known.hanging[vs[b0]:vs[b1]],
+                 es[b0:b1 + 1] - es[b0], known.edges[es[b0]:es[b1]] - union.edge_at[j],
+                 known.local_ends[es[b0]:es[b1]])
     return ends, ids, union.starts[unit:unit + k + 1] - first, parts
 
 
@@ -565,11 +564,11 @@ def test_compose_all_is_compose_spec_by_spec(specs, repeats):
         assert ids.tolist() == list(vertex_map.values())
         if parts is not None:  # a union joins blocks only if every spec would alone
             assert all(a.tolist() == b.tolist()
-                       for a, b in zip(parts, _known_blocks(res.graph), strict=True))
+                       for a, b in zip(parts, res.graph.parts, strict=True))
         k = len(spec.monomers)  # and a link's k - 1 bridges or a circuit's cycle
         unit += k + {"link": k - 1, "circuit": 1}.get(spec.kind, 0)
-    if union.parts is None:
-        assert any(_known_blocks(res.graph) is None for res in alone)
+    if union.graph.parts is None:
+        assert any(res.graph.parts is None for res in alone)
     reports = list(_reports(*union.blocks(), union.edge_at))
     for r, want in zip(reports, index_reports([res.graph for res in alone]), strict=True):
         assert r == want

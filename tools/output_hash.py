@@ -64,8 +64,7 @@ def random_monomer(mostar, rng: random.Random):
         pairs |= {tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(1, 4))}
         perm = rng.sample(range(n), n)
         g = mostar.from_edge_list(n, {tuple(sorted((perm[a], perm[b]))) for a, b in pairs})
-        mostar.graphs._set_blocks(g, mostar.blocks(g))
-        return g
+        return mostar.graphs.Graph(g.n, g.ends, mostar.blocks(g))
     pairs = {(rng.randrange(v), v) for v in range(1, n)}
     pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(n))}
     return mostar.from_edge_list(n, pairs)
