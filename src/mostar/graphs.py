@@ -174,7 +174,7 @@ def _one_block(g: Graph) -> Graph:
     n, m = (g.n, g.m) if g.n > 1 else (0, 0)
     return Graph(g.n, g.ends, Blocks(np.unique([0, n]), np.arange(n), np.ones(n, np.int64),
                                      np.zeros(n, np.int64), np.unique([0, m]), np.arange(m),
-                                     g.ends))
+                                     g.ends, np.arange(int(n > 0))))
 
 
 def _read_only(parts: Blocks) -> Blocks:
@@ -219,7 +219,14 @@ class Blocks(NamedTuple):
     joins ``vertices[vertex_start[i] + local_ends[j]]``, in ``g.ends`` order.
     Position 0 is a vertex of the block: its top vertex in the DFS's layout
     (blocks in preorder of their first inner vertex, edge ids ascending), a
-    monomer's vertex 0 in a construction's (``polymer.compose``)."""
+    monomer's vertex 0 in a construction's (``polymer.compose``).
+
+    Block i has the same size and, up to each edge's orientation, the same
+    ``local_ends`` rows as block ``layout[i]``, the first block of that
+    layout, so ``layout[i] <= i``.  Blocks that a construction repeats
+    share a layout; the DFS's blocks each have their own (``layout[i] ==
+    i``).  The engine evaluates each layout's distances once
+    (``indices._reports``)."""
 
     vertex_start: np.ndarray
     vertices: np.ndarray
@@ -228,6 +235,7 @@ class Blocks(NamedTuple):
     edge_start: np.ndarray
     edges: np.ndarray
     local_ends: np.ndarray
+    layout: np.ndarray
 
 
 def _dfs(ends: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
@@ -351,7 +359,8 @@ def _union_blocks(union: np.ndarray, sizes: np.ndarray,
     vertices = np.insert(inner, first, parent[c])
     weights = np.insert(weight[inner], first, sizes[part] - sub[c])
     hanging = np.insert(hang[inner], first, edges_of[part] - deep[c])
-    return (Blocks(vertex_start, vertices, weights, hanging, estart, order, local_ends),
+    return (Blocks(vertex_start, vertices, weights, hanging, estart, order, local_ends,
+                   np.arange(nb)),
             np.searchsorted(part, np.arange(len(sizes) + 1)))
 
 

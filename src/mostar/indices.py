@@ -24,15 +24,23 @@ for an edge ``uv`` of B
 
 The ``Blocks`` arrays are the engine's whole input: it reads each edge as
 the positions of its ends in its block (``local_ends``), never a vertex id.
-Blocks of at most ``_FLOYD_MAX`` vertices are stacked by size, sizes above
-8 padded up to a multiple of 8 (``_stack_sizes``), and get ``D_B`` from one
-batched Floyd-Warshall.  A larger block whose BFS from its top vertex ends
-within ``_LEVEL_MAX_ECC`` levels takes the level pass, the linear-algebra
-BFS of Kepner and Gilbert: one sparse product per level for a batch of
-sources, but none at level 0, gathered from the adjacency, or at the last
-level, where nothing lies ahead; no distance row is held.  A deeper block
-streams its BFS rows.  Either way a bounded batch of sources runs at a
-time, so no ``n x n`` table is held.  One vertex has no blocks.
+Blocks that share a layout (``Blocks.layout``: the copies of one monomer,
+bridge or cycle that a construction repeats) share ``D_B``, found once:
+with the weights and hanging counts of a layout's k blocks stacked as
+``(k, s)`` matrices W and H, ``T = W D_B`` and ``E = H D_B + E_B`` for all k
+at once, and each block's twice-Wiener share is the row sum of ``W * T``,
+taken in Python ints where it could reach 2^63.  ``_reports`` alone groups
+blocks by layout.  Layouts of at most ``_FLOYD_MAX`` vertices are stacked by
+size, sizes above 8 padded up to a multiple of 8 (``_stack_sizes``), and
+get ``D_B`` from one batched Floyd-Warshall.  A larger layout is probed
+once, and the pass it picks takes all its blocks' rows at once: if a BFS
+from its position 0 ends within ``_LEVEL_MAX_ECC`` levels, the level pass,
+the linear-algebra BFS of Kepner and Gilbert: one sparse product per level
+for a batch of sources, but none at level 0, gathered from the adjacency,
+or at the last level, where nothing lies ahead; no distance row is held.
+A deeper layout streams its BFS rows.  Either way a bounded batch of
+sources runs at a time, so no ``n x n`` table is held.  One vertex has no
+blocks.
 
 ``index_reports`` evaluates graphs in batches, cut by edges alone
 (``_batches``): a batch of one graph built with its blocks (a cycle, a
@@ -171,12 +179,12 @@ def edge_orientation(g: Graph, e) -> EdgeOrientationCounts:
 
 def _transmissions(a, ends: np.ndarray, weights: np.ndarray,
                    hanging: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(T, E)`` as int64 from BFS rows over the float32 adjacency ``a`` of
-    the edges ``ends``, at most ``_ROW_BUDGET_BYTES`` at a time; vertex w
-    counts ``weights[w]`` times in T and ``hanging[w]`` in E.  The rows run
-    on a copy relabelled in reverse Cuthill-McKee order, which keeps
-    neighbours close in memory, so scattered labels sweep as fast as
-    well-ordered ones."""
+    """``(T, E)`` as int64 ``(k, n)`` arrays from BFS rows over the float32
+    adjacency ``a`` of the edges ``ends``, at most ``_ROW_BUDGET_BYTES`` at
+    a time, for each of k blocks of this layout: in row i, vertex w counts
+    ``weights[i, w]`` times in T and ``hanging[i, w]`` in E.  The rows run on
+    a copy relabelled in reverse Cuthill-McKee order, which keeps neighbours
+    close in memory, so scattered labels sweep as fast as well-ordered ones."""
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     n = a.shape[0]
@@ -184,19 +192,20 @@ def _transmissions(a, ends: np.ndarray, weights: np.ndarray,
     relabel = np.argsort(order)  # the inverse permutation
     a = a[order][:, order]
     a.sort_indices()
-    ends, weights, hanging = relabel[ends], weights[order], hanging[order]
+    ends, weights, hanging = relabel[ends], weights[:, order], hanging[:, order]
     rows = max(1, _ROW_BUDGET_BYTES // (8 * max(n, len(ends))))
     # int64 row sums cannot wrap: each is below n * max(n, m)
-    vertex_sums, edge_sums = [], []
+    trans, edge_trans = (np.empty((len(weights), n), np.int64) for _ in range(2))
     for start in range(0, n, rows):
-        block = _bfs_rows(a, np.arange(start, min(start + rows, n)))
-        vertex_sums.append(block @ weights)
+        stop = min(start + rows, n)
+        block = _bfs_rows(a, np.arange(start, stop))
+        trans[:, start:stop] = weights @ block.T
         to_edge = block[:, ends[:, 0]]
         np.minimum(to_edge, block[:, ends[:, 1]], out=to_edge)
-        # no edge hangs at a graph that is one block: skip that product
-        edge_sums.append(to_edge.sum(axis=1, dtype=np.int64)
-                         + (block @ hanging if hanging.any() else 0))
-    return np.concatenate(vertex_sums)[relabel], np.concatenate(edge_sums)[relabel]
+        edge_trans[:, start:stop] = to_edge.sum(axis=1, dtype=np.int64)
+        if hanging.any():  # no edge hangs at a graph that is one block: skip that product
+            edge_trans[:, start:stop] += hanging @ block.T
+    return trans[:, relabel], edge_trans[:, relabel]
 
 
 def _levels(a, sources: np.ndarray):
@@ -251,19 +260,19 @@ def _level_transmissions(a, weights: np.ndarray,
     level plus one.  Level d's ``back`` is its frontiers times the level
     before's product, so neither ``within`` nor the last level's product is
     needed.  Level 0 adds nothing to either sum."""
-    n = a.shape[0]
-    # rows: weights, degrees plus twice the hanging counts; integer sums
-    # below 2^53, exact
-    mass = np.array([weights, np.diff(a.indptr) + 2 * hanging], dtype=np.float64)
-    trans, twice_edge = np.zeros(n, np.int64), np.zeros(n, np.int64)
-    k = max(1, _ROW_BUDGET_BYTES // (24 * n))
-    for start in range(0, n, k):
-        cols = np.arange(start, min(start + k, n))
-        for d, (f, q) in enumerate(islice(_levels(a, cols), 1, None), 1):
+    n, k = a.shape[0], len(weights)
+    # rows: each block's weights, then its degrees plus twice its hanging counts; integer
+    # sums below 2^53, exact
+    mass = np.concatenate([weights, np.diff(a.indptr) + 2 * hanging], dtype=np.float64)
+    trans, twice_edge = np.zeros((k, n), np.int64), np.zeros((k, n), np.int64)
+    width = max(1, _ROW_BUDGET_BYTES // (24 * n))
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        for d, (f, q) in enumerate(islice(_levels(a, np.arange(start, stop)), 1, None), 1):
             at = (mass @ f).astype(np.int64)
             back = (q * f).sum(axis=0, dtype=np.float64).astype(np.int64)
-            trans[cols] += d * at[0]
-            twice_edge[cols] += d * at[1] - back
+            trans[:, start:stop] += d * at[:k]
+            twice_edge[:, start:stop] += d * at[k:] - back
     return trans, twice_edge // 2
 
 
@@ -271,44 +280,68 @@ def _block_diffs(parts: Blocks, chosen: np.ndarray,
                  s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Edge ids, their vertex and edge diffs, and twice the Wiener share of
     each of the blocks ``chosen``, each of at most s vertices, padded to s
-    with vertices that no edge touches and nothing hangs at."""
+    with vertices that no edge touches and nothing hangs at.  They go
+    layout after layout (``Blocks.layout``), and each layout's distances
+    are found once, from the edges of its first block here."""
     k = chosen.size
-    size = np.diff(parts.vertex_start)[chosen]
-    real = np.arange(s) < size[:, None]
-    at = np.where(real, parts.vertex_start[chosen, None] + np.arange(s), 0)
-    weights, hanging = parts.weights[at] * real, parts.hanging[at] * real
-    counts = np.diff(parts.edge_start)[chosen]
-    owner = np.repeat(np.arange(k), counts)  # the block of each edge, 0..k-1
+    counts = parts.edge_start[chosen + 1] - parts.edge_start[chosen]
+    block = np.repeat(np.arange(k), counts)  # the block of each edge, 0..k-1
     firsts = np.cumsum(counts) - counts  # where each block's edges start
-    rows = np.repeat(parts.edge_start[chosen] - firsts, counts) + np.arange(owner.size)
-    eids, local = parts.edges[rows], np.take(parts.local_ends, rows, axis=0)
-    if s <= _FLOYD_MAX:  # one Floyd-Warshall over the stack
+    rows = np.repeat(parts.edge_start[chosen] - firsts, counts) + np.arange(block.size)
+    local = np.take(parts.local_ends, rows, axis=0)
+    shape, owner, starts = local, block, firsts  # the layouts' edges: each block its own
+    layout = parts.layout[chosen]
+    shared = bool((layout != chosen).any())  # some block here is not the first of its layout
+    if shared:  # each layout's edges are those of its first block here
+        lead = np.ones(k, bool)
+        lead[1:] = layout[1:] != layout[:-1]
+        lay = np.cumsum(lead) - 1  # each block's layout, 0..k-1
+        k = int(lay[-1]) + 1
+        mine = lead[block]
+        shape, owner = local[mine], lay[block[mine]]
+        starts = np.cumsum(counts[lead]) - counts[lead]
+    top = parts.vertex_start[chosen, None]
+    real = np.arange(s) < parts.vertex_start[chosen + 1, None] - top
+    at = np.where(real, top + np.arange(s), 0)
+    weights, hanging = parts.weights[at] * real, parts.hanging[at] * real
+    if s <= _FLOYD_MAX:  # one Floyd-Warshall over the stack of layouts
         # s exceeds every hop count; the smallest type that holds 2 s
         d = np.full((k, s, s), s, dtype=np.min_scalar_type(2 * s))
-        d[owner, local[:, 0], local[:, 1]] = d[owner, local[:, 1], local[:, 0]] = 1
+        d[owner, shape[:, 0], shape[:, 1]] = d[owner, shape[:, 1], shape[:, 0]] = 1
         d[:, np.arange(s), np.arange(s)] = 0
         for t in range(s):
             np.minimum(d, d[:, :, t, None] + d[:, None, t, :], out=d)
-        near = np.minimum(d[owner, :, local[:, 0]], d[owner, :, local[:, 1]])
-        trans = np.einsum("kij,kj->ki", d, weights).ravel()
-        edge_trans = (np.einsum("kij,kj->ki", d, hanging)
-                      + np.add.reduceat(near, firsts, dtype=np.int64)).ravel()
-    else:
-        a = _csr(s, local)  # the probe's adjacency, reused by either pass
+        near = np.minimum(d[owner, :, shape[:, 0]], d[owner, :, shape[:, 1]])
+        own = np.add.reduceat(near, starts, dtype=np.int64)  # each layout's E over its edges
+        if shared:  # each block takes its layout's distances (int64 runs the sums faster)
+            d, own = d.astype(np.int64)[lay], own[lay]
+        trans = np.einsum("kij,kj->ki", d, weights)
+        edge_trans = np.einsum("kij,kj->ki", d, hanging) + own
+    else:  # one layout: its probe picks the pass, which takes all its blocks at once
+        a = _csr(s, shape)  # the probe's adjacency, reused by either pass
         if _shallow(a):
-            trans, edge_trans = _level_transmissions(a, weights[0], hanging[0])
+            trans, edge_trans = _level_transmissions(a, weights, hanging)
         else:
-            trans, edge_trans = _transmissions(a, local, weights[0], hanging[0])
-    u, v = (local + s * owner[:, None]).T  # as positions in the flattened (k, s) arrays
-    # weights . D weights of a block is at most n^2 s: far inside int64
-    return (eids, np.abs(trans[u] - trans[v]), np.abs(edge_trans[u] - edge_trans[v]),
-            (weights * trans.reshape(k, s)).sum(axis=1))
+            trans, edge_trans = _transmissions(a, shape, weights, hanging)
+    u, v = (local + s * block[:, None]).T  # as positions in the flattened (k, s) arrays
+    share = _row_products(weights, trans)
+    trans, edge_trans = trans.ravel(), edge_trans.ravel()
+    return (parts.edges[rows], np.abs(trans[u] - trans[v]), np.abs(edge_trans[u] - edge_trans[v]),
+            share)
+
+
+def _row_products(weights: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """The row sums of ``weights * trans``, nonnegative, exact: in int64 when
+    none can reach 2^63, else as Python ints (object dtype)."""
+    if int(weights.max(initial=0)) * int(trans.max(initial=0)) * weights.shape[1] >= 1 << 63:
+        weights, trans = weights.astype(object), trans.astype(object)
+    return (weights * trans).sum(axis=1)
 
 
 def _stack_sizes(sizes: np.ndarray) -> np.ndarray:
     """The sizes blocks are padded to for Floyd-Warshall: up to 8 exact, then
     the next multiple of 8, so the blocks of a batch of mixed sizes make a
-    few stacks, not one per size.  Larger blocks go alone, unpadded."""
+    few stacks, not one per size.  Larger blocks go unpadded, a layout at a time."""
     return np.where((sizes > 8) & (sizes <= _FLOYD_MAX), -(-sizes // 8) * 8, sizes)
 
 
@@ -370,19 +403,29 @@ def _batch_reports(batch: list[Graph]) -> Iterator[IndexReport]:
 def _reports(parts: Blocks, block_at, edge_at: list[int]) -> Iterator[IndexReport]:
     """The reports of the graphs of a disjoint union from one pass over its
     blocks ``parts``: graph i's blocks are ``block_at[i]:block_at[i + 1]``
-    and its edges ``edge_at[i]:edge_at[i + 1]``.  Blocks of one size are
-    stacked across all the graphs."""
+    and its edges ``edge_at[i]:edge_at[i + 1]``.  Blocks go in groups by
+    layout (``Blocks.layout``), here and nowhere else, and each layout's
+    distances are found once for all its blocks in a stack.  Layouts of one
+    padded size are stacked across all the graphs."""
     vdiffs, ediffs = np.empty(len(parts.edges), np.int64), np.empty(len(parts.edges), np.int64)
     twice = np.empty(len(parts.edge_start) - 1, np.int64)  # each block's Wiener share
-    sizes = _stack_sizes(np.diff(parts.vertex_start))
-    for s in np.unique(sizes).tolist():
-        chosen = np.flatnonzero(sizes == s)
-        # k blocks per stack: k s^2 byte distances and at most k s^3 / 2 edge gathers
-        step = max(1, _ROW_BUDGET_BYTES // (8 * s ** 3)) if s <= _FLOYD_MAX else 1
-        for first in range(0, chosen.size, step):
-            some = chosen[first:first + step]
-            eids, vd, ed, twice[some] = _block_diffs(parts, some, s)
+    padded = _stack_sizes(np.diff(parts.vertex_start))
+    order = np.lexsort((parts.layout, padded))  # the blocks by padded size, layout after layout
+    padded, layout = padded[order], parts.layout[order]
+    for s in np.unique(padded).tolist():
+        lo, hi = np.searchsorted(padded, [s, s + 1]).tolist()
+        if s <= _FLOYD_MAX:  # k blocks per stack: k s^2 distances, at most k s^3 / 2 edge gathers
+            cuts = range(lo, hi, max(1, _ROW_BUDGET_BYTES // (8 * s ** 3)))
+        else:  # one layout, all its blocks
+            starts = lo + 1 + np.flatnonzero(layout[lo + 1:hi] != layout[lo:hi - 1])
+            cuts = [lo, *starts.tolist()]
+        for a, b in zip(cuts, [*cuts[1:], hi]):
+            chosen = order[a:b]
+            eids, vd, ed, share = _block_diffs(parts, chosen, s)
             vdiffs[eids], ediffs[eids] = vd, ed
+            if share.dtype == object:  # a share past int64
+                twice = twice.astype(object, copy=False)
+            twice[chosen] = share
     vdiffs.flags.writeable = ediffs.flags.writeable = False
     totals = zip(_exact_sums(vdiffs, edge_at), _exact_sums(ediffs, edge_at),
                  _exact_sums(twice, block_at))

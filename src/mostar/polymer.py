@@ -16,15 +16,18 @@ when every monomer of a batch was built with its blocks (a cycle, a clique,
 or such a composite) and has at most one, the union's blocks are the
 construction's: each unit of two or more vertices is a block laid out as
 itself, and the union's graph is built with them (``Graph.parts``).
-``compose``'s composite keeps them; ``cli.cmd_verify`` hands a union's
-straight to the engine.  Any other composite's blocks come from a DFS
-whenever they are read."""
+Units copied from one source, a distinct monomer handle, the K2 bridge or
+the cycle of one circuit length, share a block layout (``Blocks.layout``),
+which the engine evaluates once.  ``compose``'s composite keeps them;
+``cli.cmd_verify`` hands a union's straight to the engine.  Any other
+composite's blocks come from a DFS whenever they are read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import is_
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -91,9 +94,12 @@ class PolymerSpec:
             raise GraphError(f"unknown composition kind {quote(self.kind)}")
         if not self.monomers:
             raise GraphError("a polymer needs at least one monomer")
-        for i, h in enumerate(self.monomers):
-            if not isinstance(h, MonomerHandle):
-                raise GraphError(f"monomer {i} is a {type(h).__name__}, not a MonomerHandle")
+        monomers = self.monomers
+        # a polymer often repeats one handle: then each check runs on it once
+        one = all(map(is_, monomers, repeat(monomers[0])))
+        if not all(map(isinstance, monomers[:1] if one else monomers, repeat(MonomerHandle))):
+            i, h = next((i, h) for i, h in enumerate(monomers) if not isinstance(h, MonomerHandle))
+            raise GraphError(f"monomer {i} is a {type(h).__name__}, not a MonomerHandle")
         if self.tree_edges and self.kind != "tree":
             raise GraphError(f"tree_edges apply only to kind 'tree', not {quote(self.kind)}")
         for e in self.tree_edges:
@@ -104,15 +110,16 @@ class PolymerSpec:
             if arity != 4:
                 raise NotATree(f"tree edge {quote(e if arity is None else list(e))} must have "
                                "4 entries [monomer a, vertex in a, monomer b, vertex in b]")
-        k = len(self.monomers)
+        k = len(monomers)
         if self.kind == "circuit" and k < 3:
             raise TooFewMonomers(f"circuit needs at least 3 monomers, got {k}")
         if self.kind == "chain":
-            for i, h in enumerate(self.monomers[1:-1], 1):
+            inner = monomers[1:-1]
+            for i, h in enumerate(inner[:1] if one else inner, 1):
                 if h.x == h.y:
                     raise DegenerateHandles(f"interior chain monomer {i} has x == y == {h.x}")
         if self.kind == "tree":
-            _check_tree(self.monomers, self.tree_edges)
+            _check_tree(monomers, self.tree_edges)
         object.__setattr__(self, "tree_edges", tuple(tuple(map(int, e)) for e in self.tree_edges))
 
 
@@ -209,7 +216,9 @@ class _Union(NamedTuple):
     edges ``edge_at[j]:edge_at[j + 1]``, its own canonical edges shifted by
     ``vertex_at[j]``.  Vertex v of unit u is flat slot ``starts[u] + v`` and
     union vertex ``ids[starts[u] + v]``.  Where ``graph`` was built with
-    its blocks (``graph.parts``), spec j's start at ``block_at[j]``."""
+    its blocks (``graph.parts``), spec j's start at ``block_at[j]``, and
+    blocks copied from one source share a layout across all the specs;
+    a DFS's blocks each have their own."""
 
     graph: Graph
     vertex_at: np.ndarray
@@ -235,7 +244,10 @@ def _compose_all(specs: Sequence[PolymerSpec]) -> _Union:
     running count of those class roots, so ids follow monomer order, a
     merged vertex takes the lowest id among its slots, and each spec's ids
     follow those of the specs before.  Each distinct monomer handle is read
-    once; per monomer, only its identity is looked up."""
+    once; per monomer, only its identity is looked up.  A unit's source is
+    its distinct handle, the one K2 bridge, or the one cycle of its
+    circuit's length; where the union is built with its blocks, each
+    block's layout is the first block of the same source."""
     index, distinct, code, last = {}, [], [], None  # the distinct handles; each monomer's
     for h in chain.from_iterable(s.monomers for s in specs):
         if h is not last:  # a polymer often repeats one handle: look it up once per run
@@ -249,6 +261,7 @@ def _compose_all(specs: Sequence[PolymerSpec]) -> _Union:
     # each unit's edges are a source's: a distinct monomer's, the bridge's or a cycle's
     sources = [h.graph.ends for h in distinct] + [np.array([[0, 1]])]
     table = [(h.graph.n, h.graph.m, h.x, h.y) for h in distinct] + [(2, 1, 0, 0)]
+    cycles = {}  # the source of each circuit length: circuits of equal k share one
     extra_at, extra, runs, ranked, unit_end, first, pairs = [], [], [], [], [0], 0, 0
     for j, s in enumerate(specs):
         k, u = len(s.monomers), unit_end[-1]
@@ -257,9 +270,11 @@ def _compose_all(specs: Sequence[PolymerSpec]) -> _Union:
             extra += [len(distinct)] * (k - 1)
         elif s.kind == "circuit":
             extra_at.append(first + k)
-            extra.append(len(sources))
-            sources.append((np.arange(k)[:, None] + [0, 1]) % k)
-            table.append((k, k, 0, 0))
+            if k not in cycles:
+                cycles[k] = len(sources)
+                sources.append((np.arange(k)[:, None] + [0, 1]) % k)
+                table.append((k, k, 0, 0))
+            extra.append(cycles[k])
         first += k
         unit_end.append(first + len(extra))
         spec_runs, spec_ranks = _pair_runs(s, j, u, unit_end[-1], first - k, len(code))
@@ -320,8 +335,10 @@ def _compose_all(specs: Sequence[PolymerSpec]) -> _Union:
     np.cumsum([n[big], m[big]], axis=1, out=block_bounds[:, 1:])
     blocks_at = np.zeros(len(n) + 1, np.int64)
     np.cumsum(big, out=blocks_at[1:])
+    # a block's layout is its source's: the first block copied from the same source
+    _, first_of, source = np.unique(unit_source[big], return_index=True, return_inverse=True)
     parts = Blocks(block_bounds[0], ids[keep], weights[keep], hanging[keep], block_bounds[1],
-                   eids, local)
+                   eids, local, first_of[source])
     return _Union(Graph(graph.n, graph.ends, parts), vertex_at, edge_at, ids, starts,
                   blocks_at[unit_end])
 

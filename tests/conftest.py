@@ -248,6 +248,18 @@ def reference_block_weights(g: Graph, edge_ids) -> list[tuple[int, int, int]]:
     return sorted((x, weight[find(x)], hanging[find(x)]) for x in block)
 
 
+def check_layouts(parts):
+    """Block i has the size and, up to each edge's orientation, the
+    ``local_ends`` rows of block ``layout[i]``, the first of its layout."""
+    sizes, starts = np.diff(parts.vertex_start), parts.edge_start
+    for i, first in enumerate(parts.layout.tolist()):
+        assert first <= i and parts.layout[first] == first
+        assert sizes[i] == sizes[first]
+        mine, theirs = (np.sort(parts.local_ends[starts[b]:starts[b + 1]], axis=1)
+                        for b in (i, first))
+        assert np.array_equal(mine, theirs)
+
+
 def neighbour_lists(g: Graph, without=None) -> list[list[int]]:
     """Neighbours of each vertex, read off ``g.edges``, minus edge ``without``."""
     neighbours: list[list[int]] = [[] for _ in range(g.n)]

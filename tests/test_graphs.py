@@ -14,7 +14,7 @@ from mostar import (DuplicateEdge, GraphError, MonomerHandle, NotConnected,
                     from_edge_list, graphs, index_report, indices, is_connected,
                     parse_graph, path_graph, vertex_orientation)
 
-from conftest import (any_graphs, block_rich_graphs, chorded_cycles,
+from conftest import (any_graphs, block_rich_graphs, check_layouts, chorded_cycles,
                       connected_graphs, naive_all_pairs, naive_bfs,
                       naive_edge_diffs, naive_vertex_diffs, naive_wiener,
                       one_block_specs, polymer_composites,
@@ -710,6 +710,8 @@ def check_blocks(g):
     own edges are gone."""
     parts = blocks(g)
     assert sorted(parts.edges.tolist()) == list(range(g.m))  # each edge in one block
+    if g.parts is None:  # a DFS's blocks each have their own layout
+        assert parts.layout.tolist() == list(range(len(parts.vertex_start) - 1))
     seen = []
     for i in range(len(parts.vertex_start) - 1):
         vertices = parts.vertices[parts.vertex_start[i]:parts.vertex_start[i + 1]].tolist()
@@ -737,6 +739,17 @@ class TestBlocks:
     def test_small_graphs(self, g, orders):
         check_blocks(g)
         assert np.diff(blocks(g).vertex_start).tolist() == orders
+
+    def test_dfs_blocks_have_their_own_layouts(self):
+        """A link of four C5 is built with two layouts, the C5's and the
+        bridges' K2; a DFS over it, alone or in a batch, gives each block
+        its own, as it does a cycle or a clique built as one block."""
+        g = compose(PolymerSpec("link", (MonomerHandle(cycle_graph(5), 0, 2),) * 4)).graph
+        assert g.parts.layout.tolist() == [0, 0, 0, 0, 4, 4, 4]
+        assert blocks(graphs.Graph(g.n, g.ends)).layout.tolist() == list(range(7))
+        assert graphs._blocks([g, path_graph(3)])[0].layout.tolist() == list(range(9))
+        for one in (cycle_graph(4), complete_graph(3), complete_graph(1)):
+            assert blocks(one).layout.tolist() == [0] * (one.n > 1)
 
     def test_two_triangles_on_a_path(self):
         # triangles {0,1,2} and {3,4,5} joined by the bridge 2-3
@@ -801,14 +814,15 @@ class TestBlocks:
                 np.concatenate([getattr(b, field)[:-1] + s for b, s in zip(alone, shift)]),
                 shift[-1])
 
+        counts = [len(b.edge_start) - 1 for b in alone]
         expected = graphs.Blocks(
             starts("vertex_start", "vertices"),
             joined("vertices", np.cumsum([0] + [g.n for g in batch])),
             joined("weights"), joined("hanging"), starts("edge_start", "edges"),
-            joined("edges", np.cumsum([0] + [g.m for g in batch])), joined("local_ends"))
+            joined("edges", np.cumsum([0] + [g.m for g in batch])), joined("local_ends"),
+            joined("layout", np.cumsum([0] + counts)))
         for field in graphs.Blocks._fields:
             assert np.array_equal(getattr(parts, field), getattr(expected, field)), field
-        counts = [len(b.edge_start) - 1 for b in alone]
         assert block_at.tolist() == np.cumsum([0] + counts).tolist()
         return block_at
 
@@ -907,11 +921,12 @@ def block_set(parts):
 
 
 def check_construction_blocks(spec):
-    """``compose`` sets blocks that pass ``check_blocks``, are the DFS's up to
-    order and layout, and give the naive oracle's per-edge diffs."""
+    """``compose`` sets blocks that pass ``check_blocks`` and ``check_layouts``,
+    are the DFS's up to order and layout, and give the naive oracle's per-edge diffs."""
     g = compose(spec).graph
     assert g.parts is not None
     check_blocks(g)
+    check_layouts(g.parts)
     assert block_set(blocks(g)) == block_set(dfs_blocks(g))
     r = index_report(g)
     assert r.vertex_diffs.tolist() == naive_vertex_diffs(g)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from mostar import (CHAIN_FAMILIES, EdgeNotInGraph, FamilySpec, GraphError,
+from mostar import (CHAIN_FAMILIES, KINDS, EdgeNotInGraph, FamilySpec, GraphError,
                     MonomerHandle, NotConnected, PolymerSpec, blocks,
                     complete_graph, compose, cycle_graph, dump_graph,
                     edge_orientation, formula_value, from_edge_list, generate,
@@ -15,12 +15,14 @@ from mostar import (CHAIN_FAMILIES, EdgeNotInGraph, FamilySpec, GraphError,
 import mostar
 from mostar import cli
 from mostar.cli import main
+from mostar.indices import _reports
+from mostar.polymer import _compose_all
 
-from conftest import (block_rich_graphs, connected_graphs, naive_all_pairs,
+from conftest import (block_rich_graphs, check_layouts, connected_graphs, naive_all_pairs,
                       naive_edge_diffs, naive_edge_mostar, naive_mostar,
                       naive_vertex_diffs,
-                      naive_wiener, neighbour_lists, one_block_specs, permute_graph,
-                      polymer_composites, random_connected_graph)
+                      naive_wiener, neighbour_lists, one_block_monomers, one_block_specs,
+                      permute_graph, polymer_composites, random_connected_graph)
 
 
 def t2():
@@ -524,13 +526,14 @@ def test_level_pass_sums_stay_exact_around_float32(heavy):
     """Two of vertex 0's neighbours weigh ``heavy`` and hang ``heavy`` edges,
     every other vertex one: the totals sit just below 2^24 or just above it,
     where float32 sums would round (level 1 from vertex 0 alone sums to the
-    odd 2^24 + 3).  T and E equal the rows pass's int64 sums."""
+    odd 2^24 + 3).  A second block of the layout weighs one everywhere.  T
+    and E equal the rows pass's int64 sums, row by row."""
     g = chorded_cycle(60, 3)
     ends = np.array(g.ends)
     a = graphs._csr(g.n, ends)
-    mass = np.ones(g.n, np.int64)
-    mass[a.indices[a.indptr[0]:a.indptr[0] + 2]] = heavy
-    assert (mass.sum() < 1 << 24) == (heavy < 1 << 23)
+    mass = np.ones((2, g.n), np.int64)
+    mass[0, a.indices[a.indptr[0]:a.indptr[0] + 2]] = heavy
+    assert (mass[0].sum() < 1 << 24) == (heavy < 1 << 23)
     level = indices._level_transmissions(a, mass, mass)
     rows = indices._transmissions(a, ends, mass, mass)
     assert all(np.array_equal(x, y) for x, y in zip(level, rows))
@@ -786,6 +789,91 @@ def test_exact_sums_beyond_int64():
     values = np.array([2 ** 62] * 3 + [5], dtype=np.int64)
     assert indices._exact_sums(values, [0, 3, 3, 4]) == [3 * 2 ** 62, 0, 5]
     assert indices._exact_sums(values[3:], [0, 0, 1]) == [0, 5]
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_block_share_past_int64_is_exact(copies):
+    """An 8-cycle block whose every vertex weighs 2^30, alone or twice in one
+    layout: each block's twice-Wiener share is 8 * 2^30 * (16 * 2^30) =
+    2^67, past int64, and comes out exact (int64 row sums gave 0)."""
+    ring = np.array([[i, (i + 1) % 8] for i in range(8)])
+    at = np.arange(copies + 1) * 8
+    parts = graphs.Blocks(at, np.arange(8 * copies), np.full(8 * copies, 1 << 30),
+                          np.zeros(8 * copies, np.int64), at, np.arange(8 * copies),
+                          np.tile(ring, (copies, 1)), np.zeros(copies, np.int64))
+    (r,) = indices._reports(parts, [0, copies], [0, 8 * copies])
+    assert r.wiener == copies << 66
+    assert r.mostar == r.edge_mostar == 0
+
+
+def test_chain_of_repeated_large_blocks_runs_one_probe():
+    """A chain of 200 K60 is 200 blocks of one layout: one probe and one
+    level pass, which takes all their weights at once, give the report of
+    the DFS's 200 blocks of their own layouts, one probe each."""
+    g = compose(PolymerSpec("chain", (MonomerHandle(complete_graph(60), 0, 1),) * 200)).graph
+    probes, passes = [], []
+    shallow, level_pass = indices._shallow, indices._level_transmissions
+
+    def spy_probe(a):
+        probes.append(a.shape[0])
+        return shallow(a)
+
+    def spy_pass(a, weights, hanging):
+        passes.append(weights.shape)
+        return level_pass(a, weights, hanging)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indices, "_shallow", spy_probe)
+        mp.setattr(indices, "_level_transmissions", spy_pass)
+        r = index_report(g)
+        assert probes == [60] and passes == [(200, 60)]
+        want = index_report(graphs.Graph(g.n, g.ends))
+    assert probes[1:] == [60] * 200 and passes[1:] == [(1, 60)] * 200
+    assert r == want and r.vertex_diffs.tolist() == want.vertex_diffs.tolist()
+    assert r.edge_diffs.tolist() == want.edge_diffs.tolist()
+
+
+@st.composite
+def repeated_block_specs(draw):
+    """1-4 specs of any kind over a pool of 1-3 handles that they reuse, so
+    blocks repeat within and across specs: links add K2 bridges, circuits
+    cycles of equal or unequal k, and a pool handle may be a one-block
+    monomer or a block above ``_FLOYD_MAX`` vertices, a clique (the level
+    pass) or a cycle (the rows pass)."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["small", "clique", "cycle"]))
+        g = (complete_graph(draw(st.integers(49, 50))) if shape == "clique" else
+             cycle_graph(draw(st.integers(49, 52))) if shape == "cycle" else
+             draw(one_block_monomers(min_n=2)))
+        x = draw(st.integers(0, g.n - 1))
+        pool.append(MonomerHandle(g, x, (x + draw(st.integers(1, g.n - 1))) % g.n))
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(KINDS))
+        k = draw(st.integers(3 if kind == "circuit" else 1, 5))
+        tree = [(draw(st.integers(0, b - 1)), 0, b, 0)
+                for b in range(1, k if kind == "tree" else 1)]
+        specs.append(PolymerSpec(kind, [draw(st.sampled_from(pool)) for _ in range(k)], tree))
+    return specs
+
+
+@settings(deadline=None, max_examples=40)
+@given(repeated_block_specs())
+def test_shared_layouts_change_no_report(specs):
+    """A union of constructions that repeat blocks gives the same reports,
+    per-edge diffs included, with its own layouts as with every block of
+    its own layout (``layout = arange``)."""
+    union = _compose_all(specs)
+    parts, block_at = union.blocks()
+    assert union.graph.parts is not None
+    check_layouts(parts)
+    apart = parts._replace(layout=np.arange(len(parts.layout)))
+    for r, want in zip(_reports(parts, block_at, union.edge_at),
+                       _reports(apart, block_at, union.edge_at), strict=True):
+        assert r == want
+        assert r.vertex_diffs.tolist() == want.vertex_diffs.tolist()
+        assert r.edge_diffs.tolist() == want.edge_diffs.tolist()
 
 
 class TestScale:

@@ -238,6 +238,13 @@ class TestTreeAttach:
      "tree edge 5 must have 4 entries [monomer a, vertex in a, monomer b, vertex in b]"),
     ("link", (path_graph(4), path_graph(4)), (), GraphError,
      "monomer 0 is a Graph, not a MonomerHandle"),
+    ("bouquet", (MonomerHandle(K3, 0), MonomerHandle(K3, 0), K3, MonomerHandle(K3, 0), K3), (),
+     GraphError, "monomer 2 is a Graph, not a MonomerHandle"),
+    ("link", (K3,) * 3, (), GraphError, "monomer 0 is a Graph, not a MonomerHandle"),
+    ("chain", (MonomerHandle(K3, 2, 2), MonomerHandle(K3, 0, 1)) * 3, (), DegenerateHandles,
+     "interior chain monomer 2 has x == y == 2"),
+    ("chain", (MonomerHandle(K3, 1, 1),) * 4, (), DegenerateHandles,
+     "interior chain monomer 1 has x == y == 1"),
     ("link", 5, (), GraphError, "monomers must be iterable, got 5"),
     ("tree", (MonomerHandle(K3, 0),) * 2, None, GraphError,
      "tree_edges must be iterable, got None"),
@@ -245,10 +252,13 @@ class TestTreeAttach:
 ], ids=["circuit-of-2", "degenerate-interior", "too-few-edges", "cycle",
         "monomer-out-of-range", "vertex-out-of-range", "float-vertex", "bool-vertex",
         "float-monomer", "bool-monomer", "tree-edge-not-a-sequence", "bare-graph-monomer",
-        "monomers-not-iterable", "tree-edges-none", "tree-edges-not-iterable"])
+        "repeated-graph-monomer", "one-graph-repeated", "repeated-degenerate-interior",
+        "one-degenerate-handle-repeated", "monomers-not-iterable", "tree-edges-none",
+        "tree-edges-not-iterable"])
 def test_invalid_spec_fails_at_construction(kind, monomers, tree, error, message):
     """Every check of a kind runs when the spec is made, so no spec that
-    exists fails in ``compose``."""
+    exists fails in ``compose``.  A bad monomer that repeats is named at its
+    first index, where the check may run once per handle."""
     with pytest.raises(error) as caught:
         PolymerSpec(kind, monomers, tree)
     assert str(caught.value) == message
@@ -523,9 +533,16 @@ def composite_specs(draw):
     return PolymerSpec(kind, (handle,) * k, tree)
 
 
+def renumbered(layout):
+    """Each entry's index of the first entry equal to it."""
+    first = {}
+    return [first.setdefault(x, i) for i, x in enumerate(layout.tolist())]
+
+
 def spec_slices(spec, union, j, unit):
     """Spec j's own ``(ends, ids, starts, blocks)`` in ``union``, shifted
-    back, its units starting at ``unit``."""
+    back, its units starting at ``unit``; each block's layout as the first
+    of spec j's blocks that shares it in the union."""
     lo, k = union.vertex_at[j], len(spec.monomers)
     ends = union.graph.ends[union.edge_at[j]:union.edge_at[j + 1]] - lo
     first = union.starts[unit]
@@ -537,7 +554,7 @@ def spec_slices(spec, union, j, unit):
         parts = (vs[b0:b1 + 1] - vs[b0], known.vertices[vs[b0]:vs[b1]] - lo,
                  known.weights[vs[b0]:vs[b1]], known.hanging[vs[b0]:vs[b1]],
                  es[b0:b1 + 1] - es[b0], known.edges[es[b0]:es[b1]] - union.edge_at[j],
-                 known.local_ends[es[b0]:es[b1]])
+                 known.local_ends[es[b0]:es[b1]], np.array(renumbered(known.layout[b0:b1])))
     return ends, ids, union.starts[unit:unit + k + 1] - first, parts
 
 

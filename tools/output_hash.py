@@ -1,4 +1,5 @@
-"""Two sha256 digests of what ``mostar`` gives: totals and diffs, and blocks.
+"""Three sha256 digests of what ``mostar`` gives: totals and diffs, blocks,
+and totals and diffs on ``verify``'s path.
 
 The first hash covers, for every graph of a fixed set, its vertex and edge
 counts, its three totals, and its vertex and edge diffs in ``g.ends``
@@ -17,6 +18,14 @@ set:
   of 500-3,000 vertices with 0-3 chords and a relabelled 2 x 1,000
   ladder, which the streamed BFS rows pass evaluates
 
+The third hash covers the same counts, totals and diffs of polymers that
+are never built as graphs, evaluated as ``verify`` evaluates one family's:
+each batch composed as one union, whose blocks, the construction's where
+it knows them, go straight to the engine.  The polymers are those of the
+chain families, triangulanes and clique flowers above, and seeded random
+specs over cycles, cliques and chorded cycles, each followed by a spec
+that repeats one of its monomers 3-8 times.
+
 Two checkouts that print the same hashes give the same numbers and the
 same blocks on all of them.  Run from the repository root; ``--src`` picks
 the checkout to measure, ``--tiny`` a small set that runs in a few
@@ -33,27 +42,36 @@ import hashlib
 import random
 import sys
 import tempfile
+from itertools import groupby
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("link", "chain", "bouquet", "circuit", "tree")
+SHAPES = ("cycle", "clique", "chorded", "random")  # of random monomers
 
 
-def family_graphs(mostar, tiny: bool):
+def family_specs(mostar, tiny: bool):
     top, depth, petals = (4, 3, 3) if tiny else (100, 7, 6)
     for family in mostar.CHAIN_FAMILIES:
         for n in range(1, top + 1):
-            yield mostar.generate(mostar.FamilySpec(family, n=n)).graph
+            yield mostar.FamilySpec(family, n=n)
     for family in ("triangulane-aux", "triangulane"):
         for n in range(1, depth + 1):
-            yield mostar.generate(mostar.FamilySpec(family, n=n)).graph
+            yield mostar.FamilySpec(family, n=n)
     for m in range(1, petals + 1):
         for inner in range(1, petals + 1):
-            yield mostar.generate(mostar.FamilySpec("clique-flower", m=m, inner=inner)).graph
+            yield mostar.FamilySpec("clique-flower", m=m, inner=inner)
 
 
-def random_monomer(mostar, rng: random.Random):
-    shape = rng.choice(("cycle", "clique", "chorded", "random"))
+def family_graphs(mostar, tiny: bool):
+    for spec in family_specs(mostar, tiny):
+        yield mostar.generate(spec).graph
+
+
+def random_monomer(mostar, rng: random.Random, shapes=SHAPES):
+    shape = rng.choice(shapes)
     if shape == "cycle":
         return mostar.cycle_graph(rng.randrange(3, 9))
     if shape == "clique":
@@ -70,25 +88,46 @@ def random_monomer(mostar, rng: random.Random):
     return mostar.from_edge_list(n, pairs)
 
 
+def random_spec(mostar, rng: random.Random, shapes=SHAPES):
+    """A spec of a random kind over 1-7 ``random_monomer``s of ``shapes``."""
+    kind = rng.choice(KINDS)
+    k = rng.randrange(3 if kind == "circuit" else 1, 8)
+    handles = []
+    for i in range(k):
+        g = random_monomer(mostar, rng, shapes)
+        while kind == "chain" and 0 < i < k - 1 and g.n < 2:
+            g = random_monomer(mostar, rng, shapes)
+        x = rng.randrange(g.n)
+        y = rng.choice([v for v in range(g.n) if v != x] or [x])
+        handles.append(mostar.MonomerHandle(g, x, y))
+    tree = []
+    for b in range(1, k if kind == "tree" else 1):
+        a = rng.randrange(b)
+        tree.append((a, rng.randrange(handles[a].graph.n), b,
+                     rng.randrange(handles[b].graph.n)))
+    return mostar.PolymerSpec(kind, tuple(handles), tuple(tree))
+
+
 def random_composites(mostar, count: int):
     rng = random.Random(20260)
     for _ in range(count):
-        kind = rng.choice(KINDS)
-        k = rng.randrange(3 if kind == "circuit" else 1, 8)
-        handles = []
-        for i in range(k):
-            g = random_monomer(mostar, rng)
-            while kind == "chain" and 0 < i < k - 1 and g.n < 2:
-                g = random_monomer(mostar, rng)
-            x = rng.randrange(g.n)
-            y = rng.choice([v for v in range(g.n) if v != x] or [x])
-            handles.append(mostar.MonomerHandle(g, x, y))
-        tree = []
-        for b in range(1, k if kind == "tree" else 1):
-            a = rng.randrange(b)
-            tree.append((a, rng.randrange(handles[a].graph.n), b,
-                         rng.randrange(handles[b].graph.n)))
-        yield mostar.compose(mostar.PolymerSpec(kind, tuple(handles), tuple(tree))).graph
+        yield mostar.compose(random_spec(mostar, rng)).graph
+
+
+def one_block_composites(mostar, count: int):
+    """Seeded random specs whose monomers are cycles, cliques and chorded
+    cycles, each built with its one block (K1 with none), and specs that
+    repeat one of them, so their unions are built with their blocks."""
+    rng = random.Random(32)
+    for _ in range(count):
+        spec = random_spec(mostar, rng, SHAPES[:3])
+        yield spec
+        h = rng.choice(spec.monomers)
+        kind = rng.choice(KINDS if h.x != h.y else ("link", "bouquet", "circuit", "tree"))
+        k = rng.randrange(3, 9)
+        yield mostar.PolymerSpec(kind, (h,) * k, tuple(
+            (rng.randrange(b), rng.randrange(h.graph.n), b, rng.randrange(h.graph.n))
+            for b in range(1, k if kind == "tree" else 1)))
 
 
 def workload_graphs(mostar, tiny: bool):
@@ -131,6 +170,30 @@ def block_set(parts) -> list:
                   for a, b, c, d in spans)
 
 
+def verify_hash(mostar, tiny: bool) -> tuple[str, int]:
+    """The digest of the polymers of ``family_specs`` and ``one_block_composites``
+    evaluated as ``cli.cmd_verify`` evaluates one family's, and their number:
+    each family's, and the composites, cut into batches by
+    ``indices._batches``, each composed as one union
+    (``polymer._compose_all``) whose blocks go to ``indices._reports``."""
+    groups = [[*map(mostar.families._polymer, specs)] for _, specs in
+              groupby(family_specs(mostar, tiny), key=lambda spec: spec.family)]
+    groups.append(list(one_block_composites(mostar, 20 if tiny else 200)))
+    digest = hashlib.sha256()
+    for specs in groups:
+        # at most: the monomers' edges and k more, a link's bridges or a circuit's cycle
+        edges = {id(s): sum(h.graph.m for h in s.monomers) + len(s.monomers) for s in specs}
+        for batch in mostar.indices._batches(specs, lambda s: edges[id(s)]):
+            union = mostar.polymer._compose_all(batch)
+            reports = mostar.indices._reports(*union.blocks(), union.edge_at)
+            for n, m, r in zip(np.diff(union.vertex_at), np.diff(union.edge_at), reports,
+                               strict=True):
+                digest.update(f"{n} {m} {r.mostar} {r.edge_mostar} {r.wiener}\n".encode())
+                digest.update(r.vertex_diffs.astype("<i8").tobytes())
+                digest.update(r.edge_diffs.astype("<i8").tobytes())
+    return digest.hexdigest(), sum(map(len, groups))
+
+
 def output_hash(mostar, tiny: bool) -> tuple[str, str, int]:
     """The totals digest, the blocks digest and the number of graphs they cover."""
     graphs = [*family_graphs(mostar, tiny), *random_composites(mostar, 20 if tiny else 400),
@@ -158,6 +221,8 @@ def main(argv=None) -> int:
     digest, blocks, count = output_hash(mostar, args.tiny)
     print(f"{digest}  {count} graphs")
     print(f"{blocks}  blocks of {count} graphs")
+    digest, count = verify_hash(mostar, args.tiny)
+    print(f"{digest}  verify's path over {count} polymers")
     return 0
 
 
