@@ -3,8 +3,10 @@
 Vertices are dense 0-based integers, so every distance structure is a plain
 array indexed by vertex id.  All distances are exact hop counts; nothing in
 this module (or downstream of it) uses floating point arithmetic for graph
-quantities.  scipy, which only the BFS pass needs, is imported on its first
-call, so building and splitting graphs never loads it.
+quantities.  scipy, which only the BFS rows need (``distance_rows``, and
+the rows pass of ``indices`` on deep blocks), is imported on their first
+call, so building and splitting graphs, and evaluating shallow blocks,
+never load it.
 """
 
 from __future__ import annotations
@@ -245,11 +247,8 @@ def _dfs(ends: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
     its part.  Gives each vertex's preorder number (from 1), low point,
     parent (a root is its own) and subtree size.  The tree edge back to the
     parent is skipped by vertex: ``from_edge_list`` rejects duplicate edges."""
-    n, m = sum(sizes), len(ends)
-    flat = ends.T.ravel()
-    slots = np.argsort(flat, kind="stable")  # edge endpoints grouped by vertex
-    nbr = flat[(slots + m) % (2 * m)].tolist()
-    nxt = np.searchsorted(flat[slots], np.arange(n + 1)).tolist()
+    n = sum(sizes)
+    nxt, nbr = (a.tolist() for a in _neighbours(n, ends))
     stop = nxt[1:]
     disc, low, sub = ([0] * n for _ in range(3))
     parent, t = list(range(n)), 0
@@ -371,8 +370,20 @@ def blocks(g: Graph) -> Blocks:
     return _read_only(_blocks([_graph_arg(g, "g")])[0])
 
 
+def _neighbours(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency of n vertices joined by the ``(m, 2)`` ``ends`` in
+    compressed rows, from one stable argsort: vertex v's neighbours are
+    ``nbr[indptr[v]:indptr[v + 1]]``, those of edges where v is the first
+    end, then those where it is the second, each in edge order."""
+    m, flat = len(ends), ends.T.ravel()
+    # edge endpoints grouped by vertex; ids below 2^16 sort by radix, 5x faster
+    slots = np.argsort(flat.astype(np.min_scalar_type(n), copy=False), kind="stable")
+    return np.searchsorted(flat[slots], np.arange(n + 1)), flat[(slots + m) % (2 * m)]
+
+
 def _csr(n: int, ends: np.ndarray) -> csr_matrix:
-    """The float32 adjacency of n vertices joined by the ``(m, 2)`` ``ends``."""
+    """The float32 scipy adjacency of n vertices joined by the ``(m, 2)``
+    ``ends``, for scipy's BFS: the rows pass and ``distance_rows``."""
     from scipy.sparse import csr_matrix
 
     rows = np.concatenate([ends[:, 0], ends[:, 1]])

@@ -35,12 +35,12 @@ size, sizes above 8 padded up to a multiple of 8 (``_stack_sizes``), and
 get ``D_B`` from one batched Floyd-Warshall.  A larger layout is probed
 once, and the pass it picks takes all its blocks' rows at once: if a BFS
 from its position 0 ends within ``_LEVEL_MAX_ECC`` levels, the level pass,
-the linear-algebra BFS of Kepner and Gilbert: one sparse product per level
-for a batch of sources, but none at level 0, gathered from the adjacency,
-or at the last level, where nothing lies ahead; no distance row is held.
-A deeper layout streams its BFS rows.  Either way a bounded batch of
-sources runs at a time, so no ``n x n`` table is held.  One vertex has no
-blocks.
+the bit-parallel BFS of Akiba, Iwata and Yoshida in numpy alone: each
+source of a batch is one bit, a level is one OR over every vertex's
+neighbours, and one product with each vertex's level sums T and E; no
+distance row is held and scipy is not loaded.  A deeper layout streams
+scipy's BFS rows.  Either way a bounded batch of sources runs at a time,
+so no ``n x n`` table is held.  One vertex has no blocks.
 
 ``index_reports`` evaluates graphs in batches, cut by edges alone
 (``_batches``): a batch of one graph built with its blocks (a cycle, a
@@ -67,7 +67,7 @@ import numpy as np
 
 from .errors import EdgeNotInGraph, GraphError, quote
 from .graphs import (Blocks, Edge, Graph, _bfs_rows, _blocks, _csr, _graph_arg,
-                     _is_int, distance_rows)
+                     _is_int, _neighbours, distance_rows)
 
 MOSTAR = "mostar"
 EDGE_MOSTAR = "edge_mostar"
@@ -78,8 +78,8 @@ INDEX_NAMES = (MOSTAR, EDGE_MOSTAR, WIENER)
 #: ``_ROW_BUDGET_BYTES // (8 * max(n, m))`` sources (at least one), so its
 #: float64 rows from scipy and its gathers over the edge endpoints each fit
 #: the budget, and peak memory is a small multiple of it whatever n is.
-#: The level pass takes ``_ROW_BUDGET_BYTES // (24 * n)`` sources: its
-#: ``(n, k)`` frontiers, products and masks take at most 24 bytes an entry.
+#: The level pass takes ``_level_width(n, m)`` sources a batch: its level
+#: tables and unpacked edge masks take ``max(9 n, n + m)`` bytes a source.
 _ROW_BUDGET_BYTES = 4 << 20
 
 #: Edges of the graphs evaluated together (``_batches``).  A batch's
@@ -208,71 +208,102 @@ def _transmissions(a, ends: np.ndarray, weights: np.ndarray,
     return trans[:, relabel], edge_trans[:, relabel]
 
 
-def _levels(a, sources: np.ndarray):
-    """BFS over the float32 adjacency ``a`` from each of ``sources``, one
-    column each: yields each level's frontiers with ``a @`` the level
-    before's (None at level 0), and stops after the last level, the first
-    after which no column has a vertex unseen.  It runs a product only when
-    the caller asks for the next level and a vertex is still unseen, and
-    level 0's is the sources' columns of ``a``, scattered from their CSR rows
-    (``a`` is symmetric): a batch whose sources' top eccentricity is e runs
-    e - 1 sparse products.  It stops only once every vertex is seen: the
-    pass runs on blocks whose probe got there."""
-    n, k = a.shape[0], sources.size
-    cols = np.arange(k)
-    front = np.zeros((n, k), np.float32)
-    front[sources, cols] = 1
-    unseen = front == 0
-    yield front, None
-    starts, counts = a.indptr[sources], np.diff(a.indptr)[sources]
-    slots = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    q = np.zeros((n, k), np.float32)
-    q[a.indices[slots], np.repeat(cols, counts)] = 1
+def _levels(adj: tuple[np.ndarray, np.ndarray], sources: range) -> Iterator[np.ndarray]:
+    """BFS over the adjacency ``adj`` (``graphs._neighbours``) from each of
+    the consecutive ``sources``, bit-parallel (Akiba, Iwata and Yoshida):
+    source j is bit j of a row, 64 to a word.  Yields each level's
+    frontiers as an ``(n, words)`` uint64 array, level 0 first, and stops
+    after the last level, the first after which every vertex is seen from
+    every source.  The next level is the OR of each vertex's neighbours'
+    rows, less the bits seen: one gather over the ``2 m`` edge ends a level.
+    A vertex with no neighbour would take the row at its start (``reduceat``),
+    so the caller checks that every degree is at least one."""
+    indptr, nbr = adj
+    n, k = len(indptr) - 1, len(sources)
+    j = np.arange(k)
+    front = np.zeros((n, -(-k // 64) * 8), np.uint8)  # bytes, so the words' byte order is moot
+    front[sources.start + j, j >> 3] = 1 << (j & 7)
+    front = front.view(np.uint64)
+    unseen = np.bitwise_or.reduce(front, axis=0) & ~front  # every source's bit, less its own
     while True:
-        ahead = (q > 0) & unseen
-        unseen ^= ahead
-        front = ahead.astype(np.float32)
-        yield front, q
+        yield front
         if not unseen.any():
             return
-        q = a @ front
+        front = np.bitwise_or.reduceat(np.take(front, nbr, axis=0), indptr[:-1], axis=0)
+        front &= unseen
+        unseen ^= front
 
 
-def _shallow(a) -> bool:
-    """The cost test on a block's float32 adjacency ``a``: a BFS from position
-    0 (the top vertex in a DFS layout) sees every vertex within
-    ``_LEVEL_MAX_ECC`` levels (its eccentricity is below that), and every
-    degree is below 2^24, so float32 counts are exact."""
-    levels = islice(_levels(a, np.zeros(1, np.intp)), _LEVEL_MAX_ECC)
-    return bool(np.diff(a.indptr).max() < 1 << 24) and (
-        sum(np.count_nonzero(f) for f, _ in levels) == a.shape[0])
+def _unpack(bits: np.ndarray, k: int) -> np.ndarray:
+    """The packed ``(rows, words)`` ``bits`` as an ``(rows, k)`` uint8 0/1 array."""
+    return np.unpackbits(bits.view(np.uint8), axis=1, count=k, bitorder="little")
 
 
-def _level_transmissions(a, weights: np.ndarray,
+def _column_counts(bits: np.ndarray, k: int) -> np.ndarray:
+    """The number of rows of the packed ``bits`` with bit j set, for each
+    j < k, as int64: summed in uint8 over slabs of 255 rows, which cannot
+    wrap, then the slabs in int64 (an int64 sum of the rows costs 3x more)."""
+    ones = _unpack(bits, k)
+    cut = len(ones) - len(ones) % 255
+    slabs = ones[:cut].reshape(-1, 255, k).sum(axis=1, dtype=np.uint8)
+    return slabs.sum(axis=0, dtype=np.int64) + ones[cut:].sum(axis=0, dtype=np.int64)
+
+
+def _level_width(n: int, m: int) -> int:
+    """Sources a level-pass batch takes in a block of n vertices and m edges:
+    as few batches as ``_ROW_BUDGET_BYTES`` allows, none larger than that
+    needs (1,000 sources at most 322 a batch go 250 a batch, not 322, 322,
+    322 and 34: a small batch costs about as much as a full one).  A source
+    takes 9 bytes a vertex while its level table is summed (uint8, and
+    float64 in the product), then a byte a vertex and one an edge while the
+    edges inside a level are counted; its packed frontiers take an eighth
+    of a byte a vertex or edge."""
+    most = max(1, _ROW_BUDGET_BYTES // max(9 * n, n + m))
+    return -(-n // -(-n // most))
+
+
+def _shallow(adj: tuple[np.ndarray, np.ndarray]) -> bool:
+    """The cost test on a block's adjacency ``adj``: a BFS from position 0
+    (the top vertex in a DFS layout) sees every vertex within
+    ``_LEVEL_MAX_ECC`` levels (its eccentricity is below that)."""
+    levels = islice(_levels(adj, range(1)), _LEVEL_MAX_ECC)
+    return sum(np.count_nonzero(f) for f in levels) == len(adj[0]) - 1
+
+
+def _level_transmissions(adj: tuple[np.ndarray, np.ndarray], ends: np.ndarray,
+                         weights: np.ndarray,
                          hanging: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(T, E)`` as ``_transmissions`` gives them, from the BFS levels
-    (``_levels``) of a batch of sources over the float32 adjacency ``a``.
-    Level d's ``deg`` edge ends split as ``deg = back + within + ahead``:
-    ``back`` to level d-1, ``within`` two per edge inside d, and ``ahead``,
-    the next level's ``back``.  An edge has its nearer end at its lower
-    level, so ``2 E = sum_d d (deg + 2 hanging) - sum_d back``: an edge
-    inside a level counts its level twice, one across levels its lower
-    level plus one.  Level d's ``back`` is its frontiers times the level
-    before's product, so neither ``within`` nor the last level's product is
-    needed.  Level 0 adds nothing to either sum."""
-    n, k = a.shape[0], len(weights)
-    # rows: each block's weights, then its degrees plus twice its hanging counts; integer
-    # sums below 2^53, exact
-    mass = np.concatenate([weights, np.diff(a.indptr) + 2 * hanging], dtype=np.float64)
-    trans, twice_edge = np.zeros((k, n), np.int64), np.zeros((k, n), np.int64)
-    width = max(1, _ROW_BUDGET_BYTES // (24 * n))
+    (``_levels``) of batches of sources over the adjacency ``adj`` of the
+    edges ``ends``.  Each batch fills a table of each vertex's level from
+    each source, and one product with it sums ``sum_d d (weights)`` and
+    ``sum_d d (deg + 2 hanging)``.  An edge has its nearer end at its lower
+    level, so ``2 E = sum_d d (deg + 2 hanging) - across``: an edge inside a
+    level counts its level twice, one across two levels its lower level
+    plus one.  ``across`` is m less the edges whose ends share a level, the
+    bits of ``F[a] & F[b]`` over the levels F."""
+    indptr = adj[0]
+    n, m, blocks = len(indptr) - 1, len(ends), len(weights)
+    deg = np.diff(indptr)
+    assert deg.min() > 0, "a block vertex with no edge"  # see _levels
+    # rows: each block's weights, then its degrees plus twice its hanging counts; the
+    # products are integer sums below 2^53, exact
+    mass = np.concatenate([weights, deg + 2 * hanging], dtype=np.float64)
+    a, b = ends.T
+    trans, twice_edge = np.empty((blocks, n), np.int64), np.empty((blocks, n), np.int64)
+    width = _level_width(n, m)
     for start in range(0, n, width):
         stop = min(start + width, n)
-        for d, (f, q) in enumerate(islice(_levels(a, np.arange(start, stop)), 1, None), 1):
-            at = (mass @ f).astype(np.int64)
-            back = (q * f).sum(axis=0, dtype=np.float64).astype(np.int64)
-            trans[:, start:stop] += d * at[:k]
-            twice_edge[:, start:stop] += d * at[k:] - back
+        k = stop - start
+        levels = list(islice(_levels(adj, range(start, stop)), 1, None))  # level 0 adds nothing
+        table = np.zeros((n, k), np.min_scalar_type(len(levels)))
+        within = np.zeros((m, levels[0].shape[1]), np.uint64)
+        for d, f in enumerate(levels, 1):
+            table += _unpack(f, k) * table.dtype.type(d)
+            within |= np.take(f, a, axis=0) & np.take(f, b, axis=0)
+        at = (mass @ table).astype(np.int64)
+        trans[:, start:stop] = at[:blocks]
+        twice_edge[:, start:stop] = at[blocks:] - (m - _column_counts(within, k))
     return trans, twice_edge // 2
 
 
@@ -318,11 +349,11 @@ def _block_diffs(parts: Blocks, chosen: np.ndarray,
         trans = np.einsum("kij,kj->ki", d, weights)
         edge_trans = np.einsum("kij,kj->ki", d, hanging) + own
     else:  # one layout: its probe picks the pass, which takes all its blocks at once
-        a = _csr(s, shape)  # the probe's adjacency, reused by either pass
-        if _shallow(a):
-            trans, edge_trans = _level_transmissions(a, weights, hanging)
+        adj = _neighbours(s, shape)  # the probe's adjacency, reused by the level pass
+        if _shallow(adj):
+            trans, edge_trans = _level_transmissions(adj, shape, weights, hanging)
         else:
-            trans, edge_trans = _transmissions(a, shape, weights, hanging)
+            trans, edge_trans = _transmissions(_csr(s, shape), shape, weights, hanging)
     u, v = (local + s * block[:, None]).T  # as positions in the flattened (k, s) arrays
     share = _row_products(weights, trans)
     trans, edge_trans = trans.ravel(), edge_trans.ravel()

@@ -409,12 +409,14 @@ def one_block_monomers(draw, min_n: int = 1):
 
 
 @st.composite
-def chorded_cycles(draw, min_n: int = 4, max_n: int = 8, max_chords: int = 3):
-    """A cycle of ``min_n``-``max_n`` vertices with up to ``max_chords``
-    chords, relabelled: one block."""
+def chorded_cycles(draw, min_n: int = 4, max_n: int = 8, min_chords: int = 1,
+                   max_chords: int = 3):
+    """A cycle of ``min_n``-``max_n`` vertices with ``min_chords`` to
+    ``max_chords`` chords drawn (a loop or a cycle edge adds none),
+    relabelled: one block."""
     n = draw(st.integers(min_n, max_n))
     chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                           min_size=1, max_size=max_chords))
+                           min_size=min_chords, max_size=max_chords))
     pairs = {(i, (i + 1) % n) for i in range(n)} | {c for c in chords if c[0] != c[1]}
     return permute_graph(from_edge_list(n, {(min(c), max(c)) for c in pairs}),
                          draw(st.permutations(range(n))))

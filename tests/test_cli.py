@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mostar import (BOUND_KINDS, FAMILY_NAMES, KINDS, FamilySpec, MonomerHandle,
-                    PolymerSpec, complete_graph, generate, index_report,
-                    parse_graph, spec_to_dict)
+                    PolymerSpec, complete_graph, cycle_graph, dump_graph, generate,
+                    index_report, parse_graph, spec_to_dict)
 from mostar.cli import main
 
 K2_JSON = {"n": 2, "edges": [[0, 1]]}
@@ -753,7 +754,41 @@ def test_scipy_is_loaded_only_by_the_bfs_pass():
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False, False, False, False, False, True, False, True]\n"
+    assert proc.stdout == "[False, False, False, False, False, False, False, False, True]\n"
+
+
+def dense_graph(n, m, seed):
+    """A seeded Hamiltonian n-cycle plus random chords up to m edges: one
+    block of small diameter, as in the benchmark's dense workload."""
+    rng = random.Random(seed)
+    order = rng.sample(range(n), n)
+    edges = {tuple(sorted((order[i], order[i - 1]))) for i in range(n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return {"n": n, "edges": sorted(edges)}
+
+
+@pytest.mark.parametrize("graph,loads", [
+    (dump_graph(complete_graph(60), "json"), False),
+    (json.dumps(dense_graph(200, 1200, 7)), False),
+    (dump_graph(cycle_graph(200), "json"), True)], ids=["K60", "dense-200", "C200"])
+def test_compute_imports_scipy_only_for_the_rows_pass(tmp_path, graph, loads):
+    """``python -m mostar compute`` on one shallow block of more than
+    ``_FLOYD_MAX`` vertices runs the bit-parallel level pass and imports no
+    scipy module; C200, too deep for it, streams scipy's BFS rows.  The
+    interpreter's import log (``-X importtime``) lists every module."""
+    path = tmp_path / "g.json"
+    path.write_text(graph)
+    src = str(Path(mostar.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "mostar", "compute",
+                           str(path)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "wiener" in proc.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "mostar.indices" in imported
+    assert any(name.split(".")[0] == "scipy" for name in imported) == loads
 
 
 class TestRoundTrip:

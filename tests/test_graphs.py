@@ -407,16 +407,16 @@ def check_streamed_pass(g):
             assert sizes == [k] * (n // k) + ragged
     level_pass, levels = indices._level_transmissions, indices._levels
     for rows in (1, 2, 3):
-        budget = rows * 24 * g.n
+        budget = rows * max(9 * g.n, g.n + g.m)
         passes, fronts = [], []
 
-        def spy_pass(a, weights, hanging):
-            passes.append(a.shape[0])
-            return level_pass(a, weights, hanging)
+        def spy_pass(adj, ends, weights, hanging):
+            passes.append((len(adj[0]) - 1, len(ends)))
+            return level_pass(adj, ends, weights, hanging)
 
-        def spy_levels(a, sources):
-            fronts.append((a.shape[0], len(sources)))
-            return levels(a, sources)
+        def spy_levels(adj, sources):
+            fronts.append((len(adj[0]) - 1, len(sources)))
+            return levels(adj, sources)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(indices, "_ROW_BUDGET_BYTES", budget)
@@ -425,10 +425,13 @@ def check_streamed_pass(g):
             mp.setattr(indices, "_level_transmissions", spy_pass)
             mp.setattr(indices, "_levels", spy_levels)
             check(index_report(g))
-        assert sorted(passes) == sorted(block_orders)
-        expected = []  # per block: the one-source probe, then its batches
-        for n in passes:
-            k = max(1, budget // (24 * n))
+        assert sorted(n for n, _ in passes) == sorted(block_orders)
+        expected = []  # per block: the one-source probe, then its batches, evenly filled
+        for n, m in passes:
+            batches = -(-n // max(1, budget // max(9 * n, n + m)))
+            if len(block_orders) == 1:
+                assert batches == -(-n // rows)
+            k = -(-n // batches)
             ragged = [(n, n % k)] if n % k else []
             expected += [(n, 1)] + [(n, k)] * (n // k) + ragged
         assert fronts == expected

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
@@ -18,11 +18,11 @@ from mostar.cli import main
 from mostar.indices import _reports
 from mostar.polymer import _compose_all
 
-from conftest import (block_rich_graphs, check_layouts, connected_graphs, naive_all_pairs,
-                      naive_edge_diffs, naive_edge_mostar, naive_mostar,
-                      naive_vertex_diffs,
-                      naive_wiener, neighbour_lists, one_block_monomers, one_block_specs,
-                      permute_graph, polymer_composites, random_connected_graph)
+from conftest import (block_rich_graphs, check_layouts, chorded_cycles, connected_graphs,
+                      naive_all_pairs, naive_bfs, naive_edge_diffs, naive_edge_mostar,
+                      naive_mostar, naive_vertex_diffs, naive_wiener, neighbour_lists,
+                      one_block_monomers, one_block_specs, permute_graph, polymer_composites,
+                      random_connected_graph)
 
 
 def t2():
@@ -423,11 +423,11 @@ def test_level_and_rows_passes_match_the_oracle(name):
         local = parts.local_ends[parts.edge_start[big]:parts.edge_start[big + 1]]
         ecc = graphs._bfs_rows(graphs._csr(n, local), np.arange(n)).max(axis=1)
         assert ecc.min() < ecc.max()
-    for level_max, taken, per_source in ((g.n, "_level_transmissions", 24 * n),
+    for level_max, taken, per_source in ((g.n, "_level_transmissions", max(9 * n, n + m)),
                                          (0, "_transmissions", 8 * max(n, m))):
         real = getattr(indices, taken)
 
-        def spy(*args):  # the block's adjacency, its edges for the rows pass, then the masses
+        def spy(*args):  # the block's adjacency, its edges, then the masses
             passes.append(args[-2].size)
             return real(*args)
 
@@ -445,29 +445,35 @@ def test_level_and_rows_passes_match_the_oracle(name):
             assert (r.mostar, r.edge_mostar, r.wiener) == totals
 
 
-def count_products(g, **settings):
+def count_levels(g, **settings):
     """``index_report(g)`` with the ``indices`` constants ``settings``,
-    counting the sparse products of every block adjacency.  Gives the
-    report, the passes taken, each ``_levels`` call as ``[adjacency,
-    sources, levels yielded, products run]``, and the products run before
-    any such call."""
-    passes, calls, before = [], [], []
-    levels, csr = indices._levels, indices._csr
+    counting the levels the bit pass expands: each OR over the neighbours
+    of every vertex (a ``reduceat`` at the adjacency's row starts).  Gives the report, the passes
+    taken, each ``_levels`` call as ``[adjacency, sources, levels yielded,
+    levels expanded]``, and the sizes of the scipy adjacencies built."""
+    passes, calls, scipy_built = [], [], []
+    levels, neighbours, csr = indices._levels, indices._neighbours, indices._csr
 
-    class Counting(csr_matrix):
-        def __matmul__(self, other):
-            if calls:
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if method == "reduceat":
                 calls[-1][3] += 1
-            else:
-                before.append(other.shape)
-            return super().__matmul__(other)
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
-    def spy_levels(a, sources):
-        call = [csr_matrix(a), sources, 0, 0]
+    def spy_neighbours(n, ends):
+        indptr, nbr = neighbours(n, ends)
+        return indptr.view(Counting), nbr
+
+    def spy_levels(adj, sources):
+        call = [adj, sources, 0, 0]
         calls.append(call)
-        for level in levels(a, sources):
+        for level in levels(adj, sources):
             call[2] += 1
             yield level
+
+    def spy_csr(n, ends):
+        scipy_built.append(n)
+        return csr(n, ends)
 
     def spy(name):
         real = getattr(indices, name)
@@ -482,41 +488,50 @@ def count_products(g, **settings):
             mp.setattr(indices, name, value)
         for name in ("_level_transmissions", "_transmissions"):
             mp.setattr(indices, name, spy(name))
-        mp.setattr(indices, "_csr", lambda n, ends: Counting(csr(n, ends)))
+        mp.setattr(indices, "_neighbours", spy_neighbours)
         mp.setattr(indices, "_levels", spy_levels)
+        mp.setattr(indices, "_csr", spy_csr)
         r = index_report(g)
-    return r, passes, calls, before
+    return r, passes, calls, scipy_built
+
+
+def eccentricities(adj, sources):
+    """The eccentricity of each of ``sources`` in the adjacency ``adj``, by scipy's BFS."""
+    indptr, nbr = adj
+    n = len(indptr) - 1
+    a = csr_matrix((np.ones(len(nbr), np.float32), nbr, np.asarray(indptr)), shape=(n, n))
+    return graphs._bfs_rows(a, np.asarray(sources)).max(axis=1)
 
 
 def test_clique_runs_no_sparse_product():
-    """K60's probe and its level pass both end at level 1: level 0's product
-    is gathered and level 1 is the last, so no sparse product runs."""
-    r, passes, calls, before = count_products(complete_graph(60))
+    """K60's probe and its level pass both end at level 1: each expands one
+    level, the one past level 0, and no scipy adjacency is built."""
+    r, passes, calls, scipy_built = count_levels(complete_graph(60))
     assert (r.mostar, r.edge_mostar, r.wiener) == (0, 0, 60 * 59 // 2)
     assert passes == ["_level_transmissions"]
-    assert [(len(s), levels, products) for _, s, levels, products in calls] == [
-        (1, 2, 0), (60, 2, 0)]
-    assert before == []
+    assert [(len(s), levels, expanded) for _, s, levels, expanded in calls] == [
+        (1, 2, 1), (60, 2, 1)]
+    assert scipy_built == []
 
 
-def test_each_batch_runs_its_eccentricity_less_one_products():
+def test_each_batch_expands_its_eccentricity_levels():
     """A seeded Hamiltonian 300-cycle with chords, forced through the level
-    pass in batches of 7 sources: the probe and each batch run one product
-    fewer than the largest eccentricity among their sources, and the
-    batches do not all end at one depth."""
+    pass in batches of 7 sources: the probe and each batch expand as many
+    levels as the largest eccentricity among their sources, none past the
+    last, and the batches do not all end at one depth."""
     rng = random.Random(30)
     order = rng.sample(range(300), 300)
     edges = {tuple(sorted((order[i], order[i - 1]))) for i in range(300)}
     while len(edges) < 450:
         edges.add(tuple(sorted(rng.sample(range(300), 2))))
     g = from_edge_list(300, sorted(edges))
-    r, passes, calls, before = count_products(g, _LEVEL_MAX_ECC=g.n,
-                                              _ROW_BUDGET_BYTES=7 * 24 * g.n)
+    r, passes, calls, scipy_built = count_levels(
+        g, _LEVEL_MAX_ECC=g.n, _ROW_BUDGET_BYTES=7 * 9 * g.n)
     check_report(g, r)
-    assert passes == ["_level_transmissions"] and before == []
+    assert passes == ["_level_transmissions"] and scipy_built == []
     assert [len(s) for _, s, _, _ in calls] == [1] + [7] * 42 + [6]
-    tops = [int(graphs._bfs_rows(a, s).max()) for a, s, _, _ in calls]
-    assert [products for *_, products in calls] == [top - 1 for top in tops]
+    tops = [int(eccentricities(adj, s).max()) for adj, s, _, _ in calls]
+    assert [expanded for *_, expanded in calls] == tops
     assert [levels for _, _, levels, _ in calls] == [top + 1 for top in tops]
     assert len(set(tops[1:])) > 1
 
@@ -530,26 +545,73 @@ def test_level_pass_sums_stay_exact_around_float32(heavy):
     and E equal the rows pass's int64 sums, row by row."""
     g = chorded_cycle(60, 3)
     ends = np.array(g.ends)
-    a = graphs._csr(g.n, ends)
+    adj = graphs._neighbours(g.n, ends)
+    indptr, nbr = adj
     mass = np.ones((2, g.n), np.int64)
-    mass[0, a.indices[a.indptr[0]:a.indptr[0] + 2]] = heavy
+    mass[0, nbr[indptr[0]:indptr[0] + 2]] = heavy
     assert (mass[0].sum() < 1 << 24) == (heavy < 1 << 23)
-    level = indices._level_transmissions(a, mass, mass)
-    rows = indices._transmissions(a, ends, mass, mass)
+    level = indices._level_transmissions(adj, ends, mass, mass)
+    rows = indices._transmissions(graphs._csr(g.n, ends), ends, mass, mass)
     assert all(np.array_equal(x, y) for x, y in zip(level, rows))
 
 
+@st.composite
+def shallow_blocks(draw):
+    """A clique or a relabelled cycle with chords, of 49-130 vertices (past
+    ``_FLOYD_MAX``), whose vertex 0 has eccentricity below
+    ``_LEVEL_MAX_ECC``: a block the probe sends to the level pass."""
+    n = draw(st.integers(49, 130))
+    if draw(st.booleans()):
+        return complete_graph(n)
+    g = draw(chorded_cycles(min_n=n, max_n=n, min_chords=n // 4, max_chords=n))
+    assume(max(naive_bfs(g, 0)) < indices._LEVEL_MAX_ECC)
+    return g
+
+
+@settings(deadline=None, max_examples=30)
+@given(shallow_blocks(), st.sampled_from([1, 63, 64, 65, 129]), st.integers(1, 3),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_bit_level_pass_matches_rows_pass_and_oracle(g, width, copies, hung, seed):
+    """The bit-parallel level pass, in batches of 1, 63, 64, 65 or 129
+    sources (a batch ends inside a word, at its end or just past it), on
+    1-3 blocks of one layout with seeded random weights and hanging counts,
+    gives the T and E rows of the rows pass and of the naive oracle's
+    distances."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, 1 << 20, (copies, g.n))
+    hanging = rng.integers(0, 1 << 20, (copies, g.n)) * hung
+    ends = np.array(g.ends)
+    batches = []
+    levels = indices._levels
+
+    def spy_levels(adj, sources):
+        batches.append(len(sources))
+        return levels(adj, sources)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indices, "_level_width", lambda n, m: width)
+        mp.setattr(indices, "_levels", spy_levels)
+        trans, edge_trans = indices._level_transmissions(
+            graphs._neighbours(g.n, ends), ends, weights, hanging)
+    assert batches == [width] * (g.n // width) + ([g.n % width] if g.n % width else [])
+    rows = indices._transmissions(graphs._csr(g.n, ends), ends, weights, hanging)
+    assert np.array_equal(trans, rows[0]) and np.array_equal(edge_trans, rows[1])
+    d = np.array(naive_all_pairs(g), dtype=np.int64)
+    assert trans.tolist() == (weights @ d).tolist()
+    near = np.minimum(d[:, ends[:, 0]], d[:, ends[:, 1]]).sum(axis=1)
+    assert edge_trans.tolist() == (hanging @ d + near).tolist()
+
+
 def test_deep_probe_stops_at_the_level_cap():
-    """C200's probe yields ``_LEVEL_MAX_ECC`` levels and stops there: level
-    1 comes from level 0's gathered columns and each later level from a
-    product of the level before, so it runs ``_LEVEL_MAX_ECC - 2``, none
-    for the level past the cap.  The block streams rows."""
-    r, passes, calls, before = count_products(cycle_graph(200))
+    """C200's probe yields ``_LEVEL_MAX_ECC`` levels and stops there: it
+    expands each level past level 0, ``_LEVEL_MAX_ECC - 1``, and none past
+    the cap.  The block streams rows over a scipy adjacency."""
+    r, passes, calls, scipy_built = count_levels(cycle_graph(200))
     assert r.wiener == 200 * 100 * 100 // 2
     assert passes == ["_transmissions"]
-    assert [(len(s), levels, products) for _, s, levels, products in calls] == [
-        (1, indices._LEVEL_MAX_ECC, indices._LEVEL_MAX_ECC - 2)]
-    assert before == []
+    assert [(len(s), levels, expanded) for _, s, levels, expanded in calls] == [
+        (1, indices._LEVEL_MAX_ECC, indices._LEVEL_MAX_ECC - 1)]
+    assert scipy_built == [200]
 
 
 @settings(deadline=None, max_examples=40)
@@ -814,13 +876,13 @@ def test_chain_of_repeated_large_blocks_runs_one_probe():
     probes, passes = [], []
     shallow, level_pass = indices._shallow, indices._level_transmissions
 
-    def spy_probe(a):
-        probes.append(a.shape[0])
-        return shallow(a)
+    def spy_probe(adj):
+        probes.append(len(adj[0]) - 1)
+        return shallow(adj)
 
-    def spy_pass(a, weights, hanging):
+    def spy_pass(adj, ends, weights, hanging):
         passes.append(weights.shape)
-        return level_pass(a, weights, hanging)
+        return level_pass(adj, ends, weights, hanging)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(indices, "_shallow", spy_probe)
