@@ -32,15 +32,15 @@ at once, and each block's twice-Wiener share is the row sum of ``W * T``,
 taken in Python ints where it could reach 2^63.  ``_reports`` alone groups
 blocks by layout.  Layouts of at most ``_FLOYD_MAX`` vertices are stacked by
 size, sizes above 8 padded up to a multiple of 8 (``_stack_sizes``), and
-get ``D_B`` from one batched Floyd-Warshall.  A larger layout is probed
-once, and the pass it picks takes all its blocks' rows at once: if a BFS
-from its position 0 ends within ``_LEVEL_MAX_ECC`` levels, the level pass,
-the bit-parallel BFS of Akiba, Iwata and Yoshida in numpy alone: each
-source of a batch is one bit, a level is one OR over every vertex's
-neighbours, and one product with each vertex's level sums T and E; no
-distance row is held and scipy is not loaded.  A deeper layout streams
-scipy's BFS rows.  Either way a bounded batch of sources runs at a time,
-so no ``n x n`` table is held.  One vertex has no blocks.
+get ``D_B`` from one batched Floyd-Warshall.  A larger layout goes to
+``_transmissions``, which takes all its blocks' rows at once, a bounded
+batch of sources at a time, so no ``n x n`` table is held: one product of
+each batch's distance table with ``[W; deg + 2 H]`` sums T and E.  A probe
+picks where the tables come from: if a BFS from position 0 ends within
+``_LEVEL_MAX_ECC`` levels, from the bit-parallel BFS of Akiba, Iwata and
+Yoshida in numpy alone (each source of a batch is one bit, a level one OR
+over every vertex's neighbours; scipy is not loaded), else from scipy's
+BFS rows.  One vertex has no blocks.
 
 ``index_reports`` evaluates graphs in batches, cut by edges alone
 (``_batches``): a batch of one graph built with its blocks (a cycle, a
@@ -74,12 +74,13 @@ EDGE_MOSTAR = "edge_mostar"
 WIENER = "wiener"
 INDEX_NAMES = (MOSTAR, EDGE_MOSTAR, WIENER)
 
-#: Bytes of distance rows in flight.  A block takes
-#: ``_ROW_BUDGET_BYTES // (8 * max(n, m))`` sources (at least one), so its
-#: float64 rows from scipy and its gathers over the edge endpoints each fit
-#: the budget, and peak memory is a small multiple of it whatever n is.
-#: The level pass takes ``_level_width(n, m)`` sources a batch: its level
-#: tables and unpacked edge masks take ``max(9 n, n + m)`` bytes a source.
+#: Bytes of distance tables in flight.  A deep block takes
+#: ``_ROW_BUDGET_BYTES // (8 * max(n, m))`` sources a batch (at least one),
+#: so its float64 rows from scipy, their float64 copy in the product and its
+#: gathers over the edge endpoints each fit the budget, and peak memory is a
+#: small multiple of it whatever n is.  A shallow block takes
+#: ``_level_width(n, m)``: its level tables and unpacked edge masks take
+#: ``max(9 n, n + m)`` bytes a source.
 _ROW_BUDGET_BYTES = 4 << 20
 
 #: Edges of the graphs evaluated together (``_batches``).  A batch's
@@ -91,8 +92,8 @@ _BATCH_EDGES = _ROW_BUDGET_BYTES // 2048
 #: Largest block that takes the batched Floyd-Warshall; larger ones go on.
 _FLOYD_MAX = 48
 
-#: BFS levels the probe may spend before a block streams rows: the level pass
-#: costs eccentricity x m a batch, and beats rows below about 25 (CHANGES.md).
+#: BFS levels the probe may spend before a block takes scipy's rows: the bit
+#: levels cost eccentricity x m a batch, and beat the rows well past 10 (README.md).
 _LEVEL_MAX_ECC = 10
 
 
@@ -177,37 +178,6 @@ def edge_orientation(g: Graph, e) -> EdgeOrientationCounts:
     return EdgeOrientationCounts(edge, m_u, m_v, g.m - m_u - m_v)
 
 
-def _transmissions(a, ends: np.ndarray, weights: np.ndarray,
-                   hanging: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(T, E)`` as int64 ``(k, n)`` arrays from BFS rows over the float32
-    adjacency ``a`` of the edges ``ends``, at most ``_ROW_BUDGET_BYTES`` at
-    a time, for each of k blocks of this layout: in row i, vertex w counts
-    ``weights[i, w]`` times in T and ``hanging[i, w]`` in E.  The rows run on
-    a copy relabelled in reverse Cuthill-McKee order, which keeps neighbours
-    close in memory, so scattered labels sweep as fast as well-ordered ones."""
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    n = a.shape[0]
-    order = reverse_cuthill_mckee(a, symmetric_mode=True)
-    relabel = np.argsort(order)  # the inverse permutation
-    a = a[order][:, order]
-    a.sort_indices()
-    ends, weights, hanging = relabel[ends], weights[:, order], hanging[:, order]
-    rows = max(1, _ROW_BUDGET_BYTES // (8 * max(n, len(ends))))
-    # int64 row sums cannot wrap: each is below n * max(n, m)
-    trans, edge_trans = (np.empty((len(weights), n), np.int64) for _ in range(2))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = _bfs_rows(a, np.arange(start, stop))
-        trans[:, start:stop] = weights @ block.T
-        to_edge = block[:, ends[:, 0]]
-        np.minimum(to_edge, block[:, ends[:, 1]], out=to_edge)
-        edge_trans[:, start:stop] = to_edge.sum(axis=1, dtype=np.int64)
-        if hanging.any():  # no edge hangs at a graph that is one block: skip that product
-            edge_trans[:, start:stop] += hanging @ block.T
-    return trans[:, relabel], edge_trans[:, relabel]
-
-
 def _levels(adj: tuple[np.ndarray, np.ndarray], sources: range) -> Iterator[np.ndarray]:
     """BFS over the adjacency ``adj`` (``graphs._neighbours``) from each of
     the consecutive ``sources``, bit-parallel (Akiba, Iwata and Yoshida):
@@ -270,41 +240,79 @@ def _shallow(adj: tuple[np.ndarray, np.ndarray]) -> bool:
     return sum(np.count_nonzero(f) for f in levels) == len(adj[0]) - 1
 
 
-def _level_transmissions(adj: tuple[np.ndarray, np.ndarray], ends: np.ndarray,
-                         weights: np.ndarray,
-                         hanging: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(T, E)`` as ``_transmissions`` gives them, from the BFS levels
-    (``_levels``) of batches of sources over the adjacency ``adj`` of the
-    edges ``ends``.  Each batch fills a table of each vertex's level from
-    each source, and one product with it sums ``sum_d d (weights)`` and
-    ``sum_d d (deg + 2 hanging)``.  An edge has its nearer end at its lower
-    level, so ``2 E = sum_d d (deg + 2 hanging) - across``: an edge inside a
-    level counts its level twice, one across two levels its lower level
-    plus one.  ``across`` is m less the edges whose ends share a level, the
-    bits of ``F[a] & F[b]`` over the levels F."""
-    indptr = adj[0]
-    n, m, blocks = len(indptr) - 1, len(ends), len(weights)
-    deg = np.diff(indptr)
-    assert deg.min() > 0, "a block vertex with no edge"  # see _levels
-    # rows: each block's weights, then its degrees plus twice its hanging counts; the
-    # products are integer sums below 2^53, exact
-    mass = np.concatenate([weights, deg + 2 * hanging], dtype=np.float64)
+def _level_tables(adj: tuple[np.ndarray, np.ndarray],
+                  ends: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """A shallow block's distance tables, ``_level_width`` sources at a time,
+    from the BFS levels (``_levels``) over its adjacency ``adj``: each
+    batch's sources as a slice, the ``(n, k)`` level of each vertex from
+    each of its k sources, and the edges ``ends`` inside a level from each
+    source (the bits of ``F[a] & F[b]`` over the levels F)."""
+    n, m = len(adj[0]) - 1, len(ends)
     a, b = ends.T
-    trans, twice_edge = np.empty((blocks, n), np.int64), np.empty((blocks, n), np.int64)
     width = _level_width(n, m)
     for start in range(0, n, width):
-        stop = min(start + width, n)
-        k = stop - start
-        levels = list(islice(_levels(adj, range(start, stop)), 1, None))  # level 0 adds nothing
+        sources = range(start, min(start + width, n))
+        k = len(sources)
+        levels = list(islice(_levels(adj, sources), 1, None))  # level 0 adds nothing
         table = np.zeros((n, k), np.min_scalar_type(len(levels)))
         within = np.zeros((m, levels[0].shape[1]), np.uint64)
         for d, f in enumerate(levels, 1):
             table += _unpack(f, k) * table.dtype.type(d)
             within |= np.take(f, a, axis=0) & np.take(f, b, axis=0)
-        at = (mass @ table).astype(np.int64)
-        trans[:, start:stop] = at[:blocks]
-        twice_edge[:, start:stop] = at[blocks:] - (m - _column_counts(within, k))
-    return trans, twice_edge // 2
+        yield slice(start, sources.stop), table, _column_counts(within, k)
+
+
+def _row_tables(mat, ends: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The distance tables of a deep block, as ``_level_tables`` gives them,
+    from scipy's BFS rows over its float32 adjacency ``mat``, in batches of
+    ``_ROW_BUDGET_BYTES // (8 max(n, m))`` sources."""
+    n, (a, b) = mat.shape[0], ends.T
+    rows = max(1, _ROW_BUDGET_BYTES // (8 * max(n, len(ends))))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = _bfs_rows(mat, np.arange(start, stop))
+        yield slice(start, stop), block.T, (block[:, a] == block[:, b]).sum(axis=1)
+
+
+def _transmissions(n: int, ends: np.ndarray, weights: np.ndarray,
+                   hanging: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, E)`` as int64 ``(k, n)`` arrays for the k blocks of a layout of
+    n vertices and edges ``ends``: in row i, vertex w counts
+    ``weights[i, w]`` times in T and ``hanging[i, w]`` in E.  The probe
+    picks each batch's distance tables: the bit levels, or scipy's BFS rows
+    over a copy relabelled in reverse Cuthill-McKee order (neighbours close
+    in memory, so scattered labels sweep as fast as ordered ones).  One
+    product with ``[weights; deg + 2 hanging]`` sums T and ``sum_d d (deg +
+    2 hanging)``, 2 E plus the edges whose ends are not equally far from
+    the source: an edge's nearer end is its lower one, so an edge between
+    equally far ends counts that distance twice, any other the lower plus one."""
+    adj = _neighbours(n, ends)
+    deg = np.diff(adj[0])
+    assert deg.min() > 0, "a block vertex with no edge"  # see _levels
+    order = relabel = slice(None)
+    if _shallow(adj):
+        tables = _level_tables(adj, ends)
+    else:
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        a = _csr(n, ends)
+        order = reverse_cuthill_mckee(a, symmetric_mode=True)
+        relabel = np.argsort(order)  # the inverse permutation
+        a = a[order][:, order]
+        a.sort_indices()
+        tables = _row_tables(a, relabel[ends])
+    mass = np.concatenate([weights, deg + 2 * hanging])[:, order]
+    # the sums are integers at most a row's mass times n: exact in float64 (BLAS) below
+    # 2^53, else in int64, exact below 2^63 as every other int64 T is
+    if int(mass.sum(axis=1).max()) * n < 1 << 53:
+        mass = mass.astype(np.float64)
+    k, m = len(weights), len(ends)
+    sums = np.empty((2 * k, n), np.int64)
+    for sources, table, equal in tables:
+        sums[:, sources] = mass @ table
+        sums[k:, sources] -= m - equal
+    sums = sums[:, relabel]
+    return sums[:k], sums[k:] // 2
 
 
 def _block_diffs(parts: Blocks, chosen: np.ndarray,
@@ -320,40 +328,31 @@ def _block_diffs(parts: Blocks, chosen: np.ndarray,
     firsts = np.cumsum(counts) - counts  # where each block's edges start
     rows = np.repeat(parts.edge_start[chosen] - firsts, counts) + np.arange(block.size)
     local = np.take(parts.local_ends, rows, axis=0)
-    shape, owner, starts = local, block, firsts  # the layouts' edges: each block its own
     layout = parts.layout[chosen]
-    shared = bool((layout != chosen).any())  # some block here is not the first of its layout
-    if shared:  # each layout's edges are those of its first block here
-        lead = np.ones(k, bool)
-        lead[1:] = layout[1:] != layout[:-1]
-        lay = np.cumsum(lead) - 1  # each block's layout, 0..k-1
-        k = int(lay[-1]) + 1
-        mine = lead[block]
-        shape, owner = local[mine], lay[block[mine]]
-        starts = np.cumsum(counts[lead]) - counts[lead]
+    lead = np.ones(k, bool)  # the first block here of each layout
+    lead[1:] = layout[1:] != layout[:-1]
+    lay = np.cumsum(lead) - 1  # each block's layout, 0, 1, ...
+    mine = lead[block]  # the layouts' edges: their first blocks' (compress, 8x a mask's speed)
+    shape, owner = np.compress(mine, local, axis=0), lay[block[mine]]
     top = parts.vertex_start[chosen, None]
     real = np.arange(s) < parts.vertex_start[chosen + 1, None] - top
     at = np.where(real, top + np.arange(s), 0)
     weights, hanging = parts.weights[at] * real, parts.hanging[at] * real
     if s <= _FLOYD_MAX:  # one Floyd-Warshall over the stack of layouts
         # s exceeds every hop count; the smallest type that holds 2 s
-        d = np.full((k, s, s), s, dtype=np.min_scalar_type(2 * s))
+        d = np.full((int(lay[-1]) + 1, s, s), s, dtype=np.min_scalar_type(2 * s))
         d[owner, shape[:, 0], shape[:, 1]] = d[owner, shape[:, 1], shape[:, 0]] = 1
         d[:, np.arange(s), np.arange(s)] = 0
         for t in range(s):
             np.minimum(d, d[:, :, t, None] + d[:, None, t, :], out=d)
         near = np.minimum(d[owner, :, shape[:, 0]], d[owner, :, shape[:, 1]])
-        own = np.add.reduceat(near, starts, dtype=np.int64)  # each layout's E over its edges
-        if shared:  # each block takes its layout's distances (int64 runs the sums faster)
-            d, own = d.astype(np.int64)[lay], own[lay]
+        own = np.add.reduceat(near, np.cumsum(counts[lead]) - counts[lead], dtype=np.int64)
+        # each block takes its layout's distances and E over its edges (int64 sums faster)
+        d, own = d.astype(np.int64)[lay], own[lay]
         trans = np.einsum("kij,kj->ki", d, weights)
         edge_trans = np.einsum("kij,kj->ki", d, hanging) + own
-    else:  # one layout: its probe picks the pass, which takes all its blocks at once
-        adj = _neighbours(s, shape)  # the probe's adjacency, reused by the level pass
-        if _shallow(adj):
-            trans, edge_trans = _level_transmissions(adj, shape, weights, hanging)
-        else:
-            trans, edge_trans = _transmissions(_csr(s, shape), shape, weights, hanging)
+    else:  # one layout, all its blocks at once
+        trans, edge_trans = _transmissions(s, shape, weights, hanging)
     u, v = (local + s * block[:, None]).T  # as positions in the flattened (k, s) arrays
     share = _row_products(weights, trans)
     trans, edge_trans = trans.ravel(), edge_trans.ravel()

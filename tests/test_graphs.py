@@ -405,14 +405,14 @@ def check_streamed_pass(g):
                 assert k == rows
             ragged = [n % k] if n % k else []
             assert sizes == [k] * (n // k) + ragged
-    level_pass, levels = indices._level_transmissions, indices._levels
+    level_tables, levels = indices._level_tables, indices._levels
     for rows in (1, 2, 3):
         budget = rows * max(9 * g.n, g.n + g.m)
         passes, fronts = [], []
 
-        def spy_pass(adj, ends, weights, hanging):
+        def spy_pass(adj, ends):
             passes.append((len(adj[0]) - 1, len(ends)))
-            return level_pass(adj, ends, weights, hanging)
+            return level_tables(adj, ends)
 
         def spy_levels(adj, sources):
             fronts.append((len(adj[0]) - 1, len(sources)))
@@ -422,7 +422,7 @@ def check_streamed_pass(g):
             mp.setattr(indices, "_ROW_BUDGET_BYTES", budget)
             mp.setattr(indices, "_FLOYD_MAX", 0)
             mp.setattr(indices, "_LEVEL_MAX_ECC", g.n + 1)
-            mp.setattr(indices, "_level_transmissions", spy_pass)
+            mp.setattr(indices, "_level_tables", spy_pass)
             mp.setattr(indices, "_levels", spy_levels)
             check(index_report(g))
         assert sorted(n for n, _ in passes) == sorted(block_orders)
@@ -443,8 +443,8 @@ def test_streamed_pass_smallest_graphs(g):
     check_streamed_pass(g)
 
 
-@pytest.mark.parametrize("g,taken", [(complete_graph(60), "_level_transmissions"),
-                                     (cycle_graph(200), "_transmissions")],
+@pytest.mark.parametrize("g,taken", [(complete_graph(60), "_level_tables"),
+                                     (cycle_graph(200), "_row_tables")],
                          ids=["K60", "C200"])
 def test_cost_test_picks_the_pass(g, taken):
     """K60 ends its probe BFS at level 1 and takes the level pass; C200 is
@@ -466,12 +466,12 @@ def test_cost_test_picks_the_pass(g, taken):
             yield level
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_level_transmissions", "_transmissions"):
+        for name in ("_level_tables", "_row_tables"):
             mp.setattr(indices, name, spy(name))
         mp.setattr(indices, "_levels", spy_levels)
         index_report(g)
     assert passes == [taken]
-    if taken == "_transmissions":
+    if taken == "_row_tables":
         assert widths == [1] * len(widths)  # the probe's one source
         assert 0 < len(widths) <= indices._LEVEL_MAX_ECC
 

@@ -162,12 +162,13 @@ class TestIndexReport:
     @pytest.mark.parametrize("g,taken", [
         (generate(FamilySpec("hex-meta", n=30)).graph, []),
         (permute_graph(complete_graph(60), random.Random(3).sample(range(60), 60)),
-         ["_level_transmissions"]),
+         ["_level_tables"]),
         (permute_graph(cycle_graph(60), random.Random(4).sample(range(60), 60)),
-         ["_transmissions"])], ids=["stacked-blocks", "level-pass", "rows-pass"])
+         ["_row_tables"])], ids=["stacked-blocks", "level-pass", "rows-pass"])
     def test_per_edge_arrays(self, g, taken):
         """The diffs are read-only int64 arrays of length m in ``g.ends``
-        order, equal to the naive oracle's, whichever pass fills them."""
+        order, equal to the naive oracle's, whichever source gives the
+        distance tables."""
         passes = []
 
         def spy(name):
@@ -179,7 +180,7 @@ class TestIndexReport:
             return run
 
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_level_transmissions", "_transmissions"):
+            for name in ("_level_tables", "_row_tables"):
                 mp.setattr(indices, name, spy(name))
             r = index_report(g)
         assert passes == taken
@@ -393,14 +394,14 @@ def test_deep_relabelled_block_takes_the_rows_pass():
     cutoffs it streams BFS rows, and they give the naive oracle's diffs."""
     g = permute_graph(chorded_cycle(300, 50), random.Random(5).sample(range(300), 300))
     passes = []
-    real = indices._transmissions
+    real = indices._row_tables
 
-    def spy(*args):
-        passes.append(args[0].shape[0])
-        return real(*args)
+    def spy(a, ends):
+        passes.append(a.shape[0])
+        return real(a, ends)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(indices, "_transmissions", spy)
+        mp.setattr(indices, "_row_tables", spy)
         check_against_oracle(g)
     assert passes == [300]
 
@@ -423,13 +424,13 @@ def test_level_and_rows_passes_match_the_oracle(name):
         local = parts.local_ends[parts.edge_start[big]:parts.edge_start[big + 1]]
         ecc = graphs._bfs_rows(graphs._csr(n, local), np.arange(n)).max(axis=1)
         assert ecc.min() < ecc.max()
-    for level_max, taken, per_source in ((g.n, "_level_transmissions", max(9 * n, n + m)),
-                                         (0, "_transmissions", 8 * max(n, m))):
+    for level_max, taken, per_source in ((g.n, "_level_tables", max(9 * n, n + m)),
+                                         (0, "_row_tables", 8 * max(n, m))):
         real = getattr(indices, taken)
 
-        def spy(*args):  # the block's adjacency, its edges, then the masses
-            passes.append(args[-2].size)
-            return real(*args)
+        def spy(adj, ends):
+            passes.append(len(ends))
+            return real(adj, ends)
 
         for rows in (1, 2, 3, n):
             passes = []
@@ -439,7 +440,7 @@ def test_level_and_rows_passes_match_the_oracle(name):
                 mp.setattr(indices, "_LEVEL_MAX_ECC", level_max)
                 mp.setattr(indices, taken, spy)
                 r = index_report(g)
-            assert sorted(passes) == sorted(sizes.tolist())
+            assert sorted(passes) == sorted(np.diff(parts.edge_start).tolist())
             assert r.vertex_diffs.tolist() == vertex_diffs
             assert r.edge_diffs.tolist() == edge_diffs
             assert (r.mostar, r.edge_mostar, r.wiener) == totals
@@ -486,7 +487,7 @@ def count_levels(g, **settings):
     with pytest.MonkeyPatch.context() as mp:
         for name, value in settings.items():
             mp.setattr(indices, name, value)
-        for name in ("_level_transmissions", "_transmissions"):
+        for name in ("_level_tables", "_row_tables"):
             mp.setattr(indices, name, spy(name))
         mp.setattr(indices, "_neighbours", spy_neighbours)
         mp.setattr(indices, "_levels", spy_levels)
@@ -508,7 +509,7 @@ def test_clique_runs_no_sparse_product():
     level, the one past level 0, and no scipy adjacency is built."""
     r, passes, calls, scipy_built = count_levels(complete_graph(60))
     assert (r.mostar, r.edge_mostar, r.wiener) == (0, 0, 60 * 59 // 2)
-    assert passes == ["_level_transmissions"]
+    assert passes == ["_level_tables"]
     assert [(len(s), levels, expanded) for _, s, levels, expanded in calls] == [
         (1, 2, 1), (60, 2, 1)]
     assert scipy_built == []
@@ -528,12 +529,23 @@ def test_each_batch_expands_its_eccentricity_levels():
     r, passes, calls, scipy_built = count_levels(
         g, _LEVEL_MAX_ECC=g.n, _ROW_BUDGET_BYTES=7 * 9 * g.n)
     check_report(g, r)
-    assert passes == ["_level_transmissions"] and scipy_built == []
+    assert passes == ["_level_tables"] and scipy_built == []
     assert [len(s) for _, s, _, _ in calls] == [1] + [7] * 42 + [6]
     tops = [int(eccentricities(adj, s).max()) for adj, s, _, _ in calls]
     assert [expanded for *_, expanded in calls] == tops
     assert [levels for _, _, levels, _ in calls] == [top + 1 for top in tops]
     assert len(set(tops[1:])) > 1
+
+
+def both_sources(n, ends, weights, hanging):
+    """``indices._transmissions`` with the probe's pick forced to the level
+    tables, then to the BFS rows: two ``(T, E)`` pairs."""
+    out = []
+    for shallow in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indices, "_shallow", lambda adj: shallow)
+            out.append(indices._transmissions(n, ends, weights, hanging))
+    return out
 
 
 @pytest.mark.parametrize("heavy", [(1 << 23) - 41, (1 << 23) + 1])
@@ -542,24 +554,38 @@ def test_level_pass_sums_stay_exact_around_float32(heavy):
     every other vertex one: the totals sit just below 2^24 or just above it,
     where float32 sums would round (level 1 from vertex 0 alone sums to the
     odd 2^24 + 3).  A second block of the layout weighs one everywhere.  T
-    and E equal the rows pass's int64 sums, row by row."""
+    and E from the level tables equal those from the BFS rows, row by row."""
     g = chorded_cycle(60, 3)
     ends = np.array(g.ends)
-    adj = graphs._neighbours(g.n, ends)
-    indptr, nbr = adj
+    indptr, nbr = graphs._neighbours(g.n, ends)
     mass = np.ones((2, g.n), np.int64)
     mass[0, nbr[indptr[0]:indptr[0] + 2]] = heavy
     assert (mass[0].sum() < 1 << 24) == (heavy < 1 << 23)
-    level = indices._level_transmissions(adj, ends, mass, mass)
-    rows = indices._transmissions(graphs._csr(g.n, ends), ends, mass, mass)
+    level, rows = both_sources(g.n, ends, mass, mass)
     assert all(np.array_equal(x, y) for x, y in zip(level, rows))
+
+
+@pytest.mark.parametrize("g", [complete_graph(60), cycle_graph(200)],
+                         ids=["K60-level-tables", "C200-rows"])
+def test_sums_past_2_to_the_53_stay_exact(g):
+    """One block whose every vertex weighs 2^48 + 1, through ``_reports``:
+    T reaches 2^54 on K60 and 2^61 on C200, past float64's exact integers,
+    and the Wiener total is still ``w^2 W(g)`` (float64 sums would be off by
+    about -2^57 on K60)."""
+    w = (1 << 48) + 1
+    parts = graphs.Blocks(np.array([0, g.n]), np.arange(g.n), np.full(g.n, w),
+                          np.zeros(g.n, np.int64), np.array([0, g.m]), np.arange(g.m),
+                          np.array(g.ends), np.zeros(1, np.int64))
+    (r,) = indices._reports(parts, [0, 1], [0, g.m])
+    assert r.wiener == w * w * naive_wiener(g)
+    assert r.mostar == r.edge_mostar == 0
 
 
 @st.composite
 def shallow_blocks(draw):
     """A clique or a relabelled cycle with chords, of 49-130 vertices (past
     ``_FLOYD_MAX``), whose vertex 0 has eccentricity below
-    ``_LEVEL_MAX_ECC``: a block the probe sends to the level pass."""
+    ``_LEVEL_MAX_ECC``: a block the probe sends to the level tables."""
     n = draw(st.integers(49, 130))
     if draw(st.booleans()):
         return complete_graph(n)
@@ -568,19 +594,35 @@ def shallow_blocks(draw):
     return g
 
 
-@settings(deadline=None, max_examples=30)
-@given(shallow_blocks(), st.sampled_from([1, 63, 64, 65, 129]), st.integers(1, 3),
-       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@st.composite
+def deep_blocks(draw):
+    """A relabelled cycle of 60-160 vertices with 0-3 chords, or a
+    relabelled 2 x 25-60 ladder, whose vertex 0 has eccentricity at least
+    ``_LEVEL_MAX_ECC``: a block the probe sends to the BFS rows."""
+    if draw(st.booleans()):
+        g = draw(chorded_cycles(min_n=60, max_n=160, min_chords=0, max_chords=3))
+    else:
+        ladder = grid(2, draw(st.integers(25, 60)))
+        g = permute_graph(ladder, draw(st.permutations(range(ladder.n))))
+    assume(max(naive_bfs(g, 0)) >= indices._LEVEL_MAX_ECC)
+    return g
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(shallow_blocks(), deep_blocks()), st.sampled_from([1, 63, 64, 65, 129]),
+       st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_bit_level_pass_matches_rows_pass_and_oracle(g, width, copies, hung, seed):
-    """The bit-parallel level pass, in batches of 1, 63, 64, 65 or 129
-    sources (a batch ends inside a word, at its end or just past it), on
-    1-3 blocks of one layout with seeded random weights and hanging counts,
-    gives the T and E rows of the rows pass and of the naive oracle's
-    distances."""
+    """On 1-3 blocks of one layout, shallow or deep, with seeded random
+    weights and hanging counts: T and E from the level tables, in batches
+    of 1, 63, 64, 65 or 129 sources (a batch ends inside a word, at its end
+    or just past it), equal those from the BFS rows and the naive oracle's
+    distances, and the probe picks the source the block's depth calls for."""
     rng = np.random.default_rng(seed)
     weights = rng.integers(1, 1 << 20, (copies, g.n))
     hanging = rng.integers(0, 1 << 20, (copies, g.n)) * hung
     ends = np.array(g.ends)
+    adj = graphs._neighbours(g.n, ends)
+    assert indices._shallow(adj) == (max(naive_bfs(g, 0)) < indices._LEVEL_MAX_ECC)
     batches = []
     levels = indices._levels
 
@@ -591,10 +633,8 @@ def test_bit_level_pass_matches_rows_pass_and_oracle(g, width, copies, hung, see
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(indices, "_level_width", lambda n, m: width)
         mp.setattr(indices, "_levels", spy_levels)
-        trans, edge_trans = indices._level_transmissions(
-            graphs._neighbours(g.n, ends), ends, weights, hanging)
+        (trans, edge_trans), rows = both_sources(g.n, ends, weights, hanging)
     assert batches == [width] * (g.n // width) + ([g.n % width] if g.n % width else [])
-    rows = indices._transmissions(graphs._csr(g.n, ends), ends, weights, hanging)
     assert np.array_equal(trans, rows[0]) and np.array_equal(edge_trans, rows[1])
     d = np.array(naive_all_pairs(g), dtype=np.int64)
     assert trans.tolist() == (weights @ d).tolist()
@@ -608,7 +648,7 @@ def test_deep_probe_stops_at_the_level_cap():
     the cap.  The block streams rows over a scipy adjacency."""
     r, passes, calls, scipy_built = count_levels(cycle_graph(200))
     assert r.wiener == 200 * 100 * 100 // 2
-    assert passes == ["_transmissions"]
+    assert passes == ["_row_tables"]
     assert [(len(s), levels, expanded) for _, s, levels, expanded in calls] == [
         (1, indices._LEVEL_MAX_ECC, indices._LEVEL_MAX_ECC - 1)]
     assert scipy_built == [200]
@@ -822,14 +862,14 @@ def test_deep_block_in_a_batch_takes_the_rows_pass():
     deep = permute_graph(chorded_cycle(300, 50), random.Random(5).sample(range(300), 300))
     graphs = [path_graph(4), deep, t2(), complete_graph(5)]
     passes = []
-    real = indices._transmissions
+    real = indices._row_tables
 
-    def spy(*args):
-        passes.append(args[0].shape[0])
-        return real(*args)
+    def spy(a, ends):
+        passes.append(a.shape[0])
+        return real(a, ends)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(indices, "_transmissions", spy)
+        mp.setattr(indices, "_row_tables", spy)
         unions = spy_on_batches(mp)
         reports = list(index_reports(graphs))
     assert unions == [4] and passes == [300]  # one batch, built and read alike
@@ -868,29 +908,40 @@ def test_block_share_past_int64_is_exact(copies):
     assert r.mostar == r.edge_mostar == 0
 
 
-def test_chain_of_repeated_large_blocks_runs_one_probe():
-    """A chain of 200 K60 is 200 blocks of one layout: one probe and one
-    level pass, which takes all their weights at once, give the report of
-    the DFS's 200 blocks of their own layouts, one probe each."""
-    g = compose(PolymerSpec("chain", (MonomerHandle(complete_graph(60), 0, 1),) * 200)).graph
-    probes, passes = [], []
-    shallow, level_pass = indices._shallow, indices._level_transmissions
+@pytest.mark.parametrize("monomer,tables", [(complete_graph(60), "_level_tables"),
+                                            (cycle_graph(60), "_row_tables")],
+                         ids=["K60-levels", "C60-rows"])
+def test_chain_of_repeated_large_blocks_runs_one_probe(monomer, tables):
+    """A chain of 200 K60 or 200 C60 is 200 blocks of one layout: one probe
+    and one sums call, which takes all their weights and hanging counts at
+    once from one source of distance tables (the bit levels for K60, the
+    BFS rows for C60), give the report of the DFS's 200 blocks of their own
+    layouts, one probe each."""
+    g = compose(PolymerSpec("chain", (MonomerHandle(monomer, 0, 1),) * 200)).graph
+    probes, passes, sources = [], [], []
+    shallow, sums, source = indices._shallow, indices._transmissions, getattr(indices, tables)
 
     def spy_probe(adj):
         probes.append(len(adj[0]) - 1)
         return shallow(adj)
 
-    def spy_pass(adj, ends, weights, hanging):
+    def spy_sums(n, ends, weights, hanging):
         passes.append(weights.shape)
-        return level_pass(adj, ends, weights, hanging)
+        return sums(n, ends, weights, hanging)
+
+    def spy_source(adj, ends):
+        sources.append(len(ends))
+        return source(adj, ends)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(indices, "_shallow", spy_probe)
-        mp.setattr(indices, "_level_transmissions", spy_pass)
+        mp.setattr(indices, "_transmissions", spy_sums)
+        mp.setattr(indices, tables, spy_source)
         r = index_report(g)
-        assert probes == [60] and passes == [(200, 60)]
+        assert probes == [60] and sources == [monomer.m] and passes == [(200, 60)]
         want = index_report(graphs.Graph(g.n, g.ends))
-    assert probes[1:] == [60] * 200 and passes[1:] == [(1, 60)] * 200
+    assert probes[1:] == [60] * 200 and sources[1:] == [monomer.m] * 200
+    assert passes[1:] == [(1, 60)] * 200
     assert r == want and r.vertex_diffs.tolist() == want.vertex_diffs.tolist()
     assert r.edge_diffs.tolist() == want.edge_diffs.tolist()
 

@@ -15,8 +15,10 @@ set:
 * the graphs of the four benchmark workloads at seeds 1 and 4242, as
   ``bench/workloads.py`` builds them
 * outside ``--tiny``, deep blocks read from edge lists: relabelled cycles
-  of 500-3,000 vertices with 0-3 chords and a relabelled 2 x 1,000
-  ladder, which the streamed BFS rows pass evaluates
+  of 500-3,000 vertices with 0-3 chords, a relabelled 2 x 1,000 ladder,
+  and a relabelled 800-cycle with 2 chords and trees of 400 vertices hung
+  on it, whose block has nonzero hanging counts; scipy's BFS rows give
+  their distances
 
 The third hash covers the same counts, totals and diffs of polymers that
 are never built as graphs, evaluated as ``verify`` evaluates one family's:
@@ -24,7 +26,9 @@ each batch composed as one union, whose blocks, the construction's where
 it knows them, go straight to the engine.  The polymers are those of the
 chain families, triangulanes and clique flowers above, and seeded random
 specs over cycles, cliques and chorded cycles, each followed by a spec
-that repeats one of its monomers 3-8 times.
+that repeats one of its monomers 3-8 times, and, outside ``--tiny``,
+seeded specs that repeat a handle on a cycle of 200-500 vertices 3-8
+times, whose blocks share one deep layout.
 
 Two checkouts that print the same hashes give the same numbers and the
 same blocks on all of them.  Run from the repository root; ``--src`` picks
@@ -158,6 +162,25 @@ def deep_blocks(mostar):
     for n, pairs in shapes:
         perm = rng.sample(range(n), n)
         yield mostar.from_edge_list(n, {tuple(sorted((perm[a], perm[b]))) for a, b in pairs})
+    rng = random.Random(34)  # a cycle with trees hung on it: one deep block among bridges
+    pairs = {(i, (i + 1) % 800) for i in range(800)} | {(0, 400), (200, 600)}
+    pairs |= {(rng.randrange(v), v) for v in range(800, 1200)}
+    perm = rng.sample(range(1200), 1200)
+    yield mostar.from_edge_list(1200, {tuple(sorted((perm[a], perm[b]))) for a, b in pairs})
+
+
+def deep_repeats(mostar, count: int):
+    """Seeded specs of every kind that repeat one handle on a cycle of
+    200-500 vertices 3-8 times, so their blocks share one deep layout."""
+    rng = random.Random(34)
+    for _ in range(count):
+        g = mostar.cycle_graph(rng.randrange(200, 501))
+        x = rng.randrange(g.n)
+        h = mostar.MonomerHandle(g, x, (x + rng.randrange(1, g.n)) % g.n)
+        kind, k = rng.choice(KINDS), rng.randrange(3, 9)
+        yield mostar.PolymerSpec(kind, (h,) * k, tuple(
+            (rng.randrange(b), rng.randrange(g.n), b, rng.randrange(g.n))
+            for b in range(1, k if kind == "tree" else 1)))
 
 
 def block_set(parts) -> list:
@@ -171,14 +194,17 @@ def block_set(parts) -> list:
 
 
 def verify_hash(mostar, tiny: bool) -> tuple[str, int]:
-    """The digest of the polymers of ``family_specs`` and ``one_block_composites``
-    evaluated as ``cli.cmd_verify`` evaluates one family's, and their number:
-    each family's, and the composites, cut into batches by
-    ``indices._batches``, each composed as one union
-    (``polymer._compose_all``) whose blocks go to ``indices._reports``."""
+    """The digest of the polymers of ``family_specs``, ``one_block_composites``
+    and, outside ``tiny``, ``deep_repeats``, evaluated as ``cli.cmd_verify``
+    evaluates one family's, and their number: each family's, the composites
+    and the deep repeats, cut into batches by ``indices._batches``, each
+    composed as one union (``polymer._compose_all``) whose blocks go to
+    ``indices._reports``."""
     groups = [[*map(mostar.families._polymer, specs)] for _, specs in
               groupby(family_specs(mostar, tiny), key=lambda spec: spec.family)]
     groups.append(list(one_block_composites(mostar, 20 if tiny else 200)))
+    if not tiny:
+        groups.append(list(deep_repeats(mostar, 10)))
     digest = hashlib.sha256()
     for specs in groups:
         # at most: the monomers' edges and k more, a link's bridges or a circuit's cycle
